@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -101,6 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
+    if args.workers < 1:
+        raise ConfigError("--workers must be at least 1")
     raw = {}
     if args.config:
         try:
@@ -406,8 +409,8 @@ def _cmd_axet(args, cfg: RunConfig):
     if not cfg.mu_values:
         raise ConfigError('"two_gen_mu" is required for the axet command')
     payloads = [_axet_payload(cfg, mu) for mu in cfg.mu_values]
-    workers = max(1, args.workers)
-    if workers > 1 and len(payloads) > 1:
+    workers = min(args.workers, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_axet_worker, payloads))
     else:

@@ -180,6 +180,8 @@ def apply_overrides(raw: dict, *, p=None, alpha=None, mu=None, gram=None,
         merged["alpha"] = alpha
     if mu is not None:
         values = [v.strip() for v in mu.split(",") if v.strip()]
+        if not values:
+            raise ConfigError("--mu must list at least one value")
         merged["gram"] = {"two_gen_mu": values if len(values) > 1 else values[0]}
     if gram is not None:
         merged["gram"] = gram

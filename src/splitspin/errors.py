@@ -108,3 +108,20 @@ class MuOne(SplitSpinError):
 
 class ConfigError(SplitSpinError):
     """Invalid or unknown configuration data."""
+
+
+class VerificationFailed(SplitSpinError):
+    """An identity the computation relies on failed its exact check.
+
+    `witness` carries the data that breaks it.
+    """
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+def check(condition, message: str, witness=None) -> None:
+    """Raise VerificationFailed unless condition holds; survives python -O."""
+    if not condition:
+        raise VerificationFailed(message, witness)

@@ -7,11 +7,18 @@ rho of the axis swap with the Miyamoto involution of x acts on E with
 matrix [[2 mu, -1], [1, 0]] (row-vector convention), and the size of the
 closed axis set X equals the order of rho.  Over the rationals that order
 is decided exactly from the trace; over F_p the orders p and 2p occur at
-mu = 1 and mu = -1 and everything else is found by direct powering.
+mu = 1 and mu = -1, and every other order divides p - 1 or p + 1 and is
+found among the divisors with exact matrix powers.
+
+X is enumerated as the orbit of {e, f} under the two generating
+involutions alone: orthogonal maps conjugate reflections, so that orbit
+is closed under the involution of every axis in it, and a per-vector
+certificate checks this exactly.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .algebra import COVER, SPLIT_SPIN, Algebra, Element, exceptional_cover, split_spin
@@ -23,6 +30,7 @@ from .errors import (
     MuOne,
     SpecialAlpha,
     WrongAlgebraKind,
+    check,
 )
 from .fields import Field, Scalar
 from .idempotents import FAMILY_A, FAMILY_EXC, family_axis
@@ -185,7 +193,8 @@ def yabe_data(algebra: Algebra, x: Element, y: Element) -> YabeData:
     basis = Matrix.from_columns(field, [x.coords, y.coords, a_minus1.coords, q.coords])
     inverse = basis.inverse()
     spans = inverse is not None and algebra.dim == 4
-    assert spans, "the Yabe basis must span the four-dimensional algebra"
+    check(spans, "the Yabe basis must span the four-dimensional algebra",
+          witness=basis)
     elements = (x, y, a_minus1, q)
     constants = tuple(
         tuple(inverse.apply((elements[i] * elements[j]).coords) for j in range(4))
@@ -202,6 +211,45 @@ def rho(mu: Scalar) -> Matrix:
     return Matrix(field, [[2 * mu, -one], [one, zero]])
 
 
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    primes = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _prime_field_order(field: Field, mu: Scalar) -> int:
+    p = field.p
+    if mu.is_one:
+        return p
+    if mu == -field.one():
+        return 2 * p
+    m = rho(mu)
+    ident = Matrix.identity(field, 2)
+    if p == 2:
+        # 4 (mu^2 - 1) = 0 has no quadratic character: power up to |SL_2(F_2)| = 6
+        order = next((k for k in range(1, 7) if m.pow(k) == ident), None)
+        check(order is not None, f"rho({mu}) over F_2 has no order up to 6", witness=m)
+        return order
+    square = pow((mu * mu - 1).value, (p - 1) // 2, p) == 1
+    n = p - 1 if square else p + 1
+    power = m.pow(n)
+    check(power == ident, f"rho({mu}) over F_{p} does not satisfy rho^{n} = 1",
+          witness=power)
+    for q in _prime_divisors(n):
+        while n % q == 0 and m.pow(n // q) == ident:
+            n //= q
+    return n
+
+
 def rho_order(field: Field, mu, cap: int | None = None) -> OrbitSize:
     """The multiplicative order of rho(mu), certified exactly.
 
@@ -209,32 +257,29 @@ def rho_order(field: Field, mu, cap: int | None = None) -> OrbitSize:
     the identity, so finite order happens exactly for trace in {-1, 0, 1}
     (orders 3, 4, 6); trace +-2 is the non-diagonalisable unipotent case,
     of infinite order in characteristic zero.  Over F_p, mu = 1 gives order
-    p and mu = -1 order 2p; every other order is found by direct powering
-    (default cap 2 p**2 exceeds every possible order).
+    p and mu = -1 order 2p.  Otherwise rho has distinct eigenvalues l and
+    1/l: they lie in F_p when mu^2 - 1 is a square, so the order divides
+    p - 1, and else l^p = 1/l in F_{p^2}, so it divides p + 1.  That N is
+    certified by rho^N = 1, then each prime q is divided out of N while
+    rho^(N/q) = 1, which costs O(log p) products per prime divisor.  Over
+    F_2 the one remaining value mu = 0 is powered directly.
+
+    A finite order greater than cap is reported as exceeds_cap.
     """
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be at least 1")
     mu = field.scalar(mu)
     if field.p is None:
         trace = (2 * mu).value
         orders = {-1: 3, 0: 4, 1: 6}
-        if trace in orders:
-            return OrbitSize.finite(orders[trace])
-        return OrbitSize.infinite()
-    p = field.p
-    if mu.is_one:
-        return OrbitSize.finite(p)
-    if mu == -field.one():
-        return OrbitSize.finite(2 * p)
-    cap = 2 * p * p if cap is None else cap
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    m = rho(mu)
-    ident = Matrix.identity(field, 2)
-    acc = m
-    for k in range(1, cap + 1):
-        if acc == ident:
-            return OrbitSize.finite(k)
-        acc = acc @ m
-    return OrbitSize.exceeds_cap()
+        if trace not in orders:
+            return OrbitSize.infinite()
+        order = orders[trace]
+    else:
+        order = _prime_field_order(field, mu)
+    if cap is not None and order > cap:
+        return OrbitSize.exceeds_cap()
+    return OrbitSize.finite(order)
 
 
 @dataclass
@@ -252,9 +297,14 @@ class AxetResult:
 
 
 def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> AxetResult:
-    """Enumerate X by closing the two axis E-vectors under the negated
-    reflections of every axis found, and cross-check |X| against the order
+    """Enumerate X as the orbit of the two axis E-vectors e, f under the
+    negated reflections tau_e, tau_f, and cross-check |X| against the order
     of rho.
+
+    Orthogonal maps conjugate reflections, tau_{g v} = g tau_v g^-1, so
+    each new vector v = tau_g(u) is certified by tau_v = tau_g tau_u tau_g
+    exactly; by induction every tau_v lies in <tau_e, tau_f>, and the orbit
+    is closed under the involution of every axis in it.
 
     When the order of rho is certified infinite the enumeration is skipped
     and the result says so; a finite order beyond the cap raises CapExceeded.
@@ -270,11 +320,8 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
     order = rho_order(field, mu)
     if order.kind == INFINITE:
         return AxetResult(OrbitSize.infinite(), None, TWO_HALVES, 2)
-    if order.kind == EXCEEDS_CAP or (cap is not None and order.order > cap):
-        raise CapExceeded(
-            f"axet enumeration needs {order.order if order.is_finite else 'unbounded'} "
-            f"elements, beyond cap {cap}"
-        )
+    if cap is not None and order.order > cap:
+        raise CapExceeded(f"axet enumeration needs {order.order} elements, beyond cap {cap}")
 
     reflections = {}
 
@@ -283,39 +330,54 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
             reflections[vec] = space.neg_reflection(vec)
         return reflections[vec]
 
-    def close(seeds: list[Vector], generators: list[Vector] | None) -> list[Vector]:
-        # generators None: use the reflections of every vector found so far
+    generators = (e, f)
+
+    def close(seeds: list[Vector]) -> tuple[list[Vector], dict]:
+        # breadth-first orbit under tau_e, tau_f; parent[v] = (g, u) with v = tau_g(u)
         found = list(seeds)
+        parent = {}
         seen = set(found)
-        queue = list(found)
+        queue = deque(found)
         while queue:
-            current = queue.pop(0)
-            gens = found if generators is None else generators
-            for g in list(gens):
+            current = queue.popleft()
+            for g in generators:
                 image = neg_reflection_of(g).apply(current)
                 if image not in seen:
-                    assert space.bform(image, image).is_one, "orbit left the norm-one set"
+                    norm = space.bform(image, image)
+                    check(norm.is_one, "orbit left the norm-one set", witness=(image, norm))
                     seen.add(image)
                     found.append(image)
+                    parent[image] = (g, current)
                     queue.append(image)
-        return found
+        return found, parent
 
-    orbit = close([e, f], None)
-    assert len(orbit) == order.order, (
-        f"orbit size {len(orbit)} disagrees with the rho order {order.order}"
-    )
-    # D is generated by the two original involutions only
-    orbit_x = close([e], [e, f])
-    orbit_y = close([f], [e, f])
+    orbit, parent = close([e, f])
+    for v, (g, u) in parent.items():
+        tau_g = neg_reflection_of(g)
+        check(
+            neg_reflection_of(v) == tau_g @ neg_reflection_of(u) @ tau_g,
+            "tau_v is not the conjugate of its parent's involution",
+            witness=(v, g, u),
+        )
     n = len(orbit)
-    if set(orbit_x) == set(orbit):
+    check(n == order.order, f"orbit size {n} disagrees with the rho order {order.order}",
+          witness=(n, order.order))
+    # D is generated by the two original involutions only
+    orbit_x, _ = close([e])
+    orbit_y, _ = close([f])
+    whole, from_e, from_f = set(orbit), set(orbit_x), set(orbit_y)
+    if from_e == whole:
         split = SINGLE
-        assert set(orbit_y) == set(orbit)
+        check(from_f == whole, "the D-orbit of f misses part of X", witness=whole - from_f)
     else:
         split = TWO_HALVES
-        assert set(orbit_x).isdisjoint(orbit_y)
-        assert len(orbit_x) == len(orbit_y) == n // 2
-        assert set(orbit_x) | set(orbit_y) == set(orbit)
+        check(from_e.isdisjoint(from_f), "the D-orbits of e and f meet but differ",
+              witness=from_e & from_f)
+        check(len(from_e) == len(from_f) == n // 2, "the D-orbits are not halves of X",
+              witness=(len(from_e), len(from_f), n))
+        check(from_e | from_f == whole, "the D-orbits do not cover X",
+              witness=whole - from_e - from_f)
     index = 1 if n % 2 == 1 else 2
-    assert (split == SINGLE) == (n % 2 == 1), "odd size must mean a single D-orbit"
+    check((split == SINGLE) == (n % 2 == 1), "odd size must mean a single D-orbit",
+          witness=(n, split))
     return AxetResult(order, tuple(orbit), split, index, tuple(orbit_x), tuple(orbit_y))

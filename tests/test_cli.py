@@ -190,3 +190,53 @@ def test_selftest_only_flag(capsys):
     assert main(["selftest", "--only", "2"]) == 0
     out = capsys.readouterr().out
     assert "criterion 2" in out and "criterion 1" not in out
+
+
+def test_axet_empty_mu_list_is_config_error(capsys):
+    code = main(["axet", "--mu=,"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:") and captured.out == ""
+
+
+def test_workers_below_one_is_config_error(capsys):
+    code = main(["axet", "--mu", "0,1/2", "--workers", "0"])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        RecordingPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_axet_workers_are_clamped(capsys, monkeypatch):
+    import splitspin.cli as cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    # clamped to the sweep length
+    code, doc = run_json(capsys, "axet", "--mu", "0,1/2,-1/2", "--alpha", "3", "--workers", "64")
+    assert code == 0 and [entry["size"] for entry in doc["sweep"]] == [4, 6, 3]
+    # clamped to the core count
+    run_json(capsys, "axet", "--mu", "0,1/2,-1/2,1,-1", "--alpha", "3", "--workers", "64")
+    assert RecordingPool.created == [3, 4]
+    # a single mu, or a single core, needs no pool
+    run_json(capsys, "axet", "--mu", "0", "--alpha", "3", "--workers", "8")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    run_json(capsys, "axet", "--mu", "0,1/2", "--alpha", "3", "--workers", "8")
+    assert RecordingPool.created == [3, 4]

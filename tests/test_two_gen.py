@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import splitspin
 from splitspin import (
     Field,
     Matrix,
@@ -18,7 +23,13 @@ from splitspin import (
     yabe_data,
 )
 from splitspin.errors import CapExceeded, CharTwo, MuOne, SpecialAlpha
-from splitspin.two_gen import SINGLE, TWO_HALVES, default_two_gen_alpha
+from splitspin.two_gen import (
+    SINGLE,
+    TWO_HALVES,
+    OrbitSize,
+    _prime_divisors,
+    default_two_gen_alpha,
+)
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -213,3 +224,139 @@ def test_default_two_gen_alpha():
     # F_3 = {0, 1, 1/2}: every alpha is excluded
     with pytest.raises(ValueError):
         default_two_gen_alpha(Field.prime(3))
+
+
+# -- differential tests against the direct methods ---------------------------------
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def rho_order_by_powering(field, mu):
+    """Reference: multiply rho(mu) until the identity; orders over F_p are at most 2p."""
+    m = rho(field.scalar(mu))
+    ident = Matrix.identity(field, 2)
+    acc = m
+    for k in range(1, 2 * field.p + 1):
+        if acc == ident:
+            return k
+        acc = acc @ m
+    raise AssertionError(f"rho({mu}) over F_{field.p} has no order up to 2p")
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_rho_order_matches_powering(p):
+    field = Field.prime(p)
+    for mu in range(p):
+        expected = rho_order_by_powering(field, mu)
+        assert rho_order(field, mu) == OrbitSize.finite(expected), (p, mu)
+        assert rho_order(field, mu, cap=expected) == OrbitSize.finite(expected), (p, mu)
+        assert rho_order(field, mu, cap=expected - 1).kind == "exceeds_cap", (p, mu)
+
+
+def test_rho_order_large_prime_is_exact():
+    # the order n satisfies rho^n = 1 and rho^(n/q) != 1 for every prime q | n
+    field = Field.prime(10007)
+    ident = Matrix.identity(field, 2)
+    for mu in (2, 6, 1234):
+        n = rho_order(field, mu).order
+        assert (10007 - 1) % n == 0 or (10007 + 1) % n == 0
+        m = rho(field.scalar(mu))
+        assert m.pow(n) == ident
+        for q in _prime_divisors(n):
+            assert m.pow(n // q) != ident
+
+
+def axet_by_all_reflections(algebra, x, y):
+    """Reference: close {e, f} under the negated reflection of every vector
+    found, O(|X|^2) applications, and read the D-orbits off two-generator
+    closures.  Returns (size, split, index, orbit, orbit_x, orbit_y)."""
+    field = algebra.field
+    space = algebra.meta.space
+    two = field.scalar(2)
+    e = tuple(two * c for c in algebra.e_part(x))
+    f = tuple(two * c for c in algebra.e_part(y))
+    reflections = {}
+
+    def close(seeds, generators):
+        found = list(seeds)
+        seen = set(found)
+        queue = list(found)
+        while queue:
+            current = queue.pop(0)
+            gens = found if generators is None else generators
+            for g in list(gens):
+                if g not in reflections:
+                    reflections[g] = space.neg_reflection(g)
+                image = reflections[g].apply(current)
+                if image not in seen:
+                    assert space.bform(image, image).is_one
+                    seen.add(image)
+                    found.append(image)
+                    queue.append(image)
+        return found
+
+    orbit = close([e, f], None)
+    orbit_x = close([e], [e, f])
+    orbit_y = close([f], [e, f])
+    split = SINGLE if set(orbit_x) == set(orbit) else TWO_HALVES
+    index = 1 if len(orbit) % 2 == 1 else 2
+    return len(orbit), split, index, set(orbit), set(orbit_x), set(orbit_y)
+
+
+def _two_gen_cases():
+    for p in SMALL_PRIMES:
+        field = Field.prime(p)
+        if p > 3:
+            yield field, "split_spin", default_two_gen_alpha(field)
+            yield field, "cover", None
+
+
+@pytest.mark.parametrize(
+    "field, variant, alpha", list(_two_gen_cases()), ids=lambda v: str(v)
+)
+def test_axet_matches_all_reflections_closure(field, variant, alpha):
+    for mu in range(field.p):
+        cfg = TwoGenConfig(field, mu=field.scalar(mu), alpha=alpha, variant=variant)
+        algebra, x, y = build_two_gen(cfg)
+        result = axet(algebra, x, y)
+        got = (
+            result.size.order,
+            result.d_orbit_split,
+            result.d_hat_index,
+            set(result.orbit),
+            set(result.orbit_x),
+            set(result.orbit_y),
+        )
+        assert got == axet_by_all_reflections(algebra, x, y), (field, variant, mu)
+
+
+def test_axet_rejects_wrong_rho_order_under_optimize():
+    # python -O strips assert statements; the checks must still raise
+    script = textwrap.dedent(
+        """
+        import sys
+        import splitspin.two_gen as two_gen
+        from splitspin import Field, TwoGenConfig, axet, build_two_gen
+        from splitspin.errors import VerificationFailed
+
+        assert False, "assert statements run: not optimised"
+        two_gen.rho_order = lambda field, mu, cap=None: two_gen.OrbitSize.finite(5)
+        F = Field.prime(101)
+        algebra, x, y = build_two_gen(TwoGenConfig(F, mu=F.scalar(6), alpha=F.scalar(2)))
+        try:
+            axet(algebra, x, y)
+        except VerificationFailed as exc:
+            print("VerificationFailed", exc.witness)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(splitspin.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    size = rho_order(Field.prime(101), 6).order
+    assert proc.stdout.strip() == f"VerificationFailed ({size}, 5)"
