@@ -27,9 +27,10 @@ from .errors import (
     DuplicateCandidates,
     FieldMismatch,
     NotAnIdeal,
+    check,
 )
 from .fields import Field, Scalar
-from .linalg import Matrix, Vector, basis_vector, span_contains, vec_is_zero, zero_vector
+from .linalg import Echelon, Matrix, Vector, basis_vector, vec_is_zero, zero_vector
 from .quadratic import QuadraticSpace
 
 SPLIT_SPIN = "split_spin"
@@ -258,12 +259,13 @@ class Algebra:
         span a subalgebra).
         """
         cap = self.dim if cap is None else cap
+        span = Echelon(self.field)
         basis: list[Vector] = []
 
         def try_add(vec: Vector) -> bool:
-            if span_contains(self.field, basis, vec):
+            if not span.add(vec):
                 return False
-            if len(basis) + 1 > cap:
+            if span.rank > cap:
                 raise CapExceeded(f"subalgebra closure exceeded cap {cap}")
             basis.append(vec)
             return True
@@ -275,29 +277,27 @@ class Algebra:
         if not basis:
             raise ValueError("need at least one nonzero generator")
 
+        # a pair multiplied in an earlier round already lies in the span
+        products: dict[tuple[int, int], Vector] = {}
         degree = 1
         while True:
-            snapshot = list(basis)
             added = False
-            for i in range(len(snapshot)):
-                for j in range(i, len(snapshot)):
-                    if try_add(self._mul_coords(snapshot[i], snapshot[j])):
-                        added = True
+            m = len(basis)  # products found this round wait for the next
+            for i in range(m):
+                for j in range(i, m):
+                    if (i, j) not in products:
+                        products[i, j] = self._mul_coords(basis[i], basis[j])
+                        added = try_add(products[i, j]) or added
             if not added:
                 break
             degree += 1
 
         embedding = Matrix.from_columns(self.field, basis)
-        m = len(basis)
-        sub_table = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                prod = self._mul_coords(basis[i], basis[j])
-                coords = embedding.solve(prod)
-                assert coords is not None  # closure guarantees membership
-                row.append(coords)
-            sub_table.append(row)
+        sub_table = [[None] * m for _ in range(m)]
+        for (i, j), prod in products.items():
+            coords = span.coordinates(prod)
+            check(coords is not None, "subalgebra closure misses a product", (i, j))
+            sub_table[i][j] = sub_table[j][i] = coords
         labels = tuple(f"s{i + 1}" for i in range(m))
         sub = Algebra(self.field, labels, sub_table, AlgebraMeta(DERIVED))
         return SubalgebraResult(sub, embedding, degree)
@@ -309,29 +309,24 @@ class Algebra:
         set of standard basis vectors at the non-pivot coordinates of the
         ideal's echelon form, so quotient labels are inherited from ambient.
         """
-        vecs = [x.coords for x in ideal if not x.is_zero]
         for x in ideal:
             if x.algebra is not self:
                 raise AlgebraMismatch("ideal element from a different algebra")
         n = self.dim
-        if not vecs:
-            ideal_rows: list[Vector] = []
-            pivots: tuple[int, ...] = ()
-        else:
-            reduced, pivots = Matrix(self.field, vecs).rref()
-            ideal_rows = [reduced.entries[r] for r in range(len(pivots))]
-            for v in ideal_rows:
-                for k in range(n):
-                    prod = self._mul_coords(v, basis_vector(self.field, n, k))
-                    if not span_contains(self.field, ideal_rows, prod):
-                        raise NotAnIdeal(
-                            f"span not closed under multiplication by basis vector {self.labels[k]}"
-                        )
+        span = Echelon(self.field, (x.coords for x in ideal))
+        ideal_rows, pivots = span.rref()
+        for v in ideal_rows:
+            for k in range(n):
+                prod = self._mul_coords(v, basis_vector(self.field, n, k))
+                if not span.contains(prod):
+                    raise NotAnIdeal(
+                        f"span not closed under multiplication by basis vector {self.labels[k]}"
+                    )
         free = [c for c in range(n) if c not in set(pivots)]
         columns = [list(v) for v in ideal_rows] + [basis_vector(self.field, n, f) for f in free]
         change = Matrix.from_columns(self.field, columns)
         inverse = change.inverse()
-        assert inverse is not None
+        check(inverse is not None, "ideal rows and free basis vectors do not form a basis", pivots)
         r = len(ideal_rows)
         projection = Matrix(self.field, inverse.entries[r:]) if free else None
         if projection is None:

@@ -11,6 +11,7 @@ as a witness rather than a bare boolean.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,10 +29,11 @@ from .errors import (
     NotNormOne,
     UnverifiedSpanHypothesis,
     WrongAlgebraKind,
+    check,
 )
 from .fields import Field, Scalar
 from .idempotents import FAMILY_A, family_axis, is_idempotent
-from .linalg import Matrix, Vector, span_contains
+from .linalg import Echelon, Matrix, Vector
 from .quadratic import NormOneSearch
 
 JORDAN = "jordan"
@@ -299,6 +301,10 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
     Split spin: (e, f) = (alpha+1)(2-alpha) b(e, f), (z1, z1) = alpha+1,
     (z2, z2) = 2-alpha, everything else orthogonal.  Cover: (e, f) = 3 b(e, f),
     (z1, z1) = 1, and n is isotropic and orthogonal to everything.
+
+    Associativity is checked exactly on all n^3 basis triples from the
+    n(n+1)/2 vectors G (b_j b_t), in O(n^4); the first failing triple
+    (i, j, t) in lexicographic order raises VerificationFailed as witness.
     """
     kind = algebra.meta.kind
     if kind not in (SPLIT_SPIN, COVER):
@@ -327,16 +333,14 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
     if all(x.is_zero for row in gram.entries for x in row):
         raise BadCharacteristic("the Frobenius form vanishes identically here")
 
-    # associativity (a, bc) = (ab, c) on every ordered basis triple
-    for i in range(n):
-        for j in range(n):
-            for t in range(n):
-                lhs = _form_on(gram, _basis_vec(algebra, i), algebra.table[j][t])
-                rhs = _form_on(gram, algebra.table[i][j], _basis_vec(algebra, t))
-                if lhs != rhs:
-                    raise AssertionError(
-                        f"Frobenius associativity fails on basis triple ({i}, {j}, {t})"
-                    )
+    # (b_i, b_j b_t) = g[j][t][i] and, G being symmetric, (b_i b_j, b_t) = g[i][j][t]
+    g = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for t in range(j, n):
+            g[j][t] = g[t][j] = gram.apply(algebra.table[j][t])
+    triples = itertools.product(range(n), repeat=3)
+    witness = next(((i, j, t) for i, j, t in triples if g[j][t][i] != g[i][j][t]), None)
+    check(witness is None, f"Frobenius associativity fails on basis triple {witness}", witness)
     radical = tuple(algebra.element(v) for v in gram.kernel())
     return FrobeniusForm(algebra, gram, radical)
 
@@ -354,14 +358,14 @@ def _form_on(gram: Matrix, u: Vector, v: Vector) -> Scalar:
     return acc
 
 
-def _verify_ideal(algebra: Algebra, vectors: Sequence[Vector]) -> bool:
-    vecs = [v for v in vectors]
-    for v in vecs:
-        for kk in range(algebra.dim):
-            prod = algebra._mul_coords(v, _basis_vec(algebra, kk))
-            if not span_contains(algebra.field, vecs, prod):
-                return False
-    return True
+def _verify_ideal(algebra: Algebra, vectors: Sequence[Vector]) -> None:
+    """Raise VerificationFailed, with the first (vector, basis) index pair
+    whose product leaves the span, unless the span is an ideal."""
+    span = Echelon(algebra.field, vectors)
+    for i, v in enumerate(vectors):
+        for k in range(algebra.dim):
+            prod = algebra._mul_coords(v, _basis_vec(algebra, k))
+            check(span.contains(prod), "radical candidate is not an ideal", (i, k))
 
 
 def algebra_radical(algebra: Algebra) -> tuple[Element, ...]:
@@ -376,11 +380,11 @@ def algebra_radical(algebra: Algebra) -> tuple[Element, ...]:
         if alpha == field.scalar(-1) or alpha == field.scalar(2):
             which = k if alpha == field.scalar(-1) else k + 1
             vecs = [_basis_vec(algebra, i) for i in range(k)] + [_basis_vec(algebra, which)]
-            assert _verify_ideal(algebra, vecs)
+            _verify_ideal(algebra, vecs)
             tag = "alpha=-1" if alpha == field.scalar(-1) else "alpha=2"
             raise BaricCase(tag, tuple(algebra.element(v) for v in vecs))
         lifted = [_lift(algebra, v) for v in algebra.meta.space.radical()]
-        assert _verify_ideal(algebra, lifted)
+        _verify_ideal(algebra, lifted)
         return tuple(algebra.element(v) for v in lifted)
     if kind == COVER:
         if field.characteristic in (2, 3):
@@ -388,7 +392,7 @@ def algebra_radical(algebra: Algebra) -> tuple[Element, ...]:
         k = algebra.e_dim
         lifted = [_lift(algebra, v) for v in algebra.meta.space.radical()]
         lifted.append(_basis_vec(algebra, k + 1))  # n
-        assert _verify_ideal(algebra, lifted)
+        _verify_ideal(algebra, lifted)
         return tuple(algebra.element(v) for v in lifted)
     raise WrongAlgebraKind(f"no radical description for a {kind} algebra")
 
@@ -456,9 +460,7 @@ def frobenius_s3_invariant(algebra: Algebra, e) -> bool:
     if inverse is None:
         return False
     gram = frobenius(algebra).gram
-    import itertools as _it
-
-    for perm in _it.permutations(range(3)):
+    for perm in itertools.permutations(range(3)):
         perm_cols = [basis.column(perm[j]) for j in range(3)]
         mapped = Matrix.from_columns(algebra.field, perm_cols) @ inverse
         if mapped.transpose() @ gram @ mapped != gram:

@@ -149,10 +149,13 @@ def _dispatch(args, cfg: RunConfig):
 
 
 def _emit(report, output: str):
-    if output == "text":
-        print(_render_text(report))
-    else:
-        print(json.dumps(report, indent=2))
+    text = _render_text(report) if output == "text" else json.dumps(report, indent=2)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`); send the exit-time flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _render_text(doc, indent=0) -> str:
@@ -240,14 +243,16 @@ def _cmd_idempotents(args, cfg: RunConfig):
                 entry["e"] = serialize.vector_to_json(verdict.e)
             classified.append(entry)
         n_norm_one = len(search.vectors) if search.status == "exhaustive" else None
+        # the 3 + 2N count and the absence of "other" need alpha outside {0, 1, 1/2}
+        special = algebra.meta.jordan_special
         expected = None
-        if n_norm_one is not None:
+        if n_norm_one is not None and not special:
             # one member per norm-one e on the cover; two (families a and b) otherwise
             if algebra.meta.kind == "cover":
                 expected = 1 + n_norm_one
             else:
                 expected = 3 + 2 * n_norm_one
-        ok = counts.get("other", 0) == 0 and (expected is None or expected == len(found))
+        ok = special or (counts.get("other", 0) == 0 and (expected is None or expected == len(found)))
         report["enumeration"] = {
             "feasible": True,
             "nonzero_count": len(found),

@@ -22,7 +22,7 @@ from .axial import (
     jordan_law,
     monster_law,
 )
-from .errors import BadCharacteristic
+from .errors import BadCharacteristic, VerificationFailed
 from .idempotents import FAMILY_EXC, family_axis
 from .linalg import Matrix, Vector, same_span
 from .quadratic import QuadraticSpace
@@ -114,7 +114,7 @@ def verify_cover(
     try:
         form = frobenius(algebra)
         frobenius_ok = True
-    except AssertionError:
+    except VerificationFailed:
         form = None
         frobenius_ok = False
 

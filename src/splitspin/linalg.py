@@ -8,6 +8,7 @@ each free column.  Vectors are plain tuples of Scalars.
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
@@ -29,22 +30,6 @@ def basis_vector(field: Field, n: int, i: int) -> Vector:
     coords = [field.zero()] * n
     coords[i] = field.one()
     return tuple(coords)
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_neg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
-
-
-def vec_scale(s: Scalar, u: Vector) -> Vector:
-    return tuple(s * a for a in u)
 
 
 def vec_is_zero(u: Vector) -> bool:
@@ -104,12 +89,6 @@ class Matrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def at(self, i: int, j: int) -> Scalar:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -223,33 +202,12 @@ class Matrix:
 
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns."""
-        m = [list(row) for row in self.entries]
-        nr, nc = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            pivot_row = None
-            for i in range(r, nr):
-                if m[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = m[r][c].inv()
-            m[r] = [x * inv for x in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        return Matrix(self.field, m), tuple(pivots)
+        rows, pivots = Echelon(self.field, self.entries).rref()
+        zero = zero_vector(self.field, self.cols)
+        return Matrix(self.field, rows + [zero] * (self.rows - len(rows))), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return Echelon(self.field, self.entries).rank
 
     def kernel(self) -> tuple[Vector, ...]:
         """Deterministic basis of the null space, one vector per free column."""
@@ -267,36 +225,28 @@ class Matrix:
         return tuple(basis)
 
     def solve(self, rhs: Sequence) -> Vector | None:
-        """One exact solution of self @ x = rhs, or None if inconsistent."""
-        b = [self.field.scalar(x) for x in rhs]
-        if len(b) != self.rows:
+        """One exact solution of self @ x = rhs, or None if inconsistent;
+        x is zero at every column in the span of the columns before it."""
+        if len(rhs) != self.rows:
             raise DimensionMismatch("right-hand side length does not match row count")
-        augmented = Matrix(
-            self.field, [list(row) + [b[i]] for i, row in enumerate(self.entries)]
-        )
-        reduced, pivots = augmented.rref()
-        if pivots and pivots[-1] == self.cols:
-            return None  # a pivot in the constant column certifies inconsistency
-        zero = self.field.zero()
-        x = [zero] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = reduced.entries[r][self.cols]
-        return tuple(x)
+        span = Echelon(self.field)
+        pivots = [c for c in range(self.cols) if span.add(self.column(c))]
+        coords = span.coordinates(rhs)
+        if coords is None:
+            return None
+        values, zero = dict(zip(pivots, coords)), self.field.zero()
+        return tuple(values.get(c, zero) for c in range(self.cols))
 
     def inverse(self) -> Matrix | None:
         """The exact inverse, or None if the matrix is singular."""
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        one, zero = self.field.one(), self.field.zero()
-        augmented = Matrix(
-            self.field,
-            [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(self.entries)],
-        )
-        reduced, pivots = augmented.rref()
-        if tuple(pivots[:n]) != tuple(range(n)):
+        span = Echelon(self.field, (self.column(j) for j in range(n)))
+        if span.rank < n:
             return None
-        return Matrix(self.field, [row[n:] for row in reduced.entries])
+        columns = [span.coordinates(basis_vector(self.field, n, i)) for i in range(n)]
+        return Matrix.from_columns(self.field, columns)
 
     def det(self) -> Scalar:
         if not self.is_square:
@@ -324,27 +274,92 @@ class Matrix:
         return det
 
 
+class Echelon:
+    """An incrementally built reduced echelon basis of a subspace of F^n.
+
+    Rows have unit pivots, vanish at every other row's pivot and are kept
+    sorted by pivot, so they are the subspace's reduced row echelon form.
+    Each row carries its combination of the vectors `add` accepted, which
+    gives `coordinates`.  Entries are raw int residues or Fractions; Scalars
+    appear only at the API edge.
+    """
+
+    __slots__ = ("field", "_rows")
+
+    def __init__(self, field: Field, vectors: Iterable[Sequence] = ()):
+        self.field = field
+        self._rows: list[tuple[int, list, list]] = []  # (pivot, row, combination)
+        for vec in vectors:
+            self.add(vec)
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _mod(self, values: Iterable) -> list:
+        p = self.field.p
+        return [a % p for a in values] if p else list(values)
+
+    def _reduce(self, vec: Sequence) -> tuple[list, list]:
+        """vec minus its part in the span, and that part as a combination of the
+        accepted vectors.  Each F_p step adds < p^2, so mod p comes at the end."""
+        v = [self.field.scalar(x).value for x in vec]
+        if self._rows and len(v) != len(self._rows[0][1]):
+            raise DimensionMismatch("vector length does not match the echelon basis")
+        p = self.field.p
+        x = [self.field.zero().value] * len(self._rows)
+        for pivot, row, comb in self._rows:
+            f = v[pivot] % p if p else v[pivot]  # rows vanish at each other's pivots
+            if f:
+                v = [a - f * b if b else a for a, b in zip(v, row)]
+                x = [a + f * b if b else a for a, b in zip(x, comb)]
+        return self._mod(v), self._mod(x)
+
+    def add(self, vec: Sequence) -> bool:
+        """Insert vec; False (and no change) when it is already in the span."""
+        v, x = self._reduce(vec)
+        pivot = next((c for c, a in enumerate(v) if a), None)
+        if pivot is None:
+            return False
+        p = self.field.p
+        inv = pow(v[pivot], -1, p) if p else 1 / v[pivot]
+        row = self._mod(a * inv for a in v)
+        comb = self._mod([-a * inv for a in x] + [inv])  # v = vec - sum(x_i accepted_i)
+        rows = [(c, r, cb + [self.field.zero().value]) for c, r, cb in self._rows]
+        for k, (c, r, cb) in enumerate(rows):
+            f = r[pivot]
+            if f:
+                rows[k] = (c, self._mod(a - f * b for a, b in zip(r, row)),
+                           self._mod(a - f * b for a, b in zip(cb, comb)))
+        bisect.insort(rows, (pivot, row, comb))
+        self._rows = rows
+        return True
+
+    def contains(self, vec: Sequence) -> bool:
+        return not any(self._reduce(vec)[0])
+
+    def coordinates(self, vec: Sequence) -> Vector | None:
+        """The unique coefficients of vec in the accepted vectors, in the
+        order `add` accepted them, or None if vec is outside the span."""
+        v, x = self._reduce(vec)
+        return None if any(v) else tuple(Scalar(self.field, c) for c in x)
+
+    def rref(self) -> tuple[list[Vector], tuple[int, ...]]:
+        """The reduced rows, sorted by pivot, and their pivot columns."""
+        rows = [tuple(Scalar(self.field, a) for a in row) for _, row, _ in self._rows]
+        return rows, tuple(pivot for pivot, _, _ in self._rows)
+
+
 def span_contains(field: Field, basis: Sequence[Vector], vec: Vector) -> bool:
     """Whether vec lies in the span of the given vectors."""
-    if vec_is_zero(vec):
-        return True
-    if not basis:
-        return False
-    return Matrix.from_columns(field, basis).solve(vec) is not None
+    return Echelon(field, basis).contains(vec)
 
 
 def span_rank(field: Field, vectors: Sequence[Vector]) -> int:
-    if not vectors:
-        return 0
-    return Matrix(field, vectors).rank()
+    return Echelon(field, vectors).rank
 
 
 def same_span(field: Field, first: Sequence[Vector], second: Sequence[Vector]) -> bool:
     """Whether two vector lists span the same subspace."""
-    if not first and not second:
-        return True
-    if not first or not second:
-        return all(vec_is_zero(v) for v in list(first) + list(second))
-    r1 = span_rank(field, first)
-    r2 = span_rank(field, second)
-    return r1 == r2 == span_rank(field, list(first) + list(second))
+    span = Echelon(field, first)
+    return span.rank == span_rank(field, second) and all(map(span.contains, second))

@@ -43,10 +43,6 @@ class QuadraticSpace:
             raise ValueError("Gram matrix must be symmetric")
         self.gram = gram
 
-    @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> QuadraticSpace:
-        return cls(Matrix(field, rows))
-
     @property
     def field(self) -> Field:
         return self.gram.field

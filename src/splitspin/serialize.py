@@ -20,10 +20,6 @@ def scalar_to_json(s: Scalar):
     return s.to_json()
 
 
-def scalar_from_json(field: Field, obj) -> Scalar:
-    return field.scalar(obj)
-
-
 def vector_to_json(v: Vector):
     return [scalar_to_json(c) for c in v]
 

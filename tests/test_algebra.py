@@ -21,6 +21,7 @@ from splitspin.errors import (
     NotAnIdeal,
 )
 from splitspin.idempotents import FAMILY_A, family_axis
+from test_linalg import reference_solve
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -252,6 +253,58 @@ def test_subalgebra_embedding_is_multiplicative():
             inside = emb.apply((sub.basis(i) * sub.basis(j)).coords)
             outside = algebra.element(emb.column(i)) * algebra.element(emb.column(j))
             assert inside == outside.coords
+
+
+def subalgebra_reference(algebra, generators):
+    """The closure as subalgebra ran it before the echelon basis: every pair
+    of each round's snapshot is multiplied, membership and the table entries
+    are solved from scratch."""
+    field, basis = algebra.field, []
+
+    def try_add(vec):
+        if not any(vec) or (basis and reference_solve(field, basis, vec) is not None):
+            return False
+        basis.append(vec)
+        return True
+
+    for g in generators:
+        try_add(g.coords)
+    degree = 1
+    while True:
+        snapshot, added = list(basis), False
+        for i in range(len(snapshot)):
+            for j in range(i, len(snapshot)):
+                added = try_add(algebra._mul_coords(snapshot[i], snapshot[j])) or added
+        if not added:
+            break
+        degree += 1
+    table = [[reference_solve(field, basis, algebra._mul_coords(u, v)) for v in basis] for u in basis]
+    return basis, degree, table
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "F7"])
+def test_subalgebra_matches_reference_closure(field):
+    rng = random.Random(f"subalgebra/{field.p}")
+    for k in (1, 2, 3):
+        rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                rows[i][j] = rows[j][i] = rng.randint(-1, 1)
+        space = QuadraticSpace(Matrix(field, rows))
+        for algebra in (split_spin(space, 3), exceptional_cover(space)):
+            for _ in range(4):
+                count = rng.randint(1, 2)
+                gens = [
+                    algebra.element([rng.choice((0, 0, 1, -1, 2)) for _ in range(algebra.dim)])
+                    for _ in range(count)
+                ]
+                if all(g.is_zero for g in gens):
+                    continue
+                basis, degree, table = subalgebra_reference(algebra, gens)
+                result = algebra.subalgebra(gens)
+                assert [result.embedding.column(j) for j in range(result.embedding.cols)] == basis
+                assert result.closure_degree == degree
+                assert [list(row) for row in result.algebra.table] == table
 
 
 def test_larger_dimensions():

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import splitspin
 from splitspin import (
     Field,
     Matrix,
@@ -24,9 +29,11 @@ from splitspin import (
     monster_law,
     split_spin,
 )
-from splitspin.axial import FusionLaw, sample_orthogonal_extension
+from splitspin.algebra import Algebra
+from splitspin.axial import FusionLaw, _verify_ideal, sample_orthogonal_extension
 from splitspin.errors import (
     BaricCase,
+    VerificationFailed,
     EigenvalueCollision,
     IncompleteDecomposition,
     NotAnAutomorphism,
@@ -272,6 +279,110 @@ def test_projection_graph_surrogate():
 
 
 # -- radical and simplicity ---------------------------------------------------------
+
+
+def frobenius_witness_reference(algebra, gram):
+    """The first basis triple (i, j, t) with (b_i, b_j b_t) != (b_i b_j, b_t),
+    or None: the O(n^5) loop frobenius ran before its O(n^4) check."""
+
+    def form(u, v):
+        gv = gram.apply(v)
+        acc = gram.field.zero()
+        for a, b in zip(u, gv):
+            acc = acc + a * b
+        return acc
+
+    n = algebra.dim
+    for i in range(n):
+        for j in range(n):
+            for t in range(n):
+                lhs = form(algebra.basis(i).coords, algebra.table[j][t])
+                rhs = form(algebra.table[i][j], algebra.basis(t).coords)
+                if lhs != rhs:
+                    return (i, j, t)
+    return None
+
+
+def perturbed(algebra, i, j, delta):
+    """The algebra with delta added to the symmetric pair of cells (i, j), (j, i)."""
+    table = [list(row) for row in algebra.table]
+    cell = tuple(a + algebra.field.scalar(d) for a, d in zip(table[i][j], delta))
+    table[i][j] = table[j][i] = cell
+    return Algebra(algebra.field, algebra.labels, table, algebra.meta)
+
+
+def random_gram(field, k, rng):
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+    return QuadraticSpace(Matrix(field, rows))
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "F7"])
+@pytest.mark.parametrize("k", range(1, 6))
+def test_frobenius_matches_reference_loop(field, k):
+    rng = random.Random(f"frobenius/{field.p}/{k}")
+    for build in (lambda s: split_spin(s, 3), exceptional_cover):
+        algebra = build(random_gram(field, k, rng))
+        gram = frobenius(algebra).gram
+        assert frobenius_witness_reference(algebra, gram) is None
+        n = algebra.dim
+        for _ in range(3):
+            i, j = rng.randrange(n), rng.randrange(n)
+            delta = [rng.choice((0, 0, 1, -1, 2)) for _ in range(n)]
+            broken = perturbed(algebra, i, j, delta)
+            expected = frobenius_witness_reference(broken, gram)
+            if expected is None:
+                assert frobenius(broken).gram == gram
+                continue
+            with pytest.raises(VerificationFailed) as info:
+                frobenius(broken)
+            assert info.value.witness == expected
+
+
+def test_frobenius_rejects_perturbed_table_under_optimize(A3):
+    # python -O strips assert statements; the check must still raise
+    script = textwrap.dedent(
+        """
+        import sys
+        from splitspin import Field, Matrix, QuadraticSpace, frobenius, split_spin
+        from splitspin.algebra import Algebra
+        from splitspin.errors import VerificationFailed
+
+        assert False, "assert statements run: not optimised"
+        QQ = Field.rationals()
+        algebra = split_spin(QuadraticSpace(Matrix.identity(QQ, 2)), 3)
+        table = [list(row) for row in algebra.table]
+        table[0][1] = table[1][0] = tuple(c + (1 if k == 2 else 0) for k, c in enumerate(table[0][1]))
+        broken = Algebra(QQ, algebra.labels, table, algebra.meta)
+        try:
+            frobenius(broken)
+        except VerificationFailed as exc:
+            print("VerificationFailed", exc.witness)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(splitspin.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    broken = perturbed(A3, 0, 1, [0, 0, 1, 0])
+    expected = frobenius_witness_reference(broken, frobenius(A3).gram)
+    assert expected is not None
+    assert proc.stdout.strip() == f"VerificationFailed {expected}"
+
+
+def test_verify_ideal_reports_first_escaping_product(A3):
+    e1 = A3.basis(0).coords
+    _verify_ideal(A3, [])  # the zero subspace is an ideal
+    with pytest.raises(VerificationFailed) as info:
+        _verify_ideal(A3, [e1])  # e1 e1 lies in the z-part, outside <e1>
+    assert info.value.witness == (0, 0)
 
 
 def test_radical_nondegenerate(A3):

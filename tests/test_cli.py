@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+
+import splitspin
 
 from splitspin.cli import main
 
@@ -48,6 +53,17 @@ def test_idempotents_example(capsys):
     enum = doc["enumeration"]
     assert enum["nonzero_count"] == 7 and enum["expected_count"] == 7
     assert "other" not in enum["counts"]
+
+
+def test_idempotents_jordan_special_has_no_expected_count(capsys):
+    # alpha = 3 = 1/2 mod 5: a Jordan algebra, outside the 3 + 2N classification
+    code, doc = run_json(
+        capsys, "idempotents", "--p", "5", "--alpha", "3", "--gram", '[["1","0"],["0","1"]]'
+    )
+    assert code == 0
+    enum = doc["enumeration"]
+    assert enum["expected_count"] is None
+    assert enum["nonzero_count"] == 31 and enum["counts"]["other"] == 20
 
 
 def test_idempotents_infeasible_over_rationals(capsys):
@@ -240,3 +256,23 @@ def test_axet_workers_are_clamped(capsys, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     run_json(capsys, "axet", "--mu", "0,1/2", "--alpha", "3", "--workers", "8")
     assert RecordingPool.created == [3, 4]
+
+
+def test_closed_stdout_gives_no_traceback():
+    # like `splitspin axis-check ... | head -1`: the reader is gone before the report is written
+    src = os.path.dirname(os.path.dirname(splitspin.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "splitspin", "axis-check", "--alpha", "3",
+         "--gram", '[["1","0","0"],["0","1","0"],["0","0","1"]]'],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert code == 0

@@ -9,7 +9,7 @@ from splitspin import (
     extend_orthogonal,
     verify_cover,
 )
-from splitspin.errors import BadCharacteristic
+from splitspin.errors import BadCharacteristic, VerificationFailed
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -18,6 +18,18 @@ F7 = Field.prime(7)
 
 def space(field, rows):
     return QuadraticSpace(Matrix(field, rows))
+
+
+def test_verify_cover_reports_failed_frobenius_check(monkeypatch):
+    import splitspin.cover as cover
+
+    def failing(algebra):
+        raise VerificationFailed("Frobenius associativity fails", (0, 0, 1))
+
+    monkeypatch.setattr(cover, "frobenius", failing)
+    report = verify_cover(space(QQ, [[1, 0], [0, 1]]))
+    assert not report.frobenius_ok and not report.all_ok
+    assert report.radical_ok  # the radical is still checked, against E-perp + <n>
 
 
 def test_verify_cover_identity_gram():
