@@ -349,7 +349,7 @@ class Algebra:
             raise FieldMismatch("algebras over different fields")
         if self.dim != other.dim or mapping.rows != self.dim or mapping.cols != self.dim:
             raise DimensionMismatch("mapping must be square of the common dimension")
-        if mapping.inverse() is None:
+        if mapping.rank() < self.dim:
             return False, None
         cols = [mapping.column(j) for j in range(self.dim)]
         for i in range(self.dim):

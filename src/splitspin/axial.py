@@ -151,6 +151,13 @@ class AxisReport:
 def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     """Full axis verification of the idempotent x against the law.
 
+    Each eigenbasis product u v (each unordered pair once: the algebra is
+    commutative) is written in eigenbasis coordinates once.  Components
+    outside the law give the violations (lambda, mu, nu) in order of first
+    occurrence; the Miyamoto involution tau = B D B^-1 (plus part fixed,
+    minus part negated) is multiplicative exactly when no component has a
+    grade other than grade(lambda) grade(mu), and is built only then.
+
     Raises IncompleteDecomposition when the adjoint eigenspaces for the
     law's eigenvalues do not fill the algebra.
     """
@@ -170,33 +177,32 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     columns = [v.coords for lam in law.eigenvalues for v in spaces[lam]]
     basis_change = Matrix.from_columns(algebra.field, columns)
     inverse = basis_change.inverse()
-    assert inverse is not None  # completeness makes the eigenbasis a basis
-
-    offsets = {}
-    offset = 0
-    for lam in law.eigenvalues:
-        offsets[lam] = (offset, offset + dims[lam])
-        offset += dims[lam]
+    check(inverse is not None, "a complete eigenbasis must be a basis", witness=basis_change)
+    owner = [lam for lam in law.eigenvalues for _ in spaces[lam]]
+    plus = {lam: lam in law.plus for lam in law.eigenvalues}
 
     violations = []
-    seen = set()
+    graded = True
     for i, lam in enumerate(law.eigenvalues):
         for mu in law.eigenvalues[i:]:
             allowed = law.allowed(lam, mu)
-            for u in spaces[lam]:
-                for v in spaces[mu]:
+            grade = plus[lam] == plus[mu]
+            for a, u in enumerate(spaces[lam]):
+                for v in spaces[mu][a if mu == lam else 0:]:
                     coords = inverse.apply((u * v).coords)
+                    support = {owner[t] for t, c in enumerate(coords) if c}
                     for nu in law.eigenvalues:
-                        if nu in allowed:
-                            continue
-                        lo, hi = offsets[nu]
-                        if any(coords[t] for t in range(lo, hi)):
-                            key = (lam, mu, nu)
-                            if key not in seen:
-                                seen.add(key)
-                                violations.append(key)
+                        if nu in support and nu not in allowed and (lam, mu, nu) not in violations:
+                            violations.append((lam, mu, nu))
+                    graded = graded and all(plus[nu] == grade for nu in support)
 
-    miyamoto_matrix = _grading_involution(algebra, law, spaces, basis_change, inverse)
+    miyamoto_matrix = None
+    if graded:
+        one = algebra.field.one()
+        signs = Matrix.diagonal(algebra.field, [one if plus[lam] else -one for lam in owner])
+        miyamoto_matrix = basis_change @ signs @ inverse
+        check(miyamoto_matrix @ miyamoto_matrix == Matrix.identity(algebra.field, algebra.dim),
+              "the grading involution must square to the identity", witness=miyamoto_matrix)
     return AxisReport(
         axis=x,
         law=law,
@@ -206,21 +212,6 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
         miyamoto=miyamoto_matrix,
         eigenbasis=spaces,
     )
-
-
-def _grading_involution(algebra, law, spaces, basis_change, inverse) -> Matrix | None:
-    signs = []
-    for lam in law.eigenvalues:
-        sign = algebra.field.one() if lam in law.plus else -algebra.field.one()
-        signs.extend([sign] * len(spaces[lam]))
-    diag = Matrix.diagonal(algebra.field, signs)
-    candidate = basis_change @ diag @ inverse
-    ident = Matrix.identity(algebra.field, algebra.dim)
-    if candidate @ candidate != ident:
-        return None
-    if not is_automorphism(algebra, candidate):
-        return None
-    return candidate
 
 
 def miyamoto(algebra: Algebra, x: Element, law: FusionLaw) -> Matrix:
@@ -278,7 +269,8 @@ def axes_with_involution(algebra: Algebra, e) -> tuple[Element, Element, Element
     expected = extend_orthogonal(algebra, space.neg_reflection(e))
     for axis, law in ((x, law_a), (x_minus, law_a), (y, law_b), (y_minus, law_b)):
         tau = miyamoto(algebra, axis, law)
-        assert tau == expected, "Miyamoto involution differs from the negated reflection"
+        check(tau == expected, "Miyamoto involution differs from the negated reflection",
+              witness=(axis, tau, expected))
     return x, x_minus, y, y_minus
 
 

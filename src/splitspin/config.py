@@ -9,7 +9,7 @@ Shape:
       "gram":    [["1", "2"], ["2", "1"]] | {"two_gen_mu": "2/1" | ["0", "1/2"]},
       "variant": "split_spin" | "cover",
       "budgets": {"norm_one": 100000, "idempotent_scan": 1000000,
-                  "axet_cap": 500, "subalgebra_cap": 16},
+                  "axet_cap": 500},
       "seeds":   {"default": 0},
       "output":  "json" | "text"
     }
@@ -29,7 +29,7 @@ DEFAULT_SCAN_BUDGET = 1_000_000
 
 _TOP_KEYS = {"field", "alpha", "gram", "variant", "budgets", "seeds", "output"}
 _FIELD_KEYS = {"kind", "p"}
-_BUDGET_KEYS = {"norm_one", "idempotent_scan", "axet_cap", "subalgebra_cap"}
+_BUDGET_KEYS = {"norm_one", "idempotent_scan", "axet_cap"}
 _SEED_KEYS = {"default"}
 _VARIANTS = {"split_spin", "cover"}
 _OUTPUTS = {"json", "text"}
@@ -40,7 +40,6 @@ class Budgets:
     norm_one: int = DEFAULT_NORM_ONE_BUDGET
     idempotent_scan: int = DEFAULT_SCAN_BUDGET
     axet_cap: int | None = None
-    subalgebra_cap: int | None = None
 
 
 @dataclass

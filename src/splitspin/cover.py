@@ -22,7 +22,7 @@ from .axial import (
     jordan_law,
     monster_law,
 )
-from .errors import BadCharacteristic, VerificationFailed
+from .errors import BadCharacteristic, VerificationFailed, check
 from .idempotents import FAMILY_EXC, family_axis
 from .linalg import Matrix, Vector, same_span
 from .quadratic import QuadraticSpace
@@ -149,8 +149,9 @@ def cover_aut_membership(space: QuadraticSpace, m: Matrix) -> bool:
     """Whether the matrix is an automorphism of the cover algebra.
 
     When the form b is nonzero, any automorphism must fix both z1 and n;
-    that consequence is asserted as a sanity check on the multiplicative
-    test.  With b = 0 the scalar action on n is genuinely free.
+    that consequence is a sanity check on the multiplicative test, and its
+    failure raises VerificationFailed with the index of the moved basis
+    vector.  With b = 0 the scalar action on n is genuinely free.
     """
     algebra = exceptional_cover(space)
     ok = is_automorphism(algebra, m)
@@ -158,7 +159,6 @@ def cover_aut_membership(space: QuadraticSpace, m: Matrix) -> bool:
     if ok and form_nonzero:
         k = space.dim
         for idx in (k, k + 1):
-            assert m.column(idx) == algebra.basis(idx).coords, (
-                "automorphism of a cover with b != 0 must fix z1 and n"
-            )
+            check(m.column(idx) == algebra.basis(idx).coords,
+                  "automorphism of a cover with b != 0 must fix z1 and n", witness=idx)
     return ok

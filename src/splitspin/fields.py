@@ -14,10 +14,15 @@ from fractions import Fraction
 from .errors import DivisionByZero, FieldMismatch
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to every base in _MR_BASES (Sorenson and Webster)
+MR_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for machine-word integers."""
+    """Miller-Rabin with the prime bases 2..37, proven deterministic for
+    n < MR_BOUND (about 3.2e23); raises ValueError at or above it."""
+    if n >= MR_BOUND:
+        raise ValueError(f"primality of {n} is only decided exactly below {MR_BOUND}")
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -21,6 +21,7 @@ from .errors import (
     NotIdempotent,
     NotNormOne,
     WrongAlgebraKind,
+    check,
 )
 from .linalg import Vector, vec_is_zero
 
@@ -85,7 +86,7 @@ def family_axis(algebra: Algebra, e, family: str) -> Element:
     else:
         raise ValueError(f"unknown family {family!r}")
     x = algebra.element(coords)
-    assert is_idempotent(x), "family template failed to square to itself"
+    check(is_idempotent(x), "family template failed to square to itself", witness=x)
     return x
 
 

@@ -286,7 +286,8 @@ def rho_order(field: Field, mu, cap: int | None = None) -> OrbitSize:
 class AxetResult:
     """The closed axis set X: its size, the axis E-vectors in discovery
     order (finite case), the D-orbit split and the index of D in the
-    dihedral overgroup (1 exactly when |X| is odd)."""
+    dihedral overgroup (1 exactly when |X| is odd).  orbit_x and orbit_y
+    are the D-orbits of e and f, each in discovery order."""
 
     size: OrbitSize
     orbit: tuple[Vector, ...] | None
@@ -305,6 +306,11 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
     each new vector v = tau_g(u) is certified by tau_v = tau_g tau_u tau_g
     exactly; by induction every tau_v lies in <tau_e, tau_f>, and the orbit
     is closed under the involution of every axis in it.
+
+    The same search gives the D-orbits, D = <tau_e, tau_f>: each vector
+    inherits the seed (e or f) it was reached from.  The orbits of e and f
+    are equal or disjoint and every edge is followed, so they are equal
+    (SINGLE) exactly when an edge joins different seeds; else seeds halve X.
 
     When the order of rho is certified infinite the enumeration is skipped
     and the result says so; a finite order beyond the cap raises CapExceeded.
@@ -330,28 +336,25 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
             reflections[vec] = space.neg_reflection(vec)
         return reflections[vec]
 
-    generators = (e, f)
-
-    def close(seeds: list[Vector]) -> tuple[list[Vector], dict]:
-        # breadth-first orbit under tau_e, tau_f; parent[v] = (g, u) with v = tau_g(u)
-        found = list(seeds)
-        parent = {}
-        seen = set(found)
-        queue = deque(found)
-        while queue:
-            current = queue.popleft()
-            for g in generators:
-                image = neg_reflection_of(g).apply(current)
-                if image not in seen:
-                    norm = space.bform(image, image)
-                    check(norm.is_one, "orbit left the norm-one set", witness=(image, norm))
-                    seen.add(image)
-                    found.append(image)
-                    parent[image] = (g, current)
-                    queue.append(image)
-        return found, parent
-
-    orbit, parent = close([e, f])
+    # parent[v] = (g, u) with v = tau_g(u); seed[v] is e or f
+    orbit = [e, f]
+    seed = {e: e, f: f}
+    parent = {}
+    orbits_meet = False
+    queue = deque(orbit)
+    while queue:
+        current = queue.popleft()
+        for g in (e, f):
+            image = neg_reflection_of(g).apply(current)
+            if image in seed:
+                orbits_meet = orbits_meet or seed[image] != seed[current]
+                continue
+            norm = space.bform(image, image)
+            check(norm.is_one, "orbit left the norm-one set", witness=(image, norm))
+            seed[image] = seed[current]
+            orbit.append(image)
+            parent[image] = (g, current)
+            queue.append(image)
     for v, (g, u) in parent.items():
         tau_g = neg_reflection_of(g)
         check(
@@ -362,22 +365,16 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
     n = len(orbit)
     check(n == order.order, f"orbit size {n} disagrees with the rho order {order.order}",
           witness=(n, order.order))
-    # D is generated by the two original involutions only
-    orbit_x, _ = close([e])
-    orbit_y, _ = close([f])
-    whole, from_e, from_f = set(orbit), set(orbit_x), set(orbit_y)
-    if from_e == whole:
+    if orbits_meet:
         split = SINGLE
-        check(from_f == whole, "the D-orbit of f misses part of X", witness=whole - from_f)
+        orbit_x = orbit_y = tuple(orbit)
     else:
         split = TWO_HALVES
-        check(from_e.isdisjoint(from_f), "the D-orbits of e and f meet but differ",
-              witness=from_e & from_f)
-        check(len(from_e) == len(from_f) == n // 2, "the D-orbits are not halves of X",
-              witness=(len(from_e), len(from_f), n))
-        check(from_e | from_f == whole, "the D-orbits do not cover X",
-              witness=whole - from_e - from_f)
+        orbit_x = tuple(v for v in orbit if seed[v] == e)
+        orbit_y = tuple(v for v in orbit if seed[v] == f)
+        check(len(orbit_x) == len(orbit_y) == n // 2, "the D-orbits are not halves of X",
+              witness=(len(orbit_x), len(orbit_y), n))
     index = 1 if n % 2 == 1 else 2
     check((split == SINGLE) == (n % 2 == 1), "odd size must mean a single D-orbit",
           witness=(n, split))
-    return AxetResult(order, tuple(orbit), split, index, tuple(orbit_x), tuple(orbit_y))
+    return AxetResult(order, tuple(orbit), split, index, orbit_x, orbit_y)

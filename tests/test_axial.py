@@ -37,6 +37,7 @@ from splitspin.errors import (
     EigenvalueCollision,
     IncompleteDecomposition,
     NotAnAutomorphism,
+    NotIdempotent,
     UnverifiedSpanHypothesis,
     WrongAlgebraKind,
 )
@@ -339,6 +340,86 @@ def test_frobenius_matches_reference_loop(field, k):
             with pytest.raises(VerificationFailed) as info:
                 frobenius(broken)
             assert info.value.witness == expected
+
+
+def check_axis_reference(algebra, x, law):
+    """(dims, violations, miyamoto) by the two sweeps check_axis made before it
+    read the Miyamoto involution off the fusion products: the fusion law on
+    every ordered pair of eigenvectors, then B D B^-1 tested with
+    is_automorphism on standard basis pairs."""
+    spaces, complete = algebra.eigendecompose(x, law.eigenvalues)
+    assert complete
+    dims = {lam: len(basis) for lam, basis in spaces.items()}
+    columns = [v.coords for lam in law.eigenvalues for v in spaces[lam]]
+    basis_change = Matrix.from_columns(algebra.field, columns)
+    inverse = basis_change.inverse()
+    offsets, offset = {}, 0
+    for lam in law.eigenvalues:
+        offsets[lam] = range(offset, offset + dims[lam])
+        offset += dims[lam]
+    violations = []
+    for i, lam in enumerate(law.eigenvalues):
+        for mu in law.eigenvalues[i:]:
+            allowed = law.allowed(lam, mu)
+            for u in spaces[lam]:
+                for v in spaces[mu]:
+                    coords = inverse.apply((u * v).coords)
+                    for nu in law.eigenvalues:
+                        hit = nu not in allowed and any(coords[t] for t in offsets[nu])
+                        if hit and (lam, mu, nu) not in violations:
+                            violations.append((lam, mu, nu))
+    one = algebra.field.one()
+    signs = [one if lam in law.plus else -one for lam in law.eigenvalues for _ in spaces[lam]]
+    tau = basis_change @ Matrix.diagonal(algebra.field, signs) @ inverse
+    if tau @ tau != Matrix.identity(algebra.field, algebra.dim) or not is_automorphism(algebra, tau):
+        tau = None
+    return dims, violations, tau
+
+
+def _axis_cases(field, k, rng):
+    """(algebra, axis, law) for z1, z2 and the family axes of split spin, and
+    z1 and the exceptional axis of the cover, on a random Gram matrix with
+    b(e_1, e_1) = 1."""
+    space = random_gram(field, k, rng)
+    rows = [list(row) for row in space.gram.entries]
+    rows[0][0] = field.one()
+    space = QuadraticSpace(Matrix(field, rows))
+    e = [1] + [0] * (k - 1)
+    alpha, half, one = field.scalar(3), field.half(), field.one()
+    algebra = split_spin(space, alpha)
+    yield algebra, algebra.basis_by_label("z1"), jordan_law(field, alpha)
+    yield algebra, algebra.basis_by_label("z2"), jordan_law(field, one - alpha)
+    yield algebra, family_axis(algebra, e, FAMILY_A), monster_law(field, alpha, half)
+    yield algebra, family_axis(algebra, e, FAMILY_B), monster_law(field, one - alpha, half)
+    cover = exceptional_cover(space)
+    yield cover, cover.basis_by_label("z1"), jordan_law(field, -one)
+    yield cover, family_axis(cover, e, FAMILY_EXC), monster_law(field, -one, half)
+
+
+def test_check_axis_matches_two_sweep_reference():
+    outcomes = set()
+    for field in (QQ, F7, Field.prime(11)):
+        for k in range(1, 4):
+            rng = random.Random(f"check_axis/{field.p}/{k}")
+            for algebra, axis, law in _axis_cases(field, k, rng):
+                n = algebra.dim
+                variants = [algebra]
+                for _ in range(12):
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    delta = [rng.choice((0, 0, 1, -1, 2)) for _ in range(n)]
+                    variants.append(perturbed(algebra, i, j, delta))
+                for variant in variants:
+                    x = variant.element(axis.coords)
+                    try:
+                        report = check_axis(variant, x, law)
+                    except (NotIdempotent, IncompleteDecomposition):
+                        continue
+                    dims, violations, tau = check_axis_reference(variant, x, law)
+                    assert report.dims == dims
+                    assert list(report.violations) == violations
+                    assert report.miyamoto == tau
+                    outcomes.add((tau is not None, bool(violations)))
+    assert outcomes >= {(False, True), (True, True), (True, False)}
 
 
 def test_frobenius_rejects_perturbed_table_under_optimize(A3):

@@ -147,6 +147,23 @@ def test_config_error_bad_prime(capsys):
     assert code == 2
 
 
+def test_config_error_prime_beyond_deterministic_bound(capsys):
+    # the least strong pseudoprime to the Miller-Rabin bases 2..37
+    code = main(["build", "--p", "318665857834031151167461", "--gram", "[[1]]", "--alpha", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:") and captured.out == ""
+
+
+def test_config_error_removed_subalgebra_cap(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"budgets": {"subalgebra_cap": 16}}))
+    code = main(["build", "-c", str(config), "--gram", "[[1]]", "--alpha", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "subalgebra_cap" in captured.err and captured.out == ""
+
+
 def test_config_file_with_overrides(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from splitspin import Field, Scalar
 from splitspin.errors import DivisionByZero, FieldMismatch
+from splitspin.fields import MR_BOUND
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -45,6 +46,16 @@ def test_prime_field_requires_prime():
     with pytest.raises(ValueError):
         Field.prime(1)
     assert Field.prime(2).characteristic == 2
+
+
+def test_prime_field_rejects_p_beyond_the_deterministic_bound():
+    # MR_BOUND = 399165290221 * 798330580441 passes Miller-Rabin to every base 2..37
+    assert MR_BOUND == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="decided exactly below"):
+        Field.prime(MR_BOUND)
+    with pytest.raises(ValueError, match="decided exactly below"):
+        Field.prime(MR_BOUND + 2)
+    assert Field.prime(2**61 - 1).characteristic == 2**61 - 1
 
 
 def test_residues_normalized():

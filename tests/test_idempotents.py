@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
+
+import splitspin
 
 from splitspin import (
     Field,
@@ -73,6 +79,40 @@ def test_family_axis_rejects_bad_inputs(A3):
     char2 = split_spin(identity_space(Field.prime(2), 1), 1)
     with pytest.raises(CharTwo):
         family_axis(char2, [1], FAMILY_A)
+
+
+def test_family_axis_rejects_perturbed_table_under_optimize():
+    # python -O strips assert statements; the idempotence check must still raise
+    script = textwrap.dedent(
+        """
+        import sys
+        from splitspin import Field, Matrix, QuadraticSpace, family_axis, split_spin
+        from splitspin.algebra import Algebra
+        from splitspin.errors import VerificationFailed
+        from splitspin.idempotents import FAMILY_A
+
+        assert False, "assert statements run: not optimised"
+        QQ = Field.rationals()
+        algebra = split_spin(QuadraticSpace(Matrix.identity(QQ, 2)), 3)
+        table = [list(row) for row in algebra.table]
+        table[0][0] = tuple(c + (1 if k == 2 else 0) for k, c in enumerate(table[0][0]))
+        broken = Algebra(QQ, algebra.labels, table, algebra.meta)
+        try:
+            family_axis(broken, [1, 0], FAMILY_A)
+        except VerificationFailed as exc:
+            print("VerificationFailed", exc.witness.coords)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(splitspin.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("VerificationFailed (")
 
 
 def test_classify_templates(A3):

@@ -315,10 +315,14 @@ def _two_gen_cases():
     "field, variant, alpha", list(_two_gen_cases()), ids=lambda v: str(v)
 )
 def test_axet_matches_all_reflections_closure(field, variant, alpha):
+    splits = set()
     for mu in range(field.p):
         cfg = TwoGenConfig(field, mu=field.scalar(mu), alpha=alpha, variant=variant)
         algebra, x, y = build_two_gen(cfg)
         result = axet(algebra, x, y)
+        splits.add(result.d_orbit_split)
+        for half in (result.orbit_x, result.orbit_y):
+            assert list(half) == [v for v in result.orbit if v in set(half)]
         got = (
             result.size.order,
             result.d_orbit_split,
@@ -328,6 +332,7 @@ def test_axet_matches_all_reflections_closure(field, variant, alpha):
             set(result.orbit_y),
         )
         assert got == axet_by_all_reflections(algebra, x, y), (field, variant, mu)
+    assert splits == {SINGLE, TWO_HALVES}
 
 
 def test_axet_rejects_wrong_rho_order_under_optimize():
