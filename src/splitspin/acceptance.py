@@ -4,9 +4,10 @@ classification oracle, fusion and Miyamoto checks, the Frobenius form,
 radicals and simplicity, the 3C subalgebra, the Yabe basis, axet sizes and
 the cover pipeline.  Every check is exact arithmetic with zero tolerance.
 
-Each criterion is a callable that raises AssertionError on failure;
-run_all prints one pass/fail line per criterion.  The pytest acceptance
-module drives the same registry.
+Each criterion is a callable that raises AssertionError or a
+SplitSpinError on failure; run_all prints one pass/fail line per criterion
+and goes on to the next.  The pytest acceptance module drives the same
+registry.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .axial import (
     sample_orthogonal_extension,
 )
 from .cover import verify_cover
-from .errors import BaricCase, MuOne, SpecialAlpha
+from .errors import BaricCase, MuOne, SpecialAlpha, SplitSpinError
 from .fields import Field
 from .idempotents import (
     FAMILY_A,
@@ -645,7 +646,7 @@ def run_all(only: int | None = None, stream=None) -> bool:
         try:
             fn()
             print(f"PASS criterion {number}: {description}", file=stream)
-        except AssertionError as exc:
+        except (AssertionError, SplitSpinError) as exc:
             all_ok = False
             detail = f" ({exc})" if str(exc) else ""
             print(f"FAIL criterion {number}: {description}{detail}", file=stream)

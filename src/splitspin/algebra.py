@@ -225,12 +225,13 @@ class Algebra:
         values = [self.field.scalar(c) for c in candidates]
         if len(set(values)) != len(values):
             raise DuplicateCandidates("candidate eigenvalues must be pairwise distinct")
-        ad = self.adjoint(a)
-        ident = Matrix.identity(self.field, self.dim)
+        ad = self.adjoint(a).raw
         spaces: dict[Scalar, tuple[Element, ...]] = {}
         total = 0
         for lam in values:
-            basis = (ad - ident.scale(lam)).kernel()
+            shifted = [[x - lam.value if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(ad)]
+            basis = Matrix(self.field, shifted).kernel()
             spaces[lam] = tuple(Element(self, v) for v in basis)
             total += len(basis)
         return spaces, total == self.dim
@@ -328,7 +329,7 @@ class Algebra:
         inverse = change.inverse()
         check(inverse is not None, "ideal rows and free basis vectors do not form a basis", pivots)
         r = len(ideal_rows)
-        projection = Matrix(self.field, inverse.entries[r:]) if free else None
+        projection = Matrix(self.field, inverse.raw[r:]) if free else None
         if projection is None:
             raise ValueError("quotient by the whole algebra is empty")
         q_table = [

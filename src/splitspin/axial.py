@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .idempotents import FAMILY_A, family_axis, is_idempotent
-from .linalg import Echelon, Matrix, Vector
+from .linalg import Echelon, Matrix, Vector, raw_values
 from .quadratic import NormOneSearch
 
 JORDAN = "jordan"
@@ -228,20 +228,11 @@ def extend_orthogonal(algebra: Algebra, m_on_e: Matrix) -> Matrix:
     distinguished basis vectors outside E."""
     if algebra.meta.space is None:
         raise WrongAlgebraKind("algebra has no quadratic part")
-    k = algebra.e_dim
+    k, n = algebra.e_dim, algebra.dim
     if m_on_e.rows != k or m_on_e.cols != k:
         raise DimensionMismatch("map must act on E")
-    n = algebra.dim
-    zero, one = algebra.field.zero(), algebra.field.one()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i < k and j < k:
-                row.append(m_on_e.entries[i][j])
-            else:
-                row.append(one if i == j else zero)
-        rows.append(row)
+    rows = [[m_on_e.raw[i][j] if i < k and j < k else int(i == j) for j in range(n)]
+            for i in range(n)]
     return Matrix(algebra.field, rows)
 
 
@@ -284,7 +275,7 @@ class FrobeniusForm:
     radical_basis: tuple[Element, ...]
 
     def evaluate(self, u: Element, v: Element) -> Scalar:
-        return _form_on(self.gram, u.coords, v.coords)
+        return self.gram.bilinear(u.coords, v.coords)
 
 
 def frobenius(algebra: Algebra) -> FrobeniusForm:
@@ -305,31 +296,24 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
     space = algebra.meta.space
     k = space.dim
     n = algebra.dim
-    zero = field.zero()
-    rows = [[zero] * n for _ in range(n)]
     if kind == SPLIT_SPIN:
         alpha = algebra.meta.alpha
-        e_scale = (alpha + 1) * (2 - alpha)
-        for i in range(k):
-            for j in range(k):
-                rows[i][j] = e_scale * space.gram.entries[i][j]
-        rows[k][k] = alpha + 1
-        rows[k + 1][k + 1] = 2 - alpha
+        e_scale, z_diagonal = (alpha + 1) * (2 - alpha), (alpha + 1, 2 - alpha)
     else:
-        three = field.scalar(3)
-        for i in range(k):
-            for j in range(k):
-                rows[i][j] = three * space.gram.entries[i][j]
-        rows[k][k] = field.one()
+        e_scale, z_diagonal = field.scalar(3), (field.one(), field.zero())
+    rows = [[e_scale * b for b in row] + [0, 0] for row in space.gram.entries]
+    rows += [[0] * n, [0] * n]
+    rows[k][k], rows[k + 1][k + 1] = z_diagonal
     gram = Matrix(field, rows)
-    if all(x.is_zero for row in gram.entries for x in row):
+    if not any(map(any, gram.raw)):
         raise BadCharacteristic("the Frobenius form vanishes identically here")
 
-    # (b_i, b_j b_t) = g[j][t][i] and, G being symmetric, (b_i b_j, b_t) = g[i][j][t]
+    # (b_i, b_j b_t) = g[j][t][i] and, G being symmetric, (b_i b_j, b_t) = g[i][j][t];
+    # raw values, so the n^3 comparisons compare ints or Fractions
     g = [[None] * n for _ in range(n)]
     for j in range(n):
         for t in range(j, n):
-            g[j][t] = g[t][j] = gram.apply(algebra.table[j][t])
+            g[j][t] = g[t][j] = gram.apply_raw(raw_values(field, algebra.table[j][t]))
     triples = itertools.product(range(n), repeat=3)
     witness = next(((i, j, t) for i, j, t in triples if g[j][t][i] != g[i][j][t]), None)
     check(witness is None, f"Frobenius associativity fails on basis triple {witness}", witness)
@@ -339,15 +323,6 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
 
 def _basis_vec(algebra: Algebra, i: int) -> Vector:
     return algebra.basis(i).coords
-
-
-def _form_on(gram: Matrix, u: Vector, v: Vector) -> Scalar:
-    acc = gram.field.zero()
-    gv = gram.apply(v)
-    for a, b in zip(u, gv):
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 def _verify_ideal(algebra: Algebra, vectors: Sequence[Vector]) -> None:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, IsotropicVector
 from .fields import Field, Scalar
-from .linalg import Matrix, Vector, as_vector, span_rank
+from .linalg import Matrix, Vector, boxed, raw_values, span_rank
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -57,15 +57,18 @@ class QuadraticSpace:
     def __repr__(self):
         return f"QuadraticSpace({self.gram!r})"
 
-    def vector(self, values: Sequence) -> Vector:
-        v = as_vector(self.field, values)
+    def _raw(self, values: Sequence) -> list:
+        v = raw_values(self.field, values)
         if len(v) != self.dim:
             raise DimensionMismatch(f"expected a vector of length {self.dim}")
         return v
 
+    def vector(self, values: Sequence) -> Vector:
+        return boxed(self.field, self._raw(values))
+
     def bform(self, u: Sequence, v: Sequence) -> Scalar:
-        """b(u, v) = u^T G v."""
-        return _dot(self.vector(u), self.gram.apply(self.vector(v)))
+        """b(u, v) = u^T G v, on Scalars or raw values."""
+        return self.gram.bilinear(u, v)
 
     def norm(self, v: Sequence) -> Scalar:
         return self.bform(v, v)
@@ -73,21 +76,19 @@ class QuadraticSpace:
     def reflection(self, e: Sequence) -> Matrix:
         """The reflection r_e : v -> v - 2 b(e,v)/b(e,e) e.
 
-        Requires b(e, e) != 0.  The negated reflection -r_e (the Miyamoto
-        action on E) is available as neg_reflection.
+        Requires b(e, e) != 0; e may be Scalars or raw values.  The negated
+        reflection -r_e (the Miyamoto action on E) is available as
+        neg_reflection.
         """
-        e = self.vector(e)
-        nrm = self.bform(e, e)
-        if nrm.is_zero:
+        e = self._raw(e)
+        nrm = self.gram.bilinear(e, e).value
+        if not nrm:
             raise IsotropicVector("cannot reflect in a vector of norm zero")
-        ge = self.gram.apply(e)
-        factor = self.field.scalar(2) / nrm
+        ge = self.gram.apply_raw(e)
+        p = self.field.p
+        factor = 2 * pow(nrm, -1, p) if p else 2 / nrm
         n = self.dim
-        ident = Matrix.identity(self.field, n)
-        rows = [
-            [ident.entries[i][j] - factor * e[i] * ge[j] for j in range(n)]
-            for i in range(n)
-        ]
+        rows = [[int(i == j) - factor * e[i] * ge[j] for j in range(n)] for i in range(n)]
         return Matrix(self.field, rows)
 
     def neg_reflection(self, e: Sequence) -> Matrix:
@@ -120,7 +121,7 @@ class QuadraticSpace:
     def _norm_one_exhaustive(self) -> NormOneSearch:
         p = self.field.p
         n = self.dim
-        gram_int = [[int(x.value) for x in row] for row in self.gram.entries]
+        gram_int = self.gram.raw
         found = []
         for coords in itertools.product(range(p), repeat=n):
             acc = 0
@@ -221,11 +222,3 @@ class QuadraticSpace:
             if not self.norm(v).is_zero:
                 return v
         return None
-
-
-def _dot(u: Vector, v: Vector) -> Scalar:
-    acc = u[0].field.zero()
-    for a, b in zip(u, v, strict=True):
-        if a and b:
-            acc = acc + a * b
-    return acc

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .idempotents import FAMILY_A, FAMILY_EXC, family_axis
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, boxed, raw_values
 from .quadratic import QuadraticSpace
 
 VARIANT_SPLIT = "split_spin"
@@ -320,8 +320,8 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
     if space.dim != 2:
         raise ValueError("axet enumeration concerns the two-generated case (dim E = 2)")
     two = field.scalar(2)
-    e = tuple(two * c for c in algebra.e_part(x))
-    f = tuple(two * c for c in algebra.e_part(y))
+    e = tuple(raw_values(field, (two * c for c in algebra.e_part(x))))
+    f = tuple(raw_values(field, (two * c for c in algebra.e_part(y))))
     mu = space.bform(e, f)
     order = rho_order(field, mu)
     if order.kind == INFINITE:
@@ -329,9 +329,10 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
     if cap is not None and order.order > cap:
         raise CapExceeded(f"axet enumeration needs {order.order} elements, beyond cap {cap}")
 
+    # orbit vectors are raw tuples, boxed only into the result
     reflections = {}
 
-    def neg_reflection_of(vec: Vector) -> Matrix:
+    def neg_reflection_of(vec: tuple) -> Matrix:
         if vec not in reflections:
             reflections[vec] = space.neg_reflection(vec)
         return reflections[vec]
@@ -345,7 +346,7 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
     while queue:
         current = queue.popleft()
         for g in (e, f):
-            image = neg_reflection_of(g).apply(current)
+            image = neg_reflection_of(g).apply_raw(current)
             if image in seed:
                 orbits_meet = orbits_meet or seed[image] != seed[current]
                 continue
@@ -365,16 +366,17 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
     n = len(orbit)
     check(n == order.order, f"orbit size {n} disagrees with the rho order {order.order}",
           witness=(n, order.order))
+    vectors = {v: boxed(field, v) for v in orbit}
     if orbits_meet:
         split = SINGLE
-        orbit_x = orbit_y = tuple(orbit)
+        orbit_x = orbit_y = tuple(vectors.values())
     else:
         split = TWO_HALVES
-        orbit_x = tuple(v for v in orbit if seed[v] == e)
-        orbit_y = tuple(v for v in orbit if seed[v] == f)
+        orbit_x = tuple(vectors[v] for v in orbit if seed[v] == e)
+        orbit_y = tuple(vectors[v] for v in orbit if seed[v] == f)
         check(len(orbit_x) == len(orbit_y) == n // 2, "the D-orbits are not halves of X",
               witness=(len(orbit_x), len(orbit_y), n))
     index = 1 if n % 2 == 1 else 2
     check((split == SINGLE) == (n % 2 == 1), "odd size must mean a single D-orbit",
           witness=(n, split))
-    return AxetResult(order, tuple(orbit), split, index, orbit_x, orbit_y)
+    return AxetResult(order, tuple(vectors.values()), split, index, orbit_x, orbit_y)

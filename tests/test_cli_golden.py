@@ -1,0 +1,111 @@
+"""Golden CLI corpus: stdout, stderr and exit code of every command in
+cli_golden.json must stay byte-identical.
+
+The corpus covers every subcommand over Q and F_p, the split spin algebra
+and its cover, a Jordan-special alpha (exit 1), config errors (exit 2) and
+small axet sweeps.  Over Q every Gram matrix has a norm-one basis vector,
+so the sampled norm-one search ends quickly.
+
+Regenerate the expected outputs (only when a report is meant to change):
+
+    PYTHONPATH=src python tests/test_cli_golden.py --regenerate
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from splitspin.cli import main
+
+CORPUS = pathlib.Path(__file__).with_name("cli_golden.json")
+
+I2 = '[["1","0"],["0","1"]]'
+DIAG12 = '[["1","0"],["0","2"]]'
+F7_FORM = '[["1","2"],["2","3"]]'
+Q3 = '[["1","1/2","0"],["1/2","2","1"],["0","1","-3"]]'
+DEGENERATE = '[["1","1"],["1","1"]]'
+
+COMMANDS = [
+    # build
+    ["build", "--alpha", "3", "--gram", I2],
+    ["build", "--p", "7", "--alpha", "3", "--gram", F7_FORM, "--format", "text"],
+    ["build", "--variant", "cover", "--gram", DIAG12],
+    # idempotents
+    ["idempotents", "--p", "5", "--gram", "[[1]]", "--alpha", "2"],
+    ["idempotents", "--p", "7", "--variant", "cover", "--gram", "[[1]]"],
+    ["idempotents", "--alpha", "3", "--gram", I2],
+    ["idempotents", "--p", "5", "--alpha", "3", "--gram", I2],
+    # axis-check
+    ["axis-check", "--alpha", "3", "--gram", I2],
+    ["axis-check", "--alpha=-2/5", "--gram", Q3],
+    ["axis-check", "--p", "7", "--alpha", "3", "--gram", F7_FORM],
+    ["axis-check", "--p", "11", "--variant", "cover", "--gram", F7_FORM],
+    ["axis-check", "--variant", "cover", "--gram", DIAG12],
+    ["axis-check", "--alpha", "1/2", "--gram", I2],
+    # frobenius
+    ["frobenius", "--alpha", "2/3", "--gram", Q3],
+    ["frobenius", "--p", "7", "--alpha", "5", "--gram", F7_FORM],
+    ["frobenius", "--variant", "cover", "--gram", DIAG12],
+    # radical
+    ["radical", "--alpha", "3", "--gram", DEGENERATE],
+    ["radical", "--alpha=-1", "--gram", I2],
+    ["radical", "--p", "7", "--alpha", "2", "--gram", F7_FORM],
+    ["radical", "--p", "7", "--variant", "cover", "--gram", DEGENERATE],
+    # simple
+    ["simple", "--alpha", "3", "--gram", I2],
+    ["simple", "--p", "7", "--alpha", "3", "--gram", DEGENERATE],
+    # yabe
+    ["yabe", "--mu", "1/3", "--alpha", "3"],
+    ["yabe", "--p", "11", "--mu", "2", "--variant", "cover"],
+    ["yabe", "--mu", "1", "--alpha", "3"],
+    # axet
+    ["axet", "--p", "7", "--mu", "1"],
+    ["axet", "--p", "13", "--mu", "0,1,2,3,4,5,6,7,8,9,10,11,12", "--alpha", "3"],
+    ["axet", "--p", "11", "--mu", "0,2,5,10", "--variant", "cover"],
+    ["axet", "--mu=-1,-1/2,0,1/2,1,2", "--alpha", "3"],
+    ["axet", "--p", "101", "--mu", "6", "--format", "text"],
+    # cover
+    ["cover", "--gram", DIAG12],
+    ["cover", "--p", "7", "--gram", F7_FORM],
+    # selftest
+    ["selftest", "--only", "1"],
+    ["selftest", "--only", "99"],
+    # config errors
+    ["build", "--gram", "[[1]]"],
+    ["build", "--alpha", "3", "--gram", "[[1,"],
+    ["axet", "--p", "7"],
+    ["axet", "--mu=,", "--p", "7"],
+]
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+@pytest.fixture(scope="module")
+def expected():
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+def test_corpus_matches_command_list(expected):
+    assert [entry["argv"] for entry in expected] == COMMANDS
+
+
+@pytest.mark.parametrize("index", range(len(COMMANDS)), ids=lambda i: " ".join(COMMANDS[i])[:60])
+def test_cli_output_is_unchanged(expected, index):
+    assert run(COMMANDS[index]) == expected[index]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit("usage: python tests/test_cli_golden.py --regenerate")
+    corpus = [run(argv) for argv in COMMANDS]
+    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(corpus)} commands to {CORPUS}")

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from splitspin import Field, Matrix
-from splitspin.errors import DimensionMismatch
-from splitspin.linalg import Echelon, span_contains, vec_is_zero
+from splitspin.errors import DimensionMismatch, FieldMismatch
+from splitspin.linalg import Echelon, vec_is_zero
 
 QQ = Field.rationals()
 F3 = Field.prime(3)
@@ -22,7 +22,7 @@ def test_kernel_of_identity_is_trivial():
 
 
 def test_kernel_of_zero_matrix_is_everything():
-    kernel = Matrix.zeros(QQ, 2, 2).kernel()
+    kernel = Matrix(QQ, [[0, 0], [0, 0]]).kernel()
     assert len(kernel) == 2
 
 
@@ -33,7 +33,7 @@ def test_kernel_rank_one():
     assert len(kernel) == 1
     assert m.apply(kernel[0]) == (QQ.zero(), QQ.zero())
     # spans the same line as (1, -1)
-    assert span_contains(QQ, [kernel[0]], (QQ.one(), -QQ.one()))
+    assert Echelon(QQ, [kernel[0]]).contains((QQ.one(), -QQ.one()))
 
 
 def test_solve_identity():
@@ -72,16 +72,16 @@ def test_mat_pow_f5_order_three():
 
 def test_pow_requires_square():
     with pytest.raises(DimensionMismatch):
-        Matrix.zeros(QQ, 2, 3).pow(2)
+        Matrix(QQ, [[0, 0, 0], [0, 0, 0]]).pow(2)
 
 
 def test_inverse_and_det():
     m = Matrix(QQ, [[2, 1], [1, 1]])
     inv = m.inverse()
     assert m @ inv == Matrix.identity(QQ, 2)
-    assert m.det() == QQ.one()
+    assert reference_det(QQ, m.entries) == QQ.one()
     assert Matrix(QQ, [[1, 1], [1, 1]]).inverse() is None
-    assert Matrix(QQ, [[1, 1], [1, 1]]).det() == QQ.zero()
+    assert reference_det(QQ, [[1, 1], [1, 1]]) == QQ.zero()
 
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -317,3 +317,214 @@ def test_matrix_elimination_against_reference(field, entries):
                 assert inverse == Matrix.from_columns(field, expected)
 
     check()
+
+
+# -- raw Matrix against the boxed Scalar implementation it replaced ----------------
+
+
+def reference_apply(field, rows, vec):
+    """Matrix.apply as it ran on boxed Scalars."""
+    v = [field.scalar(x) for x in vec]
+    zero = field.zero()
+    out = []
+    for row in rows:
+        acc = zero
+        for a, x in zip(row, v):
+            if a and x:
+                acc = acc + a * x
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_matmul(field, left, right):
+    """Matrix @ Matrix as it ran on boxed Scalars; rows of Scalars."""
+    cols = list(zip(*right))
+    zero = field.zero()
+    out = []
+    for row in left:
+        out_row = []
+        for col in cols:
+            acc = zero
+            for a, b in zip(row, col):
+                if a and b:
+                    acc = acc + a * b
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return out
+
+
+def reference_det(field, rows):
+    """The determinant by Gaussian elimination on Scalars (the removed Matrix.det)."""
+    m = [[field.scalar(x) for x in row] for row in rows]
+    n = len(m)
+    det = field.one()
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot_row is None:
+            return field.zero()
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            det = -det
+        det = det * m[c][c]
+        inv = m[c][c].inv()
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def _exact(field, scalars):
+    """Every Scalar over Q holds a Fraction; over F_p a residue in [0, p)."""
+    for s in scalars:
+        assert s.field == field
+        if field.p is None:
+            assert type(s.value) is Fraction, s
+        else:
+            assert type(s.value) is int and 0 <= s.value < field.p, s
+    return True
+
+
+def _flat(m):
+    return [x for row in m.entries for x in row]
+
+
+def field_vector(field, values):
+    return tuple(field.scalar(x) for x in values)
+
+
+FIELDS = [
+    (QQ, small_rationals),
+    (F5, st.integers(0, 4)),
+    (F10007, st.integers(0, 10006)),
+]
+FIELD_IDS = ["QQ", "F5", "F10007"]
+
+
+@st.composite
+def _sparse_rows(draw, entries, rows, cols):
+    """rows x cols raw entries, about half of them zero, and sometimes an
+    all-zero row, where an int accumulator would leak into a Q result."""
+    cell = st.one_of(st.just(0), entries)
+    grid = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        grid[draw(st.integers(0, rows - 1))] = [0] * cols
+    return grid
+
+
+@pytest.mark.parametrize("field, entries", FIELDS, ids=FIELD_IDS)
+def test_apply_matmul_bilinear_against_boxed_reference(field, entries):
+    @given(st.data())
+    def check(data):
+        r, c, s = (data.draw(st.integers(1, 4)) for _ in range(3))
+        a = Matrix(field, data.draw(_sparse_rows(entries, r, c)))
+        b = Matrix(field, data.draw(_sparse_rows(entries, c, s)))
+        v = data.draw(_sparse_rows(entries, 1, c))[0]
+        u = data.draw(_sparse_rows(entries, 1, r))[0]
+
+        image = a.apply(v)
+        assert image == reference_apply(field, a.entries, v) and _exact(field, image)
+        assert a.apply_raw(tuple(x.value for x in field_vector(field, v))) == tuple(x.value for x in image)
+        product = a @ b
+        assert product.entries == tuple(reference_matmul(field, a.entries, b.entries))
+        assert _exact(field, _flat(product))
+        form = a.bilinear(u, v)
+        expected = field.zero()
+        for x, y in zip(field_vector(field, u), reference_apply(field, a.entries, v)):
+            expected = expected + x * y
+        assert form == expected and _exact(field, [form])
+
+        t = a.transpose()
+        assert (t.rows, t.cols) == (c, r)
+        assert all(t.entries[j][i] == a.entries[i][j] for i in range(r) for j in range(c))
+        assert _exact(field, _flat(t))
+        assert Matrix(field, a.entries) == a and Matrix(field, a.raw) == a
+        bumped = [list(row) for row in a.entries]
+        bumped[data.draw(st.integers(0, r - 1))][data.draw(st.integers(0, c - 1))] += 1
+        assert Matrix(field, bumped) != a
+        assert a.is_symmetric() == (r == c and all(
+            a.entries[i][j] == a.entries[j][i] for i in range(r) for j in range(c)))
+        assert _exact(field, _flat(-a)) and (-a).entries == tuple(
+            tuple(-x for x in row) for row in a.entries)
+
+    check()
+
+
+@pytest.mark.parametrize("field, entries", FIELDS, ids=FIELD_IDS)
+def test_pow_inverse_kernel_against_boxed_reference(field, entries):
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4))
+        m = Matrix(field, data.draw(_sparse_rows(entries, n, n)))
+        k = data.draw(st.integers(0, 5))
+        expected = [tuple(field.one() if i == j else field.zero() for j in range(n)) for i in range(n)]
+        for _ in range(k):
+            expected = reference_matmul(field, expected, m.entries)
+        power = m.pow(k)
+        assert power.entries == tuple(expected) and _exact(field, _flat(power))
+
+        det = reference_det(field, m.entries)
+        inverse = m.inverse()
+        assert (inverse is None) == det.is_zero
+        if inverse is not None:
+            assert _exact(field, _flat(inverse))
+            assert reference_matmul(field, m.entries, inverse.entries) == [
+                tuple(field.one() if i == j else field.zero() for j in range(n)) for i in range(n)]
+
+        # rectangular kernels: n x c
+        c = data.draw(st.integers(1, 4))
+        rect = Matrix(field, data.draw(_sparse_rows(entries, n, c)))
+        kernel = rect.kernel()
+        _, pivots = reference_rref(field, rect.entries)
+        assert len(kernel) == c - len(pivots)
+        zero = tuple(field.zero() for _ in range(n))
+        for vec in kernel:
+            assert _exact(field, vec) and reference_apply(field, rect.entries, vec) == zero
+        reduced, _ = rect.rref()
+        assert _exact(field, _flat(reduced))
+
+    check()
+
+
+def test_zero_row_results_stay_fractions():
+    m = Matrix(QQ, [[0, 0], [1, Fraction(1, 2)]])
+    assert _exact(QQ, m.apply([3, 4]))
+    assert _exact(QQ, _flat(m @ m)) and _exact(QQ, _flat(m.pow(0)))
+    assert _exact(QQ, [m.bilinear([1, 0], [1, 1])])
+    assert _exact(QQ, [x for v in m.kernel() for x in v])
+    assert _exact(QQ, _flat(Matrix.identity(QQ, 2))) and _exact(QQ, _flat(Matrix.diagonal(QQ, [0, 2])))
+    inverse = Matrix(QQ, [[0, 1], [3, 0]]).inverse()
+    assert _exact(QQ, _flat(inverse)) and inverse.entries[0][1] == QQ.scalar(Fraction(1, 3))
+
+
+def test_scalars_of_another_field_are_rejected():
+    with pytest.raises(FieldMismatch):
+        Matrix(F5, [[F7.one(), 0]])
+    m = Matrix(F5, [[1, 2]])
+    with pytest.raises(FieldMismatch):
+        m.apply([F7.one(), 0])
+    with pytest.raises(FieldMismatch):
+        m.bilinear([1], [0, F7.one()])
+    with pytest.raises(FieldMismatch):
+        Matrix.from_columns(F5, [[F7.one()]])
+    with pytest.raises(FieldMismatch):
+        Echelon(F5).add((F7.one(), 0))
+    with pytest.raises(FieldMismatch):
+        m @ Matrix(F7, [[1], [2]])
+
+
+def test_from_columns_rejects_ragged_columns():
+    with pytest.raises(ValueError, match="ragged columns"):
+        Matrix.from_columns(QQ, [(1, 2), (3, 4, 5)])
+    with pytest.raises(ValueError, match="ragged columns"):
+        Matrix.from_columns(QQ, [(1, 2, 3), (4, 5)])
+
+
+def test_echelon_rejects_vectors_of_another_length():
+    span = Echelon(QQ, [(0, 0)])
+    with pytest.raises(DimensionMismatch):
+        span.add((1, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        span.contains((1,))
+    with pytest.raises(DimensionMismatch):
+        Echelon(F5, [(1, 0), (1, 0, 0)])
