@@ -30,7 +30,7 @@ from .axial import (
     sample_orthogonal_extension,
 )
 from .cover import verify_cover
-from .errors import BaricCase, MuOne, SpecialAlpha, SplitSpinError
+from .errors import BaricCase, MuOne, SpecialAlpha, SplitSpinError, check
 from .fields import Field
 from .idempotents import (
     FAMILY_A,
@@ -118,6 +118,7 @@ def criterion_1():
     structure constants, z1 + z2 is the identity, and the z1/z2 relabelling
     with alpha -> 1 - alpha yields an isomorphic structure tensor."""
     rng = random.Random(1001)
+    element_rng = random.Random(1011)  # apart from rng, so the configurations stay the same
     for case in range(200):
         field = _FIELDS[case % len(_FIELDS)]
         dim = rng.randint(1, 4)
@@ -125,9 +126,10 @@ def criterion_1():
         alpha = _random_scalar(field, rng)
         algebra = split_spin(space, alpha)
         n = algebra.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                assert algebra.table[i][j] == algebra.table[j][i]
+        for _ in range(3):
+            u, v = (algebra.element([_random_scalar(field, element_rng) for _ in range(n)])
+                    for _ in range(2))
+            check(u * v == v * u, "the product is not commutative", (u, v))
         one_elt = algebra.from_labels({"z1": 1, "z2": 1})
         assert algebra.identity() == one_elt
         for i in range(n):

@@ -17,7 +17,7 @@ operations that genuinely need the exclusions enforce them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AlgebraMismatch,
@@ -30,7 +30,17 @@ from .errors import (
     check,
 )
 from .fields import Field, Scalar
-from .linalg import Echelon, Matrix, Vector, basis_vector, vec_is_zero, zero_vector
+from .linalg import (
+    Echelon,
+    Matrix,
+    Vector,
+    basis_vector,
+    boxed,
+    raw_values,
+    vec_is_zero,
+    zero_one,
+    zero_vector,
+)
 from .quadratic import QuadraticSpace
 
 SPLIT_SPIN = "split_spin"
@@ -108,36 +118,42 @@ class Element:
 class Algebra:
     """A commutative algebra given by basis labels and structure constants.
 
-    The structure table stores, for every ordered basis pair (i, j), the
-    coordinate vector of b_i b_j; it is validated to be symmetric in i, j.
+    The constants are (i, j, k, value) entries, value being the coefficient
+    of b_k in b_i b_j, in either order of i and j; absent entries are zero.
+    Each unordered pair's nonzero (k, c) pairs are stored once, as raw
+    values (int residues over F_p, Fractions over Q), and shared by the
+    rows of i and j.
     """
 
-    __slots__ = ("field", "labels", "table", "meta")
+    __slots__ = ("field", "labels", "_rows", "meta")
 
     def __init__(
         self,
         field: Field,
         labels: Sequence[str],
-        table: Sequence[Sequence[Sequence]],
+        constants: Iterable[Sequence],
         meta: AlgebraMeta,
     ):
         n = len(labels)
         if n == 0:
             raise ValueError("algebra must have positive dimension")
-        rows = tuple(
-            tuple(tuple(field.scalar(c) for c in cell) for cell in row) for row in table
-        )
-        if len(rows) != n or any(len(row) != n for row in rows) or any(
-            len(cell) != n for row in rows for cell in row
-        ):
-            raise DimensionMismatch("structure table shape does not match basis size")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"structure constants not commutative at pair ({i}, {j})")
+        values: dict[tuple[int, int, int], object] = {}
+        for i, j, k, value in constants:
+            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+                raise DimensionMismatch(f"structure constant index {(i, j, k)} outside range({n})")
+            key = (min(i, j), max(i, j), k)
+            (c,) = raw_values(field, (value,))
+            if values.setdefault(key, c) != c:
+                raise ValueError(f"conflicting structure constants at {key}")
+        rows: list[dict[int, list]] = [{} for _ in range(n)]
+        for (i, j, k), c in sorted(values.items()):  # (i, j) order, so each row's keys ascend
+            if c:
+                cell = rows[i].setdefault(j, [])
+                cell.append((k, c))
+                rows[j][i] = cell
         self.field = field
         self.labels = tuple(labels)
-        self.table = rows
+        self._rows = rows
         self.meta = meta
 
     # -- basic structure -----------------------------------------------------
@@ -181,26 +197,43 @@ class Algebra:
         """The E-coordinates of an element of a split spin or cover algebra."""
         return x.coords[: self.e_dim]
 
+    # -- structure constants ---------------------------------------------------
+
+    @property
+    def constants(self) -> tuple[tuple[int, int, int, Scalar], ...]:
+        """The nonzero (i, j, k, b_k-coefficient of b_i b_j) entries with
+        i <= j, in (i, j, k) order: the interchange form."""
+        return tuple(
+            (i, j, k, Scalar(self.field, c))
+            for i, row in enumerate(self._rows)
+            for j, cell in row.items()
+            if j >= i
+            for k, c in cell
+        )
+
+    def cell(self, i: int, j: int) -> Sequence[tuple[int, object]]:
+        """The stored nonzero (k, c) pairs of b_i b_j, c raw."""
+        return self._rows[i].get(j, ())
+
     # -- multiplication ------------------------------------------------------
 
-    def _mul_coords(self, u: Vector, v: Vector) -> Vector:
-        n = self.dim
-        acc = [self.field.zero()] * n
-        for i in range(n):
-            ui = u[i]
+    def _mul_coords(self, u: Sequence, v: Sequence) -> Vector:
+        """The coordinates of u v, for coordinate vectors given as Scalars
+        or raw values."""
+        field, rows = self.field, self._rows
+        u, v = raw_values(field, u), raw_values(field, v)
+        zero, p = zero_one(field)[0], field.p
+        acc = [zero] * self.dim
+        for i, ui in enumerate(u):
             if not ui:
                 continue
-            row = self.table[i]
-            for j in range(n):
+            for j, cell in rows[i].items():
                 vj = v[j]
-                if not vj:
-                    continue
-                c = ui * vj
-                cell = row[j]
-                for k in range(n):
-                    if cell[k]:
-                        acc[k] = acc[k] + c * cell[k]
-        return tuple(acc)
+                if vj:
+                    w = ui * vj
+                    for k, c in cell:
+                        acc[k] += w * c
+        return boxed(field, acc if p is None else (a % p for a in acc))
 
     def multiply(self, u: Element, v: Element) -> Element:
         if u.algebra is not self or v.algebra is not self:
@@ -240,12 +273,13 @@ class Algebra:
         """The multiplicative identity, or None if no element satisfies
         u b_i = b_i for every basis vector b_i."""
         n = self.dim
-        one, zero = self.field.one(), self.field.zero()
-        rows, rhs = [], []
-        for i in range(n):
-            for k in range(n):
-                rows.append([self.table[j][i][k] for j in range(n)])
-                rhs.append(one if k == i else zero)
+        # one equation per (i, k): sum_j u_j (coefficient of b_k in b_j b_i) = [k == i]
+        rows = [[0] * n for _ in range(n * n)]
+        for j, row in enumerate(self._rows):
+            for i, cell in row.items():
+                for k, c in cell:
+                    rows[i * n + k][j] = c
+        rhs = [int(k == i) for i in range(n) for k in range(n)]
         sol = Matrix(self.field, rows).solve(rhs)
         return None if sol is None else self.element(sol)
 
@@ -294,13 +328,13 @@ class Algebra:
             degree += 1
 
         embedding = Matrix.from_columns(self.field, basis)
-        sub_table = [[None] * m for _ in range(m)]
+        constants = []
         for (i, j), prod in products.items():
             coords = span.coordinates(prod)
             check(coords is not None, "subalgebra closure misses a product", (i, j))
-            sub_table[i][j] = sub_table[j][i] = coords
+            constants += [(i, j, t, c) for t, c in enumerate(coords)]
         labels = tuple(f"s{i + 1}" for i in range(m))
-        sub = Algebra(self.field, labels, sub_table, AlgebraMeta(DERIVED))
+        sub = Algebra(self.field, labels, constants, AlgebraMeta(DERIVED))
         return SubalgebraResult(sub, embedding, degree)
 
     def quotient(self, ideal: Sequence[Element]) -> QuotientResult:
@@ -332,12 +366,14 @@ class Algebra:
         projection = Matrix(self.field, inverse.raw[r:]) if free else None
         if projection is None:
             raise ValueError("quotient by the whole algebra is empty")
-        q_table = [
-            [projection.apply(self.table[free[i]][free[j]]) for j in range(len(free))]
-            for i in range(len(free))
+        constants = [
+            (a, b, t, c)
+            for a in range(len(free))
+            for b in range(a, len(free))
+            for t, c in enumerate(projection.apply_sparse(self.cell(free[a], free[b])))
         ]
         labels = tuple(self.labels[f] for f in free)
-        quot = Algebra(self.field, labels, q_table, AlgebraMeta(DERIVED))
+        quot = Algebra(self.field, labels, constants, AlgebraMeta(DERIVED))
         return QuotientResult(quot, projection)
 
     # -- isomorphism checking --------------------------------------------------
@@ -355,7 +391,7 @@ class Algebra:
         cols = [mapping.column(j) for j in range(self.dim)]
         for i in range(self.dim):
             for j in range(i, self.dim):
-                lhs = mapping.apply(self.table[i][j])
+                lhs = boxed(self.field, mapping.apply_sparse(self.cell(i, j)))
                 rhs = other._mul_coords(cols[i], cols[j])
                 if lhs != rhs:
                     return False, (i, j)
@@ -386,31 +422,17 @@ def split_spin(space: QuadraticSpace, alpha) -> Algebra:
     field = space.field
     alpha = field.scalar(alpha)
     k = space.dim
-    n = k + 2
-    zero, one = field.zero(), field.one()
+    one = field.one()
     z1, z2 = k, k + 1
     c1 = alpha * (alpha - 2)
     c2 = (alpha - 1) * (alpha + 1)
-
-    def unit(i: int, s: Scalar) -> Vector:
-        coords = [zero] * n
-        coords[i] = s
-        return tuple(coords)
-
-    zero_vec = tuple([zero] * n)
-    table: list[list[Vector]] = [[zero_vec] * n for _ in range(n)]
+    constants = []
     for i in range(k):
-        for j in range(k):
+        for j in range(i, k):
             b = space.gram.entries[i][j]
-            coords = [zero] * n
-            coords[z1] = -b * c1
-            coords[z2] = -b * c2
-            table[i][j] = tuple(coords)
-        table[i][z1] = table[z1][i] = unit(i, alpha)
-        table[i][z2] = table[z2][i] = unit(i, one - alpha)
-    table[z1][z1] = unit(z1, one)
-    table[z2][z2] = unit(z2, one)
-
+            constants += [(i, j, z1, -b * c1), (i, j, z2, -b * c2)]
+        constants += [(i, z1, i, alpha), (i, z2, i, one - alpha)]
+    constants += [(z1, z1, z1, one), (z2, z2, z2, one)]
     labels = tuple(f"e{i + 1}" for i in range(k)) + ("z1", "z2")
     jordan_special = alpha.is_zero or alpha.is_one
     warnings = ()
@@ -419,7 +441,7 @@ def split_spin(space: QuadraticSpace, alpha) -> Algebra:
     elif alpha == field.half():
         jordan_special = True
     meta = AlgebraMeta(SPLIT_SPIN, alpha=alpha, space=space, jordan_special=jordan_special, warnings=warnings)
-    return Algebra(field, labels, table, meta)
+    return Algebra(field, labels, constants, meta)
 
 
 def exceptional_cover(space: QuadraticSpace) -> Algebra:
@@ -427,29 +449,16 @@ def exceptional_cover(space: QuadraticSpace) -> Algebra:
     e z1 = -e and e f = -b(e, f)(3 z1 - 2 n)."""
     field = space.field
     k = space.dim
-    n_dim = k + 2
-    zero, one = field.zero(), field.one()
     z1, nil = k, k + 1
     three = field.scalar(3)
     minus_two = field.scalar(-2)
-
-    def unit(i: int, s: Scalar) -> Vector:
-        coords = [zero] * n_dim
-        coords[i] = s
-        return tuple(coords)
-
-    zero_vec = tuple([zero] * n_dim)
-    table: list[list[Vector]] = [[zero_vec] * n_dim for _ in range(n_dim)]
+    constants = []
     for i in range(k):
-        for j in range(k):
+        for j in range(i, k):
             b = space.gram.entries[i][j]
-            coords = [zero] * n_dim
-            coords[z1] = -b * three
-            coords[nil] = -b * minus_two
-            table[i][j] = tuple(coords)
-        table[i][z1] = table[z1][i] = unit(i, -one)
-    table[z1][z1] = unit(z1, one)
-
+            constants += [(i, j, z1, -b * three), (i, j, nil, -b * minus_two)]
+        constants.append((i, z1, i, -1))
+    constants.append((z1, z1, z1, 1))
     labels = tuple(f"e{i + 1}" for i in range(k)) + ("z1", "n")
     warnings = ()
     if field.characteristic == 2:
@@ -457,7 +466,7 @@ def exceptional_cover(space: QuadraticSpace) -> Algebra:
     elif field.characteristic == 3:
         warnings = ("characteristic_three",)
     meta = AlgebraMeta(COVER, alpha=field.scalar(-1), space=space, warnings=warnings)
-    return Algebra(field, labels, table, meta)
+    return Algebra(field, labels, constants, meta)
 
 
 def matsuo_3c(field: Field, alpha) -> Algebra:
@@ -467,18 +476,9 @@ def matsuo_3c(field: Field, alpha) -> Algebra:
         raise CharTwo("3C(alpha) requires characteristic != 2")
     alpha = field.scalar(alpha)
     half_alpha = alpha / 2
-    zero, one = field.zero(), field.one()
-
-    def pair(i: int, j: int) -> Vector:
-        coords = [half_alpha] * 3
-        coords[3 - i - j] = -half_alpha
-        return tuple(coords)
-
-    def unit(i: int) -> Vector:
-        coords = [zero] * 3
-        coords[i] = one
-        return tuple(coords)
-
-    table = [[unit(i) if i == j else pair(i, j) for j in range(3)] for i in range(3)]
+    # b_i b_i = b_i; b_i b_j = (alpha / 2)(b_i + b_j - b_l) for {i, j, l} = {0, 1, 2}
+    constants = [(i, i, i, 1) for i in range(3)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        constants += [(i, j, i, half_alpha), (i, j, j, half_alpha), (i, j, 3 - i - j, -half_alpha)]
     meta = AlgebraMeta(MATSUO_3C, alpha=alpha)
-    return Algebra(field, ("a", "b", "c"), table, meta)
+    return Algebra(field, ("a", "b", "c"), constants, meta)

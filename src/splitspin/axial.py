@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .idempotents import FAMILY_A, family_axis, is_idempotent
-from .linalg import Echelon, Matrix, Vector, raw_values
+from .linalg import Echelon, Matrix, Vector
 from .quadratic import NormOneSearch
 
 JORDAN = "jordan"
@@ -313,7 +313,7 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
     g = [[None] * n for _ in range(n)]
     for j in range(n):
         for t in range(j, n):
-            g[j][t] = g[t][j] = gram.apply_raw(raw_values(field, algebra.table[j][t]))
+            g[j][t] = g[t][j] = gram.apply_sparse(algebra.cell(j, t))
     triples = itertools.product(range(n), repeat=3)
     witness = next(((i, j, t) for i, j, t in triples if g[j][t][i] != g[i][j][t]), None)
     check(witness is None, f"Frobenius associativity fails on basis triple {witness}", witness)

@@ -272,7 +272,7 @@ class Scalar:
             raise DivisionByZero("inverse of zero")
         p = self.field.p
         if p is None:
-            return Scalar(self.field, 1 / self.value)
+            return Scalar(self.field, 1 / Fraction(self.value))
         return Scalar(self.field, pow(self.value, -1, p))
 
     def sqrt(self) -> Scalar | None:

@@ -146,32 +146,21 @@ def enumerate_idempotents_bruteforce(algebra: Algebra, budget: int = 1_000_000) 
     n = algebra.dim
     if p**n > budget:
         raise BudgetExceeded(f"{p}**{n} coordinate vectors exceed budget {budget}")
-    table_int = [
-        [tuple(int(c.value) for c in algebra.table[i][j]) for j in range(n)]
+    # x^2 = sum_i x_i^2 b_i b_i + sum_{i<j} 2 x_i x_j b_i b_j over the stored cells
+    cells = [
+        (i, j, algebra.cell(i, j) if i == j else tuple((k, 2 * c) for k, c in algebra.cell(i, j)))
         for i in range(n)
+        for j in range(i, n)
+        if algebra.cell(i, j)
     ]
     hits = []
     for coords in itertools.product(range(p), repeat=n):
         acc = [0] * n
-        for i in range(n):
-            xi = coords[i]
-            if not xi:
-                continue
-            row = table_int[i]
-            cell = row[i]
-            w = xi * xi
-            for k in range(n):
-                if cell[k]:
-                    acc[k] += w * cell[k]
-            for j in range(i + 1, n):
-                xj = coords[j]
-                if not xj:
-                    continue
-                w2 = 2 * xi * xj
-                cell = row[j]
-                for k in range(n):
-                    if cell[k]:
-                        acc[k] += w2 * cell[k]
+        for i, j, cell in cells:
+            w = coords[i] * coords[j]
+            if w:
+                for k, c in cell:
+                    acc[k] += w * c
         if all((a - c) % p == 0 for a, c in zip(acc, coords)) and any(coords):
             hits.append(algebra.element(coords))
     return tuple(hits)

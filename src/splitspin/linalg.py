@@ -52,7 +52,7 @@ def _reduced(p: int | None, values: Iterable) -> list:
 _RATIONAL_ZERO_ONE = (Fraction(0), Fraction(1))
 
 
-def _zero_one(field: Field) -> tuple:
+def zero_one(field: Field) -> tuple:
     """The raw 0 and 1; Fractions over Q, so that sums and quotients stay exact."""
     return (0, 1) if field.p else _RATIONAL_ZERO_ONE
 
@@ -106,12 +106,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> Matrix:
-        zero, one = _zero_one(field)
+        zero, one = zero_one(field)
         return cls._from_raw(field, ([one if i == j else zero for j in range(n)] for i in range(n)))
 
     @classmethod
     def diagonal(cls, field: Field, diag: Sequence) -> Matrix:
-        d, zero = raw_values(field, diag), _zero_one(field)[0]
+        d, zero = raw_values(field, diag), zero_one(field)[0]
         n = len(d)
         return cls._from_raw(field, ([d[i] if i == j else zero for j in range(n)] for i in range(n)))
 
@@ -178,7 +178,7 @@ class Matrix:
             raise FieldMismatch("matrices over different fields")
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero, p, width = _zero_one(self.field)[0], self.field.p, other.cols
+        zero, p, width = zero_one(self.field)[0], self.field.p, other.cols
         out = []
         for nonzeros in self._nonzeros:
             acc = [zero] * width
@@ -196,7 +196,7 @@ class Matrix:
 
     def apply_raw(self, v: Sequence) -> tuple:
         """`apply` on a reduced raw vector, giving a raw tuple; no coercion."""
-        zero, p = _zero_one(self.field)[0], self.field.p
+        zero, p = zero_one(self.field)[0], self.field.p
         out = []
         for nonzeros in self._nonzeros:
             acc = zero
@@ -207,12 +207,26 @@ class Matrix:
             out.append(acc % p if p else acc)
         return tuple(out)
 
+    def apply_sparse(self, pairs: Sequence[tuple[int, object]]) -> tuple:
+        """`apply_raw` on the raw vector whose nonzero entries are the
+        (index, value) pairs; no coercion."""
+        zero, p = zero_one(self.field)[0], self.field.p
+        out = []
+        for row in self.raw:
+            acc = zero
+            for k, c in pairs:
+                a = row[k]
+                if a:
+                    acc += a * c
+            out.append(acc % p if p else acc)
+        return tuple(out)
+
     def bilinear(self, u: Sequence, v: Sequence) -> Scalar:
         """u^T M v."""
         u, v = raw_values(self.field, u), raw_values(self.field, v)
         if len(u) != self.rows or len(v) != self.cols:
             raise DimensionMismatch("vector lengths do not match the matrix shape")
-        acc = _zero_one(self.field)[0]
+        acc = zero_one(self.field)[0]
         for a, x in zip(u, self.apply_raw(v)):
             if a and x:
                 acc += a * x
@@ -239,7 +253,7 @@ class Matrix:
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns."""
         span = Echelon(self.field, self.raw)
-        zero = [_zero_one(self.field)[0]] * self.cols
+        zero = [zero_one(self.field)[0]] * self.cols
         rows = [row for _, row, _ in span._rows] + [zero] * (self.rows - span.rank)
         return Matrix._from_raw(self.field, rows), tuple(pivot for pivot, _, _ in span._rows)
 
@@ -250,7 +264,7 @@ class Matrix:
         """Deterministic basis of the null space, one vector per free column."""
         reduced, pivots = self.rref()
         pivot_set = set(pivots)
-        zero, one = _zero_one(self.field)
+        zero, one = zero_one(self.field)
         basis = []
         for f in (c for c in range(self.cols) if c not in pivot_set):
             v = [zero] * self.cols
@@ -281,7 +295,7 @@ class Matrix:
         span = Echelon(self.field, zip(*self.raw))
         if span.rank < n:
             return None
-        zero, one = _zero_one(self.field)
+        zero, one = zero_one(self.field)
         columns = [span._reduce([one if j == i else zero for j in range(n)])[1] for i in range(n)]
         return Matrix._from_raw(self.field, zip(*columns))
 
@@ -322,7 +336,7 @@ class Echelon:
         combination of the accepted vectors.  Each F_p step adds < p^2, so
         mod p comes at the end."""
         p = self.field.p
-        x = [_zero_one(self.field)[0]] * len(self._rows)
+        x = [zero_one(self.field)[0]] * len(self._rows)
         for pivot, row, comb in self._rows:
             f = v[pivot] % p if p else v[pivot]  # rows vanish at each other's pivots
             if f:
@@ -340,7 +354,7 @@ class Echelon:
         inv = pow(v[pivot], -1, p) if p else 1 / v[pivot]
         row = _reduced(p, (a * inv for a in v))
         comb = _reduced(p, [-a * inv for a in x] + [inv])  # v = vec - sum(x_i accepted_i)
-        zero = _zero_one(self.field)[0]
+        zero = zero_one(self.field)[0]
         rows = [(c, r, cb + [zero]) for c, r, cb in self._rows]
         for k, (c, r, cb) in enumerate(rows):
             f = r[pivot]

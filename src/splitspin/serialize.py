@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, Element
 from .axial import AxisReport, FrobeniusForm
+from .errors import DimensionMismatch
 from .fields import Field, Scalar
 from .linalg import Matrix, Vector
 from .quadratic import NormOneSearch
@@ -37,21 +38,13 @@ def element_to_json(x: Element):
 
 
 def algebra_to_json(algebra: Algebra):
-    constants = []
-    n = algebra.dim
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                value = algebra.table[i][j][k]
-                if value:
-                    constants.append([i, j, k, scalar_to_json(value)])
     meta = algebra.meta
     doc = {
         "basis": list(algebra.labels),
         "field": algebra.field.to_json(),
-        "dimension": n,
+        "dimension": algebra.dim,
         "kind": meta.kind,
-        "structure_constants": constants,
+        "structure_constants": [[i, j, k, scalar_to_json(c)] for i, j, k, c in algebra.constants],
     }
     if meta.alpha is not None:
         doc["alpha"] = scalar_to_json(meta.alpha)
@@ -74,13 +67,9 @@ def algebra_from_json(doc) -> Algebra:
     from .quadratic import QuadraticSpace
 
     field = Field.from_json(doc["field"])
-    n = doc["dimension"]
     labels = tuple(doc["basis"])
-    zero = field.zero()
-    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i, j, k, value in doc["structure_constants"]:
-        table[i][j][k] = field.scalar(value)
-        table[j][i][k] = field.scalar(value)
+    if doc["dimension"] != len(labels):
+        raise DimensionMismatch(f"dimension {doc['dimension']} but {len(labels)} basis labels")
     alpha = field.scalar(doc["alpha"]) if "alpha" in doc else None
     space = (
         QuadraticSpace(matrix_from_json(field, doc["gram"])) if "gram" in doc else None
@@ -92,7 +81,7 @@ def algebra_from_json(doc) -> Algebra:
         jordan_special=doc.get("jordan_special", False),
         warnings=tuple(doc.get("warnings", ())),
     )
-    return Algebra(field, labels, table, meta)
+    return Algebra(field, labels, doc["structure_constants"], meta)
 
 
 def law_to_json(law):

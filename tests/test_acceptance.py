@@ -34,11 +34,9 @@ def test_selftest_reports_every_criterion_when_the_algebra_is_broken(monkeypatch
     def broken_split_spin(space, alpha):
         good = original(space, alpha)
         k = space.dim
-        table = [[list(cell) for cell in row] for row in good.table]
-        for i in range(k):
-            for j in range(k):
-                table[i][j][k + 1] = table[i][j][k + 1] * 2
-        return Algebra(good.field, good.labels, table, good.meta)
+        constants = [(i, j, t, c * 2 if j < k and t == k + 1 else c)
+                     for i, j, t, c in good.constants]
+        return Algebra(good.field, good.labels, constants, good.meta)
 
     for module in (splitspin.algebra, splitspin.acceptance, splitspin.cli,
                    splitspin.cover, splitspin.two_gen):

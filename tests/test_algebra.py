@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from splitspin import (
@@ -13,10 +13,12 @@ from splitspin import (
     matsuo_3c,
     split_spin,
 )
+from splitspin.algebra import Algebra, AlgebraMeta
 from splitspin.errors import (
     AlgebraMismatch,
     CapExceeded,
     CharTwo,
+    DimensionMismatch,
     DuplicateCandidates,
     NotAnIdeal,
 )
@@ -27,6 +29,7 @@ from test_linalg import reference_solve
 QQ = Field.rationals()
 F5 = Field.prime(5)
 F7 = Field.prime(7)
+F10007 = Field.prime(10007)
 
 
 def identity_space(field, dim):
@@ -303,7 +306,7 @@ def test_subalgebra_matches_reference_closure(field):
                 result = algebra.subalgebra(gens)
                 assert [result.embedding.column(j) for j in range(result.embedding.cols)] == basis
                 assert result.closure_degree == degree
-                assert [list(row) for row in result.algebra.table] == table
+                assert dense_table(result.algebra) == table
 
 
 def test_larger_dimensions():
@@ -394,6 +397,146 @@ def test_structure_constants_symmetric_for_all_constructors():
         matsuo_3c(QQ, Fraction(7, 3)),
     ]
     for algebra in algebras:
+        assert all(i <= j for i, j, _, _ in algebra.constants)
         for i in range(algebra.dim):
             for j in range(algebra.dim):
-                assert algebra.table[i][j] == algebra.table[j][i]
+                assert algebra.basis(i) * algebra.basis(j) == algebra.basis(j) * algebra.basis(i)
+
+
+def test_constants_accept_either_order_and_repeats():
+    meta = AlgebraMeta("derived")
+    algebra = Algebra(QQ, ("x", "y"), [(1, 0, 0, 2), (0, 1, 0, "2/1"), (0, 0, 1, 0)], meta)
+    assert algebra.constants == ((0, 1, 0, QQ.scalar(2)),)
+    x, y = algebra.basis(0), algebra.basis(1)
+    assert x * y == y * x == 2 * x
+    assert (x * x).is_zero
+
+
+def test_constants_index_outside_the_basis_is_a_dimension_mismatch():
+    meta = AlgebraMeta("derived")
+    for entry in ((0, 2, 0, 1), (0, 0, 2, 1), (-1, 0, 0, 1)):
+        with pytest.raises(DimensionMismatch):
+            Algebra(QQ, ("x", "y"), [entry], meta)
+
+
+def test_conflicting_constants_are_rejected():
+    meta = AlgebraMeta("derived")
+    for constants in ([(0, 1, 0, 1), (1, 0, 0, 2)], [(0, 1, 0, 1), (0, 1, 0, 0)]):
+        with pytest.raises(ValueError, match="conflicting"):
+            Algebra(F7, ("x", "y"), constants, meta)
+
+
+# -- the sparse product against the dense loop it replaced ---------------------
+
+
+def dense_table(algebra):
+    """table[i][j] = b_i b_j as a tuple of Scalars, from the constants alone."""
+    n, zero = algebra.dim, algebra.field.zero()
+    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, c in algebra.constants:
+        table[i][j][k] = table[j][i][k] = c
+    return [[tuple(cell) for cell in row] for row in table]
+
+
+def reference_product(field, table, u, v):
+    """The dense boxed loop `Algebra._mul_coords` ran before the sparse cells."""
+    n = len(table)
+    acc = [field.zero()] * n
+    for i in range(n):
+        ui = u[i]
+        if not ui:
+            continue
+        row = table[i]
+        for j in range(n):
+            vj = v[j]
+            if not vj:
+                continue
+            c = ui * vj
+            cell = row[j]
+            for k in range(n):
+                if cell[k]:
+                    acc[k] = acc[k] + c * cell[k]
+    return tuple(acc)
+
+
+def reference_identity(field, table):
+    """The identity as solved from the dense table, or None."""
+    n = len(table)
+    rows, rhs = [], []
+    for i in range(n):
+        for k in range(n):
+            rows.append([table[j][i][k] for j in range(n)])
+            rhs.append(field.one() if k == i else field.zero())
+    return Matrix(field, rows).solve(rhs)
+
+
+def add_to_constants(algebra, deltas):
+    """The algebra with each (i, j, k, d) of deltas added to its constants."""
+    values = {(i, j, k): c for i, j, k, c in algebra.constants}
+    for i, j, k, d in deltas:
+        key = (min(i, j), max(i, j), k)
+        values[key] = values.get(key, algebra.field.zero()) + d
+    constants = [(*key, c) for key, c in values.items()]
+    return Algebra(algebra.field, algebra.labels, constants, algebra.meta)
+
+
+@st.composite
+def derived_algebras(draw):
+    """A split spin, cover or 3C algebra over Q, F_5 or F_10007, or a
+    subalgebra, quotient or perturbation of one."""
+    field = draw(st.sampled_from([QQ, F5, F10007]))
+    kind = draw(st.sampled_from(["split_spin", "cover", "matsuo_3c"]))
+    derive = draw(st.sampled_from(["none", "subalgebra", "quotient", "perturbed"]))
+    small = st.integers(-3, 3)
+    if kind == "matsuo_3c":
+        algebra = matsuo_3c(field, draw(small))
+    else:
+        k = draw(st.integers(1, 3))
+        rows = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                # e_k spans an ideal of split spin when it is orthogonal to E
+                zero_last = derive == "quotient" and j == k - 1
+                rows[i][j] = rows[j][i] = 0 if zero_last else draw(small)
+        space = QuadraticSpace(Matrix(field, rows))
+        algebra = split_spin(space, draw(small)) if kind == "split_spin" else exceptional_cover(space)
+    n = algebra.dim
+    if derive == "subalgebra":
+        gens = [algebra.element(draw(st.lists(small, min_size=n, max_size=n))) for _ in range(2)]
+        assume(not all(g.is_zero for g in gens))
+        algebra = algebra.subalgebra(gens).algebra
+    elif derive == "quotient":
+        ideal = {"split_spin": [algebra.basis(n - 3)], "cover": [algebra.basis(n - 1)],
+                 "matsuo_3c": []}[kind]
+        algebra = algebra.quotient(ideal).algebra
+    elif derive == "perturbed":
+        index = st.integers(0, n - 1)
+        delta = st.tuples(index, index, index, st.integers(-2, 2))
+        algebra = add_to_constants(algebra, draw(st.lists(delta, min_size=1, max_size=3)))
+    return algebra
+
+
+def fractions_over_q(field, values):
+    """Whether every raw value is a Fraction, or the field is finite."""
+    return field.p is not None or all(type(c) is Fraction for c in values)
+
+
+@given(derived_algebras(), st.data())
+def test_sparse_product_matches_dense_reference(algebra, data):
+    field, n = algebra.field, algebra.dim
+    table = dense_table(algebra)
+    coords = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    vectors = [algebra.basis(i) for i in range(n)]
+    vectors += [algebra.element(data.draw(coords)) for _ in range(2)]
+    for u in vectors:
+        for v in vectors:
+            product = u * v
+            assert product.coords == reference_product(field, table, u.coords, v.coords)
+            assert fractions_over_q(field, (c.value for c in product.coords))
+        adjoint = algebra.adjoint(u)
+        columns = [reference_product(field, table, u.coords, b.coords) for b in vectors[:n]]
+        assert adjoint == Matrix.from_columns(field, columns)
+        assert fractions_over_q(field, (c for row in adjoint.raw for c in row))
+    one = algebra.identity()
+    assert (None if one is None else one.coords) == reference_identity(field, table)
+    assert fractions_over_q(field, (c.value for _, _, _, c in algebra.constants))

@@ -29,7 +29,6 @@ from splitspin import (
     monster_law,
     split_spin,
 )
-from splitspin.algebra import Algebra
 from splitspin.axial import FusionLaw, _verify_ideal, sample_orthogonal_extension
 from splitspin.errors import (
     BaricCase,
@@ -43,6 +42,7 @@ from splitspin.errors import (
 )
 from splitspin.idempotents import FAMILY_A, FAMILY_B, FAMILY_EXC
 from splitspin.linalg import same_span
+from test_algebra import add_to_constants, dense_table
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -293,23 +293,20 @@ def frobenius_witness_reference(algebra, gram):
             acc = acc + a * b
         return acc
 
-    n = algebra.dim
+    n, table = algebra.dim, dense_table(algebra)
     for i in range(n):
         for j in range(n):
             for t in range(n):
-                lhs = form(algebra.basis(i).coords, algebra.table[j][t])
-                rhs = form(algebra.table[i][j], algebra.basis(t).coords)
+                lhs = form(algebra.basis(i).coords, table[j][t])
+                rhs = form(table[i][j], algebra.basis(t).coords)
                 if lhs != rhs:
                     return (i, j, t)
     return None
 
 
 def perturbed(algebra, i, j, delta):
-    """The algebra with delta added to the symmetric pair of cells (i, j), (j, i)."""
-    table = [list(row) for row in algebra.table]
-    cell = tuple(a + algebra.field.scalar(d) for a, d in zip(table[i][j], delta))
-    table[i][j] = table[j][i] = cell
-    return Algebra(algebra.field, algebra.labels, table, algebra.meta)
+    """The algebra with delta added to the coordinates of b_i b_j = b_j b_i."""
+    return add_to_constants(algebra, [(i, j, k, d) for k, d in enumerate(delta)])
 
 
 def random_gram(field, k, rng):
@@ -434,9 +431,8 @@ def test_frobenius_rejects_perturbed_table_under_optimize(A3):
         assert False, "assert statements run: not optimised"
         QQ = Field.rationals()
         algebra = split_spin(QuadraticSpace(Matrix.identity(QQ, 2)), 3)
-        table = [list(row) for row in algebra.table]
-        table[0][1] = table[1][0] = tuple(c + (1 if k == 2 else 0) for k, c in enumerate(table[0][1]))
-        broken = Algebra(QQ, algebra.labels, table, algebra.meta)
+        # e1 e2 = 0 gains a z1 coefficient 1
+        broken = Algebra(QQ, algebra.labels, algebra.constants + ((0, 1, 2, 1),), algebra.meta)
         try:
             frobenius(broken)
         except VerificationFailed as exc:

@@ -21,6 +21,13 @@ def test_prime_inverse():
     assert F5.scalar(3).inv() == F5.scalar(2)  # 3 * 2 = 6 = 1 mod 5
 
 
+def test_rational_inverse_of_an_int_valued_scalar_is_exact():
+    inverse = Scalar(QQ, 3).inv()
+    assert type(inverse.value) is Fraction
+    assert inverse == QQ.scalar("1/3")
+    assert (Scalar(QQ, -2) ** -2).value == Fraction(1, 4)
+
+
 def test_inverse_of_zero_rejected():
     with pytest.raises(DivisionByZero):
         QQ.zero().inv()

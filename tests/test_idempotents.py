@@ -94,9 +94,10 @@ def test_family_axis_rejects_perturbed_table_under_optimize():
         assert False, "assert statements run: not optimised"
         QQ = Field.rationals()
         algebra = split_spin(QuadraticSpace(Matrix.identity(QQ, 2)), 3)
-        table = [list(row) for row in algebra.table]
-        table[0][0] = tuple(c + (1 if k == 2 else 0) for k, c in enumerate(table[0][0]))
-        broken = Algebra(QQ, algebra.labels, table, algebra.meta)
+        # e1 e1 = -3 z1 - 8 z2 becomes -2 z1 - 8 z2
+        constants = [(i, j, k, c + 1 if (i, j, k) == (0, 0, 2) else c)
+                     for i, j, k, c in algebra.constants]
+        broken = Algebra(QQ, algebra.labels, constants, algebra.meta)
         try:
             family_axis(broken, [1, 0], FAMILY_A)
         except VerificationFailed as exc:

@@ -1,7 +1,10 @@
 import json
 from fractions import Fraction
 
-from splitspin import Field, Matrix, QuadraticSpace, exceptional_cover, split_spin
+import pytest
+
+from splitspin import Field, Matrix, QuadraticSpace, exceptional_cover, matsuo_3c, split_spin
+from splitspin.errors import DimensionMismatch
 from splitspin.serialize import (
     algebra_from_json,
     algebra_to_json,
@@ -39,7 +42,7 @@ def test_algebra_roundtrip_split():
     json.dumps(doc)  # must be pure JSON
     rebuilt = algebra_from_json(doc)
     assert rebuilt.labels == algebra.labels
-    assert rebuilt.table == algebra.table
+    assert rebuilt.constants == algebra.constants
     assert rebuilt.meta.kind == "split_spin"
     assert rebuilt.meta.alpha == algebra.meta.alpha
 
@@ -48,8 +51,37 @@ def test_algebra_roundtrip_cover():
     space = QuadraticSpace(Matrix(F7, [[1]]))
     algebra = exceptional_cover(space)
     rebuilt = algebra_from_json(algebra_to_json(algebra))
-    assert rebuilt.table == algebra.table
+    assert rebuilt.constants == algebra.constants
     assert rebuilt.meta.space == space
+
+
+def test_algebra_roundtrip_3c_and_quotient():
+    cover = exceptional_cover(QuadraticSpace(Matrix(QQ, [[1, 2], [2, -1]])))
+    quotient = cover.quotient([cover.basis_by_label("n")]).algebra
+    for algebra in (matsuo_3c(F7, 3), matsuo_3c(QQ, Fraction(2, 3)), quotient):
+        doc = algebra_to_json(algebra)
+        rebuilt = algebra_from_json(json.loads(json.dumps(doc)))
+        assert rebuilt.constants == algebra.constants
+        assert algebra_to_json(rebuilt) == doc
+
+
+def test_structure_constant_index_outside_the_basis():
+    doc = algebra_to_json(matsuo_3c(F7, 3))
+    doc["structure_constants"].append([0, 3, 0, 1])
+    with pytest.raises(DimensionMismatch):
+        algebra_from_json(doc)
+    doc = algebra_to_json(matsuo_3c(F7, 3))
+    doc["dimension"] = 4
+    with pytest.raises(DimensionMismatch):
+        algebra_from_json(doc)
+
+
+def test_conflicting_structure_constants():
+    doc = algebra_to_json(matsuo_3c(F7, 3))
+    i, j, k, value = doc["structure_constants"][3]
+    doc["structure_constants"].append([j, i, k, value + 1])
+    with pytest.raises(ValueError, match="conflicting"):
+        algebra_from_json(doc)
 
 
 def test_sparse_triplets_only_state_upper_pairs():
