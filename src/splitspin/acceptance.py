@@ -194,6 +194,8 @@ def criterion_3():
     the cover, whose single family meets each norm-one vector once) for N
     the exhaustive norm-one count, with zero `other` classifications;
     sigma-stability and complement pairing hold."""
+    i3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    mixed3 = [[1, 1, 0], [1, 2, 1], [0, 1, 3]]
     split_grid = [
         (F5, [[1]], (2, 4)),
         (F5, [[2]], (2, 4)),
@@ -203,60 +205,80 @@ def criterion_3():
         (F7, [[1]], (2, 6)),
         (F7, [[3]], (2,)),
         (F7, [[1, 0], [0, 1]], (2,)),
+        (F7, i3, (2, 5)),
+        (F7, mixed3, (3,)),
         (F11, [[1]], (3,)),
+        (F11, i3, (3,)),
+        (F11, mixed3, (7,)),
         (F13, [[1]], (2,)),
     ]
     for field, gram, alphas in split_grid:
         space = QuadraticSpace(Matrix(field, gram))
         search = space.find_norm_one()
-        assert search.status == "exhaustive"
+        check(search.status == "exhaustive", "norm-one search is not exhaustive", (field, gram))
         n_count = len(search.vectors)
+        half = field.half()
+        quarter = half * half
         for alpha in alphas:
             algebra = split_spin(space, alpha)
+            one = algebra.identity()
             found = enumerate_idempotents_bruteforce(algebra)
-            assert len(found) == 3 + 2 * n_count, (
-                f"count {len(found)} != 3 + 2*{n_count} over {field!r}, alpha={alpha}"
-            )
-            assert {x.coords for x in found} == _expected_idempotents(algebra, search.vectors)
-            half = field.half()
-            quarter = half * half
+            found_coords = {x.coords for x in found}
+            check(len(found) == 3 + 2 * n_count,
+                  f"count {len(found)} != 3 + 2*{n_count} over {field!r}, alpha={alpha}",
+                  witness=tuple(x.coords for x in found))
+            expected_coords = _expected_idempotents(algebra, search.vectors)
+            check(found_coords == expected_coords, "scan and templates disagree",
+                  witness=found_coords ^ expected_coords)
             for x in found:
                 verdict = classify_idempotent(algebra, x)
-                assert verdict.tag != "other"
+                check(verdict.tag != "other", "an idempotent matches no template", witness=x)
                 minus = algebra.element(
                     [-c for c in algebra.e_part(x)] + list(x.coords[space.dim:])
                 )
-                assert minus.coords in {y.coords for y in found}
-                assert classify_idempotent(algebra, minus).tag == verdict.tag
+                check(minus.coords in found_coords, "sigma image of an idempotent was not found", witness=x)
+                check(classify_idempotent(algebra, minus).tag == verdict.tag,
+                      "sigma changes the class of an idempotent", witness=x)
                 if verdict.tag in (TAG_FAMILY_A, TAG_FAMILY_B):
                     u = algebra.e_part(x)
-                    assert space.bform(u, u) == quarter
-                    complement = algebra.identity() - x
+                    check(space.bform(u, u) == quarter, "family member with b(u, u) != 1/4", witness=x)
+                    complement = one - x
                     expected = TAG_FAMILY_B if verdict.tag == TAG_FAMILY_A else TAG_FAMILY_A
-                    assert classify_idempotent(algebra, complement).tag == expected
+                    check(classify_idempotent(algebra, complement).tag == expected,
+                          "1 - x is not in the other family", witness=x)
     cover_grid = [
         (F5, [[1]]),
         (F5, [[2]]),
         (F5, [[1, 0], [0, 1]]),
         (F7, [[1]]),
+        (F7, i3),
+        (F7, mixed3),
+        (F11, i3),
+        (F11, mixed3),
         (F13, [[1]]),
     ]
     for field, gram in cover_grid:
         space = QuadraticSpace(Matrix(field, gram))
         search = space.find_norm_one()
+        check(search.status == "exhaustive", "norm-one search is not exhaustive", (field, gram))
         n_count = len(search.vectors)
         algebra = exceptional_cover(space)
         found = enumerate_idempotents_bruteforce(algebra)
-        assert len(found) == 1 + n_count
-        assert {x.coords for x in found} == _expected_idempotents(algebra, search.vectors)
+        found_coords = {x.coords for x in found}
+        check(len(found) == 1 + n_count, f"count {len(found)} != 1 + {n_count} over {field!r} on the cover",
+              witness=tuple(x.coords for x in found))
+        expected_coords = _expected_idempotents(algebra, search.vectors)
+        check(found_coords == expected_coords, "scan and templates disagree on the cover",
+              witness=found_coords ^ expected_coords)
         half = field.half()
         for x in found:
             verdict = classify_idempotent(algebra, x)
-            assert verdict.tag != "other"
+            check(verdict.tag != "other", "an idempotent of the cover matches no template", witness=x)
             if verdict.tag == TAG_FAMILY_EXC:
                 u = algebra.e_part(x)
-                assert space.bform(u, u) == half * half
-                assert x.coords[space.dim] == -half and x.coords[space.dim + 1] == half
+                check(space.bform(u, u) == half * half
+                      and x.coords[space.dim] == -half and x.coords[space.dim + 1] == half,
+                      "cover family member off its template", witness=x)
 
 
 def _fusion_pair_check(algebra, e):

@@ -9,6 +9,7 @@ library error (the report carries the failing witness), 2 on config errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,8 +53,7 @@ COMMANDS = (
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "selftest":
         return _cmd_selftest(args)
     try:
@@ -78,6 +78,7 @@ def main(argv=None) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # built on the first call, not at import, and reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splitspin",

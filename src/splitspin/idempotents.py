@@ -23,7 +23,7 @@ from .errors import (
     WrongAlgebraKind,
     check,
 )
-from .linalg import Vector, vec_is_zero
+from .linalg import Vector, boxed, vec_is_zero
 
 FAMILY_A = "a"
 FAMILY_B = "b"
@@ -139,28 +139,95 @@ def classify_idempotent(algebra: Algebra, x: Element) -> IdempotentClass:
 def enumerate_idempotents_bruteforce(algebra: Algebra, budget: int = 1_000_000) -> tuple[Element, ...]:
     """Every nonzero x with x * x = x, found by scanning all p**dim
     coordinate vectors over a finite field.  Deterministic lexicographic
-    order."""
-    p = algebra.field.p
+    order.
+
+    The scan goes one line at a time.  With m = n - 2 and last = n - 1, write
+    x = h + s b_m + t b_last for a head h on the first n - 2 coordinates.
+    Coordinate k of x^2 - x is a_k + b_k t + c_k t^2 with
+        a = (h^2 - h) + s (2 h b_m - b_m) + s^2 b_m^2,
+        b = (2 h b_last - b_last) + 2 s b_m b_last,   c = b_last^2,
+    so each head costs one pass over the stored cells, and each line
+    (h, s) tests every t in F_p against one coordinate after another,
+    stopping at the first coordinate that leaves no candidate.  Only the
+    stored structure cells are read."""
+    field, p = algebra.field, algebra.field.p
     if p is None:
         raise NotFiniteField("exhaustive idempotent scan needs a finite field")
     n = algebra.dim
     if p**n > budget:
         raise BudgetExceeded(f"{p}**{n} coordinate vectors exceed budget {budget}")
-    # x^2 = sum_i x_i^2 b_i b_i + sum_{i<j} 2 x_i x_j b_i b_j over the stored cells
-    cells = [
-        (i, j, algebra.cell(i, j) if i == j else tuple((k, 2 * c) for k, c in algebra.cell(i, j)))
-        for i in range(n)
-        for j in range(i, n)
+    every_t = range(p)
+    if n == 1:
+        # the algebra is the single line t b_0, and (t b_0)^2 = t^2 c b_0
+        (c,) = _dense(algebra, 0, 0)
+        return tuple(Element(algebra, boxed(field, (t,))) for t in every_t if t and (t * t * c - t) % p == 0)
+    last = n - 1
+    m = n - 2
+    # h^2 = sum_i h_i^2 b_i b_i + sum_{i<j} 2 h_i h_j b_i b_j over the stored cells of the head
+    head_cells = [
+        (i, j, algebra.cell(i, j) if i == j else _doubled(algebra, i, j))
+        for i in range(m)
+        for j in range(i, m)
         if algebra.cell(i, j)
     ]
+    cross_cells = [(i, _doubled(algebra, i, m)) for i in range(m) if algebra.cell(i, m)]
+    line_cells = [(i, _doubled(algebra, i, last)) for i in range(m) if algebra.cell(i, last)]
+    m_square = _dense(algebra, m, m)
+    m_line = [2 * c for c in _dense(algebra, m, last)]
+    quadratic = _dense(algebra, last, last)
+    # coordinates whose polynomial is constant in t come first: a nonzero
+    # constant rules out the whole line without testing any t
+    moving = {last} | {k for k in range(n) if quadratic[k] or m_line[k]}
+    moving |= {k for _, cell in line_cells for k, _ in cell}
+    order = sorted(range(n), key=lambda k: k in moving)
     hits = []
-    for coords in itertools.product(range(p), repeat=n):
-        acc = [0] * n
-        for i, j, cell in cells:
-            w = coords[i] * coords[j]
+    for head in itertools.product(every_t, repeat=m):
+        square = [-y for y in head] + [0, 0]
+        for i, j, cell in head_cells:
+            w = head[i] * head[j]
             if w:
                 for k, c in cell:
-                    acc[k] += w * c
-        if all((a - c) % p == 0 for a, c in zip(acc, coords)) and any(coords):
-            hits.append(algebra.element(coords))
+                    square[k] += w * c
+        cross = _line_part(head, cross_cells, m, n)
+        line = _line_part(head, line_cells, last, n)
+        for s in every_t:
+            candidates = every_t
+            for k in order:
+                a = (square[k] + s * (cross[k] + s * m_square[k])) % p
+                b = (line[k] + s * m_line[k]) % p
+                c = quadratic[k]
+                if b or c:
+                    candidates = [t for t in candidates if (a + t * (b + t * c)) % p == 0]
+                    if not candidates:
+                        break
+                elif a:
+                    break
+            else:
+                for t in candidates:
+                    if t or s or any(head):
+                        hits.append(Element(algebra, boxed(field, head + (s, t))))
     return tuple(hits)
+
+
+def _line_part(head: tuple, cells: list, j: int, n: int) -> list:
+    """2 h b_j - b_j for the head h, from the (i, 2 b_i b_j) cells."""
+    v = [0] * n
+    v[j] = -1
+    for i, cell in cells:
+        if head[i]:
+            for k, c in cell:
+                v[k] += head[i] * c
+    return v
+
+
+def _dense(algebra: Algebra, i: int, j: int) -> list:
+    """b_i b_j as a dense list of raw coordinates."""
+    v = [0] * algebra.dim
+    for k, c in algebra.cell(i, j):
+        v[k] = c
+    return v
+
+
+def _doubled(algebra: Algebra, i: int, j: int) -> tuple:
+    """The stored (k, 2c) pairs of 2 b_i b_j."""
+    return tuple((k, 2 * c) for k, c in algebra.cell(i, j))

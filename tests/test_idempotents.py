@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -5,6 +6,8 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import splitspin
 
@@ -17,8 +20,10 @@ from splitspin import (
     exceptional_cover,
     family_axis,
     is_idempotent,
+    matsuo_3c,
     split_spin,
 )
+from splitspin.algebra import DERIVED, Algebra, AlgebraMeta
 from splitspin.errors import (
     BudgetExceeded,
     CharTwo,
@@ -87,7 +92,7 @@ def test_family_axis_rejects_perturbed_table_under_optimize():
         """
         import sys
         from splitspin import Field, Matrix, QuadraticSpace, family_axis, split_spin
-        from splitspin.algebra import Algebra
+        from splitspin.algebra import DERIVED, Algebra, AlgebraMeta
         from splitspin.errors import VerificationFailed
         from splitspin.idempotents import FAMILY_A
 
@@ -186,3 +191,133 @@ def test_sigma_stability_and_quarter_norm():
         assert minus in found  # sigma sends idempotents to idempotents
         if any(u):
             assert space.bform(u, u) == quarter
+
+
+# -- the line scan against the plain scan ----------------------------------------
+
+
+def reference_bruteforce(algebra):
+    """The plain exhaustive scan: square every one of the p**n coordinate
+    vectors from the stored cells and keep those equal to their square."""
+    p = algebra.field.p
+    n = algebra.dim
+    # x^2 = sum_i x_i^2 b_i b_i + sum_{i<j} 2 x_i x_j b_i b_j over the stored cells
+    cells = [
+        (i, j, algebra.cell(i, j) if i == j else tuple((k, 2 * c) for k, c in algebra.cell(i, j)))
+        for i in range(n)
+        for j in range(i, n)
+        if algebra.cell(i, j)
+    ]
+    hits = []
+    for coords in itertools.product(range(p), repeat=n):
+        acc = [0] * n
+        for i, j, cell in cells:
+            w = coords[i] * coords[j]
+            if w:
+                for k, c in cell:
+                    acc[k] += w * c
+        if all((a - c) % p == 0 for a, c in zip(acc, coords)) and any(coords):
+            hits.append(algebra.element(coords))
+    return tuple(hits)
+
+
+SCAN_PRIMES = (2, 3, 5, 7, 11, 13)
+MAX_VECTORS = 10**5
+
+
+@st.composite
+def scan_algebras(draw):
+    """A split spin (alpha over all of F_p, 0, 1 and 1/2 included), cover or
+    3C algebra over a small prime field, or a subalgebra, quotient or
+    perturbation of one, with at most MAX_VECTORS coordinate vectors."""
+    p = draw(st.sampled_from(SCAN_PRIMES))
+    field = Field.prime(p)
+    kind = draw(st.sampled_from(["split_spin", "cover"] + (["matsuo_3c"] if p != 2 else [])))
+    derive = draw(st.sampled_from(["none", "subalgebra", "quotient", "perturbed"]))
+    residue = st.integers(0, p - 1)
+    if kind == "matsuo_3c":
+        algebra = matsuo_3c(field, draw(residue))
+    else:
+        k = draw(st.integers(1, max(k for k in range(1, 5) if p ** (k + 2) <= MAX_VECTORS)))
+        rows = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                # e_k spans an ideal of split spin when it is orthogonal to E
+                zero_last = derive == "quotient" and j == k - 1
+                rows[i][j] = rows[j][i] = 0 if zero_last else draw(residue)
+        space = QuadraticSpace(Matrix(field, rows))
+        if kind == "split_spin":
+            special = [field.zero(), field.one()] + ([field.half()] if p != 2 else [])
+            algebra = split_spin(space, draw(st.one_of(st.sampled_from(special), residue)))
+        else:
+            algebra = exceptional_cover(space)
+    n = algebra.dim
+    if derive == "subalgebra":
+        gens = [algebra.element(draw(st.lists(residue, min_size=n, max_size=n))) for _ in range(2)]
+        assume(not all(g.is_zero for g in gens))
+        algebra = algebra.subalgebra(gens).algebra
+    elif derive == "quotient":
+        ideal = {"split_spin": [algebra.basis(n - 3)], "cover": [algebra.basis(n - 1)],
+                 "matsuo_3c": []}[kind]
+        algebra = algebra.quotient(ideal).algebra
+    elif derive == "perturbed":
+        index = st.integers(0, n - 1)
+        deltas = draw(st.lists(st.tuples(index, index, index, st.integers(1, p - 1)),
+                               min_size=1, max_size=3))
+        values = {(i, j, k): c for i, j, k, c in algebra.constants}
+        for i, j, k, d in deltas:
+            key = (min(i, j), max(i, j), k)
+            values[key] = values.get(key, field.zero()) + d
+        algebra = Algebra(field, algebra.labels, [(*key, c) for key, c in values.items()], algebra.meta)
+    return algebra
+
+
+@settings(max_examples=200)
+@given(scan_algebras())
+def test_line_scan_matches_plain_scan(algebra):
+    expected = tuple(x.coords for x in reference_bruteforce(algebra))
+    assert tuple(x.coords for x in enumerate_idempotents_bruteforce(algebra)) == expected
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_line_scan_matches_plain_scan_at_every_alpha(p):
+    field = Field.prime(p)
+    for gram in ([[1]], [[1, 1], [1, 2]], [[0, 0], [0, 1]]):
+        space = QuadraticSpace(Matrix(field, gram))
+        for algebra in [split_spin(space, alpha) for alpha in range(p)] + [exceptional_cover(space)]:
+            expected = tuple(x.coords for x in reference_bruteforce(algebra))
+            assert tuple(x.coords for x in enumerate_idempotents_bruteforce(algebra)) == expected
+
+
+def test_line_scan_on_one_dimensional_algebras():
+    for p in SCAN_PRIMES:
+        field = Field.prime(p)
+        for c in range(p):
+            algebra = Algebra(field, ("b",), [(0, 0, 0, c)], AlgebraMeta(DERIVED))
+            expected = tuple(x.coords for x in reference_bruteforce(algebra))
+            assert tuple(x.coords for x in enumerate_idempotents_bruteforce(algebra)) == expected
+
+
+def test_criterion_3_fails_under_optimize_when_the_scan_drops_a_hit():
+    # python -O strips assert statements; criterion 3 must still report FAIL
+    script = textwrap.dedent(
+        """
+        import sys
+        from splitspin import acceptance
+        from splitspin.cli import main
+
+        assert False, "assert statements run: not optimised"
+        scan = acceptance.enumerate_idempotents_bruteforce
+        acceptance.enumerate_idempotents_bruteforce = lambda algebra, budget=10**6: scan(algebra, budget)[:-1]
+        sys.exit(main(["selftest", "--only", "3"]))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(splitspin.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith("FAIL criterion 3: ")
+    assert "Traceback" not in proc.stderr
