@@ -286,15 +286,12 @@ def _fusion_pair_check(algebra, e):
     alpha = algebra.meta.alpha
     half = field.half()
     k = algebra.e_dim
-    x = family_axis(algebra, e, FAMILY_A)
-    report = check_axis(algebra, x, monster_law(field, alpha, half))
-    assert report.primitive and not report.violations and report.miyamoto is not None
-    dims = list(report.dims.values())
-    assert dims == [1, 1, 1, k - 1]
-    y = family_axis(algebra, e, FAMILY_B)
-    report_b = check_axis(algebra, y, monster_law(field, field.one() - alpha, half))
-    assert report_b.primitive and not report_b.violations and report_b.miyamoto is not None
-    assert list(report_b.dims.values()) == [1, 1, 1, k - 1]
+    for family, eta in ((FAMILY_A, alpha), (FAMILY_B, field.one() - alpha)):
+        report = check_axis(algebra, family_axis(algebra, e, family), monster_law(field, eta, half))
+        check(report.ok, f"a family {family} axis breaks the Monster law ({eta}, 1/2)", witness=report)
+        check(list(report.dims.values()) == [1, 1, 1, k - 1],
+              f"a family {family} axis has eigenspace dimensions other than (1, 1, 1, dim E - 1)",
+              witness=report.dims)
 
 
 def criterion_4():
@@ -310,14 +307,12 @@ def criterion_4():
             space, witnesses = _orthonormal_rich_space(QQ, dim, rng)
             alpha = rng.choice(rational_alphas)
             algebra = split_spin(space, alpha)
-            z_report = check_axis(algebra, algebra.basis_by_label("z1"), jordan_law(QQ, alpha))
-            assert z_report.primitive and not z_report.violations
-            assert list(z_report.dims.values()) == [1, 1, dim]
-            z2_report = check_axis(
-                algebra, algebra.basis_by_label("z2"), jordan_law(QQ, QQ.one() - alpha)
-            )
-            assert z2_report.primitive and not z2_report.violations
-            assert list(z2_report.dims.values()) == [1, 1, dim]
+            for label, eta in (("z1", alpha), ("z2", QQ.one() - alpha)):
+                report = check_axis(algebra, algebra.basis_by_label(label), jordan_law(QQ, eta))
+                check(report.primitive and not report.violations,
+                      f"{label} is not a Jordan axis of type {eta}", witness=report)
+                check(list(report.dims.values()) == [1, 1, dim],
+                      f"{label} has eigenspace dimensions other than (1, 1, dim E)", witness=report.dims)
             for e in witnesses:
                 _fusion_pair_check(algebra, e)
                 pairs += 1
@@ -332,13 +327,13 @@ def criterion_4():
                 continue
             found += 1
             alpha_s = field.scalar(alpha)
-            assert alpha_s not in _alpha_exclusions(field)
+            check(alpha_s not in _alpha_exclusions(field), "alpha is a Jordan-special value", witness=alpha_s)
             algebra = split_spin(space, alpha_s)
             for e in search.vectors[:3]:
                 _fusion_pair_check(algebra, e)
                 pairs += 1
-        assert found == 2
-    assert pairs >= 50, f"only {pairs} (config, e) pairs exercised"
+        check(found == 2, f"only {found} forms over {field!r} have norm-one vectors", witness=found)
+    check(pairs >= 50, f"only {pairs} (config, e) pairs exercised", witness=pairs)
 
 
 def criterion_5():
@@ -350,16 +345,17 @@ def criterion_5():
     algebra = split_spin(space, 3)
     e = space.vector([1, 0, 0])
     quad = axes_with_involution(algebra, e)
-    assert len({x.coords for x in quad}) == 4
+    check(len({x.coords for x in quad}) == 4, "the four axes sharing -r_e are not distinct", witness=quad)
     expected = extend_orthogonal(algebra, space.neg_reflection(e))
     tau = miyamoto(algebra, quad[0], monster_law(QQ, 3, Fraction(1, 2)))
-    assert tau == expected
-    assert tau @ tau == Matrix.identity(QQ, algebra.dim)
-    assert is_automorphism(algebra, tau)
+    check(tau == expected, "tau_x is not the negated reflection", witness=(tau, expected))
+    check(tau @ tau == Matrix.identity(QQ, algebra.dim), "tau_x is not an involution", witness=tau)
+    check(is_automorphism(algebra, tau), "tau_x is not an automorphism", witness=tau)
     sigma = extend_orthogonal(algebra, -Matrix.identity(QQ, 3))
     tau_z1 = miyamoto(algebra, algebra.basis_by_label("z1"), jordan_law(QQ, 3))
     tau_z2 = miyamoto(algebra, algebra.basis_by_label("z2"), jordan_law(QQ, -2))
-    assert tau_z1 == sigma and tau_z2 == sigma
+    check(tau_z1 == sigma and tau_z2 == sigma, "tau_z1 or tau_z2 differs from sigma",
+          witness=(tau_z1, tau_z2, sigma))
 
     # exhaustive confirmation over F_5: no fifth axis shares -r_e
     field = F5
@@ -383,7 +379,9 @@ def criterion_5():
             continue  # the identity is not primitive
         if miyamoto(algebra5, x, law) == expected5:
             matching.add(x.coords)
-    assert matching == {x.coords for x in quad5}
+    axes5 = {x.coords for x in quad5}
+    check(matching == axes5, "the axes sharing -r_e over F_5 are not the four of the theorem",
+          witness=matching ^ axes5)
 
 
 def criterion_6():

@@ -16,6 +16,7 @@ operations that genuinely need the exclusions enforce them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -215,6 +216,17 @@ class Algebra:
         """The stored nonzero (k, c) pairs of b_i b_j, c raw."""
         return self._rows[i].get(j, ())
 
+    def cleared_rows(self) -> list[dict[int, Sequence[tuple[int, int]]]]:
+        """The stored cells as ints, row i mapping j to the (k, c) pairs of
+        b_i b_j: over Q every c times the least common multiple of all
+        their denominators, built per call; over F_p the stored residues.
+        Read-only."""
+        if self.field.p:
+            return self._rows
+        d = math.lcm(*(c.denominator for row in self._rows for cell in row.values() for _, c in cell))
+        return [{j: [(k, c.numerator * (d // c.denominator)) for k, c in cell] for j, cell in row.items()}
+                for row in self._rows]
+
     # -- multiplication ------------------------------------------------------
 
     def _mul_coords(self, u: Sequence, v: Sequence) -> Vector:
@@ -242,10 +254,35 @@ class Algebra:
 
     def adjoint(self, a: Element) -> Matrix:
         """Matrix of v -> a v in the algebra basis."""
-        cols = [self._mul_coords(a.coords, basis_vector(self.field, self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols)
+        return Matrix(self.field, self._adjoint_raw(raw_values(self.field, a.coords)))
+
+    def _adjoint_raw(self, u: Sequence) -> list[list]:
+        """The raw rows of ad_u for the raw coordinates u, from the stored
+        cells: entry (k, j) is the b_k-coefficient of u b_j."""
+        n, p = self.dim, self.field.p
+        ad = [[zero_one(self.field)[0]] * n for _ in range(n)]
+        for i, ui in enumerate(u):
+            if ui:
+                for j, cell in self._rows[i].items():
+                    for k, c in cell:
+                        ad[k][j] += ui * c
+        return [[a % p for a in row] for row in ad] if p else ad
 
     # -- eigenstructure ------------------------------------------------------
+
+    def eigenspaces_raw(self, u: Sequence, values: Sequence) -> list[list[list]]:
+        """Raw bases of the kernels of ad_u - lambda, one per raw lambda in
+        values, for the raw coordinates u."""
+        if len(set(values)) != len(values):
+            raise DuplicateCandidates("candidate eigenvalues must be pairwise distinct")
+        p = self.field.p
+        ad = self._adjoint_raw(u)
+        bases = []
+        for lam in values:
+            shifted = [row[:i] + [(row[i] - lam) % p if p else row[i] - lam] + row[i + 1:]
+                       for i, row in enumerate(ad)]
+            bases.append(Matrix(self.field, shifted).kernel_raw())
+        return bases
 
     def eigendecompose(
         self, a: Element, candidates: Sequence
@@ -256,18 +293,10 @@ class Algebra:
         flag that is true iff the dimensions sum to dim(A).
         """
         values = [self.field.scalar(c) for c in candidates]
-        if len(set(values)) != len(values):
-            raise DuplicateCandidates("candidate eigenvalues must be pairwise distinct")
-        ad = self.adjoint(a).raw
-        spaces: dict[Scalar, tuple[Element, ...]] = {}
-        total = 0
-        for lam in values:
-            shifted = [[x - lam.value if i == j else x for j, x in enumerate(row)]
-                       for i, row in enumerate(ad)]
-            basis = Matrix(self.field, shifted).kernel()
-            spaces[lam] = tuple(Element(self, v) for v in basis)
-            total += len(basis)
-        return spaces, total == self.dim
+        bases = self.eigenspaces_raw(raw_values(self.field, a.coords), [lam.value for lam in values])
+        spaces = {lam: tuple(Element(self, boxed(self.field, v)) for v in basis)
+                  for lam, basis in zip(values, bases)}
+        return spaces, sum(map(len, bases)) == self.dim
 
     def identity(self) -> Element | None:
         """The multiplicative identity, or None if no element satisfies

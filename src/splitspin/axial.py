@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .idempotents import FAMILY_A, family_axis, is_idempotent
-from .linalg import Echelon, Matrix, Vector
+from .linalg import Echelon, Matrix, Vector, cleared, raw_values
 from .quadratic import NormOneSearch
 
 JORDAN = "jordan"
@@ -141,7 +141,6 @@ class AxisReport:
     primitive: bool
     violations: tuple
     miyamoto: Matrix | None
-    eigenbasis: dict
 
     @property
     def ok(self) -> bool:
@@ -152,65 +151,102 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     """Full axis verification of the idempotent x against the law.
 
     Each eigenbasis product u v (each unordered pair once: the algebra is
-    commutative) is written in eigenbasis coordinates once.  Components
-    outside the law give the violations (lambda, mu, nu) in order of first
+    commutative) is written in eigenbasis coordinates once, from the
+    nonzero columns of B^-1 at its nonzero coordinates.  Components outside
+    the law give the violations (lambda, mu, nu) in order of first
     occurrence; the Miyamoto involution tau = B D B^-1 (plus part fixed,
     minus part negated) is multiplicative exactly when no component has a
     grade other than grade(lambda) grade(mu), and is built only then.
+
+    The loop runs on ints, eigenvalues as indices into the law.  Over Q the
+    eigenvectors, the structure cells and the rows of B^-1 are scaled by
+    nonzero integers to clear their denominators, which changes no support.
 
     Raises IncompleteDecomposition when the adjoint eigenspaces for the
     law's eigenvalues do not fill the algebra.
     """
     if x.is_zero or not is_idempotent(x):
         raise NotIdempotent("axis candidates must be nonzero idempotents")
-    spaces, complete = algebra.eigendecompose(x, law.eigenvalues)
-    dims = {lam: len(basis) for lam, basis in spaces.items()}
-    if not complete:
+    field, n, p = algebra.field, algebra.dim, algebra.field.p
+    eigenvalues = law.eigenvalues
+    bases = algebra.eigenspaces_raw(raw_values(field, x.coords), raw_values(field, eigenvalues))
+    dims = {lam: len(basis) for lam, basis in zip(eigenvalues, bases)}
+    if sum(dims.values()) != n:
         raise IncompleteDecomposition(
             f"eigenspace dimensions {tuple(dims.values())} sum to "
-            f"{sum(dims.values())} < {algebra.dim}: an eigenvalue lies outside the law",
+            f"{sum(dims.values())} < {n}: an eigenvalue lies outside the law",
             dims=dims,
         )
-    primitive = dims[law.eigenvalues[0]] == 1
+    primitive = dims[eigenvalues[0]] == 1
 
     # change of basis to the concatenated eigenbasis
-    columns = [v.coords for lam in law.eigenvalues for v in spaces[lam]]
-    basis_change = Matrix.from_columns(algebra.field, columns)
+    columns = [v for basis in bases for v in basis]
+    basis_change = Matrix.from_columns(field, columns)
     inverse = basis_change.inverse()
     check(inverse is not None, "a complete eigenbasis must be a basis", witness=basis_change)
-    owner = [lam for lam in law.eigenvalues for _ in spaces[lam]]
-    plus = {lam: lam in law.plus for lam in law.eigenvalues}
+    owner = [a for a, basis in enumerate(bases) for _ in basis]
+    plus = [lam in law.plus for lam in eigenvalues]
 
-    violations = []
+    cells = algebra.cleared_rows()
+    vectors = [[(i, c) for i, c in enumerate(cleared(v)) if c] for v in columns]
+    inverse_columns = [[] for _ in range(n)]
+    for t, row in enumerate(inverse.raw):
+        for k, c in enumerate(cleared(row)):
+            if c:
+                inverse_columns[k].append((t, c))
+
+    def support(u, v) -> set[int]:
+        """The eigenvalue indices of the nonzero eigenbasis coordinates of u v."""
+        product: dict[int, int] = {}
+        for i, ui in u:
+            row = cells[i]
+            for j, vj in v:
+                cell = row.get(j)
+                if cell:
+                    w = ui * vj
+                    for k, c in cell:
+                        product[k] = product.get(k, 0) + w * c
+        coords: dict[int, int] = {}
+        for k, w in product.items():
+            if p:
+                w %= p
+            if w:
+                for t, b in inverse_columns[k]:
+                    coords[t] = coords.get(t, 0) + w * b
+        return {owner[t] for t, c in coords.items() if (c % p if p else c)}
+
+    blocks = [[t for t, a in enumerate(owner) if a == b] for b in range(len(bases))]
+    index = {lam: a for a, lam in enumerate(eigenvalues)}
+    found: list[tuple[int, int, int]] = []
     graded = True
-    for i, lam in enumerate(law.eigenvalues):
-        for mu in law.eigenvalues[i:]:
-            allowed = law.allowed(lam, mu)
-            grade = plus[lam] == plus[mu]
-            for a, u in enumerate(spaces[lam]):
-                for v in spaces[mu][a if mu == lam else 0:]:
-                    coords = inverse.apply((u * v).coords)
-                    support = {owner[t] for t, c in enumerate(coords) if c}
-                    for nu in law.eigenvalues:
-                        if nu in support and nu not in allowed and (lam, mu, nu) not in violations:
-                            violations.append((lam, mu, nu))
-                    graded = graded and all(plus[nu] == grade for nu in support)
+    for a, lam in enumerate(eigenvalues):
+        for b in range(a, len(eigenvalues)):
+            allowed = {index[nu] for nu in law.allowed(lam, eigenvalues[b])}
+            grade = plus[a] == plus[b]
+            for s in blocks[a]:
+                for t in blocks[b]:
+                    if a == b and t < s:
+                        continue
+                    nus = support(vectors[s], vectors[t])
+                    for nu in sorted(nus - allowed):
+                        if (a, b, nu) not in found:
+                            found.append((a, b, nu))
+                    graded = graded and all(plus[nu] == grade for nu in nus)
+    violations = tuple((eigenvalues[a], eigenvalues[b], eigenvalues[nu]) for a, b, nu in found)
 
     miyamoto_matrix = None
     if graded:
-        one = algebra.field.one()
-        signs = Matrix.diagonal(algebra.field, [one if plus[lam] else -one for lam in owner])
-        miyamoto_matrix = basis_change @ signs @ inverse
-        check(miyamoto_matrix @ miyamoto_matrix == Matrix.identity(algebra.field, algebra.dim),
+        signed = [v if plus[a] else [-c % p if p else -c for c in v] for a, v in zip(owner, columns)]
+        miyamoto_matrix = Matrix.from_columns(field, signed) @ inverse
+        check(miyamoto_matrix @ miyamoto_matrix == Matrix.identity(field, n),
               "the grading involution must square to the identity", witness=miyamoto_matrix)
     return AxisReport(
         axis=x,
         law=law,
         dims=dims,
         primitive=primitive,
-        violations=tuple(violations),
+        violations=violations,
         miyamoto=miyamoto_matrix,
-        eigenbasis=spaces,
     )
 
 

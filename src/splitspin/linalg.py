@@ -4,17 +4,19 @@ Below the API every number is raw: an int residue in [0, p) over F_p, a
 Fraction over Q (never an int, so that every quotient stays exact).
 `raw_values` is the one place that coerces, at the API edge; Scalars come
 back only from the methods that hand results to callers.  Matrices are
-immutable raw rows plus each row's nonzero (column, value) pairs, and
-`entries` is a cached Scalar view of the rows.  Elimination runs on the
-incremental `Echelon` basis with first-nonzero pivots, so kernels,
-solutions and inverses are deterministic: kernel bases come out in echelon
-order with a unit entry at each free column.  Vectors are tuples of
-Scalars at the API edge.
+immutable raw rows; each row's nonzero (column, value) pairs and the
+Scalar view `entries` are built on first use.  Elimination runs on the
+incremental `Echelon` basis with first-nonzero pivots and builds no
+combination columns, so kernels, solutions and inverses are deterministic:
+kernel bases come out in echelon order with a unit entry at each free
+column, and an inverse is the right half of the reduced [M | I].  Vectors
+are tuples of Scalars at the API edge.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -55,6 +57,13 @@ _RATIONAL_ZERO_ONE = (Fraction(0), Fraction(1))
 def zero_one(field: Field) -> tuple:
     """The raw 0 and 1; Fractions over Q, so that sums and quotients stay exact."""
     return (0, 1) if field.p else _RATIONAL_ZERO_ONE
+
+
+def cleared(values: Sequence) -> list[int]:
+    """Raw values times the least common multiple of their denominators:
+    ints with the zeros and the ratios of the values (unchanged over F_p)."""
+    d = math.lcm(*(a.denominator for a in values))
+    return [a.numerator * (d // a.denominator) for a in values]
 
 
 def boxed(field: Field, values: Iterable) -> Vector:
@@ -99,7 +108,7 @@ class Matrix:
     def _store(self, field: Field, rows: Iterable[Sequence]) -> None:
         self.field = field
         self.raw = tuple(map(tuple, rows))
-        self._nonzeros = tuple([(j, a) for j, a in enumerate(row) if a] for row in self.raw)
+        self._nonzeros = None
         self._entries = None
 
     # -- constructors --------------------------------------------------------
@@ -132,6 +141,13 @@ class Matrix:
         if self._entries is None:
             self._entries = tuple(boxed(self.field, row) for row in self.raw)
         return self._entries
+
+    @property
+    def _sparse(self) -> tuple[list, ...]:
+        """Each row's nonzero (column, raw value) pairs, built once."""
+        if self._nonzeros is None:
+            self._nonzeros = tuple([(j, a) for j, a in enumerate(row) if a] for row in self.raw)
+        return self._nonzeros
 
     @property
     def rows(self) -> int:
@@ -180,10 +196,11 @@ class Matrix:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         zero, p, width = zero_one(self.field)[0], self.field.p, other.cols
         out = []
-        for nonzeros in self._nonzeros:
+        right = other._sparse
+        for nonzeros in self._sparse:
             acc = [zero] * width
             for k, a in nonzeros:
-                for j, b in other._nonzeros[k]:
+                for j, b in right[k]:
                     acc[j] += a * b
             out.append(_reduced(p, acc))
         return Matrix._from_raw(self.field, out)
@@ -198,7 +215,7 @@ class Matrix:
         """`apply` on a reduced raw vector, giving a raw tuple; no coercion."""
         zero, p = zero_one(self.field)[0], self.field.p
         out = []
-        for nonzeros in self._nonzeros:
+        for nonzeros in self._sparse:
             acc = zero
             for j, a in nonzeros:
                 x = v[j]
@@ -252,27 +269,32 @@ class Matrix:
 
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns."""
-        span = Echelon(self.field, self.raw)
+        span = Echelon._from_raw(self.field, self.raw)
         zero = [zero_one(self.field)[0]] * self.cols
-        rows = [row for _, row, _ in span._rows] + [zero] * (self.rows - span.rank)
-        return Matrix._from_raw(self.field, rows), tuple(pivot for pivot, _, _ in span._rows)
+        rows = [row for _, row in span._rows] + [zero] * (self.rows - span.rank)
+        return Matrix._from_raw(self.field, rows), tuple(pivot for pivot, _ in span._rows)
 
     def rank(self) -> int:
-        return Echelon(self.field, self.raw).rank
+        return Echelon._from_raw(self.field, self.raw).rank
 
     def kernel(self) -> tuple[Vector, ...]:
         """Deterministic basis of the null space, one vector per free column."""
+        return tuple(boxed(self.field, v) for v in self.kernel_raw())
+
+    def kernel_raw(self) -> list[list]:
+        """`kernel` as raw vectors."""
         reduced, pivots = self.rref()
         pivot_set = set(pivots)
         zero, one = zero_one(self.field)
+        p = self.field.p
         basis = []
         for f in (c for c in range(self.cols) if c not in pivot_set):
             v = [zero] * self.cols
             v[f] = one
             for r, c in enumerate(pivots):
                 v[c] = -reduced.raw[r][f]
-            basis.append(boxed(self.field, _reduced(self.field.p, v)))
-        return tuple(basis)
+            basis.append(_reduced(p, v))
+        return basis
 
     def solve(self, rhs: Sequence) -> Vector | None:
         """One exact solution of self @ x = rhs, or None if inconsistent;
@@ -288,16 +310,18 @@ class Matrix:
         return tuple(values.get(c, zero) for c in range(self.cols))
 
     def inverse(self) -> Matrix | None:
-        """The exact inverse, or None if the matrix is singular."""
+        """The exact inverse, or None if the matrix is singular: the right
+        half of the reduced form of [M | I]."""
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        span = Echelon(self.field, zip(*self.raw))
-        if span.rank < n:
-            return None
         zero, one = zero_one(self.field)
-        columns = [span._reduce([one if j == i else zero for j in range(n)])[1] for i in range(n)]
-        return Matrix._from_raw(self.field, zip(*columns))
+        augmented = (row + tuple(one if j == i else zero for j in range(n))
+                     for i, row in enumerate(self.raw))
+        span = Echelon._from_raw(self.field, augmented)
+        if span._rows[-1][0] >= n:
+            return None
+        return Matrix._from_raw(self.field, (row[n:] for _, row in span._rows))
 
 
 class Echelon:
@@ -305,19 +329,29 @@ class Echelon:
 
     Rows have unit pivots, vanish at every other row's pivot and are kept
     sorted by pivot, so they are the subspace's reduced row echelon form.
-    Each row carries its combination of the vectors `add` accepted, which
-    gives `coordinates`.  Entries are raw; every vector must have the
-    length of the first one seen.
+    Entries are raw; every vector must have the length of the first one
+    seen.  The vectors `add` accepted are kept for `coordinates`.
     """
 
-    __slots__ = ("field", "_rows", "_width")
+    __slots__ = ("field", "_rows", "_width", "_accepted", "_solver")
 
     def __init__(self, field: Field, vectors: Iterable[Sequence] = ()):
         self.field = field
-        self._rows: list[tuple[int, list, list]] = []  # (pivot, row, combination)
+        self._rows: list[tuple[int, list]] = []  # (pivot, row)
         self._width: int | None = None
+        self._accepted: list[list] = []
+        self._solver: Matrix | None = None
         for vec in vectors:
             self.add(vec)
+
+    @classmethod
+    def _from_raw(cls, field: Field, rows: Iterable[Sequence]) -> Echelon:
+        """The basis of raw rows of one length (residues in [0, p) over
+        F_p); no coercion."""
+        span = cls(field)
+        for row in rows:
+            span._insert(list(row))
+        return span
 
     @property
     def rank(self) -> int:
@@ -331,53 +365,64 @@ class Echelon:
             raise DimensionMismatch("vector length does not match the echelon basis")
         return v
 
-    def _reduce(self, v: list) -> tuple[list, list]:
-        """The raw vector v minus its part in the span, and that part as a
-        combination of the accepted vectors.  Each F_p step adds < p^2, so
-        mod p comes at the end."""
+    def _reduce(self, v: list) -> list:
+        """The raw vector v minus its part in the span.  Each F_p step adds
+        < p^2, so mod p comes at the end."""
         p = self.field.p
-        x = [zero_one(self.field)[0]] * len(self._rows)
-        for pivot, row, comb in self._rows:
+        for pivot, row in self._rows:
             f = v[pivot] % p if p else v[pivot]  # rows vanish at each other's pivots
             if f:
                 v = [a - f * b if b else a for a, b in zip(v, row)]
-                x = [a + f * b if b else a for a, b in zip(x, comb)]
-        return _reduced(p, v), _reduced(p, x)
+        return _reduced(p, v)
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec; False (and no change) when it is already in the span."""
-        v, x = self._reduce(self._raw(vec))
-        pivot = next((c for c, a in enumerate(v) if a), None)
+        return self._insert(self._raw(vec))
+
+    def _insert(self, v: list) -> bool:
+        """`add` on a raw vector; no coercion."""
+        r = self._reduce(v)
+        pivot = next((c for c, a in enumerate(r) if a), None)
         if pivot is None:
             return False
         p = self.field.p
-        inv = pow(v[pivot], -1, p) if p else 1 / v[pivot]
-        row = _reduced(p, (a * inv for a in v))
-        comb = _reduced(p, [-a * inv for a in x] + [inv])  # v = vec - sum(x_i accepted_i)
-        zero = zero_one(self.field)[0]
-        rows = [(c, r, cb + [zero]) for c, r, cb in self._rows]
-        for k, (c, r, cb) in enumerate(rows):
-            f = r[pivot]
+        inv = pow(r[pivot], -1, p) if p else 1 / r[pivot]
+        row = _reduced(p, (a * inv if a else a for a in r))
+        rows = self._rows
+        for k, (c, other) in enumerate(rows):
+            f = other[pivot]
             if f:
-                rows[k] = (c, _reduced(p, (a - f * b for a, b in zip(r, row))),
-                           _reduced(p, (a - f * b for a, b in zip(cb, comb))))
-        bisect.insort(rows, (pivot, row, comb))
-        self._rows = rows
+                rows[k] = (c, _reduced(p, (a - f * b if b else a for a, b in zip(other, row))))
+        bisect.insort(rows, (pivot, row))
+        self._accepted.append(v)
+        self._solver = None
         return True
 
     def contains(self, vec: Sequence) -> bool:
-        return not any(self._reduce(self._raw(vec))[0])
+        return not any(self._reduce(self._raw(vec)))
 
     def coordinates(self, vec: Sequence) -> Vector | None:
         """The unique coefficients of vec in the accepted vectors, in the
-        order `add` accepted them, or None if vec is outside the span."""
-        v, x = self._reduce(self._raw(vec))
-        return None if any(v) else boxed(self.field, x)
+        order `add` accepted them, or None if vec is outside the span.
+
+        A vector of the span is fixed by its entries at the pivots, so the
+        coefficients solve the square system of the accepted vectors
+        restricted to the pivots; its inverse is built once per basis."""
+        v = self._raw(vec)
+        if any(self._reduce(v)):
+            return None
+        if not self._rows:
+            return ()
+        pivots = [pivot for pivot, _ in self._rows]
+        if self._solver is None:
+            square = [[a[c] for a in self._accepted] for c in pivots]
+            self._solver = Matrix._from_raw(self.field, square).inverse()
+        return boxed(self.field, self._solver.apply_raw([v[c] for c in pivots]))
 
     def rref(self) -> tuple[list[Vector], tuple[int, ...]]:
         """The reduced rows, sorted by pivot, and their pivot columns."""
-        rows = [boxed(self.field, row) for _, row, _ in self._rows]
-        return rows, tuple(pivot for pivot, _, _ in self._rows)
+        rows = [boxed(self.field, row) for _, row in self._rows]
+        return rows, tuple(pivot for pivot, _ in self._rows)
 
 
 def span_rank(field: Field, vectors: Sequence[Vector]) -> int:

@@ -10,13 +10,14 @@ result carries an honest status of "exhaustive", "sampled" or "unknown".
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, IsotropicVector
-from .fields import Field, Scalar
+from .fields import Field, Scalar, sqrt_mod
 from .linalg import Matrix, Vector, boxed, raw_values, span_rank
 
 EXHAUSTIVE = "exhaustive"
@@ -141,49 +142,68 @@ class QuadraticSpace:
     def _norm_one_sampled(self, budget: int, seed: int, max_results: int) -> NormOneSearch:
         rng = random.Random(seed)
         n = self.dim
+        p = self.field.p
+        # scale * G has int entries, and b(w, w) = w^T (scale * G) w / scale; scale = 1 over F_p
+        scale = math.lcm(*(a.denominator for row in self.gram.raw for a in row))
+        gram = [[a.numerator * (scale // a.denominator) for a in row] for row in self.gram.raw]
         found: list[Vector] = []
         seen = set()
 
-        def consider(raw) -> None:
-            v = self.vector(raw)
-            nrm = self.norm(v)
-            if nrm.is_zero:
-                return
-            root = nrm.sqrt()
-            if root is None:
-                return
-            scaled = tuple(x / root for x in v)
+        def consider(w: list[int]) -> None:
+            """Keep w / sqrt(b(w, w)) when b(w, w) is a nonzero square; w is a
+            candidate times a positive integer over Q, its residues over F_p."""
+            norm = 0
+            for i, wi in enumerate(w):
+                if wi:
+                    row = gram[i]
+                    acc = row[i] * wi
+                    for j in range(i + 1, n):
+                        if w[j]:
+                            acc += 2 * row[j] * w[j]
+                    norm += wi * acc
+            if p:
+                root = sqrt_mod(norm, p) if norm % p else None
+                if root is None:
+                    return
+                inv = pow(root, -1, p)
+                scaled = tuple(a * inv % p for a in w)
+            else:
+                # b(w, w) = norm / scale is a rational square iff norm * scale is a square
+                square = norm * scale
+                root = math.isqrt(square) if square > 0 else 0
+                if not root or root * root != square:
+                    return
+                scaled = tuple(Fraction(a * scale, root) for a in w)
             if scaled not in seen:
                 seen.add(scaled)
-                found.append(scaled)
+                found.append(boxed(self.field, scaled))
 
         def candidates():
-            one, zero = 1, 0
             for i in range(n):
-                base = [zero] * n
-                base[i] = one
-                yield tuple(base)
+                base = [0] * n
+                base[i] = 1
+                yield base
             for i in range(n):
                 for j in range(i + 1, n):
                     for si, sj in ((1, 1), (1, -1)):
-                        base = [zero] * n
+                        base = [0] * n
                         base[i], base[j] = si, sj
-                        yield tuple(base)
+                        yield base
             while True:
-                if self.field.p is None:
-                    yield tuple(
-                        Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)
-                    )
+                if p is None:
+                    pairs = [(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                    d = math.lcm(*(den for _, den in pairs))
+                    yield [num * (d // den) for num, den in pairs]
                 else:
-                    yield tuple(rng.randrange(self.field.p) for _ in range(n))
+                    yield [rng.randrange(p) for _ in range(n)]
 
         spans_now = False
         stagnant = 0
-        for tried, raw in enumerate(candidates()):
+        for tried, w in enumerate(candidates()):
             if tried >= budget:
                 break
             before = len(found)
-            consider(raw)
+            consider(w)
             if len(found) != before:
                 stagnant = 0
                 if not spans_now:

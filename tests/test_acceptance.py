@@ -2,8 +2,14 @@
 tolerance.  Each test prints a PASS line so -s or failure output shows the
 per-criterion verdict; `splitspin selftest` runs the same registry."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import splitspin
 from splitspin.acceptance import CRITERIA
 
 
@@ -47,3 +53,38 @@ def test_selftest_reports_every_criterion_when_the_algebra_is_broken(monkeypatch
     assert [line.split(":")[0].split()[-1] for line in lines] == [str(n) for n, _, _ in CRITERIA]
     assert all(line.startswith(("PASS criterion", "FAIL criterion")) for line in lines)
     assert any(line.startswith("FAIL") for line in lines)
+
+
+def test_criterion_4_fails_under_optimize_when_an_e_product_leaves_z():
+    """python -O strips assert statements; criterion 4 must still judge the
+    z1 axis check.  Giving e1 e1 an e2 component puts an alpha-eigenvector
+    into alpha * alpha, which the Jordan law on z1 forbids."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from splitspin import acceptance
+        from splitspin.algebra import Algebra
+        from splitspin.cli import main
+
+        assert False, "assert statements run: not optimised"
+        build = acceptance.split_spin
+
+        def broken(space, alpha):
+            good = build(space, alpha)
+            constants = list(good.constants) + [(0, 0, 1, 1)]  # e1 e1 += e2
+            return Algebra(good.field, good.labels, constants, good.meta)
+
+        acceptance.split_spin = broken
+        sys.exit(main(["selftest", "--only", "4"]))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(splitspin.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith("FAIL criterion 4: ")
+    assert "(z1 is not a Jordan axis of type " in proc.stdout
+    assert "Traceback" not in proc.stderr

@@ -34,6 +34,7 @@ from splitspin.errors import (
     BaricCase,
     VerificationFailed,
     EigenvalueCollision,
+    FieldMismatch,
     IncompleteDecomposition,
     NotAnAutomorphism,
     NotIdempotent,
@@ -117,6 +118,11 @@ def test_family_a_is_monster_axis(A3):
     assert report.primitive
     assert not report.violations
     assert list(report.dims.values()) == [1, 1, 1, 1]
+
+
+def test_check_axis_rejects_a_law_over_another_field(A3):
+    with pytest.raises(FieldMismatch):
+        check_axis(A3, A3.basis_by_label("z1"), jordan_law(F7, 3))
 
 
 def test_family_b_fails_the_wrong_law(A3):
@@ -373,16 +379,19 @@ def check_axis_reference(algebra, x, law):
     return dims, violations, tau
 
 
-def _axis_cases(field, k, rng):
+def _axis_cases(field, k, alpha, rng):
     """(algebra, axis, law) for z1, z2 and the family axes of split spin, and
     z1 and the exceptional axis of the cover, on a random Gram matrix with
-    b(e_1, e_1) = 1."""
-    space = random_gram(field, k, rng)
-    rows = [list(row) for row in space.gram.entries]
-    rows[0][0] = field.one()
+    Fraction entries and b(e_1, e_1) = 1."""
+    entries = (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3))
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = rng.choice(entries)
+    rows[0][0] = 1
     space = QuadraticSpace(Matrix(field, rows))
     e = [1] + [0] * (k - 1)
-    alpha, half, one = field.scalar(3), field.half(), field.one()
+    alpha, half, one = field.scalar(alpha), field.half(), field.one()
     algebra = split_spin(space, alpha)
     yield algebra, algebra.basis_by_label("z1"), jordan_law(field, alpha)
     yield algebra, algebra.basis_by_label("z2"), jordan_law(field, one - alpha)
@@ -394,28 +403,32 @@ def _axis_cases(field, k, rng):
 
 
 def test_check_axis_matches_two_sweep_reference():
+    """The integer fusion loop against the boxed one, on denominators other
+    than 1 and 2: alpha in {3, 1/3, -3/2}, Gram entries and perturbations
+    with denominators 2 and 3."""
     outcomes = set()
-    for field in (QQ, F7, Field.prime(11)):
-        for k in range(1, 4):
-            rng = random.Random(f"check_axis/{field.p}/{k}")
-            for algebra, axis, law in _axis_cases(field, k, rng):
-                n = algebra.dim
-                variants = [algebra]
-                for _ in range(12):
-                    i, j = rng.randrange(n), rng.randrange(n)
-                    delta = [rng.choice((0, 0, 1, -1, 2)) for _ in range(n)]
-                    variants.append(perturbed(algebra, i, j, delta))
-                for variant in variants:
-                    x = variant.element(axis.coords)
-                    try:
-                        report = check_axis(variant, x, law)
-                    except (NotIdempotent, IncompleteDecomposition):
-                        continue
-                    dims, violations, tau = check_axis_reference(variant, x, law)
-                    assert report.dims == dims
-                    assert list(report.violations) == violations
-                    assert report.miyamoto == tau
-                    outcomes.add((tau is not None, bool(violations)))
+    for field in (QQ, F7, Field.prime(11), Field.prime(10007)):
+        for k in range(1, 6):
+            for alpha in (3, Fraction(1, 3), Fraction(-3, 2)):
+                rng = random.Random(f"check_axis/{field.p}/{k}/{alpha}")
+                for algebra, axis, law in _axis_cases(field, k, alpha, rng):
+                    n = algebra.dim
+                    variants = [algebra]
+                    for _ in range(12):
+                        i, j = rng.randrange(n), rng.randrange(n)
+                        delta = [rng.choice((0, 0, 1, -1, 2, Fraction(1, 3))) for _ in range(n)]
+                        variants.append(perturbed(algebra, i, j, delta))
+                    for variant in variants:
+                        x = variant.element(axis.coords)
+                        try:
+                            report = check_axis(variant, x, law)
+                        except (NotIdempotent, IncompleteDecomposition):
+                            continue
+                        dims, violations, tau = check_axis_reference(variant, x, law)
+                        assert report.dims == dims
+                        assert list(report.violations) == violations
+                        assert report.miyamoto == tau
+                        outcomes.add((tau is not None, bool(violations)))
     assert outcomes >= {(False, True), (True, True), (True, False)}
 
 

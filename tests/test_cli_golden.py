@@ -2,9 +2,10 @@
 cli_golden.json must stay byte-identical.
 
 The corpus covers every subcommand over Q and F_p, the split spin algebra
-and its cover, a Jordan-special alpha (exit 1), config errors (exit 2) and
-small axet sweeps.  Over Q every Gram matrix has a norm-one basis vector,
-so the sampled norm-one search ends quickly.
+and its cover, a Jordan-special alpha (exit 1), config errors (exit 2),
+small axet sweeps, and `axis-check` and `cover` at dim E 6-8 over Q (with
+Fraction alpha and Gram entries) and over F_10007.  Over Q every Gram matrix
+has a norm-one basis vector, so the sampled norm-one search ends quickly.
 
 Regenerate the expected outputs (only when a report is meant to change):
 
@@ -28,6 +29,14 @@ DIAG12 = '[["1","0"],["0","2"]]'
 F7_FORM = '[["1","2"],["2","3"]]'
 Q3 = '[["1","1/2","0"],["1/2","2","1"],["0","1","-3"]]'
 DEGENERATE = '[["1","1"],["1","1"]]'
+# dim E 6-8: Fraction entries over Q, dense residues over F_10007
+Q6 = ('[["1","1/2","0","0","0","1/3"],["1/2","2","1/3","0","0","0"],["0","1/3","-3/2","1","0","0"],'
+      '["0","0","1","5/4","-1/2","0"],["0","0","0","-1/2","3","2/5"],["1/3","0","0","0","2/5","-2"]]')
+Q7 = json.dumps([[["1", "1/4", "4/9", "1", "9/4", "1/9", "1"][i] if i == j else "1/3" if abs(i - j) == 2 else "0"
+                  for j in range(7)] for i in range(7)])
+Q8 = json.dumps([["1" if i == j else "1/2" if abs(i - j) == 1 else "0" for j in range(8)] for i in range(8)])
+F6 = json.dumps([["1" if i == j else str((2 * i * j + 1) % 13) for j in range(6)] for i in range(6)])
+F8 = json.dumps([[str(1 + i * i) if i == j else str(3 * (i + j) + 7 * i * j) for j in range(8)] for i in range(8)])
 
 COMMANDS = [
     # build
@@ -46,6 +55,9 @@ COMMANDS = [
     ["axis-check", "--p", "11", "--variant", "cover", "--gram", F7_FORM],
     ["axis-check", "--variant", "cover", "--gram", DIAG12],
     ["axis-check", "--alpha", "1/2", "--gram", I2],
+    ["axis-check", "--alpha", "5/3", "--gram", Q6],
+    ["axis-check", "--alpha=-3/2", "--gram", Q8],
+    ["axis-check", "--p", "10007", "--alpha", "5/3", "--gram", F8],
     # frobenius
     ["frobenius", "--alpha", "2/3", "--gram", Q3],
     ["frobenius", "--p", "7", "--alpha", "5", "--gram", F7_FORM],
@@ -71,6 +83,8 @@ COMMANDS = [
     # cover
     ["cover", "--gram", DIAG12],
     ["cover", "--p", "7", "--gram", F7_FORM],
+    ["cover", "--gram", Q7],
+    ["cover", "--p", "10007", "--gram", F6],
     # selftest
     ["selftest", "--only", "1"],
     ["selftest", "--only", "99"],

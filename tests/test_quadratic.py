@@ -159,3 +159,100 @@ def test_sample_orthogonal_zero_form_is_identity():
     rng = random.Random(10)
     q = space(QQ, [[0, 0], [0, 0]])
     assert q.sample_orthogonal(rng) == Matrix.identity(QQ, 2)
+
+
+# -- norm-one sampling against the boxed scorer -----------------------------------
+
+
+def reference_norm_one_sampled(q, budget, seed, max_results):
+    """The sampled search as it scored candidates before the integer form:
+    each candidate boxed, its norm a Scalar, rescaled by its Scalar root."""
+    from splitspin.linalg import span_rank
+    from splitspin.quadratic import NormOneSearch
+
+    rng = random.Random(seed)
+    n = q.dim
+    found, seen = [], set()
+
+    def consider(raw):
+        v = q.vector(raw)
+        nrm = q.norm(v)
+        if nrm.is_zero:
+            return
+        root = nrm.sqrt()
+        if root is None:
+            return
+        scaled = tuple(x / root for x in v)
+        if scaled not in seen:
+            seen.add(scaled)
+            found.append(scaled)
+
+    def candidates():
+        for i in range(n):
+            base = [0] * n
+            base[i] = 1
+            yield tuple(base)
+        for i in range(n):
+            for j in range(i + 1, n):
+                for si, sj in ((1, 1), (1, -1)):
+                    base = [0] * n
+                    base[i], base[j] = si, sj
+                    yield tuple(base)
+        while True:
+            if q.field.p is None:
+                yield tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+            else:
+                yield tuple(rng.randrange(q.field.p) for _ in range(n))
+
+    spans_now, stagnant = False, 0
+    for tried, raw in enumerate(candidates()):
+        if tried >= budget:
+            break
+        before = len(found)
+        consider(raw)
+        if len(found) != before:
+            stagnant = 0
+            if not spans_now:
+                spans_now = span_rank(q.field, found) == n
+        else:
+            stagnant += 1
+        if len(found) >= max_results:
+            break
+        if spans_now and stagnant >= 200:
+            break
+    if found:
+        return NormOneSearch("sampled", tuple(found), span_rank(q.field, found) == n)
+    return NormOneSearch("unknown", (), False)
+
+
+NORM_ONE_CASES = [
+    # Q, Fraction entries; the third finds two vectors that do not span
+    (QQ, [[1, Fraction(1, 2)], [Fraction(1, 2), Fraction(9, 4)]], 3000, "sampled"),
+    (QQ, [[Fraction(1, 3), 0, 1], [0, Fraction(4, 9), Fraction(-2, 3)], [1, Fraction(-2, 3), 3]], 3000, "sampled"),
+    (QQ, [[Fraction(25, 4), Fraction(1, 6)], [Fraction(1, 6), Fraction(2, 5)]], 3000, "sampled"),
+    # degenerate, indefinite
+    (QQ, [[1, 1, 0], [1, 1, 0], [0, 0, Fraction(1, 4)]], 3000, "sampled"),
+    (QQ, [[1, 0], [0, -1]], 3000, "sampled"),
+    (QQ, [[Fraction(1, 2), Fraction(3, 2)], [Fraction(3, 2), Fraction(-7, 3)]], 3000, "unknown"),
+    # no norm-one vector within the budget
+    (QQ, [[2, 1], [1, 3]], 1500, "unknown"),
+    (QQ, [[3]], 500, "unknown"),
+    (QQ, [[-1, 0], [0, Fraction(-1, 3)]], 500, "unknown"),
+    # over F_p, p ** dim above the budget, so the search samples
+    (F7, [[1, 2, 0, 0], [2, 3, 1, 0], [0, 1, 0, 5], [0, 0, 5, 6]], 300, "sampled"),
+    (Field.prime(10007), [[1, 2, 3], [2, 5, 7], [3, 7, 0]], 400, "sampled"),
+    (Field.prime(10007), [[0, 1], [1, 0]], 400, "sampled"),
+    (Field.prime(11), [[2, 0, 0], [0, 0, 0], [0, 0, 6]], 300, "sampled"),
+]
+
+
+@pytest.mark.parametrize("field, rows, budget, status", NORM_ONE_CASES)
+def test_norm_one_sampled_matches_boxed_scorer(field, rows, budget, status):
+    """Same status, vectors in the same order and same spans as the boxed
+    scorer, for two seeds and two result caps."""
+    q = space(field, rows)
+    for seed in (0, 5):
+        for max_results in (3, 16):
+            expected = reference_norm_one_sampled(q, budget, seed, max_results)
+            assert expected.status == status
+            assert q.find_norm_one(budget, seed, max_results) == expected
