@@ -13,7 +13,7 @@ from splitspin import (
     Field,
     Matrix,
     QuadraticSpace,
-    classify_idempotent,
+    classify_idempotents,
     enumerate_idempotents_bruteforce,
     exceptional_cover,
     split_spin,
@@ -48,9 +48,7 @@ def main():
                 if kind == "cover" and p == 3:
                     continue
                 found = enumerate_idempotents_bruteforce(algebra, args.budget)
-                other = sum(
-                    1 for x in found if classify_idempotent(algebra, x).tag == "other"
-                )
+                other = sum(1 for verdict in classify_idempotents(algebra, found) if verdict.tag == "other")
                 flag = "" if len(found) == formula and other == 0 else "  MISMATCH"
                 print(
                     f"{field!r:>8} {dim:>6} {kind:>10} {n_count:>5} "

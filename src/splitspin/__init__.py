@@ -40,6 +40,7 @@ from .fields import Field, Scalar
 from .idempotents import (
     IdempotentClass,
     classify_idempotent,
+    classify_idempotents,
     enumerate_idempotents_bruteforce,
     family_axis,
     is_idempotent,
@@ -87,6 +88,7 @@ __all__ = [
     "build_two_gen",
     "check_axis",
     "classify_idempotent",
+    "classify_idempotents",
     "cover_aut_membership",
     "enumerate_idempotents_bruteforce",
     "exceptional_cover",

@@ -131,12 +131,13 @@ def criterion_1():
                     for _ in range(2))
             check(u * v == v * u, "the product is not commutative", (u, v))
         one_elt = algebra.from_labels({"z1": 1, "z2": 1})
-        assert algebra.identity() == one_elt
+        identity = algebra.identity()
+        check(identity == one_elt, "the identity is not z1 + z2", witness=identity)
         for i in range(n):
-            assert (one_elt * algebra.basis(i)) == algebra.basis(i)
+            check(one_elt * algebra.basis(i) == algebra.basis(i), "z1 + z2 does not fix b_i", witness=i)
         relabelled = split_spin(space, field.one() - alpha)
         ok, witness = algebra.check_isomorphism(relabelled, _swap_z_map(algebra))
-        assert ok, f"relabelling symmetry failed at basis pair {witness}"
+        check(ok, f"relabelling symmetry failed at basis pair {witness}", witness=witness)
 
 
 def criterion_2():
@@ -149,16 +150,17 @@ def criterion_2():
         algebra = split_spin(space, 0)
         z1 = algebra.basis_by_label("z1")
         for other in (algebra.basis(0), algebra.basis(1), algebra.basis_by_label("z2")):
-            assert (z1 * other).is_zero
+            check((z1 * other).is_zero, "at alpha = 0, z1 does not kill E + F z2", witness=(field, other))
     space = _random_gram(QQ, 3, rng)
     algebra = split_spin(space, Fraction(1, 2))
-    assert algebra.meta.jordan_special
+    check(algebra.meta.jordan_special, "alpha = 1/2 is not tagged Jordan-special", witness=algebra.meta)
     one_elt = algebra.identity()
     u_hat = algebra.basis_by_label("z1") - algebra.basis_by_label("z2")
-    assert u_hat * u_hat == one_elt
+    square = u_hat * u_hat
+    check(square == one_elt, "at alpha = 1/2, (z1 - z2)^2 is not the identity", witness=square)
     k = space.dim
     for i in range(k):
-        assert (algebra.basis(i) * u_hat).is_zero
+        check((algebra.basis(i) * u_hat).is_zero, "at alpha = 1/2, z1 - z2 does not kill E", witness=i)
     for _ in range(10):
         e_coords = [QQ.scalar(rng.randint(-3, 3)) for _ in range(k)]
         f_coords = [QQ.scalar(rng.randint(-3, 3)) for _ in range(k)]
@@ -169,7 +171,8 @@ def criterion_2():
         v = e_elt + gamma * u_hat
         w = f_elt + delta * u_hat
         coeff = QQ.scalar(Fraction(3, 4)) * space.bform(e_coords, f_coords) + gamma * delta
-        assert v * w == coeff * one_elt
+        check(v * w == coeff * one_elt, "at alpha = 1/2, v w is not (3/4 b(e, f) + gamma delta) 1",
+              witness=(v, w))
 
 
 def _expected_idempotents(algebra: Algebra, norm_one):

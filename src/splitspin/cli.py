@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii
 
 from . import serialize
 from .algebra import exceptional_cover, split_spin
@@ -32,7 +33,7 @@ from .idempotents import (
     FAMILY_A,
     FAMILY_B,
     FAMILY_EXC,
-    classify_idempotent,
+    classify_idempotents,
     enumerate_idempotents_bruteforce,
     family_axis,
 )
@@ -150,13 +151,52 @@ def _dispatch(args, cfg: RunConfig):
 
 
 def _emit(report, output: str):
-    text = _render_text(report) if output == "text" else json.dumps(report, indent=2)
+    text = _render_text(report) if output == "text" else _dumps(report)
     try:
         print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left early (`| head`); send the exit-time flush to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _dumps(report) -> str:
+    """`json.dumps(report, indent=2)`, byte for byte.  With an indent the
+    json module always takes its pure-Python encoder.  Reports hold dicts
+    with str keys, lists, str, int, bool and None; anything else raises
+    TypeError in `_write`, and the whole report goes to json.dumps."""
+    try:
+        return _write(report, "\n")
+    except TypeError:
+        return json.dumps(report, indent=2)
+
+
+def _write(doc, pad: str) -> str:
+    kind = type(doc)
+    if kind in _SCALARS:
+        return _SCALARS[kind](doc)
+    if kind is not list and kind is not dict:
+        raise TypeError(f"{kind.__name__} is not written here")
+    if not doc:
+        return "[]" if kind is list else "{}"
+    inner = pad + "  "
+    if kind is list:
+        try:  # a list of scalars is joined in one step
+            items = [_SCALARS[type(v)](v) for v in doc]
+        except KeyError:
+            items = [_write(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    # a key that is not a str raises TypeError in encode_basestring_ascii
+    items = [encode_basestring_ascii(key) + ": " + _write(v, inner) for key, v in doc.items()]
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
 
 
 def _render_text(doc, indent=0) -> str:
@@ -236,12 +276,12 @@ def _cmd_idempotents(args, cfg: RunConfig):
         found = enumerate_idempotents_bruteforce(algebra, cfg.budgets.idempotent_scan)
         counts: dict[str, int] = {}
         classified = []
-        for x in found:
-            verdict = classify_idempotent(algebra, x)
+        for x, verdict in zip(found, classify_idempotents(algebra, found)):
             counts[verdict.tag] = counts.get(verdict.tag, 0) + 1
-            entry = {"coords": serialize.element_to_json(x), "class": verdict.tag}
+            # over F_p a residue is its own JSON value
+            entry = {"coords": [c.value for c in x.coords], "class": verdict.tag}
             if verdict.e is not None:
-                entry["e"] = serialize.vector_to_json(verdict.e)
+                entry["e"] = [c.value for c in verdict.e]
             classified.append(entry)
         n_norm_one = len(search.vectors) if search.status == "exhaustive" else None
         # the 3 + 2N count and the absence of "other" need alpha outside {0, 1, 1/2}

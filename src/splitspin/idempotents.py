@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .algebra import COVER, SPLIT_SPIN, Algebra, Element
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     WrongAlgebraKind,
     check,
 )
-from .linalg import Vector, boxed, vec_is_zero
+from .linalg import Vector, boxed, zero_one
 
 FAMILY_A = "a"
 FAMILY_B = "b"
@@ -91,49 +92,72 @@ def family_axis(algebra: Algebra, e, family: str) -> Element:
 
 
 def classify_idempotent(algebra: Algebra, x: Element) -> IdempotentClass:
-    """Match a nonzero idempotent against the known templates.
+    """Match one nonzero idempotent against the known templates; see
+    `classify_idempotents`."""
+    return classify_idempotents(algebra, [x])[0]
 
-    Tag "other" is only ever produced when an idempotent matches nothing,
-    which would contradict the classification under its hypotheses."""
-    if x.is_zero or not is_idempotent(x):
-        raise NotIdempotent("classification requires a nonzero idempotent")
+
+def classify_idempotents(algebra: Algebra, xs: Sequence[Element]) -> list[IdempotentClass]:
+    """Match nonzero idempotents against the known templates, in order.
+
+    Every x is squared again from the stored cells, so a zero or
+    non-idempotent x raises NotIdempotent.  The templates (the (gamma,
+    delta) points of 1, z1, z2 and of the families, and the Gram matrix
+    that tests b(e, e) = 1 for e = 2u) are built once, on raw values.  Tag
+    "other" is only ever produced when an idempotent matches nothing, which
+    would contradict the classification under its hypotheses."""
+    field, p = algebra.field, algebra.field.p
+    cells = _square_cells(algebra, algebra.dim)
+    points = [_raw_idempotent(x, cells, p) for x in xs]
     kind = algebra.meta.kind
     if kind not in (SPLIT_SPIN, COVER):
         raise WrongAlgebraKind(f"no idempotent classification on a {kind} algebra")
-    field = algebra.field
+    zero, one = zero_one(field)
+    half, alpha = (p + 1) // 2 if p else one / 2, algebra.meta.alpha.value
+    if kind == COVER:
+        corners, families = {(one, zero): TAG_Z1}, {(-half, half): TAG_FAMILY_EXC}
+    else:
+        corners = {(one, one): TAG_ONE, (one, zero): TAG_Z1, (zero, one): TAG_Z2}
+        families = {(half * alpha, half * (alpha + 1)): TAG_FAMILY_A,
+                    (half * (2 - alpha), half * (1 - alpha)): TAG_FAMILY_B}
+    if field.characteristic == 2:
+        families = {}  # no half, so no family
+    elif p:
+        families = {(g % p, d % p): tag for (g, d), tag in families.items()}
     space = algebra.meta.space
     k = space.dim
-    u = x.coords[:k]
-    gamma, delta = x.coords[k], x.coords[k + 1]
-    one, zero = field.one(), field.zero()
+    # b(e, e) = sum_i g_ii e_i^2 + sum_{i<j} 2 g_ij e_i e_j
+    gram = [(i, j, g if i == j else 2 * g)
+            for i, row in enumerate(space.gram.raw) for j, g in enumerate(row[i:], i) if g]
+    out = []
+    for x, raw in zip(xs, points):
+        u, z = raw[:k], (raw[k], raw[k + 1])
+        verdict = None
+        if not any(u):
+            if z in corners:
+                verdict = IdempotentClass(corners[z])
+        elif z in families:
+            e = [2 * a % p for a in u] if p else [2 * a for a in u]
+            norm = sum(e[i] * e[j] * g for i, j, g in gram)
+            if (norm % p if p else norm) == 1:
+                verdict = IdempotentClass(families[z], e=boxed(field, e))
+        out.append(verdict or IdempotentClass(TAG_OTHER, witness=x))
+    return out
 
-    if vec_is_zero(u):
-        if kind == SPLIT_SPIN:
-            if gamma.is_one and delta.is_one:
-                return IdempotentClass(TAG_ONE)
-            if gamma.is_one and delta.is_zero:
-                return IdempotentClass(TAG_Z1)
-            if gamma.is_zero and delta.is_one:
-                return IdempotentClass(TAG_Z2)
-        else:
-            if gamma.is_one and delta.is_zero:
-                return IdempotentClass(TAG_Z1)
-        return IdempotentClass(TAG_OTHER, witness=x)
 
-    if field.characteristic != 2:
-        e = tuple(2 * c for c in u)
-        if space.bform(e, e).is_one:
-            half = field.half()
-            if kind == COVER:
-                if gamma == -half and delta == half:
-                    return IdempotentClass(TAG_FAMILY_EXC, e=e)
-            else:
-                alpha = algebra.meta.alpha
-                if gamma == half * alpha and delta == half * (alpha + one):
-                    return IdempotentClass(TAG_FAMILY_A, e=e)
-                if gamma == half * (2 - alpha) and delta == half * (one - alpha):
-                    return IdempotentClass(TAG_FAMILY_B, e=e)
-    return IdempotentClass(TAG_OTHER, witness=x)
+def _raw_idempotent(x: Element, cells: list, p: int | None) -> list:
+    """The raw coordinates of x, once x is nonzero and squares to itself
+    over the `_square_cells`; NotIdempotent otherwise."""
+    raw = [c.value for c in x.coords]
+    square = [0] * len(raw)
+    for i, j, cell in cells:
+        w = raw[i] * raw[j]
+        if w:
+            for k, c in cell:
+                square[k] += w * c
+    if not any(raw) or any((s - a) % p if p else s != a for s, a in zip(square, raw)):
+        raise NotIdempotent("classification requires a nonzero idempotent")
+    return raw
 
 
 def enumerate_idempotents_bruteforce(algebra: Algebra, budget: int = 1_000_000) -> tuple[Element, ...]:
@@ -163,13 +187,7 @@ def enumerate_idempotents_bruteforce(algebra: Algebra, budget: int = 1_000_000) 
         return tuple(Element(algebra, boxed(field, (t,))) for t in every_t if t and (t * t * c - t) % p == 0)
     last = n - 1
     m = n - 2
-    # h^2 = sum_i h_i^2 b_i b_i + sum_{i<j} 2 h_i h_j b_i b_j over the stored cells of the head
-    head_cells = [
-        (i, j, algebra.cell(i, j) if i == j else _doubled(algebra, i, j))
-        for i in range(m)
-        for j in range(i, m)
-        if algebra.cell(i, j)
-    ]
+    head_cells = _square_cells(algebra, m)
     cross_cells = [(i, _doubled(algebra, i, m)) for i in range(m) if algebra.cell(i, m)]
     line_cells = [(i, _doubled(algebra, i, last)) for i in range(m) if algebra.cell(i, last)]
     m_square = _dense(algebra, m, m)
@@ -226,6 +244,18 @@ def _dense(algebra: Algebra, i: int, j: int) -> list:
     for k, c in algebra.cell(i, j):
         v[k] = c
     return v
+
+
+def _square_cells(algebra: Algebra, m: int) -> list:
+    """The (i, j, b_i b_j) cells for i = j and (i, j, 2 b_i b_j) for i < j,
+    i, j < m, that are nonzero: x^2 = sum over them of x_i x_j times the
+    cell, for x on the first m coordinates."""
+    return [
+        (i, j, algebra.cell(i, j) if i == j else _doubled(algebra, i, j))
+        for i in range(m)
+        for j in range(i, m)
+        if algebra.cell(i, j)
+    ]
 
 
 def _doubled(algebra: Algebra, i: int, j: int) -> tuple:

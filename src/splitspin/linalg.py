@@ -4,9 +4,9 @@ Below the API every number is raw: an int residue in [0, p) over F_p, a
 Fraction over Q (never an int, so that every quotient stays exact).
 `raw_values` is the one place that coerces, at the API edge; Scalars come
 back only from the methods that hand results to callers.  Matrices are
-immutable raw rows; each row's nonzero (column, value) pairs and the
-Scalar view `entries` are built on first use.  Elimination runs on the
-incremental `Echelon` basis with first-nonzero pivots and builds no
+immutable raw rows; each row's nonzero (column, value) pairs, the Scalar
+view `entries` and the `kernel` are built on first use.  Elimination runs
+on the incremental `Echelon` basis with first-nonzero pivots and builds no
 combination columns, so kernels, solutions and inverses are deterministic:
 kernel bases come out in echelon order with a unit entry at each free
 column, and an inverse is the right half of the reduced [M | I].  Vectors
@@ -88,7 +88,7 @@ def vec_is_zero(u: Vector) -> bool:
 class Matrix:
     """An exact rows x cols matrix over a single field, stored raw."""
 
-    __slots__ = ("field", "raw", "_nonzeros", "_entries")
+    __slots__ = ("field", "raw", "_nonzeros", "_entries", "_kernel")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
         rows = [raw_values(field, row) for row in entries]
@@ -110,6 +110,7 @@ class Matrix:
         self.raw = tuple(map(tuple, rows))
         self._nonzeros = None
         self._entries = None
+        self._kernel = None
 
     # -- constructors --------------------------------------------------------
 
@@ -278,8 +279,11 @@ class Matrix:
         return Echelon._from_raw(self.field, self.raw).rank
 
     def kernel(self) -> tuple[Vector, ...]:
-        """Deterministic basis of the null space, one vector per free column."""
-        return tuple(boxed(self.field, v) for v in self.kernel_raw())
+        """Deterministic basis of the null space, one vector per free column;
+        built once."""
+        if self._kernel is None:
+            self._kernel = tuple(boxed(self.field, v) for v in self.kernel_raw())
+        return self._kernel
 
     def kernel_raw(self) -> list[list]:
         """`kernel` as raw vectors."""

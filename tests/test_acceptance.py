@@ -55,6 +55,42 @@ def test_selftest_reports_every_criterion_when_the_algebra_is_broken(monkeypatch
     assert any(line.startswith("FAIL") for line in lines)
 
 
+def test_criterion_1_fails_under_optimize_when_z1_plus_z2_is_not_the_identity():
+    """python -O strips assert statements; criterion 1 must still check the
+    identity.  Doubling z2 z2 leaves the product commutative, but z1 + z2
+    no longer fixes z2."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from splitspin import acceptance
+        from splitspin.algebra import Algebra
+        from splitspin.cli import main
+
+        assert False, "assert statements run: not optimised"
+        build = acceptance.split_spin
+
+        def broken(space, alpha):
+            good = build(space, alpha)
+            z2 = space.dim + 1
+            constants = [(i, j, t, 2 * c if i == j == t == z2 else c) for i, j, t, c in good.constants]
+            return Algebra(good.field, good.labels, constants, good.meta)
+
+        acceptance.split_spin = broken
+        sys.exit(main(["selftest", "--only", "1"]))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(splitspin.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith("FAIL criterion 1: ")
+    assert "(the identity is not z1 + z2)" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
 def test_criterion_4_fails_under_optimize_when_an_e_product_leaves_z():
     """python -O strips assert statements; criterion 4 must still judge the
     z1 axis check.  Giving e1 e1 an e2 component puts an alpha-eigenvector

@@ -3,8 +3,13 @@ import os
 import subprocess
 import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import splitspin
 
+from splitspin import cli
 from splitspin.cli import main
 
 
@@ -293,3 +298,35 @@ def test_closed_stdout_gives_no_traceback():
         proc.stderr.close()
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
     assert code == 0
+
+
+# -- the indent-2 JSON writer against json.dumps ---------------------------------
+
+ESCAPES = st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f abc\u00e9\u2028\ufeff\U0001f600')
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40)
+    | st.text() | ESCAPES
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text() | ESCAPES, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200)
+@given(JSON_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {"x": [1, 2.5]},
+    {"pair": (1, "a")},
+    {"nested": [{"ok": True, "keys": {1: None}}]},
+    [float("nan")],
+])
+def test_json_writer_falls_back_to_json_dumps(doc):
+    with pytest.raises(TypeError):
+        cli._write(doc, "\n")
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)

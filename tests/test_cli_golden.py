@@ -2,8 +2,9 @@
 cli_golden.json must stay byte-identical.
 
 The corpus covers every subcommand over Q and F_p, the split spin algebra
-and its cover, a Jordan-special alpha (exit 1), config errors (exit 2),
-small axet sweeps, and `axis-check` and `cover` at dim E 6-8 over Q (with
+and its cover, a Jordan-special alpha (exit 1), `idempotents` at dim E 3-4
+over F_5 and F_7 (also on a degenerate form and in text format), config
+errors (exit 2), small axet sweeps, and `axis-check` and `cover` at dim E 6-8 over Q (with
 Fraction alpha and Gram entries) and over F_10007.  Over Q every Gram matrix
 has a norm-one basis vector, so the sampled norm-one search ends quickly.
 
@@ -29,6 +30,9 @@ DIAG12 = '[["1","0"],["0","2"]]'
 F7_FORM = '[["1","2"],["2","3"]]'
 Q3 = '[["1","1/2","0"],["1/2","2","1"],["0","1","-3"]]'
 DEGENERATE = '[["1","1"],["1","1"]]'
+I3 = '[["1","0","0"],["0","1","0"],["0","0","1"]]'
+F7_3 = '[["1","2","0"],["2","3","1"],["0","1","5"]]'
+F5_4 = '[["2","1","0","0"],["1","1","0","0"],["0","0","3","0"],["0","0","0","1"]]'
 # dim E 6-8: Fraction entries over Q, dense residues over F_10007
 Q6 = ('[["1","1/2","0","0","0","1/3"],["1/2","2","1/3","0","0","0"],["0","1/3","-3/2","1","0","0"],'
       '["0","0","1","5/4","-1/2","0"],["0","0","0","-1/2","3","2/5"],["1/3","0","0","0","2/5","-2"]]')
@@ -48,6 +52,16 @@ COMMANDS = [
     ["idempotents", "--p", "7", "--variant", "cover", "--gram", "[[1]]"],
     ["idempotents", "--alpha", "3", "--gram", I2],
     ["idempotents", "--p", "5", "--alpha", "3", "--gram", I2],
+    # idempotents at dim E 3-4, a Jordan-special alpha, a degenerate form, text
+    ["idempotents", "--p", "5", "--alpha", "2", "--gram", I3],
+    ["idempotents", "--p", "7", "--alpha", "3", "--gram", F7_3],
+    ["idempotents", "--p", "7", "--variant", "cover", "--gram", F7_3],
+    ["idempotents", "--p", "5", "--alpha", "4", "--gram", F5_4],
+    ["idempotents", "--p", "5", "--variant", "cover", "--gram", F5_4],
+    ["idempotents", "--p", "7", "--alpha", "4", "--gram", F7_FORM],
+    ["idempotents", "--p", "7", "--alpha", "3", "--gram", DEGENERATE],
+    ["idempotents", "--p", "5", "--variant", "cover", "--gram", DEGENERATE],
+    ["idempotents", "--p", "5", "--alpha", "2", "--gram", DIAG12, "--format", "text"],
     # axis-check
     ["axis-check", "--alpha", "3", "--gram", I2],
     ["axis-check", "--alpha=-2/5", "--gram", Q3],

@@ -32,6 +32,26 @@ def test_verify_cover_reports_failed_frobenius_check(monkeypatch):
     assert report.radical_ok  # the radical is still checked, against E-perp + <n>
 
 
+def test_verify_cover_computes_the_gram_kernel_once(monkeypatch):
+    # E-perp is read twice, for `expected` and by algebra_radical
+    from splitspin.linalg import Matrix as LinalgMatrix
+
+    kernel_raw = LinalgMatrix.kernel_raw
+    grams = []
+
+    def counting(m):
+        grams.append(m.raw)
+        return kernel_raw(m)
+
+    monkeypatch.setattr(LinalgMatrix, "kernel_raw", counting)
+    for field, rows in ((QQ, [[1, 1], [1, 1]]), (F7, [[1, 2], [2, 4]]), (QQ, [[1, 0], [0, 2]])):
+        form = space(field, rows)
+        grams.clear()
+        report = verify_cover(form)
+        assert report.all_ok
+        assert grams.count(form.gram.raw) == 1
+
+
 def test_verify_cover_identity_gram():
     report = verify_cover(space(QQ, [[1, 0], [0, 1]]))
     assert report.all_ok

@@ -16,6 +16,7 @@ from splitspin import (
     Matrix,
     QuadraticSpace,
     classify_idempotent,
+    classify_idempotents,
     enumerate_idempotents_bruteforce,
     exceptional_cover,
     family_axis,
@@ -23,7 +24,7 @@ from splitspin import (
     matsuo_3c,
     split_spin,
 )
-from splitspin.algebra import DERIVED, Algebra, AlgebraMeta
+from splitspin.algebra import COVER, DERIVED, Algebra, AlgebraMeta
 from splitspin.errors import (
     BudgetExceeded,
     CharTwo,
@@ -32,7 +33,20 @@ from splitspin.errors import (
     NotNormOne,
     WrongAlgebraKind,
 )
-from splitspin.idempotents import FAMILY_A, FAMILY_B, FAMILY_EXC
+from splitspin.idempotents import (
+    FAMILY_A,
+    FAMILY_B,
+    FAMILY_EXC,
+    TAG_FAMILY_A,
+    TAG_FAMILY_B,
+    TAG_FAMILY_EXC,
+    TAG_ONE,
+    TAG_OTHER,
+    TAG_Z1,
+    TAG_Z2,
+    IdempotentClass,
+)
+from splitspin.linalg import vec_is_zero
 
 QQ = Field.rationals()
 F3 = Field.prime(3)
@@ -92,7 +106,7 @@ def test_family_axis_rejects_perturbed_table_under_optimize():
         """
         import sys
         from splitspin import Field, Matrix, QuadraticSpace, family_axis, split_spin
-        from splitspin.algebra import DERIVED, Algebra, AlgebraMeta
+        from splitspin.algebra import COVER, DERIVED, Algebra, AlgebraMeta
         from splitspin.errors import VerificationFailed
         from splitspin.idempotents import FAMILY_A
 
@@ -321,3 +335,160 @@ def test_criterion_3_fails_under_optimize_when_the_scan_drops_a_hit():
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.startswith("FAIL criterion 3: ")
     assert "Traceback" not in proc.stderr
+
+
+# -- batch classification against the boxed one-element classifier --------------
+
+
+def reference_classify(algebra, x):
+    """The boxed classifier: square x through the product, then match it
+    against the templates with Scalar arithmetic."""
+    if x.is_zero or not is_idempotent(x):
+        raise NotIdempotent("classification requires a nonzero idempotent")
+    kind = algebra.meta.kind
+    if kind not in ("split_spin", COVER):
+        raise WrongAlgebraKind(f"no idempotent classification on a {kind} algebra")
+    field = algebra.field
+    space = algebra.meta.space
+    k = space.dim
+    u = x.coords[:k]
+    gamma, delta = x.coords[k], x.coords[k + 1]
+    one = field.one()
+
+    if vec_is_zero(u):
+        if kind == "split_spin":
+            if gamma.is_one and delta.is_one:
+                return IdempotentClass(TAG_ONE)
+            if gamma.is_one and delta.is_zero:
+                return IdempotentClass(TAG_Z1)
+            if gamma.is_zero and delta.is_one:
+                return IdempotentClass(TAG_Z2)
+        else:
+            if gamma.is_one and delta.is_zero:
+                return IdempotentClass(TAG_Z1)
+        return IdempotentClass(TAG_OTHER, witness=x)
+
+    if field.characteristic != 2:
+        e = tuple(2 * c for c in u)
+        if space.bform(e, e).is_one:
+            half = field.half()
+            if kind == COVER:
+                if gamma == -half and delta == half:
+                    return IdempotentClass(TAG_FAMILY_EXC, e=e)
+            else:
+                alpha = algebra.meta.alpha
+                if gamma == half * alpha and delta == half * (alpha + one):
+                    return IdempotentClass(TAG_FAMILY_A, e=e)
+                if gamma == half * (2 - alpha) and delta == half * (one - alpha):
+                    return IdempotentClass(TAG_FAMILY_B, e=e)
+    return IdempotentClass(TAG_OTHER, witness=x)
+
+
+def classify_outcome(classify, algebra, x):
+    try:
+        return classify(algebra, x)
+    except NotIdempotent:
+        return NotIdempotent
+
+
+CLASSIFY_FIELDS = tuple(Field.prime(p) for p in SCAN_PRIMES) + (QQ,)
+Q_DIAGONAL = (1, 4, Fraction(1, 9), Fraction(9, 4), 2, -3, 0)  # the first four are squares
+
+
+def template_points(algebra, rows):
+    """Over Q: z1, and 1 and z2 on split spin, and the family members of
+    +-e_i / r for every diagonal Gram entry r^2 that is a nonzero square."""
+    field = algebra.field
+    k = len(rows)
+    z1 = algebra.basis(k)
+    if algebra.meta.kind == COVER:
+        points, families = [z1], [FAMILY_EXC]
+    else:
+        points, families = [z1, algebra.basis(k + 1), z1 + algebra.basis(k + 1)], [FAMILY_A, FAMILY_B]
+    for i, row in enumerate(rows):
+        root = field.scalar(row[i]).sqrt()
+        if root is None or root.is_zero:
+            continue
+        for sign in (1, -1):
+            e = [field.zero()] * k
+            e[i] = sign / root
+            points += [family_axis(algebra, e, family) for family in families]
+    return points
+
+
+@st.composite
+def classify_cases(draw):
+    """A split spin algebra (alpha over the whole field, with 0, 1, 1/2, -1
+    and 2 drawn on purpose) or a cover over F_2..F_13 or Q, sometimes with
+    perturbed constants but its meta kept, and elements to classify: every
+    scan hit over F_p, the templates over Q, zero and one random element."""
+    field = draw(st.sampled_from(CLASSIFY_FIELDS))
+    p = field.p
+    kind = draw(st.sampled_from(["split_spin", COVER]))
+    if p:
+        value = st.integers(0, p - 1)
+        k = draw(st.integers(1, max(k for k in (1, 2, 3) if p ** (k + 2) <= 20_000)))
+    else:
+        value = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+        k = draw(st.integers(1, 3))
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        rows[i][i] = draw(value if p else st.sampled_from(Q_DIAGONAL))
+        for j in range(i + 1, k):
+            rows[i][j] = rows[j][i] = draw(value)
+    space = QuadraticSpace(Matrix(field, rows))
+    if kind == COVER:
+        algebra = exceptional_cover(space)
+    else:
+        special = [0, 1, -1, 2] + ([Fraction(1, 2)] if p != 2 else [])
+        algebra = split_spin(space, draw(st.one_of(st.sampled_from(special), value)))
+    n = algebra.dim
+    points = [] if p else template_points(algebra, rows)
+    if draw(st.booleans()):
+        index = st.integers(0, n - 1)
+        deltas = draw(st.lists(st.tuples(index, index, index, value.filter(bool)), min_size=1, max_size=3))
+        values = {(i, j, t): c for i, j, t, c in algebra.constants}
+        for i, j, t, d in deltas:
+            key = (min(i, j), max(i, j), t)
+            values[key] = values.get(key, field.zero()) + d
+        algebra = Algebra(field, algebra.labels, [(*key, c) for key, c in values.items()], algebra.meta)
+        points = [algebra.element(x.coords) for x in points]
+    if p:
+        points = list(enumerate_idempotents_bruteforce(algebra))
+    points += [algebra.zero(), algebra.element(draw(st.lists(value, min_size=n, max_size=n)))]
+    return algebra, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(classify_cases())
+def test_classify_idempotents_matches_boxed_reference(case):
+    algebra, points = case
+    expected = [classify_outcome(reference_classify, algebra, x) for x in points]
+    assert [classify_outcome(classify_idempotent, algebra, x) for x in points] == expected
+    hits = [x for x, verdict in zip(points, expected) if verdict is not NotIdempotent]
+    verdicts = [verdict for verdict in expected if verdict is not NotIdempotent]
+    assert classify_idempotents(algebra, hits) == verdicts
+    with pytest.raises(NotIdempotent):
+        classify_idempotents(algebra, [*hits, algebra.zero()])
+
+
+@pytest.mark.parametrize("field", [Field.prime(p) for p in (2, 3, 5, 7)] + [QQ], ids=repr)
+def test_classify_idempotents_meets_every_tag(field):
+    """Every tag ("other" only over F_p) on the scan hits of split spin at
+    every alpha in F_p (on the templates over Q, at the special alphas) and
+    of the cover, each hit classified as the boxed reference does."""
+    p = field.p
+    alphas = range(p) if p else (0, 1, Fraction(1, 2), -1, 2, 3)
+    tags = set()
+    for rows in ([[1]], [[1, 1], [1, 2]], [[0, 0], [0, 1]], [[4, 1], [1, 0]]):
+        space = QuadraticSpace(Matrix(field, rows))
+        for algebra in [split_spin(space, alpha) for alpha in alphas] + [exceptional_cover(space)]:
+            points = enumerate_idempotents_bruteforce(algebra) if p else template_points(algebra, rows)
+            verdicts = classify_idempotents(algebra, points)
+            assert verdicts == [reference_classify(algebra, x) for x in points]
+            tags |= {verdict.tag for verdict in verdicts}
+    if p == 2:  # no family, and every nonzero idempotent lies in F z1 + F z2
+        assert tags == {TAG_ONE, TAG_Z1, TAG_Z2}
+    else:
+        families = {TAG_FAMILY_A, TAG_FAMILY_B, TAG_FAMILY_EXC}
+        assert tags == {TAG_ONE, TAG_Z1, TAG_Z2, *families} | ({TAG_OTHER} if p else set())
