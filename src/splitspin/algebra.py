@@ -31,17 +31,7 @@ from .errors import (
     check,
 )
 from .fields import Field, Scalar
-from .linalg import (
-    Echelon,
-    Matrix,
-    Vector,
-    basis_vector,
-    boxed,
-    raw_values,
-    vec_is_zero,
-    zero_one,
-    zero_vector,
-)
+from .linalg import Echelon, Matrix, Vector, _reduced, boxed, raw_values, zero_one
 from .quadratic import QuadraticSpace
 
 SPLIT_SPIN = "split_spin"
@@ -60,13 +50,25 @@ class AlgebraMeta:
 
 
 class Element:
-    """A vector of coordinates in the basis of its owning algebra."""
+    """A vector of coordinates in the basis of its owning algebra.
 
-    __slots__ = ("algebra", "coords")
+    The coordinates are stored raw in `raw`: int residues in [0, p) over
+    F_p, Fractions over Q.  `coords`, the Scalar view, is built on first use.
+    """
 
-    def __init__(self, algebra: Algebra, coords: Vector):
+    __slots__ = ("algebra", "raw", "_coords")
+
+    def __init__(self, algebra: Algebra, raw: Sequence):
         self.algebra = algebra
-        self.coords = coords
+        self.raw = tuple(raw)
+        self._coords = None
+
+    @property
+    def coords(self) -> Vector:
+        """The coordinates as Scalars, built once."""
+        if self._coords is None:
+            self._coords = boxed(self.algebra.field, self.raw)
+        return self._coords
 
     def _check(self, other: Element):
         if other.algebra is not self.algebra:
@@ -74,21 +76,24 @@ class Element:
 
     def __add__(self, other: Element) -> Element:
         self._check(other)
-        return Element(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        p = self.algebra.field.p
+        return Element(self.algebra, _reduced(p, (a + b for a, b in zip(self.raw, other.raw))))
 
     def __sub__(self, other: Element) -> Element:
         self._check(other)
-        return Element(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        p = self.algebra.field.p
+        return Element(self.algebra, _reduced(p, (a - b for a, b in zip(self.raw, other.raw))))
 
     def __neg__(self) -> Element:
-        return Element(self.algebra, tuple(-a for a in self.coords))
+        return Element(self.algebra, _reduced(self.algebra.field.p, (-a for a in self.raw)))
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
             return self.algebra.multiply(self, other)
-        scalar = self.algebra.field.scalar(other)
-        return Element(self.algebra, tuple(scalar * a for a in self.coords))
+        field = self.algebra.field
+        (scalar,) = raw_values(field, (other,))
+        return Element(self.algebra, _reduced(field.p, (scalar * a for a in self.raw)))
 
     def __rmul__(self, other):
         if isinstance(other, Element):
@@ -98,14 +103,14 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return other.algebra is self.algebra and other.coords == self.coords
+        return other.algebra is self.algebra and other.raw == self.raw
 
     def __hash__(self):
-        return hash((id(self.algebra), self.coords))
+        return hash((id(self.algebra), self.raw))
 
     @property
     def is_zero(self) -> bool:
-        return vec_is_zero(self.coords)
+        return not any(self.raw)
 
     def __repr__(self):
         parts = [
@@ -167,25 +172,28 @@ class Algebra:
         return self.labels.index(label)
 
     def element(self, coords: Sequence) -> Element:
-        v = tuple(self.field.scalar(c) for c in coords)
+        v = raw_values(self.field, coords)
         if len(v) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} coordinates")
         return Element(self, v)
 
     def basis(self, i: int) -> Element:
-        return Element(self, basis_vector(self.field, self.dim, i))
+        zero, one = zero_one(self.field)
+        v = [zero] * self.dim
+        v[i] = one
+        return Element(self, v)
 
     def basis_by_label(self, label: str) -> Element:
         return self.basis(self.label_index(label))
 
     def zero(self) -> Element:
-        return Element(self, zero_vector(self.field, self.dim))
+        return Element(self, [zero_one(self.field)[0]] * self.dim)
 
     def from_labels(self, coeffs: dict) -> Element:
-        coords = [self.field.zero()] * self.dim
+        coords = [zero_one(self.field)[0]] * self.dim
         for label, value in coeffs.items():
-            coords[self.label_index(label)] = self.field.scalar(value)
-        return Element(self, tuple(coords))
+            (coords[self.label_index(label)],) = raw_values(self.field, (value,))
+        return Element(self, coords)
 
     @property
     def e_dim(self) -> int:
@@ -229,13 +237,10 @@ class Algebra:
 
     # -- multiplication ------------------------------------------------------
 
-    def _mul_coords(self, u: Sequence, v: Sequence) -> Vector:
-        """The coordinates of u v, for coordinate vectors given as Scalars
-        or raw values."""
-        field, rows = self.field, self._rows
-        u, v = raw_values(field, u), raw_values(field, v)
-        zero, p = zero_one(field)[0], field.p
-        acc = [zero] * self.dim
+    def _mul_coords(self, u: Sequence, v: Sequence) -> tuple:
+        """The raw coordinates of u v, for raw coordinate vectors u and v."""
+        rows, p = self._rows, self.field.p
+        acc = [zero_one(self.field)[0]] * self.dim
         for i, ui in enumerate(u):
             if not ui:
                 continue
@@ -245,16 +250,16 @@ class Algebra:
                     w = ui * vj
                     for k, c in cell:
                         acc[k] += w * c
-        return boxed(field, acc if p is None else (a % p for a in acc))
+        return tuple(acc) if p is None else tuple(a % p for a in acc)
 
     def multiply(self, u: Element, v: Element) -> Element:
         if u.algebra is not self or v.algebra is not self:
             raise AlgebraMismatch("elements belong to a different algebra")
-        return Element(self, self._mul_coords(u.coords, v.coords))
+        return Element(self, self._mul_coords(u.raw, v.raw))
 
     def adjoint(self, a: Element) -> Matrix:
         """Matrix of v -> a v in the algebra basis."""
-        return Matrix(self.field, self._adjoint_raw(raw_values(self.field, a.coords)))
+        return Matrix._from_raw(self.field, self._adjoint_raw(a.raw))
 
     def _adjoint_raw(self, u: Sequence) -> list[list]:
         """The raw rows of ad_u for the raw coordinates u, from the stored
@@ -284,20 +289,6 @@ class Algebra:
             bases.append(Matrix(self.field, shifted).kernel_raw())
         return bases
 
-    def eigendecompose(
-        self, a: Element, candidates: Sequence
-    ) -> tuple[dict[Scalar, tuple[Element, ...]], bool]:
-        """Kernels of ad_a - lambda for each candidate eigenvalue.
-
-        Returns the eigenspace bases keyed by candidate, plus a completeness
-        flag that is true iff the dimensions sum to dim(A).
-        """
-        values = [self.field.scalar(c) for c in candidates]
-        bases = self.eigenspaces_raw(raw_values(self.field, a.coords), [lam.value for lam in values])
-        spaces = {lam: tuple(Element(self, boxed(self.field, v)) for v in basis)
-                  for lam, basis in zip(values, bases)}
-        return spaces, sum(map(len, bases)) == self.dim
-
     def identity(self) -> Element | None:
         """The multiplicative identity, or None if no element satisfies
         u b_i = b_i for every basis vector b_i."""
@@ -324,9 +315,9 @@ class Algebra:
         """
         cap = self.dim if cap is None else cap
         span = Echelon(self.field)
-        basis: list[Vector] = []
+        basis: list[tuple] = []  # raw
 
-        def try_add(vec: Vector) -> bool:
+        def try_add(vec: tuple) -> bool:
             if not span.add(vec):
                 return False
             if span.rank > cap:
@@ -337,12 +328,12 @@ class Algebra:
         for g in generators:
             if g.algebra is not self:
                 raise AlgebraMismatch("generator from a different algebra")
-            try_add(g.coords)
+            try_add(g.raw)
         if not basis:
             raise ValueError("need at least one nonzero generator")
 
         # a pair multiplied in an earlier round already lies in the span
-        products: dict[tuple[int, int], Vector] = {}
+        products: dict[tuple[int, int], tuple] = {}
         degree = 1
         while True:
             added = False
@@ -377,18 +368,18 @@ class Algebra:
             if x.algebra is not self:
                 raise AlgebraMismatch("ideal element from a different algebra")
         n = self.dim
-        span = Echelon(self.field, (x.coords for x in ideal))
-        ideal_rows, pivots = span.rref()
+        span = Echelon(self.field, (x.raw for x in ideal))
+        ideal_rows = [row for _, row in span._rows]
+        pivots = [pivot for pivot, _ in span._rows]
+        units = [self.basis(k).raw for k in range(n)]
         for v in ideal_rows:
             for k in range(n):
-                prod = self._mul_coords(v, basis_vector(self.field, n, k))
-                if not span.contains(prod):
+                if not span.contains(self._mul_coords(v, units[k])):
                     raise NotAnIdeal(
                         f"span not closed under multiplication by basis vector {self.labels[k]}"
                     )
         free = [c for c in range(n) if c not in set(pivots)]
-        columns = [list(v) for v in ideal_rows] + [basis_vector(self.field, n, f) for f in free]
-        change = Matrix.from_columns(self.field, columns)
+        change = Matrix.from_columns(self.field, ideal_rows + [units[f] for f in free])
         inverse = change.inverse()
         check(inverse is not None, "ideal rows and free basis vectors do not form a basis", pivots)
         r = len(ideal_rows)
@@ -413,16 +404,16 @@ class Algebra:
         pair as a witness, or None when the map is singular or correct."""
         if self.field != other.field:
             raise FieldMismatch("algebras over different fields")
+        if mapping.field != self.field:
+            raise FieldMismatch(f"mapping over {mapping.field!r} for algebras over {self.field!r}")
         if self.dim != other.dim or mapping.rows != self.dim or mapping.cols != self.dim:
             raise DimensionMismatch("mapping must be square of the common dimension")
         if mapping.rank() < self.dim:
             return False, None
-        cols = [mapping.column(j) for j in range(self.dim)]
+        cols = list(zip(*mapping.raw))
         for i in range(self.dim):
             for j in range(i, self.dim):
-                lhs = boxed(self.field, mapping.apply_sparse(self.cell(i, j)))
-                rhs = other._mul_coords(cols[i], cols[j])
-                if lhs != rhs:
+                if mapping.apply_sparse(self.cell(i, j)) != other._mul_coords(cols[i], cols[j]):
                     return False, (i, j)
         return True, None
 

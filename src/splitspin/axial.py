@@ -23,6 +23,7 @@ from .errors import (
     CharTwo,
     DimensionMismatch,
     EigenvalueCollision,
+    FieldMismatch,
     IncompleteDecomposition,
     NotAnAutomorphism,
     NotIdempotent,
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .idempotents import FAMILY_A, family_axis, is_idempotent
-from .linalg import Echelon, Matrix, Vector, cleared, raw_values
+from .linalg import Echelon, Matrix, Vector, cleared, raw_values, zero_one
 from .quadratic import NormOneSearch
 
 JORDAN = "jordan"
@@ -169,7 +170,7 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
         raise NotIdempotent("axis candidates must be nonzero idempotents")
     field, n, p = algebra.field, algebra.dim, algebra.field.p
     eigenvalues = law.eigenvalues
-    bases = algebra.eigenspaces_raw(raw_values(field, x.coords), raw_values(field, eigenvalues))
+    bases = algebra.eigenspaces_raw(x.raw, raw_values(field, eigenvalues))
     dims = {lam: len(basis) for lam, basis in zip(eigenvalues, bases)}
     if sum(dims.values()) != n:
         raise IncompleteDecomposition(
@@ -264,6 +265,8 @@ def extend_orthogonal(algebra: Algebra, m_on_e: Matrix) -> Matrix:
     distinguished basis vectors outside E."""
     if algebra.meta.space is None:
         raise WrongAlgebraKind("algebra has no quadratic part")
+    if m_on_e.field != algebra.field:
+        raise FieldMismatch(f"map over {m_on_e.field!r} for an algebra over {algebra.field!r}")
     k, n = algebra.e_dim, algebra.dim
     if m_on_e.rows != k or m_on_e.cols != k:
         raise DimensionMismatch("map must act on E")
@@ -311,7 +314,7 @@ class FrobeniusForm:
     radical_basis: tuple[Element, ...]
 
     def evaluate(self, u: Element, v: Element) -> Scalar:
-        return self.gram.bilinear(u.coords, v.coords)
+        return self.gram.bilinear(u.raw, v.raw)
 
 
 def frobenius(algebra: Algebra) -> FrobeniusForm:
@@ -357,17 +360,19 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
     return FrobeniusForm(algebra, gram, radical)
 
 
-def _basis_vec(algebra: Algebra, i: int) -> Vector:
-    return algebra.basis(i).coords
+def _basis_vec(algebra: Algebra, i: int) -> tuple:
+    return algebra.basis(i).raw
 
 
-def _verify_ideal(algebra: Algebra, vectors: Sequence[Vector]) -> None:
+def _verify_ideal(algebra: Algebra, vectors: Sequence[tuple]) -> None:
     """Raise VerificationFailed, with the first (vector, basis) index pair
-    whose product leaves the span, unless the span is an ideal."""
+    whose product leaves the span, unless the span of the raw vectors is an
+    ideal."""
     span = Echelon(algebra.field, vectors)
+    units = [_basis_vec(algebra, k) for k in range(algebra.dim)]
     for i, v in enumerate(vectors):
-        for k in range(algebra.dim):
-            prod = algebra._mul_coords(v, _basis_vec(algebra, k))
+        for k, unit in enumerate(units):
+            prod = algebra._mul_coords(v, unit)
             check(span.contains(prod), "radical candidate is not an ideal", (i, k))
 
 
@@ -400,9 +405,10 @@ def algebra_radical(algebra: Algebra) -> tuple[Element, ...]:
     raise WrongAlgebraKind(f"no radical description for a {kind} algebra")
 
 
-def _lift(algebra: Algebra, e_vec: Vector) -> Vector:
-    zero = algebra.field.zero()
-    return tuple(e_vec) + (zero, zero)
+def _lift(algebra: Algebra, e_vec: Vector) -> tuple:
+    """The raw coordinates of the E-vector e_vec in the algebra."""
+    zero = zero_one(algebra.field)[0]
+    return tuple(raw_values(algebra.field, e_vec)) + (zero, zero)
 
 
 def is_simple(
@@ -458,7 +464,7 @@ def frobenius_s3_invariant(algebra: Algebra, e) -> bool:
     x = family_axis(algebra, e, FAMILY_A)
     x_minus = family_axis(algebra, tuple(-c for c in e), FAMILY_A)
     z1 = algebra.basis_by_label("z1")
-    basis = Matrix.from_columns(algebra.field, [x.coords, x_minus.coords, z1.coords])
+    basis = Matrix.from_columns(algebra.field, [x.raw, x_minus.raw, z1.raw])
     inverse = basis.inverse()
     if inverse is None:
         return False

@@ -279,7 +279,7 @@ def _cmd_idempotents(args, cfg: RunConfig):
         for x, verdict in zip(found, classify_idempotents(algebra, found)):
             counts[verdict.tag] = counts.get(verdict.tag, 0) + 1
             # over F_p a residue is its own JSON value
-            entry = {"coords": [c.value for c in x.coords], "class": verdict.tag}
+            entry = {"coords": list(x.raw), "class": verdict.tag}
             if verdict.e is not None:
                 entry["e"] = [c.value for c in verdict.e]
             classified.append(entry)

@@ -51,7 +51,7 @@ class IdempotentClass:
 
 
 def is_idempotent(x: Element) -> bool:
-    return (x * x).coords == x.coords
+    return (x * x).raw == x.raw
 
 
 def family_axis(algebra: Algebra, e, family: str) -> Element:
@@ -148,7 +148,7 @@ def classify_idempotents(algebra: Algebra, xs: Sequence[Element]) -> list[Idempo
 def _raw_idempotent(x: Element, cells: list, p: int | None) -> list:
     """The raw coordinates of x, once x is nonzero and squares to itself
     over the `_square_cells`; NotIdempotent otherwise."""
-    raw = [c.value for c in x.coords]
+    raw = x.raw
     square = [0] * len(raw)
     for i, j, cell in cells:
         w = raw[i] * raw[j]
@@ -174,7 +174,7 @@ def enumerate_idempotents_bruteforce(algebra: Algebra, budget: int = 1_000_000) 
     (h, s) tests every t in F_p against one coordinate after another,
     stopping at the first coordinate that leaves no candidate.  Only the
     stored structure cells are read."""
-    field, p = algebra.field, algebra.field.p
+    p = algebra.field.p
     if p is None:
         raise NotFiniteField("exhaustive idempotent scan needs a finite field")
     n = algebra.dim
@@ -184,7 +184,7 @@ def enumerate_idempotents_bruteforce(algebra: Algebra, budget: int = 1_000_000) 
     if n == 1:
         # the algebra is the single line t b_0, and (t b_0)^2 = t^2 c b_0
         (c,) = _dense(algebra, 0, 0)
-        return tuple(Element(algebra, boxed(field, (t,))) for t in every_t if t and (t * t * c - t) % p == 0)
+        return tuple(Element(algebra, (t,)) for t in every_t if t and (t * t * c - t) % p == 0)
     last = n - 1
     m = n - 2
     head_cells = _square_cells(algebra, m)
@@ -223,7 +223,7 @@ def enumerate_idempotents_bruteforce(algebra: Algebra, budget: int = 1_000_000) 
             else:
                 for t in candidates:
                     if t or s or any(head):
-                        hits.append(Element(algebra, boxed(field, head + (s, t))))
+                        hits.append(Element(algebra, head + (s, t)))
     return tuple(hits)
 
 

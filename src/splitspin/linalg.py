@@ -71,16 +71,6 @@ def boxed(field: Field, values: Iterable) -> Vector:
     return tuple(Scalar(field, a) for a in values)
 
 
-def zero_vector(field: Field, n: int) -> Vector:
-    return (field.zero(),) * n
-
-
-def basis_vector(field: Field, n: int, i: int) -> Vector:
-    coords = [field.zero()] * n
-    coords[i] = field.one()
-    return tuple(coords)
-
-
 def vec_is_zero(u: Vector) -> bool:
     return all(a.is_zero for a in u)
 
@@ -422,11 +412,6 @@ class Echelon:
             square = [[a[c] for a in self._accepted] for c in pivots]
             self._solver = Matrix._from_raw(self.field, square).inverse()
         return boxed(self.field, self._solver.apply_raw([v[c] for c in pivots]))
-
-    def rref(self) -> tuple[list[Vector], tuple[int, ...]]:
-        """The reduced rows, sorted by pivot, and their pivot columns."""
-        rows = [boxed(self.field, row) for _, row in self._rows]
-        return rows, tuple(pivot for pivot, _ in self._rows)
 
 
 def span_rank(field: Field, vectors: Sequence[Vector]) -> int:

@@ -110,7 +110,7 @@ def frobenius_to_json(form: FrobeniusForm):
     return {
         "gram": matrix_to_json(form.gram),
         "radical": [element_to_json(v) for v in form.radical_basis],
-        "rank": form.gram.rank(),
+        "rank": form.gram.cols - len(form.gram.kernel()),
     }
 
 

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .idempotents import FAMILY_A, FAMILY_EXC, family_axis
-from .linalg import Matrix, Vector, boxed, raw_values
+from .linalg import Matrix, Vector, _reduced, boxed
 from .quadratic import QuadraticSpace
 
 VARIANT_SPLIT = "split_spin"
@@ -169,7 +169,7 @@ def yabe_data(algebra: Algebra, x: Element, y: Element) -> YabeData:
     if space.dim != 2:
         raise ValueError("the Yabe basis lives in the two-generated case (dim E = 2)")
     for axis in (x, y):
-        if (axis * axis).coords != axis.coords:
+        if (axis * axis).raw != axis.raw:
             raise ValueError("generators must be idempotent axes")
     two = field.scalar(2)
     e = tuple(two * c for c in algebra.e_part(x))
@@ -188,16 +188,16 @@ def yabe_data(algebra: Algebra, x: Element, y: Element) -> YabeData:
         law = monster_law(field, -field.one(), half)
         q = algebra.basis_by_label("n") * ((1 - mu) / 4)
     tau_x = miyamoto(algebra, x, law)
-    a_minus1 = algebra.element(tau_x.apply(y.coords))
+    a_minus1 = Element(algebra, tau_x.apply_raw(y.raw))
     delta = -two * mu - 1
-    basis = Matrix.from_columns(field, [x.coords, y.coords, a_minus1.coords, q.coords])
+    basis = Matrix.from_columns(field, [x.raw, y.raw, a_minus1.raw, q.raw])
     inverse = basis.inverse()
     spans = inverse is not None and algebra.dim == 4
     check(spans, "the Yabe basis must span the four-dimensional algebra",
           witness=basis)
     elements = (x, y, a_minus1, q)
     constants = tuple(
-        tuple(inverse.apply((elements[i] * elements[j]).coords) for j in range(4))
+        tuple(inverse.apply((elements[i] * elements[j]).raw) for j in range(4))
         for i in range(4)
     )
     return YabeData(x, y, a_minus1, q, delta, constants, spans)
@@ -319,9 +319,8 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
     space = algebra.meta.space
     if space.dim != 2:
         raise ValueError("axet enumeration concerns the two-generated case (dim E = 2)")
-    two = field.scalar(2)
-    e = tuple(raw_values(field, (two * c for c in algebra.e_part(x))))
-    f = tuple(raw_values(field, (two * c for c in algebra.e_part(y))))
+    e = tuple(_reduced(field.p, (2 * a for a in x.raw[:2])))
+    f = tuple(_reduced(field.p, (2 * a for a in y.raw[:2])))
     mu = space.bform(e, f)
     order = rho_order(field, mu)
     if order.kind == INFINITE:

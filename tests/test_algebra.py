@@ -20,10 +20,11 @@ from splitspin.errors import (
     CharTwo,
     DimensionMismatch,
     DuplicateCandidates,
+    FieldMismatch,
     NotAnIdeal,
 )
 from splitspin.idempotents import FAMILY_A, family_axis
-from splitspin.linalg import Echelon
+from splitspin.linalg import Echelon, boxed, raw_values
 from test_linalg import reference_solve
 
 QQ = Field.rationals()
@@ -96,30 +97,32 @@ def test_multiply_rejects_foreign_elements(A3):
         A3.basis(0) * other.basis(0)
 
 
+def eigenspace_dims(algebra, x, candidates):
+    """The eigenspace dimensions of ad_x at the candidate eigenvalues."""
+    bases = algebra.eigenspaces_raw(x.raw, raw_values(algebra.field, candidates))
+    return [len(basis) for basis in bases]
+
+
 def test_eigendecompose_family_axis(A3):
     x = family_axis(A3, [1, 0], FAMILY_A)
-    spaces, complete = A3.eigendecompose(x, [1, 0, 3, Fraction(1, 2)])
-    assert complete
-    assert [len(v) for v in spaces.values()] == [1, 1, 1, 1]
+    assert eigenspace_dims(A3, x, [1, 0, 3, Fraction(1, 2)]) == [1, 1, 1, 1]
     # the 1-eigenspace is the line through x
-    assert Echelon(QQ, [spaces[QQ.one()][0].coords]).contains(x.coords)
+    (line,) = A3.eigenspaces_raw(x.raw, [Fraction(1)])
+    assert Echelon(QQ, line).contains(x.raw)
 
 
 def test_eigendecompose_z1(A3):
-    spaces, complete = A3.eigendecompose(A3.basis_by_label("z1"), [1, 0, 3])
-    assert complete
-    assert [len(v) for v in spaces.values()] == [1, 1, 2]
+    assert eigenspace_dims(A3, A3.basis_by_label("z1"), [1, 0, 3]) == [1, 1, 2]
 
 
 def test_eigendecompose_incomplete_without_half(A3):
     x = family_axis(A3, [1, 0], FAMILY_A)
-    _, complete = A3.eigendecompose(x, [1, 0, 3])
-    assert not complete
+    assert sum(eigenspace_dims(A3, x, [1, 0, 3])) < A3.dim
 
 
 def test_eigendecompose_rejects_duplicates(A3):
     with pytest.raises(DuplicateCandidates):
-        A3.eigendecompose(A3.basis(0), [1, 1])
+        A3.eigenspaces_raw(A3.basis(0).raw, [Fraction(1), Fraction(1)])
 
 
 def test_family_axis_squares(A3):
@@ -263,6 +266,9 @@ def subalgebra_reference(algebra, generators):
     are solved from scratch."""
     field, basis = algebra.field, []
 
+    def product(u, v):
+        return boxed(field, algebra._mul_coords(raw_values(field, u), raw_values(field, v)))
+
     def try_add(vec):
         if not any(vec) or (basis and reference_solve(field, basis, vec) is not None):
             return False
@@ -276,11 +282,11 @@ def subalgebra_reference(algebra, generators):
         snapshot, added = list(basis), False
         for i in range(len(snapshot)):
             for j in range(i, len(snapshot)):
-                added = try_add(algebra._mul_coords(snapshot[i], snapshot[j])) or added
+                added = try_add(product(snapshot[i], snapshot[j])) or added
         if not added:
             break
         degree += 1
-    table = [[reference_solve(field, basis, algebra._mul_coords(u, v)) for v in basis] for u in basis]
+    table = [[reference_solve(field, basis, product(u, v)) for v in basis] for u in basis]
     return basis, degree, table
 
 
@@ -319,9 +325,7 @@ def test_larger_dimensions():
     one = algebra.identity()
     assert one == algebra.from_labels({"z1": 1, "z2": 1})
     x = family_axis(algebra, [1, 0, 0, 0, 0, 0], FAMILY_A)
-    spaces, complete = algebra.eigendecompose(x, [1, 0, 2, F7.half()])
-    assert complete
-    assert [len(v) for v in spaces.values()] == [1, 1, 1, 5]
+    assert eigenspace_dims(algebra, x, [1, 0, 2, F7.half()]) == [1, 1, 1, 5]
 
 
 def test_matsuo_products():
@@ -379,6 +383,14 @@ def test_check_isomorphism_detects_failure(A3):
     swap = Matrix.from_columns(QQ, cols)
     ok, witness = A3.check_isomorphism(A3, swap)
     assert not ok and witness is not None
+
+
+def test_check_isomorphism_rejects_a_mapping_over_another_field():
+    algebra = split_spin(identity_space(F7, 2), 3)
+    singular = Matrix(F5, [[1, 0, 0, 0]] * 4)
+    for mapping in (singular, Matrix.identity(F5, 4), Matrix.identity(QQ, 4)):
+        with pytest.raises(FieldMismatch):
+            algebra.check_isomorphism(algebra, mapping)
 
 
 @given(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
@@ -540,3 +552,79 @@ def test_sparse_product_matches_dense_reference(algebra, data):
     one = algebra.identity()
     assert (None if one is None else one.coords) == reference_identity(field, table)
     assert fractions_over_q(field, (c.value for _, _, _, c in algebra.constants))
+
+
+class BoxedElement:
+    """The Element arithmetic on tuples of Scalars, as it ran before the
+    coordinates were stored raw: the reference for the raw Element."""
+
+    def __init__(self, algebra, coords):
+        self.algebra = algebra
+        self.coords = tuple(algebra.field.scalar(c) for c in coords)
+
+    def __add__(self, other):
+        return BoxedElement(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
+
+    def __sub__(self, other):
+        return BoxedElement(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
+
+    def __neg__(self):
+        return BoxedElement(self.algebra, [-a for a in self.coords])
+
+    def scaled(self, other):
+        scalar = self.algebra.field.scalar(other)
+        return BoxedElement(self.algebra, [scalar * a for a in self.coords])
+
+    def times(self, other):
+        table = dense_table(self.algebra)
+        return BoxedElement(self.algebra, reference_product(self.algebra.field, table, self.coords, other.coords))
+
+    def __eq__(self, other):
+        return other.algebra is self.algebra and other.coords == self.coords
+
+    @property
+    def is_zero(self):
+        return all(a.is_zero for a in self.coords)
+
+    def __repr__(self):
+        parts = [
+            f"{c}*{label}" if not c.is_one else label
+            for c, label in zip(self.coords, self.algebra.labels)
+            if c
+        ]
+        return " + ".join(parts) if parts else "0"
+
+
+@given(derived_algebras(), st.data())
+def test_raw_element_matches_boxed_reference(algebra, data):
+    field, n = algebra.field, algebra.dim
+    value = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+    coords = st.lists(value, min_size=n, max_size=n)
+    u_in = data.draw(coords)
+    v_in = list(u_in) if data.draw(st.booleans()) else data.draw(coords)
+    s = data.draw(value)
+    u, v = algebra.element(u_in), algebra.element(v_in)
+    bu, bv = BoxedElement(algebra, u_in), BoxedElement(algebra, v_in)
+    pairs = [
+        (u, bu),
+        (u + v, bu + bv),
+        (u - v, bu - bv),
+        (-u, -bu),
+        (u * s, bu.scaled(s)),
+        (s * u, bu.scaled(s)),
+        (u * field.scalar(s), bu.scaled(s)),
+        (u * v, bu.times(bv)),
+    ]
+    for x, reference in pairs:
+        assert x.coords == reference.coords
+        assert x.raw == tuple(c.value for c in reference.coords)
+        assert x.is_zero == reference.is_zero
+        assert repr(x) == repr(reference)
+        assert fractions_over_q(field, x.raw)
+    assert (u == v) == (bu == bv)
+    if u == v:
+        assert hash(u) == hash(v)
+    assert u == algebra.element(bu.coords) and hash(u) == hash(algebra.element(bu.coords))
+    built = [algebra.zero(), *map(algebra.basis, range(n)), algebra.from_labels({algebra.labels[0]: s})]
+    for x in built:
+        assert fractions_over_q(field, x.raw)

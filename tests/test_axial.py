@@ -350,8 +350,9 @@ def check_axis_reference(algebra, x, law):
     read the Miyamoto involution off the fusion products: the fusion law on
     every ordered pair of eigenvectors, then B D B^-1 tested with
     is_automorphism on standard basis pairs."""
-    spaces, complete = algebra.eigendecompose(x, law.eigenvalues)
-    assert complete
+    bases = algebra.eigenspaces_raw(x.raw, [lam.value for lam in law.eigenvalues])
+    assert sum(map(len, bases)) == algebra.dim
+    spaces = {lam: [algebra.element(v) for v in basis] for lam, basis in zip(law.eigenvalues, bases)}
     dims = {lam: len(basis) for lam, basis in spaces.items()}
     columns = [v.coords for lam in law.eigenvalues for v in spaces[lam]]
     basis_change = Matrix.from_columns(algebra.field, columns)
@@ -468,7 +469,7 @@ def test_frobenius_rejects_perturbed_table_under_optimize(A3):
 
 
 def test_verify_ideal_reports_first_escaping_product(A3):
-    e1 = A3.basis(0).coords
+    e1 = A3.basis(0).raw
     _verify_ideal(A3, [])  # the zero subspace is an ideal
     with pytest.raises(VerificationFailed) as info:
         _verify_ideal(A3, [e1])  # e1 e1 lies in the z-part, outside <e1>
@@ -562,6 +563,13 @@ def test_z_swap_is_not_an_automorphism(A3):
     ident = Matrix.identity(QQ, 4)
     cols = [ident.column(0), ident.column(1), ident.column(3), ident.column(2)]
     assert not is_automorphism(A3, Matrix.from_columns(QQ, cols))
+
+
+def test_extend_orthogonal_rejects_a_map_over_another_field():
+    algebra = split_spin(identity_space(F7, 2), 3)
+    for m_on_e in (Matrix(F5, [[4, 0], [0, 1]]), Matrix(QQ, [[Fraction(1, 2), 0], [0, 1]])):
+        with pytest.raises(FieldMismatch):
+            extend_orthogonal(algebra, m_on_e)
 
 
 def test_form_preserving_requirement():
