@@ -4,10 +4,10 @@ classification oracle, fusion and Miyamoto checks, the Frobenius form,
 radicals and simplicity, the 3C subalgebra, the Yabe basis, axet sizes and
 the cover pipeline.  Every check is exact arithmetic with zero tolerance.
 
-Each criterion is a callable that raises AssertionError or a
-SplitSpinError on failure; run_all prints one pass/fail line per criterion
-and goes on to the next.  The pytest acceptance module drives the same
-registry.
+Each criterion is a callable that raises a SplitSpinError on failure,
+from typed checks that also run under python -O; run_all prints one
+pass/fail line per criterion and goes on to the next.  The pytest
+acceptance module drives the same registry.
 """
 
 from __future__ import annotations
@@ -403,15 +403,18 @@ def criterion_6():
             e = space.vector([1, 0])
             x = family_axis(algebra, e, FAMILY_A)
             y = family_axis(algebra, e, FAMILY_B)
-            assert form.evaluate(x, x) == QQ.scalar(alpha) + 1
-            assert form.evaluate(y, y) == 2 - QQ.scalar(alpha)
-            assert form.evaluate(algebra.basis_by_label("z1"), x) == (
+            check(form.evaluate(x, x) == QQ.scalar(alpha) + 1,
+                  "a family (a) axis does not have length alpha + 1", witness=(alpha, gram))
+            check(form.evaluate(y, y) == 2 - QQ.scalar(alpha),
+                  "a family (b) axis does not have length 2 - alpha", witness=(alpha, gram))
+            check(form.evaluate(algebra.basis_by_label("z1"), x) == (
                 QQ.half() * alpha * (QQ.scalar(alpha) + 1)
-            )
+            ), "(z1, x) is not alpha (alpha + 1) / 2 for a family (a) axis x", witness=(alpha, gram))
             for _ in range(2):
                 m = sample_orthogonal_extension(algebra, rng)
-                assert is_automorphism(algebra, m)
-                assert m.transpose() @ form.gram @ m == form.gram
+                check(is_automorphism(algebra, m), "a sampled reflection product is not an automorphism", witness=m)
+                check(m.transpose() @ form.gram @ m == form.gram,
+                      "the Frobenius form is not invariant under a sampled automorphism", witness=m)
                 sampled += 1
     for field, gram in ((F7, [[1, 0], [0, 1]]), (QQ, [[1, 0], [0, 1]]), (F5, [[1, 1], [1, 1]])):
         space = QuadraticSpace(Matrix(field, gram))
@@ -419,27 +422,33 @@ def criterion_6():
         form = frobenius(algebra)
         e = space.vector([1, 0])
         x = family_axis(algebra, e, FAMILY_EXC)
-        assert form.evaluate(x, x) == field.one()  # (3 b(e,e) + (z1,z1)) / 4
+        check(form.evaluate(x, x) == field.one(),  # (3 b(e,e) + (z1,z1)) / 4
+              "a cover family axis does not have length 1", witness=(field, gram))
         for _ in range(3):
             m = sample_orthogonal_extension(algebra, rng)
-            assert is_automorphism(algebra, m)
-            assert m.transpose() @ form.gram @ m == form.gram
+            check(is_automorphism(algebra, m), "a sampled reflection product is not an automorphism of the cover",
+                  witness=m)
+            check(m.transpose() @ form.gram @ m == form.gram,
+                  "the cover's Frobenius form is not invariant under a sampled automorphism", witness=m)
             sampled += 1
-    assert sampled >= 20
+    check(sampled >= 20, f"only {sampled} automorphisms sampled", witness=sampled)
     for alpha, label in ((-1, "z1"), (2, "z2")):
         for gram in grams:
             space = QuadraticSpace(Matrix(QQ, gram))
             algebra = split_spin(space, alpha)
             form = frobenius(algebra)
-            assert form.gram.rank() == 1
+            check(form.gram.rank() == 1, f"the baric Frobenius form at alpha = {alpha} is not of rank one",
+                  witness=form.gram)
             stated = [algebra.basis(i).coords for i in range(2)]
             stated.append(algebra.basis_by_label(label).coords)
-            assert same_span(QQ, [v.coords for v in form.radical_basis], stated)
+            check(same_span(QQ, [v.coords for v in form.radical_basis], stated),
+                  f"the Frobenius radical at alpha = {alpha} is not E + F {label}", witness=form.radical_basis)
             try:
                 algebra_radical(algebra)
-                raise AssertionError("expected BaricCase")
+                check(False, "expected BaricCase", witness=(alpha, gram))
             except BaricCase as exc:
-                assert same_span(QQ, [v.coords for v in exc.radical], stated)
+                check(same_span(QQ, [v.coords for v in exc.radical], stated),
+                      f"the baric radical at alpha = {alpha} is not E + F {label}", witness=exc.radical)
 
 
 def criterion_7():
@@ -455,29 +464,32 @@ def criterion_7():
             if alpha in (-1, 2):
                 try:
                     algebra_radical(algebra)
-                    raise AssertionError("expected BaricCase")
+                    check(False, "expected BaricCase", witness=(alpha, gram))
                 except BaricCase:
                     pass
             else:
                 radical = algebra_radical(algebra)
                 zero = QQ.zero()
                 lifted = [tuple(v) + (zero, zero) for v in space.radical()]
-                assert same_span(QQ, [v.coords for v in radical], lifted)
+                check(same_span(QQ, [v.coords for v in radical], lifted),
+                      "the radical is not the lifted kernel of b", witness=(alpha, gram))
                 form = frobenius(algebra)
-                assert same_span(QQ, [v.coords for v in form.radical_basis], lifted)
+                check(same_span(QQ, [v.coords for v in form.radical_basis], lifted),
+                      "the Frobenius radical is not the lifted kernel of b", witness=(alpha, gram))
             evidence = space.find_norm_one(budget=500, seed=7)
-            assert evidence.spans
+            check(evidence.spans, "the norm-one vectors found do not span E", witness=(alpha, gram))
             simple, reason = is_simple(algebra, evidence=evidence)
             expected = (not degenerate) and alpha not in (-1, 2)
-            assert simple == expected
+            check(simple == expected, f"is_simple gives {simple}, expected {expected}", witness=(alpha, gram))
             if alpha == -1:
-                assert reason == "BaricMinusOne"
+                check(reason == "BaricMinusOne", f"is_simple gives reason {reason}, not BaricMinusOne", witness=gram)
             elif alpha == 2:
-                assert reason == "BaricTwo"
+                check(reason == "BaricTwo", f"is_simple gives reason {reason}, not BaricTwo", witness=gram)
             elif degenerate:
-                assert reason == "DegenerateForm"
+                check(reason == "DegenerateForm", f"is_simple gives reason {reason}, not DegenerateForm",
+                      witness=(alpha, gram))
             else:
-                assert reason == "Simple"
+                check(reason == "Simple", f"is_simple gives reason {reason}, not Simple", witness=(alpha, gram))
 
 
 def criterion_8():
@@ -497,10 +509,11 @@ def criterion_8():
         x_minus = family_axis(algebra, tuple(-c for c in e), FAMILY_A)
         z1 = algebra.basis_by_label("z1")
         sub = algebra.subalgebra([x, x_minus, z1])
-        assert sub.algebra.dim == 3 and sub.closure_degree == 1
+        check(sub.algebra.dim == 3 and sub.closure_degree == 1, "x, x^- and z1 do not span a subalgebra",
+              witness=(field, alpha, sub.algebra.dim, sub.closure_degree))
         model = matsuo_3c(field, alpha)
-        ok, _ = model.check_isomorphism(sub.algebra, Matrix.identity(field, 3))
-        assert ok
+        ok, witness = model.check_isomorphism(sub.algebra, Matrix.identity(field, 3))
+        check(ok, f"the subalgebra is not 3C({alpha}) over {field!r}", witness=witness)
     for field in (QQ, F5):
         space = QuadraticSpace(Matrix.identity(field, 2))
         algebra = exceptional_cover(space)
@@ -509,10 +522,11 @@ def criterion_8():
         x_minus = family_axis(algebra, tuple(-c for c in e), FAMILY_EXC)
         z1 = algebra.basis_by_label("z1")
         sub = algebra.subalgebra([x, x_minus, z1])
-        assert sub.algebra.dim == 3
+        check(sub.algebra.dim == 3, "x, x^- and z1 of the cover do not span a three-dimensional subalgebra",
+              witness=(field, sub.algebra.dim))
         model = matsuo_3c(field, -field.one())
-        ok, _ = model.check_isomorphism(sub.algebra, Matrix.identity(field, 3))
-        assert ok
+        ok, witness = model.check_isomorphism(sub.algebra, Matrix.identity(field, 3))
+        check(ok, f"the cover subalgebra is not 3C(-1) over {field!r}", witness=witness)
 
 
 def criterion_9():
@@ -530,43 +544,49 @@ def criterion_9():
         algebra, x, y = build_two_gen(cfg)
         data = yabe_data(algebra, x, y)
         alpha_s, mu_s = field.scalar(alpha), field.scalar(mu)
-        assert data.delta == -2 * mu_s - 1
-        assert data.q == algebra.identity() * (alpha_s * (alpha_s + 1) * (mu_s - 1) / 4)
-        assert data.spans_algebra
+        case = (field, alpha, mu)
+        check(data.delta == -2 * mu_s - 1, "delta is not -2 mu - 1", witness=case)
+        check(data.q == algebra.identity() * (alpha_s * (alpha_s + 1) * (mu_s - 1) / 4),
+              "q is not alpha (alpha + 1)(mu - 1)/4 times the identity", witness=case)
+        check(data.spans_algebra, "the Yabe basis does not span the algebra", witness=case)
         half = field.half()
         expected = algebra.element(
             [2 * mu_s * half, -half, half * alpha_s, half * (alpha_s + 1)]
         )
-        assert data.a_minus1 == expected
+        check(data.a_minus1 == expected, "a_minus1 is off its closed form", witness=(case, data.a_minus1))
     cover_cases = [(QQ, m) for m in (0, 2, -1)] + [(F5, m) for m in (0, 3)]
     for field, mu in cover_cases:
         cfg = TwoGenConfig(field, mu=field.scalar(mu), variant="cover")
         algebra, x, y = build_two_gen(cfg)
         data = yabe_data(algebra, x, y)
         mu_s = field.scalar(mu)
-        assert data.delta == -2 * mu_s - 1
-        assert data.q == algebra.basis_by_label("n") * ((1 - mu_s) / 4)
-        assert data.spans_algebra
+        case = (field, mu)
+        check(data.delta == -2 * mu_s - 1, "delta is not -2 mu - 1 on the cover", witness=case)
+        check(data.q == algebra.basis_by_label("n") * ((1 - mu_s) / 4), "q is not (1 - mu)/4 times n",
+              witness=case)
+        check(data.spans_algebra, "the Yabe basis does not span the cover", witness=case)
         half = field.half()
         expected = algebra.element([2 * mu_s * half, -half, -half, half])
-        assert data.a_minus1 == expected
+        check(data.a_minus1 == expected, "a_minus1 is off its closed form on the cover",
+              witness=(case, data.a_minus1))
     # mu = 1 degeneration, both variants
     for variant, alpha in (("split_spin", 3), ("cover", None)):
         cfg = TwoGenConfig(QQ, mu=QQ.one(), alpha=None if alpha is None else QQ.scalar(alpha), variant=variant)
         algebra, x, y = build_two_gen(cfg)
-        assert x * y == QQ.half() * (x + y)
+        check(x * y == QQ.half() * (x + y), "at mu = 1, x y is not (x + y)/2", witness=variant)
         sub = algebra.subalgebra([x, y])
-        assert sub.algebra.dim == 2  # generation fails
+        check(sub.algebra.dim == 2, "at mu = 1, x and y generate more than a plane",  # generation fails
+              witness=(variant, sub.algebra.dim))
         try:
             yabe_data(algebra, x, y)
-            raise AssertionError("expected MuOne")
+            check(False, "expected MuOne", witness=variant)
         except MuOne:
             pass
     cfg = TwoGenConfig(QQ, mu=QQ.scalar(2), alpha=QQ.scalar(-1), variant="split_spin")
     algebra, x, y = build_two_gen(cfg)
     try:
         yabe_data(algebra, x, y)
-        raise AssertionError("expected SpecialAlpha")
+        check(False, "expected SpecialAlpha", witness=cfg)
     except SpecialAlpha:
         pass
 
@@ -586,20 +606,26 @@ def criterion_10():
     for mu, expected in expectations.items():
         order = rho_order(QQ, mu)
         if expected is None:
-            assert order.kind == "infinite"
+            check(order.kind == "infinite", f"rho({mu}) over Q has finite order", witness=order)
             cfg = TwoGenConfig(QQ, mu=QQ.scalar(mu), alpha=QQ.scalar(3))
             algebra, x, y = build_two_gen(cfg)
             result = axet(algebra, x, y)
-            assert result.size.kind == "infinite"
-            assert result.d_orbit_split == TWO_HALVES and result.d_hat_index == 2
+            check(result.size.kind == "infinite", f"the axet at mu = {mu} is not infinite", witness=result.size)
+            check(result.d_orbit_split == TWO_HALVES and result.d_hat_index == 2,
+                  f"the infinite axet at mu = {mu} is not two halves of index 2",
+                  witness=(result.d_orbit_split, result.d_hat_index))
         else:
-            assert order.order == expected
+            check(order.order == expected, f"rho({mu}) over Q has order {order.order}, expected {expected}",
+                  witness=order)
             cfg = TwoGenConfig(QQ, mu=QQ.scalar(mu), alpha=QQ.scalar(3))
             algebra, x, y = build_two_gen(cfg)
             result = axet(algebra, x, y)
-            assert result.size.order == expected and len(result.orbit) == expected
-            assert (result.d_orbit_split == SINGLE) == (expected % 2 == 1)
-            assert (result.d_hat_index == 1) == (expected % 2 == 1)
+            check(result.size.order == expected and len(result.orbit) == expected,
+                  f"the axet at mu = {mu} does not have {expected} axes", witness=result.size)
+            check((result.d_orbit_split == SINGLE) == (expected % 2 == 1),
+                  f"the D-orbit split at mu = {mu} breaks the parity rule", witness=result.d_orbit_split)
+            check((result.d_hat_index == 1) == (expected % 2 == 1),
+                  f"the index of D at mu = {mu} breaks the parity rule", witness=result.d_hat_index)
     finite_cases = [
         (F7, 1, 2, 7, SINGLE, 1),
         (F5, -1, 2, 10, TWO_HALVES, 2),
@@ -609,11 +635,19 @@ def criterion_10():
         cfg = TwoGenConfig(field, mu=field.scalar(mu), alpha=field.scalar(alpha))
         algebra, x, y = build_two_gen(cfg)
         result = axet(algebra, x, y)
-        assert result.size.order == size
-        assert rho_order(field, field.scalar(mu)).order == size
-        assert result.d_orbit_split == split and result.d_hat_index == index
+        case = (field, mu)
+        check(result.size.order == size, f"the axet over {field!r} at mu = {mu} does not have {size} axes",
+              witness=(case, result.size))
+        order = rho_order(field, field.scalar(mu))
+        check(order.order == size, f"rho({mu}) over {field!r} has order {order.order}, expected {size}",
+              witness=(case, order))
+        check(result.d_orbit_split == split and result.d_hat_index == index,
+              f"the axet over {field!r} at mu = {mu} is not {split} of index {index}",
+              witness=(case, result.d_orbit_split, result.d_hat_index))
         if split == TWO_HALVES:
-            assert len(result.orbit_x) == len(result.orbit_y) == size // 2
+            check(len(result.orbit_x) == len(result.orbit_y) == size // 2,
+                  f"the D-orbits over {field!r} at mu = {mu} are not halves of X",
+                  witness=(case, len(result.orbit_x), len(result.orbit_y)))
 
 
 def criterion_11():
@@ -630,18 +664,20 @@ def criterion_11():
         entries[0][0] = field.one()  # e1 has norm one
         space = QuadraticSpace(Matrix(field, entries))
         report = verify_cover(space, norm_one_budget=2000, seed=case)
-        assert report.witnesses, "expected at least one norm-one witness"
-        assert report.nil_ideal_ok
-        assert report.no_identity_ok
-        assert report.quotient_iso_ok
-        assert report.z1_report.ok
-        assert all(r.ok for r in report.axis_reports)
-        assert report.three_c_ok
-        assert report.frobenius_ok
-        assert report.radical_ok
-        assert report.all_ok
+        check(report.witnesses, "expected at least one norm-one witness", witness=case)
+        check(report.nil_ideal_ok, "n does not span a nil ideal", witness=case)
+        check(report.no_identity_ok, "the cover has an identity", witness=case)
+        check(report.quotient_iso_ok, "the cover modulo n is not the split spin algebra", witness=case)
+        check(report.z1_report.ok, "z1 fails its axis check on the cover", witness=(case, report.z1_report))
+        check(all(r.ok for r in report.axis_reports), "a cover family axis fails its axis check", witness=case)
+        check(report.three_c_ok, "the cover has no 3C(-1) subalgebra", witness=case)
+        check(report.frobenius_ok, "the cover's Frobenius form check fails", witness=case)
+        check(report.radical_ok, "the cover's radical is not E-perp + <n>", witness=case)
+        check(report.all_ok, "the cover report is not all ok", witness=case)
         for r in report.axis_reports:
-            assert list(r.dims.values()) == [1, 1, 1, dim - 1]
+            check(list(r.dims.values()) == [1, 1, 1, dim - 1],
+                  "a cover family axis has eigenspace dimensions other than (1, 1, 1, dim E - 1)",
+                  witness=(case, r.dims))
 
 
 CRITERIA = (
@@ -671,7 +707,7 @@ def run_all(only: int | None = None, stream=None) -> bool:
         try:
             fn()
             print(f"PASS criterion {number}: {description}", file=stream)
-        except (AssertionError, SplitSpinError) as exc:
+        except SplitSpinError as exc:
             all_ok = False
             detail = f" ({exc})" if str(exc) else ""
             print(f"FAIL criterion {number}: {description}{detail}", file=stream)

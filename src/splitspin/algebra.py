@@ -291,17 +291,27 @@ class Algebra:
 
     def identity(self) -> Element | None:
         """The multiplicative identity, or None if no element satisfies
-        u b_i = b_i for every basis vector b_i."""
+        u b_i = b_i for every basis vector b_i.
+
+        Equation (i, k) is sum_j u_j (b_k-coefficient of b_j b_i) = [k == i].
+        Each is read off the stored cells as an augmented row and reduced
+        into one echelon basis; a pivot on the right-hand side means no
+        solution.  An identity is unique when it exists, so a consistent
+        system has full rank and u is the last column of the reduced rows.
+        """
         n = self.dim
-        # one equation per (i, k): sum_j u_j (coefficient of b_k in b_j b_i) = [k == i]
-        rows = [[0] * n for _ in range(n * n)]
-        for j, row in enumerate(self._rows):
-            for i, cell in row.items():
+        zero, one = zero_one(self.field)
+        span = Echelon(self.field)
+        for i, row in enumerate(self._rows):
+            equations = {i: [zero] * n + [one]}  # only the equations with a nonzero entry
+            for j, cell in row.items():
                 for k, c in cell:
-                    rows[i * n + k][j] = c
-        rhs = [int(k == i) for i in range(n) for k in range(n)]
-        sol = Matrix(self.field, rows).solve(rhs)
-        return None if sol is None else self.element(sol)
+                    equations.setdefault(k, [zero] * (n + 1))[j] = c
+            for equation in equations.values():
+                if span._insert(equation) and span._rows[-1][0] == n:
+                    return None
+        check(span.rank == n, "a consistent identity system is not of full rank", span.rank)
+        return Element(self, [row[n] for _, row in span._rows])
 
     # -- subalgebras and quotients --------------------------------------------
 
@@ -348,10 +358,13 @@ class Algebra:
             degree += 1
 
         embedding = Matrix.from_columns(self.field, basis)
+        # a vector of the span is fixed by its entries at the pivots
+        pivots = [pivot for pivot, _ in span._rows]
+        inverse = Matrix._from_raw(self.field, ([b[c] for b in basis] for c in pivots)).inverse()
         constants = []
         for (i, j), prod in products.items():
-            coords = span.coordinates(prod)
-            check(coords is not None, "subalgebra closure misses a product", (i, j))
+            check(span.contains(prod), "subalgebra closure misses a product", (i, j))
+            coords = inverse.apply_raw([prod[c] for c in pivots])
             constants += [(i, j, t, c) for t, c in enumerate(coords)]
         labels = tuple(f"s{i + 1}" for i in range(m))
         sub = Algebra(self.field, labels, constants, AlgebraMeta(DERIVED))

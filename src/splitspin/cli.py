@@ -2,8 +2,10 @@
 
 One JSON config file (see config.py for the schema) plus flag overrides;
 every command emits a deterministic JSON report (or a text rendering of the
-same data).  Exit codes: 0 on success, 1 on verification failure or a
-library error (the report carries the failing witness), 2 on config errors.
+same data).  Exit codes: 0 on success, 2 on a ConfigError (a bad config
+or parameters outside a command's domain), 1 on verification failure or
+any other library error or ValueError (the report carries the failing
+witness).
 """
 
 from __future__ import annotations
@@ -67,11 +69,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # parameter validation (missing alpha, bad variant, ...)
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SplitSpinError as exc:
+    except (SplitSpinError, ValueError) as exc:
         report = {"error": {"code": type(exc).__name__, "message": str(exc)}}
         _emit(report, cfg.output)
         return 1
@@ -441,6 +439,8 @@ def _axet_worker(payload: dict) -> dict:
         )
         algebra, x, y = build_two_gen(two)
         result = axet(algebra, x, y, cap=payload["cap"])
+    except ConfigError:
+        raise  # the whole sweep is misconfigured, not this entry
     except (SplitSpinError, ValueError) as exc:
         return {
             "mu": payload["mu"],

@@ -106,8 +106,9 @@ class MuOne(SplitSpinError):
     """mu = 1: the two axes generate only a two-dimensional subalgebra."""
 
 
-class ConfigError(SplitSpinError):
-    """Invalid or unknown configuration data."""
+class ConfigError(SplitSpinError, ValueError):
+    """Invalid or unknown configuration data, or parameters outside a
+    command's domain; the CLI exits 2 on it."""
 
 
 class VerificationFailed(SplitSpinError):

@@ -134,25 +134,9 @@ class Field:
 
     def scalar(self, value) -> Scalar:
         """Coerce an int, Fraction, "a/b" string, or same-field Scalar."""
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatch(f"scalar over {value.field!r} used over {self!r}")
+        if isinstance(value, Scalar) and value.field == self:
             return value
-        if isinstance(value, str):
-            value = _parse_fraction(value)
-        if isinstance(value, bool):
-            raise TypeError("bool is not a scalar")
-        if isinstance(value, int):
-            value = Fraction(value)
-        if not isinstance(value, Fraction):
-            raise TypeError(f"cannot coerce {type(value).__name__} to a scalar")
-        if self.p is None:
-            return Scalar(self, value)
-        den = value.denominator % self.p
-        if den == 0:
-            raise DivisionByZero(f"denominator divisible by {self.p}")
-        residue = value.numerator * pow(den, -1, self.p) % self.p
-        return Scalar(self, residue)
+        return Scalar(self, raw_value(self, value))
 
     def to_json(self):
         if self.p is None:
@@ -167,6 +151,28 @@ class Field:
         if kind == "prime":
             return cls(obj["p"])
         raise ValueError(f"unknown field kind {kind!r}")
+
+
+def raw_value(field: Field, value):
+    """The raw value of an int, Fraction, "a/b" string or Scalar over the
+    field: a Fraction over Q, an int residue in [0, p) over F_p.  A Scalar
+    over another field raises FieldMismatch, a bool, float or any other type
+    TypeError, and a denominator divisible by p DivisionByZero."""
+    if isinstance(value, Scalar):
+        if value.field != field:
+            raise FieldMismatch(f"scalar over {value.field!r} used over {field!r}")
+        return value.value
+    if isinstance(value, str):
+        value = _parse_fraction(value)
+    elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"cannot coerce {type(value).__name__} to a scalar")
+    p = field.p
+    if p is None:
+        return Fraction(value) if isinstance(value, int) else value
+    den = value.denominator % p
+    if den == 0:
+        raise DivisionByZero(f"denominator divisible by {p}")
+    return value.numerator * pow(den, -1, p) % p
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -190,15 +196,13 @@ class Scalar:
     # -- coercion -----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatch(
-                    f"cannot combine scalars over {self.field!r} and {other.field!r}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.field.scalar(other)
-        return None
+        """The raw value of other, or None for the types the operators
+        leave to Python (str, bool, float, ...)."""
+        if type(other) is Scalar and other.field is self.field:
+            return other.value
+        if isinstance(other, bool) or not isinstance(other, (Scalar, int, Fraction)):
+            return None
+        return raw_value(self.field, other)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -208,8 +212,8 @@ class Scalar:
             return NotImplemented
         p = self.field.p
         if p is None:
-            return Scalar(self.field, self.value + o.value)
-        return Scalar(self.field, (self.value + o.value) % p)
+            return Scalar(self.field, self.value + o)
+        return Scalar(self.field, (self.value + o) % p)
 
     __radd__ = __add__
 
@@ -219,14 +223,14 @@ class Scalar:
             return NotImplemented
         p = self.field.p
         if p is None:
-            return Scalar(self.field, self.value - o.value)
-        return Scalar(self.field, (self.value - o.value) % p)
+            return Scalar(self.field, self.value - o)
+        return Scalar(self.field, (self.value - o) % p)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return -self + o
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -234,8 +238,8 @@ class Scalar:
             return NotImplemented
         p = self.field.p
         if p is None:
-            return Scalar(self.field, self.value * o.value)
-        return Scalar(self.field, self.value * o.value % p)
+            return Scalar(self.field, self.value * o)
+        return Scalar(self.field, self.value * o % p)
 
     __rmul__ = __mul__
 
@@ -243,13 +247,13 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inv()
+        return self * Scalar(self.field, o).inv()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inv()
+        return self.inv() * o
 
     def __neg__(self):
         p = self.field.p
@@ -289,9 +293,8 @@ class Scalar:
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return other.field == self.field and other.value == self.value
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self == self.field.scalar(other)
-        return NotImplemented
+        o = self._coerce(other)
+        return NotImplemented if o is None else o == self.value
 
     def __hash__(self):
         return hash((self.field, self.value))

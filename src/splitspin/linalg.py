@@ -2,15 +2,15 @@
 
 Below the API every number is raw: an int residue in [0, p) over F_p, a
 Fraction over Q (never an int, so that every quotient stays exact).
-`raw_values` is the one place that coerces, at the API edge; Scalars come
-back only from the methods that hand results to callers.  Matrices are
-immutable raw rows; each row's nonzero (column, value) pairs, the Scalar
-view `entries` and the `kernel` are built on first use.  Elimination runs
-on the incremental `Echelon` basis with first-nonzero pivots and builds no
-combination columns, so kernels, solutions and inverses are deterministic:
-kernel bases come out in echelon order with a unit entry at each free
-column, and an inverse is the right half of the reduced [M | I].  Vectors
-are tuples of Scalars at the API edge.
+`raw_values` coerces at the API edge, through `fields.raw_value`; Scalars
+come back only from the methods that hand results to callers.  Matrices
+are immutable raw rows; each row's nonzero (column, value) pairs, the
+Scalar view `entries` and the `kernel` are built on first use.
+Elimination runs on the incremental `Echelon` basis with first-nonzero
+pivots and builds no combination columns, so kernels and inverses are
+deterministic: kernel bases come out in echelon order with a unit entry at
+each free column, and an inverse is the right half of the reduced [M | I].
+Vectors are tuples of Scalars at the API edge.
 """
 
 from __future__ import annotations
@@ -21,28 +21,26 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .fields import Field, Scalar
+from .fields import Field, Scalar, raw_value
 
 Vector = tuple  # tuple of Scalar
 
 
 def raw_values(field: Field, values: Iterable) -> list:
-    """The raw values of Scalars of the field, ints, Fractions or "a/b"
-    strings; a Scalar of another field raises FieldMismatch."""
+    """`fields.raw_value` of each value, with Scalars of the field, ints
+    and Fractions over Q taken inline."""
     p = field.p
     out = []
     for x in values:
         kind = type(x)
-        if kind is Scalar:
-            if x.field is not field and x.field != field:
-                raise FieldMismatch(f"scalar over {x.field!r} used over {field!r}")
+        if kind is Scalar and (x.field is field or x.field == field):
             out.append(x.value)
         elif kind is int:
             out.append(x % p if p else Fraction(x))
         elif kind is Fraction and not p:
             out.append(x)
         else:
-            out.append(field.scalar(x).value)
+            out.append(raw_value(field, x))
     return out
 
 
@@ -69,10 +67,6 @@ def cleared(values: Sequence) -> list[int]:
 def boxed(field: Field, values: Iterable) -> Vector:
     """Raw values as a tuple of Scalars, for the API edge."""
     return tuple(Scalar(field, a) for a in values)
-
-
-def vec_is_zero(u: Vector) -> bool:
-    return all(a.is_zero for a in u)
 
 
 class Matrix:
@@ -290,19 +284,6 @@ class Matrix:
             basis.append(_reduced(p, v))
         return basis
 
-    def solve(self, rhs: Sequence) -> Vector | None:
-        """One exact solution of self @ x = rhs, or None if inconsistent;
-        x is zero at every column in the span of the columns before it."""
-        if len(rhs) != self.rows:
-            raise DimensionMismatch("right-hand side length does not match row count")
-        span = Echelon(self.field)
-        pivots = [c for c, column in enumerate(zip(*self.raw)) if span.add(column)]
-        coords = span.coordinates(rhs)
-        if coords is None:
-            return None
-        values, zero = dict(zip(pivots, coords)), self.field.zero()
-        return tuple(values.get(c, zero) for c in range(self.cols))
-
     def inverse(self) -> Matrix | None:
         """The exact inverse, or None if the matrix is singular: the right
         half of the reduced form of [M | I]."""
@@ -324,17 +305,15 @@ class Echelon:
     Rows have unit pivots, vanish at every other row's pivot and are kept
     sorted by pivot, so they are the subspace's reduced row echelon form.
     Entries are raw; every vector must have the length of the first one
-    seen.  The vectors `add` accepted are kept for `coordinates`.
+    seen.
     """
 
-    __slots__ = ("field", "_rows", "_width", "_accepted", "_solver")
+    __slots__ = ("field", "_rows", "_width")
 
     def __init__(self, field: Field, vectors: Iterable[Sequence] = ()):
         self.field = field
         self._rows: list[tuple[int, list]] = []  # (pivot, row)
         self._width: int | None = None
-        self._accepted: list[list] = []
-        self._solver: Matrix | None = None
         for vec in vectors:
             self.add(vec)
 
@@ -388,30 +367,10 @@ class Echelon:
             if f:
                 rows[k] = (c, _reduced(p, (a - f * b if b else a for a, b in zip(other, row))))
         bisect.insort(rows, (pivot, row))
-        self._accepted.append(v)
-        self._solver = None
         return True
 
     def contains(self, vec: Sequence) -> bool:
         return not any(self._reduce(self._raw(vec)))
-
-    def coordinates(self, vec: Sequence) -> Vector | None:
-        """The unique coefficients of vec in the accepted vectors, in the
-        order `add` accepted them, or None if vec is outside the span.
-
-        A vector of the span is fixed by its entries at the pivots, so the
-        coefficients solve the square system of the accepted vectors
-        restricted to the pivots; its inverse is built once per basis."""
-        v = self._raw(vec)
-        if any(self._reduce(v)):
-            return None
-        if not self._rows:
-            return ()
-        pivots = [pivot for pivot, _ in self._rows]
-        if self._solver is None:
-            square = [[a[c] for a in self._accepted] for c in pivots]
-            self._solver = Matrix._from_raw(self.field, square).inverse()
-        return boxed(self.field, self._solver.apply_raw([v[c] for c in pivots]))
 
 
 def span_rank(field: Field, vectors: Sequence[Vector]) -> int:

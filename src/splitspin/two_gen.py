@@ -27,6 +27,7 @@ from .errors import (
     BadCharacteristic,
     CapExceeded,
     CharTwo,
+    ConfigError,
     MuOne,
     SpecialAlpha,
     WrongAlgebraKind,
@@ -83,15 +84,15 @@ class TwoGenConfig:
     def __post_init__(self):
         object.__setattr__(self, "mu", self.field.scalar(self.mu))
         if self.variant not in (VARIANT_SPLIT, VARIANT_COVER):
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ConfigError(f"unknown variant {self.variant!r}")
         if self.variant == VARIANT_COVER:
             minus_one = -self.field.one()
             if self.alpha is not None and self.field.scalar(self.alpha) != minus_one:
-                raise ValueError("the cover variant has alpha = -1")
+                raise ConfigError("the cover variant has alpha = -1")
             object.__setattr__(self, "alpha", minus_one)
         else:
             if self.alpha is None:
-                raise ValueError("alpha is required for the split spin variant")
+                raise ConfigError("alpha is required for the split spin variant")
             object.__setattr__(self, "alpha", self.field.scalar(self.alpha))
 
     def space(self) -> QuadraticSpace:
@@ -113,7 +114,7 @@ def default_two_gen_alpha(field: Field) -> Scalar:
         if value not in excluded:
             return value
     # F_3 is {0, 1, 1/2}: no alpha admits the two-generated axes there
-    raise ValueError(f"no valid alpha exists over {field!r}")
+    raise ConfigError(f"no valid alpha exists over {field!r}")
 
 
 def build_two_gen(cfg: TwoGenConfig) -> tuple[Algebra, Element, Element]:
@@ -129,7 +130,7 @@ def build_two_gen(cfg: TwoGenConfig) -> tuple[Algebra, Element, Element]:
         family = FAMILY_EXC
     else:
         if cfg.alpha in (field.zero(), field.one(), field.half()):
-            raise ValueError("alpha in {0, 1, 1/2} gives a Jordan algebra, not a two-generated axial pair")
+            raise ConfigError("alpha in {0, 1, 1/2} gives a Jordan algebra, not a two-generated axial pair")
         algebra = split_spin(space, cfg.alpha)
         family = FAMILY_A
     e = space.vector([1, 0])

@@ -124,3 +124,31 @@ def test_criterion_4_fails_under_optimize_when_an_e_product_leaves_z():
     assert proc.stdout.startswith("FAIL criterion 4: ")
     assert "(z1 is not a Jordan axis of type " in proc.stdout
     assert "Traceback" not in proc.stderr
+
+
+def test_criterion_10_fails_under_optimize_when_rho_has_a_wrong_order():
+    """python -O strips assert statements; criterion 10 must still compare
+    the rho order with the expected axet sizes.  A rho_order that always
+    reports a finite order 5 contradicts the infinite order at mu = -1."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from splitspin import acceptance
+        from splitspin.cli import main
+        from splitspin.two_gen import OrbitSize
+
+        assert False, "assert statements run: not optimised"
+        acceptance.rho_order = lambda field, mu, cap=None: OrbitSize.finite(5)
+        sys.exit(main(["selftest", "--only", "10"]))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(splitspin.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith("FAIL criterion 10: ")
+    assert "(rho(-1) over Q has finite order)" in proc.stdout
+    assert "Traceback" not in proc.stderr

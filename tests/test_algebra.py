@@ -474,12 +474,9 @@ def reference_product(field, table, u, v):
 def reference_identity(field, table):
     """The identity as solved from the dense table, or None."""
     n = len(table)
-    rows, rhs = [], []
-    for i in range(n):
-        for k in range(n):
-            rows.append([table[j][i][k] for j in range(n)])
-            rhs.append(field.one() if k == i else field.zero())
-    return Matrix(field, rows).solve(rhs)
+    columns = [[table[j][i][k] for i in range(n) for k in range(n)] for j in range(n)]
+    rhs = [field.one() if k == i else field.zero() for i in range(n) for k in range(n)]
+    return reference_solve(field, columns, rhs)
 
 
 def add_to_constants(algebra, deltas):

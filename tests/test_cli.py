@@ -207,12 +207,13 @@ def test_reports_are_deterministic(capsys):
 
 def test_selftest_wiring(capsys, monkeypatch):
     import splitspin.acceptance as acceptance
+    from splitspin.errors import VerificationFailed
 
     def fake_pass():
         pass
 
     def fake_fail():
-        raise AssertionError("boom")
+        raise VerificationFailed("boom")
 
     monkeypatch.setattr(
         acceptance, "CRITERIA", ((1, "ok", fake_pass), (2, "bad", fake_fail))
@@ -330,3 +331,38 @@ def test_json_writer_falls_back_to_json_dumps(doc):
     with pytest.raises(TypeError):
         cli._write(doc, "\n")
     assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["yabe", "--mu", "1", "--alpha", "0"],
+        ["axet", "--mu", "1", "--alpha", "1", "--p", "7"],
+        ["axet", "--mu", "0", "--p", "3"],
+        ["axet", "--mu", "0,2", "--p", "3"],
+    ],
+    ids=["yabe-jordan-alpha", "axet-jordan-alpha", "axet-no-alpha-over-F3", "axet-sweep-no-alpha-over-F3"],
+)
+def test_parameters_outside_the_domain_are_config_errors(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:") and captured.out == ""
+
+
+def test_config_error_leaves_a_parallel_axet_sweep(capsys, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code = main(["axet", "--mu", "0,2", "--p", "3", "--workers", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error: no valid alpha exists over GF(3)") and captured.out == ""
+
+
+def test_a_library_value_error_is_an_error_report(capsys, monkeypatch):
+    def fail(args, cfg):
+        raise ValueError("quotient by the whole algebra is empty")
+
+    monkeypatch.setattr(cli, "_dispatch", fail)
+    code, doc = run_json(capsys, "build", "--alpha", "3", "--gram", "[[1]]")
+    assert code == 1
+    assert doc == {"error": {"code": "ValueError", "message": "quotient by the whole algebra is empty"}}

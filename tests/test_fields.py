@@ -140,3 +140,69 @@ def test_int_coercion_in_arithmetic(a):
     assert 1 * a == a
     assert a - a.field.scalar(0) == a
     assert 2 * a == a + a
+
+
+# -- one coercion behind every entry point -------------------------------------------
+
+# value, its raw value (or the exception type) over Q, the same over F_5
+COERCIONS = [
+    (7, Fraction(7), 2),
+    (-3, Fraction(-3), 2),
+    (0, Fraction(0), 0),
+    (10**30 + 1, Fraction(10**30 + 1), 1),
+    (Fraction(3, 2), Fraction(3, 2), 4),
+    (Fraction(4), Fraction(4), 4),
+    (Fraction(2, 5), Fraction(2, 5), DivisionByZero),
+    (Fraction(7, 10), Fraction(7, 10), DivisionByZero),
+    ("12", Fraction(12), 2),
+    (" -3/4 ", Fraction(-3, 4), 3),
+    ("1/5", Fraction(1, 5), DivisionByZero),
+    ("1/0", ZeroDivisionError, ZeroDivisionError),
+    ("x", ValueError, ValueError),
+    (True, TypeError, TypeError),
+    (1.5, TypeError, TypeError),
+    (None, TypeError, TypeError),
+    (1j, TypeError, TypeError),
+    (Scalar(QQ, Fraction(1, 3)), Fraction(1, 3), FieldMismatch),
+    (Scalar(F5, 3), FieldMismatch, 3),
+    (Scalar(F7, 3), FieldMismatch, FieldMismatch),
+]
+
+
+def _outcome(fn):
+    """fn()'s result with its type, or the type of the exception it raises."""
+    try:
+        result = fn()
+    except Exception as exc:  # the type is the recorded outcome
+        return type(exc)
+    return type(result), result
+
+
+def _expected(outcome):
+    return outcome if isinstance(outcome, type) else (type(outcome), outcome)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["QQ", "F5"])
+@pytest.mark.parametrize("value, over_q, over_f5", COERCIONS, ids=[repr(row[0]) for row in COERCIONS])
+def test_one_coercion_behind_every_entry_point(field, value, over_q, over_f5):
+    from splitspin.fields import raw_value
+    from splitspin.linalg import raw_values
+
+    expected = over_q if field is QQ else over_f5
+    zero, one = field.zero(), field.one()
+    for coerce in (lambda: raw_value(field, value), lambda: field.scalar(value).value,
+                   lambda: raw_values(field, [value])[0]):
+        assert _outcome(coerce) == _expected(expected)
+    # the operators take Scalars, ints and Fractions only: a str is left to Python
+    operand = TypeError if isinstance(value, str) else expected
+    for op in (lambda: zero + value, lambda: value + zero, lambda: one * value,
+               lambda: value * one, lambda: value - zero, lambda: value / one):
+        assert _outcome(lambda: op().value) == _expected(operand)
+    # == never raises for a foreign Scalar or type, but does for a denominator divisible by p
+    if operand is DivisionByZero:
+        assert _outcome(lambda: one == value) is DivisionByZero
+    elif isinstance(operand, type):
+        assert _outcome(lambda: one == value) == (bool, False)
+    else:
+        assert Scalar(field, operand) == value
+        assert Scalar(field, operand) + 1 != value

@@ -46,7 +46,6 @@ from splitspin.idempotents import (
     TAG_Z2,
     IdempotentClass,
 )
-from splitspin.linalg import vec_is_zero
 
 QQ = Field.rationals()
 F3 = Field.prime(3)
@@ -355,7 +354,7 @@ def reference_classify(algebra, x):
     gamma, delta = x.coords[k], x.coords[k + 1]
     one = field.one()
 
-    if vec_is_zero(u):
+    if not any(u):
         if kind == "split_spin":
             if gamma.is_one and delta.is_one:
                 return IdempotentClass(TAG_ONE)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from splitspin import Field, Matrix
 from splitspin.errors import DimensionMismatch, FieldMismatch
-from splitspin.linalg import Echelon, vec_is_zero
+from splitspin.linalg import Echelon
 
 QQ = Field.rationals()
 F3 = Field.prime(3)
@@ -34,19 +34,6 @@ def test_kernel_rank_one():
     assert m.apply(kernel[0]) == (QQ.zero(), QQ.zero())
     # spans the same line as (1, -1)
     assert Echelon(QQ, [kernel[0]]).contains((QQ.one(), -QQ.one()))
-
-
-def test_solve_identity():
-    v = (QQ.scalar(3), QQ.scalar(-2))
-    assert Matrix.identity(QQ, 2).solve(v) == v
-
-
-def test_solve_inconsistent():
-    assert Matrix(QQ, [[1, 0], [0, 0]]).solve([0, 1]) is None
-
-
-def test_solve_prime_field():
-    assert Matrix(F5, [[2]]).solve([3]) == (F5.scalar(4),)  # 2 * 4 = 8 = 3 mod 5
 
 
 def test_mat_pow_rotation():
@@ -143,23 +130,6 @@ def test_kernel_exhaustive_prime(m):
     assert spanned == solutions
 
 
-@given(
-    _matrix_strategy(QQ, 3, small_rationals),
-    st.lists(small_rationals, min_size=3, max_size=3),
-)
-def test_solve_correctness(m, rhs):
-    rhs_vec = tuple(QQ.scalar(x) for x in rhs)
-    solution = m.solve(rhs_vec)
-    sym = sympy.Matrix(3, 3, [x.value for row in m.entries for x in row])
-    augmented = sym.row_join(sympy.Matrix([[Fraction(x)] for x in rhs]))
-    consistent = augmented.rank() == sym.rank()
-    if solution is None:
-        assert not consistent
-    else:
-        assert consistent
-        assert m.apply(solution) == rhs_vec
-
-
 @given(_matrix_strategy(F5, 3, st.integers(0, 4)))
 def test_rref_idempotent(m):
     reduced, pivots = m.rref()
@@ -168,8 +138,8 @@ def test_rref_idempotent(m):
 
 
 def test_vector_helpers():
-    assert vec_is_zero((QQ.zero(), QQ.zero()))
-    assert not vec_is_zero((QQ.zero(), QQ.one()))
+    assert not any((QQ.zero(), QQ.zero()))
+    assert any((QQ.zero(), QQ.one()))
 
 
 # -- Echelon against a reference elimination --------------------------------------
@@ -253,20 +223,7 @@ def _check_echelon(field, vecs, query):
     assert span._rows == [(c, [a.value for a in row]) for c, row in zip(pivots, reduced)]
     if vecs:
         assert Matrix(field, vecs).rank() == len(pivots)
-    inside = _in_span(field, accepted, query)
-    assert span.contains(query) == inside
-    coords = span.coordinates(query)
-    if not inside:
-        assert coords is None
-        return
-    assert len(coords) == len(accepted)
-    combo = [field.zero()] * len(query)
-    for c, v in zip(coords, accepted):
-        combo = [a + c * x for a, x in zip(combo, v)]
-    assert tuple(combo) == query
-    if accepted:  # the accepted vectors are independent: coordinates are unique
-        assert coords == reference_solve(field, accepted, query)
-        assert coords == Matrix.from_columns(field, accepted).solve(query)
+    assert span.contains(query) == _in_span(field, accepted, query)
 
 
 @given(_vector_lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), QQ))
@@ -300,13 +257,11 @@ def _rect_matrix(field, entries):
     ids=["QQ", "F5", "F10007"],
 )
 def test_matrix_elimination_against_reference(field, entries):
-    @given(_rect_matrix(field, entries), st.data())
-    def check(m, data):
+    @given(_rect_matrix(field, entries))
+    def check(m):
         reduced, pivots = reference_rref(field, m.entries)
         assert m.rref() == (Matrix(field, reduced), pivots)
-        rhs = tuple(field.scalar(x) for x in data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows)))
         columns = [m.column(j) for j in range(m.cols)]
-        assert m.solve(rhs) == reference_solve(field, columns, rhs)
         if m.is_square:
             n = m.rows
             unit = [tuple(field.one() if i == j else field.zero() for i in range(n)) for j in range(n)]
