@@ -299,6 +299,8 @@ class Algebra:
         solution.  An identity is unique when it exists, so a consistent
         system has full rank and u is the last column of the reduced rows.
         """
+        if not all(self._rows):
+            return None  # u b_i = 0 for a b_i whose products all vanish
         n = self.dim
         zero, one = zero_one(self.field)
         span = Echelon(self.field)
@@ -308,10 +310,10 @@ class Algebra:
                 for k, c in cell:
                     equations.setdefault(k, [zero] * (n + 1))[j] = c
             for equation in equations.values():
-                if span._insert(equation) and span._rows[-1][0] == n:
+                if span._insert(equation) and span.pivots[-1] == n:
                     return None
         check(span.rank == n, "a consistent identity system is not of full rank", span.rank)
-        return Element(self, [row[n] for _, row in span._rows])
+        return Element(self, [row[n] for row in span.unit_rows()])
 
     # -- subalgebras and quotients --------------------------------------------
 
@@ -359,13 +361,13 @@ class Algebra:
 
         embedding = Matrix.from_columns(self.field, basis)
         # a vector of the span is fixed by its entries at the pivots
-        pivots = [pivot for pivot, _ in span._rows]
+        pivots = span.pivots
         inverse = Matrix._from_raw(self.field, ([b[c] for b in basis] for c in pivots)).inverse()
         constants = []
         for (i, j), prod in products.items():
             check(span.contains(prod), "subalgebra closure misses a product", (i, j))
             coords = inverse.apply_raw([prod[c] for c in pivots])
-            constants += [(i, j, t, c) for t, c in enumerate(coords)]
+            constants += [(i, j, t, c) for t, c in enumerate(coords) if c]
         labels = tuple(f"s{i + 1}" for i in range(m))
         sub = Algebra(self.field, labels, constants, AlgebraMeta(DERIVED))
         return SubalgebraResult(sub, embedding, degree)
@@ -382,8 +384,7 @@ class Algebra:
                 raise AlgebraMismatch("ideal element from a different algebra")
         n = self.dim
         span = Echelon(self.field, (x.raw for x in ideal))
-        ideal_rows = [row for _, row in span._rows]
-        pivots = [pivot for pivot, _ in span._rows]
+        ideal_rows, pivots = span.unit_rows(), span.pivots
         units = [self.basis(k).raw for k in range(n)]
         for v in ideal_rows:
             for k in range(n):
@@ -404,6 +405,7 @@ class Algebra:
             for a in range(len(free))
             for b in range(a, len(free))
             for t, c in enumerate(projection.apply_sparse(self.cell(free[a], free[b])))
+            if c
         ]
         labels = tuple(self.labels[f] for f in free)
         quot = Algebra(self.field, labels, constants, AlgebraMeta(DERIVED))

@@ -10,7 +10,8 @@ Elimination runs on the incremental `Echelon` basis with first-nonzero
 pivots and builds no combination columns, so kernels and inverses are
 deterministic: kernel bases come out in echelon order with a unit entry at
 each free column, and an inverse is the right half of the reduced [M | I].
-Vectors are tuples of Scalars at the API edge.
+Over Q, elimination and products run on integers, with one Fraction built
+per returned entry.  Vectors are tuples of Scalars at the API edge.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ def zero_one(field: Field) -> tuple:
 def cleared(values: Sequence) -> list[int]:
     """Raw values times the least common multiple of their denominators:
     ints with the zeros and the ratios of the values (unchanged over F_p)."""
-    d = math.lcm(*(a.denominator for a in values))
-    return [a.numerator * (d // a.denominator) for a in values]
+    pairs = [a.as_integer_ratio() for a in values]
+    d = math.lcm(*(b for _, b in pairs))
+    return [a * (d // b) for a, b in pairs]
 
 
 def boxed(field: Field, values: Iterable) -> Vector:
@@ -180,14 +182,20 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         zero, p, width = zero_one(self.field)[0], self.field.p, other.cols
-        out = []
         right = other._sparse
+        if not p:  # over Q, the right factor as ints times the lcm d of its denominators
+            d = math.lcm(*(b.denominator for nonzeros in right for _, b in nonzeros))
+            right = [[(j, b.numerator * (d // b.denominator)) for j, b in nonzeros] for nonzeros in right]
+        out = []
         for nonzeros in self._sparse:
-            acc = [zero] * width
-            for k, a in nonzeros:
-                for j, b in right[k]:
-                    acc[j] += a * b
-            out.append(_reduced(p, acc))
+            if not p:  # and each left row times its own lcm a
+                a = math.lcm(*(x.denominator for _, x in nonzeros))
+                nonzeros = [(k, x.numerator * (a // x.denominator)) for k, x in nonzeros]
+            acc = [0] * width
+            for k, x in nonzeros:
+                for j, y in right[k]:
+                    acc[j] += x * y
+            out.append([c % p for c in acc] if p else [Fraction(c, a * d) if c else zero for c in acc])
         return Matrix._from_raw(self.field, out)
 
     def apply(self, vec: Sequence) -> Vector:
@@ -256,8 +264,8 @@ class Matrix:
         """Reduced row echelon form and the tuple of pivot columns."""
         span = Echelon._from_raw(self.field, self.raw)
         zero = [zero_one(self.field)[0]] * self.cols
-        rows = [row for _, row in span._rows] + [zero] * (self.rows - span.rank)
-        return Matrix._from_raw(self.field, rows), tuple(pivot for pivot, _ in span._rows)
+        rows = span.unit_rows() + [zero] * (self.rows - span.rank)
+        return Matrix._from_raw(self.field, rows), tuple(span.pivots)
 
     def rank(self) -> int:
         return Echelon._from_raw(self.field, self.raw).rank
@@ -294,18 +302,21 @@ class Matrix:
         augmented = (row + tuple(one if j == i else zero for j in range(n))
                      for i, row in enumerate(self.raw))
         span = Echelon._from_raw(self.field, augmented)
-        if span._rows[-1][0] >= n:
+        if span.pivots[-1] >= n:
             return None
-        return Matrix._from_raw(self.field, (row[n:] for _, row in span._rows))
+        return Matrix._from_raw(self.field, (row[n:] for row in span.unit_rows()))
 
 
 class Echelon:
     """An incrementally built reduced echelon basis of a subspace of F^n.
 
-    Rows have unit pivots, vanish at every other row's pivot and are kept
-    sorted by pivot, so they are the subspace's reduced row echelon form.
-    Entries are raw; every vector must have the length of the first one
-    seen.
+    Rows vanish at every other row's pivot and are kept sorted by pivot, so
+    `unit_rows`, which scales them to unit pivots, is the subspace's reduced
+    row echelon form.  Over F_p rows are residues with unit pivots.  Over Q
+    they are primitive integers (content 1, positive pivot entry): a vector
+    is cleared of denominators once, and each step v <- q v - v[c] row
+    divides out its content.  Every vector must have the length of the
+    first one seen.
     """
 
     __slots__ = ("field", "_rows", "_width")
@@ -323,12 +334,21 @@ class Echelon:
         F_p); no coercion."""
         span = cls(field)
         for row in rows:
-            span._insert(list(row))
+            span._insert(row)
         return span
 
     @property
     def rank(self) -> int:
         return len(self._rows)
+
+    @property
+    def pivots(self) -> list[int]:
+        return [pivot for pivot, _ in self._rows]
+
+    def unit_rows(self) -> list[list]:
+        """The rows scaled to unit pivots, raw, in pivot order."""
+        zero, p = zero_one(self.field)[0], self.field.p
+        return [row if p else [Fraction(a, row[c]) if a else zero for a in row] for c, row in self._rows]
 
     def _raw(self, vec: Sequence) -> list:
         v = raw_values(self.field, vec)
@@ -338,39 +358,54 @@ class Echelon:
             raise DimensionMismatch("vector length does not match the echelon basis")
         return v
 
-    def _reduce(self, v: list) -> list:
-        """The raw vector v minus its part in the span.  Each F_p step adds
-        < p^2, so mod p comes at the end."""
+    def _reduce(self, v: Sequence) -> list:
+        """The raw vector v minus its part in the span, times a nonzero
+        integer over Q.  Each F_p step adds < p^2, so mod p comes at the end."""
         p = self.field.p
+        v = v if p else cleared(v)
         for pivot, row in self._rows:
             f = v[pivot] % p if p else v[pivot]  # rows vanish at each other's pivots
             if f:
-                v = [a - f * b if b else a for a, b in zip(v, row)]
-        return _reduced(p, v)
+                v = _eliminate(p, v, f, row[pivot], row)
+        return [a % p for a in v] if p else v
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec; False (and no change) when it is already in the span."""
         return self._insert(self._raw(vec))
 
-    def _insert(self, v: list) -> bool:
+    def _insert(self, v: Sequence) -> bool:
         """`add` on a raw vector; no coercion."""
         r = self._reduce(v)
         pivot = next((c for c, a in enumerate(r) if a), None)
         if pivot is None:
             return False
         p = self.field.p
-        inv = pow(r[pivot], -1, p) if p else 1 / r[pivot]
-        row = _reduced(p, (a * inv if a else a for a in r))
+        # the one field-specific step: a unit pivot over F_p, content 1 and a positive pivot over Q
+        s = pow(r[pivot], -1, p) if p else math.gcd(*r) * (1 if r[pivot] > 0 else -1)
+        row = [a * s % p for a in r] if p else [a // s for a in r]
         rows = self._rows
         for k, (c, other) in enumerate(rows):
             f = other[pivot]
             if f:
-                rows[k] = (c, _reduced(p, (a - f * b if b else a for a, b in zip(other, row))))
+                rows[k] = (c, _reduced(p, _eliminate(p, other, f, row[pivot], row)))
         bisect.insort(rows, (pivot, row))
         return True
 
     def contains(self, vec: Sequence) -> bool:
         return not any(self._reduce(self._raw(vec)))
+
+
+def _eliminate(p: int | None, v: list, f: int, q: int, row: list) -> list:
+    """q v - f row, for the pivot entry q of row and the entry f of v there:
+    left unreduced over F_p (where q is 1), divided by its content over Q."""
+    if q == 1:
+        v = [a - f * b if b else a for a, b in zip(v, row)]
+    else:
+        g = math.gcd(q, f)
+        q, f = q // g, f // g
+        v = [q * a - f * b if b else q * a for a, b in zip(v, row)]
+    g = 1 if p else math.gcd(*v)
+    return [a // g for a in v] if g > 1 else v
 
 
 def span_rank(field: Field, vectors: Sequence[Vector]) -> int:

@@ -13,7 +13,8 @@ from splitspin import (
     matsuo_3c,
     split_spin,
 )
-from splitspin.algebra import Algebra, AlgebraMeta
+from splitspin import algebra as algebra_module
+from splitspin.algebra import DERIVED, Algebra, AlgebraMeta
 from splitspin.errors import (
     AlgebraMismatch,
     CapExceeded,
@@ -489,13 +490,25 @@ def add_to_constants(algebra, deltas):
     return Algebra(algebra.field, algebra.labels, constants, algebra.meta)
 
 
+def with_annihilated(algebra, pos):
+    """The algebra with a new basis vector at index pos whose products all
+    vanish, so that it has no identity."""
+    def shift(i):
+        return i + (i >= pos)
+
+    constants = [(shift(i), shift(j), shift(k), c) for i, j, k, c in algebra.constants]
+    labels = algebra.labels[:pos] + ("null",) + algebra.labels[pos:]
+    return Algebra(algebra.field, labels, constants, AlgebraMeta(DERIVED))
+
+
 @st.composite
 def derived_algebras(draw):
     """A split spin, cover or 3C algebra over Q, F_5 or F_10007, or a
-    subalgebra, quotient or perturbation of one."""
+    subalgebra, quotient or perturbation of one, or one with an annihilated
+    basis vector inserted before its last."""
     field = draw(st.sampled_from([QQ, F5, F10007]))
     kind = draw(st.sampled_from(["split_spin", "cover", "matsuo_3c"]))
-    derive = draw(st.sampled_from(["none", "subalgebra", "quotient", "perturbed"]))
+    derive = draw(st.sampled_from(["none", "subalgebra", "quotient", "perturbed", "annihilated"]))
     small = st.integers(-3, 3)
     if kind == "matsuo_3c":
         algebra = matsuo_3c(field, draw(small))
@@ -522,6 +535,8 @@ def derived_algebras(draw):
         index = st.integers(0, n - 1)
         delta = st.tuples(index, index, index, st.integers(-2, 2))
         algebra = add_to_constants(algebra, draw(st.lists(delta, min_size=1, max_size=3)))
+    elif derive == "annihilated":
+        algebra = with_annihilated(algebra, draw(st.integers(0, n - 1)))
     return algebra
 
 
@@ -549,6 +564,46 @@ def test_sparse_product_matches_dense_reference(algebra, data):
     one = algebra.identity()
     assert (None if one is None else one.coords) == reference_identity(field, table)
     assert fractions_over_q(field, (c.value for _, _, _, c in algebra.constants))
+
+
+def test_identity_stops_at_an_annihilated_basis_vector(monkeypatch):
+    algebra = with_annihilated(split_spin(identity_space(QQ, 2), 3), 1)
+    assert algebra.identity() is None
+    assert reference_identity(QQ, dense_table(algebra)) is None
+
+    def no_elimination(*args):
+        raise AssertionError("identity eliminated although a basis vector annihilates the algebra")
+
+    monkeypatch.setattr(algebra_module, "Echelon", no_elimination)
+    assert algebra.identity() is None
+    cover = exceptional_cover(identity_space(F7, 2))
+    assert cover.identity() is None  # its nil vector n annihilates the cover
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "F7"])
+def test_derived_constants_match_the_full_constant_lists(field):
+    """subalgebra and quotient pass only nonzero constants; the algebra is
+    the one built from every constant, zeros included."""
+    space = QuadraticSpace(Matrix(field, [[1, 1, 0], [1, 2, 0], [0, 0, 0]]))
+    algebra = split_spin(space, 3)
+    gens = [algebra.element([1, 0, 2, 0, 1]), algebra.element([0, 1, 0, 1, 0])]
+    result = algebra.subalgebra(gens)
+    sub, emb = result.algebra, result.embedding
+    columns = [emb.column(j) for j in range(emb.cols)]
+    full = []
+    for i in range(sub.dim):
+        for j in range(i, sub.dim):
+            product = algebra.element(columns[i]) * algebra.element(columns[j])
+            full += [(i, j, t, c) for t, c in enumerate(reference_solve(field, columns, product.coords))]
+    assert Algebra(field, sub.labels, full, AlgebraMeta(DERIVED))._rows == sub._rows
+
+    result = algebra.quotient([algebra.basis(2)])  # e3 spans the radical of the form, an ideal
+    quot, projection = result.algebra, result.projection
+    free = [algebra.label_index(label) for label in quot.labels]
+    full = [(a, b, t, c)
+            for a in range(len(free)) for b in range(a, len(free))
+            for t, c in enumerate(projection.apply((algebra.basis(free[a]) * algebra.basis(free[b])).coords))]
+    assert Algebra(field, quot.labels, full, AlgebraMeta(DERIVED))._rows == quot._rows
 
 
 class BoxedElement:

@@ -4,8 +4,10 @@ cli_golden.json must stay byte-identical.
 The corpus covers every subcommand over Q and F_p, the split spin algebra
 and its cover, a Jordan-special alpha (exit 1), `idempotents` at dim E 3-4
 over F_5 and F_7 (also on a degenerate form and in text format), config
-errors (exit 2), small axet sweeps, and `axis-check` and `cover` at dim E 6-8 over Q (with
-Fraction alpha and Gram entries) and over F_10007.  Over Q every Gram matrix
+errors (exit 2), small axet sweeps, `axis-check` and `cover` at dim E 6-8 over Q (with
+Fraction alpha and Gram entries) and over F_10007, and `axis-check` and `cover` at dim E 10
+and `frobenius` and `radical` at dim E 11-12 over Q, where integer entry growth in
+elimination would show.  Over Q every Gram matrix
 has a norm-one basis vector, so the sampled norm-one search ends quickly.
 
 Regenerate the expected outputs (only when a report is meant to change):
@@ -18,6 +20,7 @@ import io
 import json
 import pathlib
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +44,26 @@ Q7 = json.dumps([[["1", "1/4", "4/9", "1", "9/4", "1/9", "1"][i] if i == j else 
 Q8 = json.dumps([["1" if i == j else "1/2" if abs(i - j) == 1 else "0" for j in range(8)] for i in range(8)])
 F6 = json.dumps([["1" if i == j else str((2 * i * j + 1) % 13) for j in range(6)] for i in range(6)])
 F8 = json.dumps([[str(1 + i * i) if i == j else str(3 * (i + j) + 7 * i * j) for j in range(8)] for i in range(8)])
+# dim E 10-12 over Q: square diagonal entries and Fraction off-diagonals; QD12 appends
+# the coordinate e1 + e3 to Q11, so its form is degenerate with a one-dimensional radical
+SQUARES = [Fraction(x) for x in ("1", "1/4", "4/9", "9/4", "1/9", "4", "9/16", "16/25", "25/4", "1/16", "36/49")]
+
+
+def _q_gram(n):
+    return [[SQUARES[i] if i == j else Fraction(1, i + j + 2) if abs(i - j) == 1
+             else Fraction(-2, i + j + 3) if abs(i - j) == 3 else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+def _degenerate_extension(g):
+    ext = [a + b for a, b in zip(g[0], g[2])]
+    return [row + [e] for row, e in zip(g, ext)] + [ext + [ext[0] + ext[2]]]
+
+
+def _gram_json(g):
+    return json.dumps([[str(a) for a in row] for row in g])
+
+
+Q10, Q11, QD12 = _gram_json(_q_gram(10)), _gram_json(_q_gram(11)), _gram_json(_degenerate_extension(_q_gram(11)))
 
 COMMANDS = [
     # build
@@ -72,15 +95,21 @@ COMMANDS = [
     ["axis-check", "--alpha", "5/3", "--gram", Q6],
     ["axis-check", "--alpha=-3/2", "--gram", Q8],
     ["axis-check", "--p", "10007", "--alpha", "5/3", "--gram", F8],
+    ["axis-check", "--alpha", "5/3", "--gram", Q10],
+    ["axis-check", "--alpha=-3/2", "--gram", Q10],
     # frobenius
     ["frobenius", "--alpha", "2/3", "--gram", Q3],
     ["frobenius", "--p", "7", "--alpha", "5", "--gram", F7_FORM],
     ["frobenius", "--variant", "cover", "--gram", DIAG12],
+    ["frobenius", "--alpha", "5/3", "--gram", Q11],
+    ["frobenius", "--alpha=-3/2", "--gram", QD12],
     # radical
     ["radical", "--alpha", "3", "--gram", DEGENERATE],
     ["radical", "--alpha=-1", "--gram", I2],
     ["radical", "--p", "7", "--alpha", "2", "--gram", F7_FORM],
     ["radical", "--p", "7", "--variant", "cover", "--gram", DEGENERATE],
+    ["radical", "--alpha", "5/3", "--gram", QD12],
+    ["radical", "--alpha=-3/2", "--gram", Q11],
     # simple
     ["simple", "--alpha", "3", "--gram", I2],
     ["simple", "--p", "7", "--alpha", "3", "--gram", DEGENERATE],
@@ -99,6 +128,7 @@ COMMANDS = [
     ["cover", "--p", "7", "--gram", F7_FORM],
     ["cover", "--gram", Q7],
     ["cover", "--p", "10007", "--gram", F6],
+    ["cover", "--gram", Q10],
     # selftest
     ["selftest", "--only", "1"],
     ["selftest", "--only", "99"],

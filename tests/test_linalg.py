@@ -1,4 +1,6 @@
+import bisect
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from splitspin import Field, Matrix
 from splitspin.errors import DimensionMismatch, FieldMismatch
-from splitspin.linalg import Echelon
+from splitspin.linalg import Echelon, raw_values
 
 QQ = Field.rationals()
 F3 = Field.prime(3)
@@ -211,6 +213,18 @@ def _in_span(field, accepted, v):
     return not any(v) or (bool(accepted) and reference_solve(field, accepted, v) is not None)
 
 
+def _check_primitive(field, span):
+    """Over Q every stored row is integers with content 1 and a positive
+    pivot entry; over F_p residues with a unit pivot."""
+    for pivot, row in span._rows:
+        assert all(type(a) is int for a in row)
+        assert not any(row[:pivot]) and all(not other[pivot] for c, other in span._rows if c != pivot)
+        if field.p:
+            assert row[pivot] == 1 and all(0 <= a < field.p for a in row)
+        else:
+            assert row[pivot] > 0 and math.gcd(*row) == 1
+
+
 def _check_echelon(field, vecs, query):
     span, accepted = Echelon(field), []
     for v in vecs:
@@ -220,7 +234,9 @@ def _check_echelon(field, vecs, query):
             accepted.append(v)
     reduced, pivots = reference_rref(field, vecs)
     assert span.rank == len(accepted) == len(pivots)
-    assert span._rows == [(c, [a.value for a in row]) for c, row in zip(pivots, reduced)]
+    assert span.pivots == list(pivots)
+    assert span.unit_rows() == [[a.value for a in row] for row in reduced[: len(pivots)]]
+    _check_primitive(field, span)
     if vecs:
         assert Matrix(field, vecs).rank() == len(pivots)
     assert span.contains(query) == _in_span(field, accepted, query)
@@ -272,6 +288,176 @@ def test_matrix_elimination_against_reference(field, entries):
                 assert inverse == Matrix.from_columns(field, expected)
 
     check()
+
+
+# -- the integer Echelon against the Fraction elimination it replaced ---------------
+
+
+class ReferenceEchelon:
+    """`Echelon` as it ran on unit-pivot raw rows, Fractions over Q, with
+    `Matrix.rref`, `kernel_raw`, `inverse` and `@` on top of it."""
+
+    def __init__(self, field, vectors=()):
+        self.field = field
+        self._rows = []  # (pivot, row)
+        for vec in vectors:
+            self.add(vec)
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def _reduce(self, v):
+        p = self.field.p
+        for pivot, row in self._rows:
+            f = v[pivot] % p if p else v[pivot]
+            if f:
+                v = [a - f * b if b else a for a, b in zip(v, row)]
+        return [a % p for a in v] if p else list(v)
+
+    def add(self, vec):
+        r = self._reduce(raw_values(self.field, vec))
+        pivot = next((c for c, a in enumerate(r) if a), None)
+        if pivot is None:
+            return False
+        p = self.field.p
+        inv = pow(r[pivot], -1, p) if p else 1 / r[pivot]
+        row = [a * inv % p if p else a * inv for a in r]
+        for k, (c, other) in enumerate(self._rows):
+            f = other[pivot]
+            if f:
+                self._rows[k] = (c, [(a - f * b) % p if p else a - f * b for a, b in zip(other, row)])
+        bisect.insort(self._rows, (pivot, row))
+        return True
+
+    def contains(self, vec):
+        return not any(self._reduce(raw_values(self.field, vec)))
+
+    @staticmethod
+    def kernel(field, rows):
+        span = ReferenceEchelon(field, rows)
+        cols, pivots = len(rows[0]), [c for c, _ in span._rows]
+        zero, one = (0, 1) if field.p else (Fraction(0), Fraction(1))
+        basis = []
+        for f in (c for c in range(cols) if c not in pivots):
+            v = [zero] * cols
+            v[f] = one
+            for c, row in span._rows:
+                v[c] = (-row[f]) % field.p if field.p else -row[f]
+            basis.append(v)
+        return basis
+
+    @staticmethod
+    def inverse(field, rows):
+        n = len(rows)
+        zero, one = (0, 1) if field.p else (Fraction(0), Fraction(1))
+        span = ReferenceEchelon(field, [list(row) + [one if j == i else zero for j in range(n)]
+                                        for i, row in enumerate(rows)])
+        if span._rows[-1][0] >= n:
+            return None
+        return [row[n:] for _, row in span._rows]
+
+    @staticmethod
+    def matmul(field, left, right):
+        p, zero = field.p, 0 if field.p else Fraction(0)
+        out = []
+        for row in left:
+            acc = [zero] * len(right[0])
+            for a, other in zip(row, right):
+                if a:
+                    for j, b in enumerate(other):
+                        acc[j] += a * b
+            out.append([a % p for a in acc] if p else acc)
+        return out
+
+
+def _raws_over_q_are_fractions(field, values):
+    return field.p is not None or all(type(a) is Fraction for a in values)
+
+
+@st.composite
+def _echelon_cases(draw, field):
+    """A rows x cols raw matrix, wide, tall or a single row, with zero rows,
+    rows combined from others (low rank) and, over Q, Fractions with large
+    coprime denominators and negative leading entries, plus queries that
+    lie in the span or not."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    if field.p:
+        entry = st.one_of(st.just(0), st.integers(0, field.p - 1))
+    else:
+        big = st.sampled_from([1, 7, 97, 1009, 65537, 2**31 - 1, 10**9 + 7])
+        entry = st.one_of(st.just(0), st.integers(-9, 9),
+                          st.builds(Fraction, st.integers(-10**6, 10**6), big))
+    grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for i in range(rows):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "combine", "negate"]))
+        if kind == "zero":
+            grid[i] = [0] * cols
+        elif kind == "combine" and i >= 2:
+            a, b = draw(entry), draw(entry)
+            grid[i] = [a * x + b * y for x, y in zip(grid[i - 1], grid[i - 2])]
+        elif kind == "negate":
+            grid[i] = [-x for x in grid[i]]
+    grid = [raw_values(field, row) for row in grid]
+    queries = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            coeffs = [draw(entry) for _ in range(rows)]
+            queries.append([sum((c * row[j] for c, row in zip(coeffs, grid)), 0) for j in range(cols)])
+        else:
+            queries.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    order = draw(st.permutations(["add"] * rows + ["contains"] * len(queries)))
+    return grid, [raw_values(field, q) for q in queries], order
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F10007], ids=["QQ", "F7", "F10007"])
+def test_integer_echelon_against_fraction_reference(field):
+    @given(_echelon_cases(field))
+    def check(case):
+        grid, queries, order = case
+        span, reference = Echelon(field), ReferenceEchelon(field)
+        rows, asked = iter(grid), iter(queries)
+        for step in order:  # add and contains interleaved
+            if step == "add":
+                row = next(rows)
+                assert span.add(row) == reference.add(row)
+            else:
+                query = next(asked)
+                assert span.contains(query) == reference.contains(query)
+            assert span.rank == reference.rank
+            assert span.pivots == [c for c, _ in reference._rows]
+            assert span.unit_rows() == [row for _, row in reference._rows]
+            _check_primitive(field, span)
+        assert all(_raws_over_q_are_fractions(field, row) for row in span.unit_rows())
+
+        m = Matrix(field, grid)
+        reduced, pivots = m.rref()
+        assert m.rank() == len(pivots) == reference.rank
+        assert list(reduced.raw[: len(pivots)]) == [tuple(row) for _, row in reference._rows]
+        kernel = m.kernel_raw()
+        assert kernel == ReferenceEchelon.kernel(field, grid)
+        square = Matrix(field, [row[:m.rows] for row in m.raw]) if m.cols >= m.rows else None
+        if square is not None:
+            inverse, expected = square.inverse(), ReferenceEchelon.inverse(field, square.raw)
+            assert (inverse is None) == (expected is None)
+            if inverse is not None:
+                assert [list(row) for row in inverse.raw] == expected
+                assert (square @ inverse) == Matrix.identity(field, m.rows)
+        product = m @ m.transpose()
+        assert [list(row) for row in product.raw] == ReferenceEchelon.matmul(field, m.raw, m.transpose().raw)
+        for raw in (reduced.raw, product.raw, kernel, *([inverse.raw] if square and inverse else [])):
+            assert all(_raws_over_q_are_fractions(field, row) for row in raw)
+
+    check()
+
+
+def test_rational_echelon_keeps_primitive_rows_with_positive_pivots():
+    span = Echelon(QQ, [(Fraction(-2, 3), Fraction(4, 9), 0), (0, -6, Fraction(3, 5))])
+    assert span._rows == [(0, [15, 0, -1]), (1, [0, 10, -1])]
+    assert span.unit_rows() == [[1, 0, Fraction(-1, 15)], [0, 1, Fraction(-1, 10)]]
+    assert span.contains((Fraction(15, 7), Fraction(10, 7), Fraction(-2, 7)))
+    assert not span.contains((0, 0, 1))
 
 
 # -- raw Matrix against the boxed Scalar implementation it replaced ----------------
