@@ -35,7 +35,7 @@ from .errors import (
 from .fields import Field, Scalar
 from .idempotents import FAMILY_A, family_axis, is_idempotent
 from .linalg import Echelon, Matrix, Vector, cleared, raw_values, zero_one
-from .quadratic import NormOneSearch
+from .quadratic import NormOneSearch, QuadraticSpace
 
 JORDAN = "jordan"
 MONSTER = "monster"
@@ -189,10 +189,10 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     plus = [lam in law.plus for lam in eigenvalues]
 
     cells = algebra.cleared_rows()
-    vectors = [[(i, c) for i, c in enumerate(cleared(v)) if c] for v in columns]
+    vectors = [[(i, c) for i, c in enumerate(cleared(v)[1]) if c] for v in columns]
     inverse_columns = [[] for _ in range(n)]
     for t, row in enumerate(inverse.raw):
-        for k, c in enumerate(cleared(row)):
+        for k, c in enumerate(cleared(row)[1]):
             if c:
                 inverse_columns[k].append((t, c))
 
@@ -314,7 +314,7 @@ class FrobeniusForm:
     radical_basis: tuple[Element, ...]
 
     def evaluate(self, u: Element, v: Element) -> Scalar:
-        return self.gram.bilinear(u.raw, v.raw)
+        return QuadraticSpace(self.gram).bform(u.raw, v.raw)  # gram is symmetric by construction
 
 
 def frobenius(algebra: Algebra) -> FrobeniusForm:

@@ -278,8 +278,8 @@ def _cmd_idempotents(args, cfg: RunConfig):
             counts[verdict.tag] = counts.get(verdict.tag, 0) + 1
             # over F_p a residue is its own JSON value
             entry = {"coords": list(x.raw), "class": verdict.tag}
-            if verdict.e is not None:
-                entry["e"] = [c.value for c in verdict.e]
+            if verdict.raw_e is not None:
+                entry["e"] = list(verdict.raw_e)
             classified.append(entry)
         n_norm_one = len(search.vectors) if search.status == "exhaustive" else None
         # the 3 + 2N count and the absence of "other" need alpha outside {0, 1, 1/2}

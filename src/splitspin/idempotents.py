@@ -24,6 +24,7 @@ from .errors import (
     WrongAlgebraKind,
     check,
 )
+from .fields import Field
 from .linalg import Vector, boxed, zero_one
 
 FAMILY_A = "a"
@@ -42,12 +43,18 @@ TAG_OTHER = "other"
 @dataclass(frozen=True)
 class IdempotentClass:
     """Classification verdict: a template tag plus, for the families, the
-    norm-one witness vector e.  "other" signals an element matching no
-    template and carries the offending element."""
+    norm-one witness vector e, kept raw as `raw_e` over `field` and boxed
+    only when `e` is read.  "other" signals an element matching no template
+    and carries the offending element."""
 
     tag: str
-    e: Vector | None = None
+    raw_e: tuple | None = None
+    field: Field | None = None
     witness: Element | None = None
+
+    @property
+    def e(self) -> Vector | None:
+        return None if self.raw_e is None else boxed(self.field, self.raw_e)
 
 
 def is_idempotent(x: Element) -> bool:
@@ -102,8 +109,8 @@ def classify_idempotents(algebra: Algebra, xs: Sequence[Element]) -> list[Idempo
 
     Every x is squared again from the stored cells, so a zero or
     non-idempotent x raises NotIdempotent.  The templates (the (gamma,
-    delta) points of 1, z1, z2 and of the families, and the Gram matrix
-    that tests b(e, e) = 1 for e = 2u) are built once, on raw values.  Tag
+    delta) points of 1, z1, z2 and of the families) are built once, on raw
+    values, and the form tests b(e, e) = 1 for e = 2u on raw values too.  Tag
     "other" is only ever produced when an idempotent matches nothing, which
     would contradict the classification under its hypotheses."""
     field, p = algebra.field, algebra.field.p
@@ -126,9 +133,6 @@ def classify_idempotents(algebra: Algebra, xs: Sequence[Element]) -> list[Idempo
         families = {(g % p, d % p): tag for (g, d), tag in families.items()}
     space = algebra.meta.space
     k = space.dim
-    # b(e, e) = sum_i g_ii e_i^2 + sum_{i<j} 2 g_ij e_i e_j
-    gram = [(i, j, g if i == j else 2 * g)
-            for i, row in enumerate(space.gram.raw) for j, g in enumerate(row[i:], i) if g]
     out = []
     for x, raw in zip(xs, points):
         u, z = raw[:k], (raw[k], raw[k + 1])
@@ -137,10 +141,9 @@ def classify_idempotents(algebra: Algebra, xs: Sequence[Element]) -> list[Idempo
             if z in corners:
                 verdict = IdempotentClass(corners[z])
         elif z in families:
-            e = [2 * a % p for a in u] if p else [2 * a for a in u]
-            norm = sum(e[i] * e[j] * g for i, j, g in gram)
-            if (norm % p if p else norm) == 1:
-                verdict = IdempotentClass(families[z], e=boxed(field, e))
+            e = tuple(2 * a % p for a in u) if p else tuple(2 * a for a in u)
+            if space.is_norm_one_raw(e):
+                verdict = IdempotentClass(families[z], e, field)
         out.append(verdict or IdempotentClass(TAG_OTHER, witness=x))
     return out
 

@@ -58,12 +58,12 @@ def zero_one(field: Field) -> tuple:
     return (0, 1) if field.p else _RATIONAL_ZERO_ONE
 
 
-def cleared(values: Sequence) -> list[int]:
-    """Raw values times the least common multiple of their denominators:
-    ints with the zeros and the ratios of the values (unchanged over F_p)."""
+def cleared(values: Sequence) -> tuple[int, list[int]]:
+    """(d, d v) for raw values v, d the least common multiple of their denominators:
+    ints with the zeros and the ratios of the values (d = 1 over F_p)."""
     pairs = [a.as_integer_ratio() for a in values]
     d = math.lcm(*(b for _, b in pairs))
-    return [a * (d // b) for a, b in pairs]
+    return d, [a * (d // b) for a, b in pairs]
 
 
 def boxed(field: Field, values: Iterable) -> Vector:
@@ -231,18 +231,6 @@ class Matrix:
             out.append(acc % p if p else acc)
         return tuple(out)
 
-    def bilinear(self, u: Sequence, v: Sequence) -> Scalar:
-        """u^T M v."""
-        u, v = raw_values(self.field, u), raw_values(self.field, v)
-        if len(u) != self.rows or len(v) != self.cols:
-            raise DimensionMismatch("vector lengths do not match the matrix shape")
-        acc = zero_one(self.field)[0]
-        for a, x in zip(u, self.apply_raw(v)):
-            if a and x:
-                acc += a * x
-        p = self.field.p
-        return Scalar(self.field, acc % p if p else acc)
-
     def pow(self, k: int) -> Matrix:
         """Exact k-th power by repeated squaring; M**0 is the identity."""
         if not self.is_square:
@@ -362,7 +350,7 @@ class Echelon:
         """The raw vector v minus its part in the span, times a nonzero
         integer over Q.  Each F_p step adds < p^2, so mod p comes at the end."""
         p = self.field.p
-        v = v if p else cleared(v)
+        v = v if p else cleared(v)[1]
         for pivot, row in self._rows:
             f = v[pivot] % p if p else v[pivot]  # rows vanish at each other's pivots
             if f:
@@ -408,11 +396,7 @@ def _eliminate(p: int | None, v: list, f: int, q: int, row: list) -> list:
     return [a // g for a in v] if g > 1 else v
 
 
-def span_rank(field: Field, vectors: Sequence[Vector]) -> int:
-    return Echelon(field, vectors).rank
-
-
 def same_span(field: Field, first: Sequence[Vector], second: Sequence[Vector]) -> bool:
     """Whether two vector lists span the same subspace."""
     span = Echelon(field, first)
-    return span.rank == span_rank(field, second) and all(map(span.contains, second))
+    return span.rank == Echelon(field, second).rank and all(map(span.contains, second))

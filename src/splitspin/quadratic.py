@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, IsotropicVector
 from .fields import Field, Scalar, sqrt_mod
-from .linalg import Matrix, Vector, boxed, raw_values, span_rank
+from .linalg import Echelon, Matrix, Vector, boxed, cleared, raw_values
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -35,14 +36,23 @@ class NormOneSearch:
 
 
 class QuadraticSpace:
-    """A vector space of dimension dim with a symmetric bilinear form b."""
+    """A vector space of dimension dim with a symmetric bilinear form b.
 
-    __slots__ = ("gram",)
+    The form is kept once, raw and on integers: the nonzero terms (i, j, c),
+    i <= j, of s G, where s is the least common multiple of the Gram
+    denominators over Q and 1 over F_p.  `_image` is the one reader of the
+    terms: every b(u, v), norm test and reflection goes through it.
+    """
+
+    __slots__ = ("gram", "_scale", "_terms")
 
     def __init__(self, gram: Matrix):
         if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
         self.gram = gram
+        self._scale = s = math.lcm(*(a.denominator for row in gram.raw for a in row))
+        self._terms = tuple((i, j, a.numerator * (s // a.denominator))
+                            for i, row in enumerate(gram.raw) for j, a in enumerate(row[i:], i) if a)
 
     @property
     def field(self) -> Field:
@@ -64,12 +74,33 @@ class QuadraticSpace:
             raise DimensionMismatch(f"expected a vector of length {self.dim}")
         return v
 
+    def _image(self, v: Sequence) -> list:
+        """s G v for an integer vector v, unreduced: the functional s b(., v)."""
+        w = [0] * len(v)
+        for i, j, c in self._terms:
+            w[i] += c * v[j]
+            if i != j:
+                w[j] += c * v[i]
+        return w
+
+    def _form(self, u: Sequence, v: Sequence) -> int:
+        """s b(u, v) for integer vectors u and v, unreduced."""
+        return sum(map(operator.mul, u, self._image(v)))
+
+    def is_norm_one_raw(self, e: Sequence) -> bool:
+        """b(e, e) == 1 for a raw vector e; no coercion."""
+        d, x = cleared(e)
+        nrm, p = self._form(x, x), self.field.p
+        return nrm % p == 1 if p else nrm == self._scale * d * d
+
     def vector(self, values: Sequence) -> Vector:
         return boxed(self.field, self._raw(values))
 
     def bform(self, u: Sequence, v: Sequence) -> Scalar:
         """b(u, v) = u^T G v, on Scalars or raw values."""
-        return self.gram.bilinear(u, v)
+        (du, u), (dv, v) = cleared(self._raw(u)), cleared(self._raw(v))
+        acc, p = self._form(u, v), self.field.p
+        return Scalar(self.field, acc % p if p else Fraction(acc, self._scale * du * dv))
 
     def norm(self, v: Sequence) -> Scalar:
         return self.bform(v, v)
@@ -77,23 +108,30 @@ class QuadraticSpace:
     def reflection(self, e: Sequence) -> Matrix:
         """The reflection r_e : v -> v - 2 b(e,v)/b(e,e) e.
 
-        Requires b(e, e) != 0; e may be Scalars or raw values.  The negated
-        reflection -r_e (the Miyamoto action on E) is available as
-        neg_reflection.
+        Requires b(e, e) != 0; e may be Scalars or raw values.
         """
-        e = self._raw(e)
-        nrm = self.gram.bilinear(e, e).value
-        if not nrm:
-            raise IsotropicVector("cannot reflect in a vector of norm zero")
-        ge = self.gram.apply_raw(e)
-        p = self.field.p
-        factor = 2 * pow(nrm, -1, p) if p else 2 / nrm
-        n = self.dim
-        rows = [[int(i == j) - factor * e[i] * ge[j] for j in range(n)] for i in range(n)]
-        return Matrix(self.field, rows)
+        return self._reflection(e, 1)
 
     def neg_reflection(self, e: Sequence) -> Matrix:
-        return -self.reflection(e)
+        """-r_e : v -> 2 b(e,v)/b(e,e) e - v, the Miyamoto action on E."""
+        return self._reflection(e, -1)
+
+    def _reflection(self, e: Sequence, sign: int) -> Matrix:
+        """sign r_e as one raw matrix.  For x = d e on integers, g = s G x
+        and nrm = s d^2 b(e, e), entry (i, j) is sign (delta_ij - 2 x_i g_j
+        / nrm): s and d cancel."""
+        x = cleared(self._raw(e))[1]
+        g = self._image(x)
+        nrm, p = sum(map(operator.mul, x, g)), self.field.p
+        if not (nrm % p if p else nrm):
+            raise IsotropicVector("cannot reflect in a vector of norm zero")
+        if p:
+            f = 2 * sign * pow(nrm, -1, p)
+            rows = [[(sign * (i == j) - f * a * b) % p for j, b in enumerate(g)] for i, a in enumerate(x)]
+        else:
+            rows = [[Fraction(sign * ((i == j) * nrm - 2 * a * b), nrm) for j, b in enumerate(g)]
+                    for i, a in enumerate(x)]
+        return Matrix._from_raw(self.field, rows)
 
     def radical(self) -> tuple[Vector, ...]:
         """Basis of E-perp = {v : b(v, w) = 0 for all w}; empty iff b is non-degenerate."""
@@ -120,47 +158,25 @@ class QuadraticSpace:
         return self._norm_one_sampled(budget, seed, max_results)
 
     def _norm_one_exhaustive(self) -> NormOneSearch:
-        p = self.field.p
-        n = self.dim
-        gram_int = self.gram.raw
-        found = []
-        for coords in itertools.product(range(p), repeat=n):
-            acc = 0
-            for i in range(n):
-                ci = coords[i]
-                if not ci:
-                    continue
-                acc += ci * ci * gram_int[i][i]
-                for j in range(i + 1, n):
-                    if coords[j]:
-                        acc += 2 * ci * coords[j] * gram_int[i][j]
-            if acc % p == 1:
-                found.append(self.vector(coords))
-        spans = span_rank(self.field, found) == n if found else False
-        return NormOneSearch(EXHAUSTIVE, tuple(found), spans)
+        n, p = self.dim, self.field.p
+        found = [e for e in itertools.product(range(p), repeat=n) if self._form(e, e) % p == 1]
+        span = Echelon(self.field)  # fed until it spans E
+        spans = any(span.add(e) and span.rank == n for e in found)
+        return NormOneSearch(EXHAUSTIVE, tuple(boxed(self.field, e) for e in found), spans)
 
     def _norm_one_sampled(self, budget: int, seed: int, max_results: int) -> NormOneSearch:
         rng = random.Random(seed)
         n = self.dim
         p = self.field.p
-        # scale * G has int entries, and b(w, w) = w^T (scale * G) w / scale; scale = 1 over F_p
-        scale = math.lcm(*(a.denominator for row in self.gram.raw for a in row))
-        gram = [[a.numerator * (scale // a.denominator) for a in row] for row in self.gram.raw]
+        scale = self._scale
         found: list[Vector] = []
         seen = set()
+        span = Echelon(self.field)  # of the vectors found, fed until it spans E
 
         def consider(w: list[int]) -> None:
             """Keep w / sqrt(b(w, w)) when b(w, w) is a nonzero square; w is a
             candidate times a positive integer over Q, its residues over F_p."""
-            norm = 0
-            for i, wi in enumerate(w):
-                if wi:
-                    row = gram[i]
-                    acc = row[i] * wi
-                    for j in range(i + 1, n):
-                        if w[j]:
-                            acc += 2 * row[j] * w[j]
-                    norm += wi * acc
+            norm = self._form(w, w)  # s b(w, w)
             if p:
                 root = sqrt_mod(norm, p) if norm % p else None
                 if root is None:
@@ -177,6 +193,8 @@ class QuadraticSpace:
             if scaled not in seen:
                 seen.add(scaled)
                 found.append(boxed(self.field, scaled))
+                if span.rank < n:
+                    span.add(scaled)
 
         def candidates():
             for i in range(n):
@@ -197,25 +215,19 @@ class QuadraticSpace:
                 else:
                     yield [rng.randrange(p) for _ in range(n)]
 
-        spans_now = False
         stagnant = 0
         for tried, w in enumerate(candidates()):
             if tried >= budget:
                 break
             before = len(found)
             consider(w)
-            if len(found) != before:
-                stagnant = 0
-                if not spans_now:
-                    spans_now = span_rank(self.field, found) == n
-            else:
-                stagnant += 1
+            stagnant = 0 if len(found) != before else stagnant + 1
             if len(found) >= max_results:
                 break
-            if spans_now and stagnant >= 200:
+            if span.rank == n and stagnant >= 200:
                 break  # a spanning set exists and new vectors stopped appearing
         if found:
-            return NormOneSearch(SAMPLED, tuple(found), span_rank(self.field, found) == n)
+            return NormOneSearch(SAMPLED, tuple(found), span.rank == n)
         return NormOneSearch(UNKNOWN, (), False)
 
     # -- orthogonal group sampling -------------------------------------------

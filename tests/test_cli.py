@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -366,3 +368,65 @@ def test_a_library_value_error_is_an_error_report(capsys, monkeypatch):
     code, doc = run_json(capsys, "build", "--alpha", "3", "--gram", "[[1]]")
     assert code == 1
     assert doc == {"error": {"code": "ValueError", "message": "quotient by the whole algebra is empty"}}
+
+
+# -- fuzzed flags --------------------------------------------------------------------
+
+FUZZ_SCALARS = ["0", "1", "-1", "2", "3", "1/2", "-3/2", "5/3", "4,5", "-1,0,1/2"]
+FUZZ_BROKEN_SCALARS = ["1/0", "0.5", "x", "", "1,,2"]
+FUZZ_BROKEN_GRAMS = ["[]", "[[]]", "[[1]", "[[1, 2], [3, 4]]", "[[1, 2]]", "[[true]]", "[[1.5]]", '[["a"]]',
+                     "null", "{}", '{"two_gen_mu": "2"}']
+
+
+def _mostly(good, broken):
+    """Mostly a value of `good`, sometimes one of `broken`."""
+    return st.sampled_from(good * 4 + broken)
+
+
+@st.composite
+def _fuzzed_argv(draw, command):
+    """Flags for one command with p <= 13 and dim E <= 3: mostly well-formed
+    values, some broken ones, each flag present or not."""
+    k = draw(st.integers(1, 3))
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = draw(st.integers(-3, 13))
+    grams = [json.dumps(rows), json.dumps([[str(x) for x in row] for row in rows]), '[["1/2", "1"], ["1", "0"]]']
+    flags = [
+        ("--p", 9, _mostly(["3", "5", "7", "11", "13"], ["2", "1", "4", "0", "-7", "x"])),
+        ("--alpha", 8, _mostly(FUZZ_SCALARS, FUZZ_BROKEN_SCALARS)),
+        ("--mu", 8, _mostly(FUZZ_SCALARS, FUZZ_BROKEN_SCALARS)),
+        ("--gram", 8, _mostly(grams, FUZZ_BROKEN_GRAMS)),
+        ("--variant", 3, _mostly(["split_spin", "cover"], ["spin"])),
+        ("--cap", 2, _mostly(["3", "1000"], ["0", "-1", "x"])),
+        ("--seed", 2, _mostly(["0", "7"], ["-1", "x"])),
+        ("--workers", 1, st.sampled_from(["1", "0", "-2"])),  # never more than one process
+        ("--format", 2, _mostly(["json", "text"], ["yaml"])),
+        ("--config", 1, st.just("no-such-config.json")),
+    ]
+    argv = [command]
+    for flag, tenths, values in flags:
+        if draw(st.sampled_from(range(10))) < tenths:
+            argv.append(f"{flag}={draw(values)}")
+    stray = draw(st.sampled_from([None] * 17 + ["--bogus", "extra", "-x"]))
+    return argv if stray is None else argv + [stray]
+
+
+@pytest.mark.parametrize("command", ["axis-check", "idempotents", "simple", "axet", "cover"])
+def test_fuzzed_flags_exit_cleanly(command):
+    """Any flag string ends in exit code 0, 1 or 2, never in an uncaught
+    exception or a traceback on stdout or stderr."""
+    @settings(max_examples=60)
+    @given(_fuzzed_argv(command))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the flags as the process would
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+
+    check()

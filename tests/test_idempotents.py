@@ -373,13 +373,13 @@ def reference_classify(algebra, x):
             half = field.half()
             if kind == COVER:
                 if gamma == -half and delta == half:
-                    return IdempotentClass(TAG_FAMILY_EXC, e=e)
+                    return IdempotentClass(TAG_FAMILY_EXC, tuple(c.value for c in e), field)
             else:
                 alpha = algebra.meta.alpha
                 if gamma == half * alpha and delta == half * (alpha + one):
-                    return IdempotentClass(TAG_FAMILY_A, e=e)
+                    return IdempotentClass(TAG_FAMILY_A, tuple(c.value for c in e), field)
                 if gamma == half * (2 - alpha) and delta == half * (one - alpha):
-                    return IdempotentClass(TAG_FAMILY_B, e=e)
+                    return IdempotentClass(TAG_FAMILY_B, tuple(c.value for c in e), field)
     return IdempotentClass(TAG_OTHER, witness=x)
 
 

@@ -554,14 +554,13 @@ def _sparse_rows(draw, entries, rows, cols):
 
 
 @pytest.mark.parametrize("field, entries", FIELDS, ids=FIELD_IDS)
-def test_apply_matmul_bilinear_against_boxed_reference(field, entries):
+def test_apply_matmul_against_boxed_reference(field, entries):
     @given(st.data())
     def check(data):
         r, c, s = (data.draw(st.integers(1, 4)) for _ in range(3))
         a = Matrix(field, data.draw(_sparse_rows(entries, r, c)))
         b = Matrix(field, data.draw(_sparse_rows(entries, c, s)))
         v = data.draw(_sparse_rows(entries, 1, c))[0]
-        u = data.draw(_sparse_rows(entries, 1, r))[0]
 
         image = a.apply(v)
         assert image == reference_apply(field, a.entries, v) and _exact(field, image)
@@ -569,11 +568,6 @@ def test_apply_matmul_bilinear_against_boxed_reference(field, entries):
         product = a @ b
         assert product.entries == tuple(reference_matmul(field, a.entries, b.entries))
         assert _exact(field, _flat(product))
-        form = a.bilinear(u, v)
-        expected = field.zero()
-        for x, y in zip(field_vector(field, u), reference_apply(field, a.entries, v)):
-            expected = expected + x * y
-        assert form == expected and _exact(field, [form])
 
         t = a.transpose()
         assert (t.rows, t.cols) == (c, r)
@@ -631,7 +625,6 @@ def test_zero_row_results_stay_fractions():
     m = Matrix(QQ, [[0, 0], [1, Fraction(1, 2)]])
     assert _exact(QQ, m.apply([3, 4]))
     assert _exact(QQ, _flat(m @ m)) and _exact(QQ, _flat(m.pow(0)))
-    assert _exact(QQ, [m.bilinear([1, 0], [1, 1])])
     assert _exact(QQ, [x for v in m.kernel() for x in v])
     assert _exact(QQ, _flat(Matrix.identity(QQ, 2))) and _exact(QQ, _flat(Matrix.diagonal(QQ, [0, 2])))
     inverse = Matrix(QQ, [[0, 1], [3, 0]]).inverse()
@@ -644,8 +637,6 @@ def test_scalars_of_another_field_are_rejected():
     m = Matrix(F5, [[1, 2]])
     with pytest.raises(FieldMismatch):
         m.apply([F7.one(), 0])
-    with pytest.raises(FieldMismatch):
-        m.bilinear([1], [0, F7.one()])
     with pytest.raises(FieldMismatch):
         Matrix.from_columns(F5, [[F7.one()]])
     with pytest.raises(FieldMismatch):

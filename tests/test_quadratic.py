@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from splitspin import Field, Matrix, QuadraticSpace
-from splitspin.errors import IsotropicVector
+from splitspin.errors import DimensionMismatch, FieldMismatch, IsotropicVector
 
 QQ = Field.rationals()
 F3 = Field.prime(3)
@@ -167,7 +167,7 @@ def test_sample_orthogonal_zero_form_is_identity():
 def reference_norm_one_sampled(q, budget, seed, max_results):
     """The sampled search as it scored candidates before the integer form:
     each candidate boxed, its norm a Scalar, rescaled by its Scalar root."""
-    from splitspin.linalg import span_rank
+    from splitspin.linalg import Echelon
     from splitspin.quadratic import NormOneSearch
 
     rng = random.Random(seed)
@@ -213,7 +213,7 @@ def reference_norm_one_sampled(q, budget, seed, max_results):
         if len(found) != before:
             stagnant = 0
             if not spans_now:
-                spans_now = span_rank(q.field, found) == n
+                spans_now = Echelon(q.field, found).rank == n
         else:
             stagnant += 1
         if len(found) >= max_results:
@@ -221,7 +221,7 @@ def reference_norm_one_sampled(q, budget, seed, max_results):
         if spans_now and stagnant >= 200:
             break
     if found:
-        return NormOneSearch("sampled", tuple(found), span_rank(q.field, found) == n)
+        return NormOneSearch("sampled", tuple(found), Echelon(q.field, found).rank == n)
     return NormOneSearch("unknown", (), False)
 
 
@@ -256,3 +256,156 @@ def test_norm_one_sampled_matches_boxed_scorer(field, rows, budget, status):
             expected = reference_norm_one_sampled(q, budget, seed, max_results)
             assert expected.status == status
             assert q.find_norm_one(budget, seed, max_results) == expected
+
+
+# -- the one form against boxed Scalar references ----------------------------------
+
+F10007 = Field.prime(10007)
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+# large coprime denominators, so that s, the lcm of the Gram denominators, is large
+big_rationals = st.builds(Fraction, st.integers(-10**6, 10**6),
+                          st.sampled_from([1, 3, 10007, 65537, 999983, 2**61 - 1]))
+
+FORM_FIELDS = [
+    (QQ, st.one_of(small_rationals, big_rationals)),
+    (F7, st.integers(0, 6)),
+    (F10007, st.integers(0, 10006)),
+]
+FORM_FIELD_IDS = ["QQ", "F7", "F10007"]
+# the fields and entries `Matrix.bilinear` was tested on before the form moved here
+BILINEAR_FIELDS = [(QQ, small_rationals), (F5, st.integers(0, 4)), (F10007, st.integers(0, 10006))]
+BILINEAR_FIELD_IDS = ["QQ", "F5", "F10007"]
+
+
+def _exact(field, scalars):
+    """Every Scalar over Q holds a Fraction; over F_p a residue in [0, p)."""
+    for x in scalars:
+        assert x.field == field
+        if field.p is None:
+            assert type(x.value) is Fraction, x
+        else:
+            assert type(x.value) is int and 0 <= x.value < field.p, x
+    return True
+
+
+def reference_form(field, gram, u, v):
+    """u^T G v on boxed Scalars."""
+    u, v = [field.scalar(x) for x in u], [field.scalar(x) for x in v]
+    acc = field.zero()
+    for i, row in enumerate(gram):
+        for j, g in enumerate(row):
+            acc = acc + u[i] * field.scalar(g) * v[j]
+    return acc
+
+
+def reference_reflection(field, gram, e):
+    """The rows of r_e on boxed Scalars: column j is b_j - 2 b(e, b_j)/b(e, e) e."""
+    n = len(e)
+    e = [field.scalar(x) for x in e]
+    nrm = reference_form(field, gram, e, e)
+    units = [[field.one() if i == j else field.zero() for i in range(n)] for j in range(n)]
+    columns = [[b - field.scalar(2) * reference_form(field, gram, e, unit) / nrm * x for b, x in zip(unit, e)]
+               for unit in units]
+    return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
+
+
+@st.composite
+def _grams(draw, entries, n):
+    """A symmetric n x n Gram matrix: random, zero, or degenerate (its last
+    row a copy of its first)."""
+    cell = st.one_of(st.just(0), entries)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(cell)
+    shape = draw(st.sampled_from(["random", "zero", "degenerate"]))
+    if shape == "zero":
+        rows = [[0] * n for _ in range(n)]
+    elif shape == "degenerate" and n > 1:
+        for j in range(n):
+            rows[n - 1][j] = rows[j][n - 1] = rows[0][j]
+        rows[n - 1][n - 1] = rows[0][0]
+    return rows
+
+
+@pytest.mark.parametrize("field, entries", BILINEAR_FIELDS, ids=BILINEAR_FIELD_IDS)
+def test_bform_against_boxed_reference(field, entries):
+    """The cases `Matrix.bilinear` was tested on, now on the form: sparse
+    vectors, all-zero rows, exact Fractions over Q."""
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4))
+        gram = data.draw(_grams(entries, n))
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, n - 1))
+            for j in range(n):
+                gram[k][j] = gram[j][k] = 0
+        u, v = (data.draw(st.lists(st.one_of(st.just(0), entries), min_size=n, max_size=n)) for _ in range(2))
+        q = space(field, gram)
+        form = q.bform(u, v)
+        assert form == reference_form(field, gram, u, v) and _exact(field, [form])
+        assert q.bform(q.vector(v), q.vector(u)) == form
+
+    check()
+
+
+@pytest.mark.parametrize("field, entries", FORM_FIELDS, ids=FORM_FIELD_IDS)
+def test_form_and_reflections_against_boxed_reference(field, entries):
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4))
+        gram = data.draw(_grams(entries, n))
+        e = data.draw(st.lists(st.one_of(st.just(0), entries), min_size=n, max_size=n))
+        q = space(field, gram)
+        nrm = q.norm(e)
+        assert nrm == reference_form(field, gram, e, e) and _exact(field, [nrm])
+        assert q.norm(q.vector(e)) == nrm == q.bform(e, e)
+        if nrm.is_zero:
+            with pytest.raises(IsotropicVector):
+                q.reflection(e)
+            with pytest.raises(IsotropicVector):
+                q.neg_reflection(e)
+            return
+        expected = reference_reflection(field, gram, e)
+        r, neg = q.reflection(e), q.neg_reflection(q.vector(e))
+        assert r.entries == expected and _exact(field, [x for row in r.entries for x in row])
+        assert neg.entries == tuple(tuple(-x for x in row) for row in expected)
+        assert _exact(field, [x for row in neg.entries for x in row])
+        assert neg == -r and r.transpose() @ q.gram @ r == q.gram
+
+    check()
+
+
+def test_bform_of_a_zero_row_stays_a_fraction():
+    q = space(QQ, [[0, 0], [0, Fraction(1, 2)]])
+    assert _exact(QQ, [q.bform([1, 0], [1, 1]), q.norm([1, 0]), space(QQ, [[0]]).norm([3])])
+    assert q.bform([0, 1], [1, 1]) == QQ.scalar(Fraction(1, 2))
+
+
+def test_bform_rejects_scalars_of_another_field():
+    q = space(F5, [[1, 2], [2, 0]])
+    with pytest.raises(FieldMismatch):
+        q.bform([1, 0], [0, F7.one()])
+    with pytest.raises(FieldMismatch):
+        q.norm([F7.one(), 0])
+    with pytest.raises(FieldMismatch):
+        q.neg_reflection([F7.one(), 0])
+    with pytest.raises(DimensionMismatch):
+        q.bform([1], [0, 1])
+
+
+@pytest.mark.parametrize("field, rows, e", [
+    (QQ, [[0, 1], [1, 0]], [1, 0]),
+    (QQ, [[Fraction(1, 3), 0], [0, Fraction(-1, 3)]], [5, -5]),
+    (QQ, [[1, 0], [0, 1]], [0, 0]),
+    (F7, [[1, 0], [0, 6]], [3, 3]),
+    (F10007, [[2, 0, 0], [0, 0, 0], [0, 0, 10005]], [1, 4, 10006]),
+])
+def test_reflections_reject_norm_zero_vectors(field, rows, e):
+    q = space(field, rows)
+    assert q.norm(e).is_zero
+    with pytest.raises(IsotropicVector):
+        q.reflection(e)
+    with pytest.raises(IsotropicVector):
+        q.neg_reflection(e)
