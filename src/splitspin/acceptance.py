@@ -6,8 +6,9 @@ the cover pipeline.  Every check is exact arithmetic with zero tolerance.
 
 Each criterion is a callable that raises a SplitSpinError on failure,
 from typed checks that also run under python -O; run_all prints one
-pass/fail line per criterion and goes on to the next.  The pytest
-acceptance module drives the same registry.
+pass/fail line per criterion, with the exception's type and message and a
+failed check's witness, and goes on to the next whatever the criterion
+raised.  The pytest acceptance module drives the same registry.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .axial import (
     sample_orthogonal_extension,
 )
 from .cover import verify_cover
-from .errors import BaricCase, MuOne, SpecialAlpha, SplitSpinError, check
+from .errors import BaricCase, MuOne, SpecialAlpha, VerificationFailed, check
 from .fields import Field
 from .idempotents import (
     FAMILY_A,
@@ -707,8 +708,10 @@ def run_all(only: int | None = None, stream=None) -> bool:
         try:
             fn()
             print(f"PASS criterion {number}: {description}", file=stream)
-        except SplitSpinError as exc:
+        except Exception as exc:  # a broken criterion, whatever it raises, must not stop the rest
             all_ok = False
-            detail = f" ({exc})" if str(exc) else ""
-            print(f"FAIL criterion {number}: {description}{detail}", file=stream)
+            detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+            if isinstance(exc, VerificationFailed):
+                detail += f"; witness {repr(exc.witness)[:200]}"
+            print(f"FAIL criterion {number}: {description} ({detail})", file=stream)
     return all_ok

@@ -250,7 +250,7 @@ class Algebra:
                     w = ui * vj
                     for k, c in cell:
                         acc[k] += w * c
-        return tuple(acc) if p is None else tuple(a % p for a in acc)
+        return tuple(acc) if p is None else tuple([a % p for a in acc])
 
     def multiply(self, u: Element, v: Element) -> Element:
         if u.algebra is not self or v.algebra is not self:
@@ -452,46 +452,47 @@ class QuotientResult:
 # -- constructors --------------------------------------------------------------
 
 
+def is_jordan_special(alpha: Scalar) -> bool:
+    """Whether alpha is 0, 1, or 1/2 outside characteristic 2: the values at
+    which the classification of idempotents and axes does not apply."""
+    field = alpha.field
+    return alpha.is_zero or alpha.is_one or (field.characteristic != 2 and alpha == field.half())
+
+
 def split_spin(space: QuadraticSpace, alpha) -> Algebra:
     """The split spin factor algebra on E + F z1 + F z2."""
     field = space.field
     alpha = field.scalar(alpha)
     k = space.dim
-    one = field.one()
     z1, z2 = k, k + 1
-    c1 = alpha * (alpha - 2)
-    c2 = (alpha - 1) * (alpha + 1)
+    a = alpha.value
+    c1, c2 = a * (a - 2), (a - 1) * (a + 1)
     constants = []
     for i in range(k):
         for j in range(i, k):
-            b = space.gram.entries[i][j]
+            b = space.gram.raw[i][j]
             constants += [(i, j, z1, -b * c1), (i, j, z2, -b * c2)]
-        constants += [(i, z1, i, alpha), (i, z2, i, one - alpha)]
-    constants += [(z1, z1, z1, one), (z2, z2, z2, one)]
+        constants += [(i, z1, i, a), (i, z2, i, 1 - a)]
+    constants += [(z1, z1, z1, 1), (z2, z2, z2, 1)]
     labels = tuple(f"e{i + 1}" for i in range(k)) + ("z1", "z2")
-    jordan_special = alpha.is_zero or alpha.is_one
-    warnings = ()
-    if field.characteristic == 2:
-        warnings = ("characteristic_two",)
-    elif alpha == field.half():
-        jordan_special = True
-    meta = AlgebraMeta(SPLIT_SPIN, alpha=alpha, space=space, jordan_special=jordan_special, warnings=warnings)
+    warnings = ("characteristic_two",) if field.characteristic == 2 else ()
+    meta = AlgebraMeta(SPLIT_SPIN, alpha=alpha, space=space,
+                       jordan_special=is_jordan_special(alpha), warnings=warnings)
     return Algebra(field, labels, constants, meta)
 
 
 def exceptional_cover(space: QuadraticSpace) -> Algebra:
     """The nil cover on E + F z1 + F n: n annihilates everything,
-    e z1 = -e and e f = -b(e, f)(3 z1 - 2 n)."""
+    e z1 = -e and e f = -b(e, f)(3 z1 - 2 n).  Its alpha = -1 is
+    Jordan-special at p = 3, where -1 = 1/2, and at p = 2, where -1 = 1."""
     field = space.field
     k = space.dim
     z1, nil = k, k + 1
-    three = field.scalar(3)
-    minus_two = field.scalar(-2)
     constants = []
     for i in range(k):
         for j in range(i, k):
-            b = space.gram.entries[i][j]
-            constants += [(i, j, z1, -b * three), (i, j, nil, -b * minus_two)]
+            b = space.gram.raw[i][j]
+            constants += [(i, j, z1, -3 * b), (i, j, nil, 2 * b)]
         constants.append((i, z1, i, -1))
     constants.append((z1, z1, z1, 1))
     labels = tuple(f"e{i + 1}" for i in range(k)) + ("z1", "n")
@@ -500,7 +501,9 @@ def exceptional_cover(space: QuadraticSpace) -> Algebra:
         warnings = ("characteristic_two",)
     elif field.characteristic == 3:
         warnings = ("characteristic_three",)
-    meta = AlgebraMeta(COVER, alpha=field.scalar(-1), space=space, warnings=warnings)
+    alpha = field.scalar(-1)
+    meta = AlgebraMeta(COVER, alpha=alpha, space=space,
+                       jordan_special=is_jordan_special(alpha), warnings=warnings)
     return Algebra(field, labels, constants, meta)
 
 

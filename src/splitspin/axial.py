@@ -27,13 +27,22 @@ from .errors import (
     IncompleteDecomposition,
     NotAnAutomorphism,
     NotIdempotent,
-    NotNormOne,
     UnverifiedSpanHypothesis,
     WrongAlgebraKind,
     check,
 )
 from .fields import Field, Scalar
-from .idempotents import FAMILY_A, family_axis, is_idempotent
+from .idempotents import (
+    FAMILY_A,
+    TAG_FAMILY_A,
+    TAG_FAMILY_B,
+    TAG_FAMILY_EXC,
+    TAG_Z1,
+    TAG_Z2,
+    classes,
+    family_axis,
+    is_idempotent,
+)
 from .linalg import Echelon, Matrix, Vector, cleared, raw_values, zero_one
 from .quadratic import NormOneSearch, QuadraticSpace
 
@@ -128,6 +137,21 @@ def fusion_law(field: Field, kind: str, params: Sequence) -> FusionLaw:
         alpha, beta = params
         return monster_law(field, alpha, beta)
     raise ValueError(f"unknown fusion law kind {kind!r}")
+
+
+def axis_law(algebra: Algebra, tag: str) -> FusionLaw:
+    """The fusion law of the axes in one idempotent class: z1 and z2 are of
+    Jordan type alpha and 1 - alpha, family (a) and the cover's family of
+    Monster type (alpha, 1/2), family (b) of Monster type (1 - alpha, 1/2);
+    alpha = -1 on the cover."""
+    field, alpha = algebra.field, algebra.meta.alpha
+    eta = {TAG_Z1: alpha, TAG_Z2: 1 - alpha,
+           TAG_FAMILY_A: alpha, TAG_FAMILY_EXC: alpha, TAG_FAMILY_B: 1 - alpha}
+    if tag not in classes(algebra) or tag not in eta:
+        raise ValueError(f"no axes of class {tag!r} on the {algebra.meta.kind} algebra")
+    if tag in (TAG_Z1, TAG_Z2):
+        return jordan_law(field, eta[tag])
+    return monster_law(field, eta[tag], field.half())
 
 
 @dataclass
@@ -276,27 +300,19 @@ def extend_orthogonal(algebra: Algebra, m_on_e: Matrix) -> Matrix:
 
 
 def axes_with_involution(algebra: Algebra, e) -> tuple[Element, Element, Element, Element]:
-    """The four axes x, x^-, 1-x, 1-x^- sharing the Miyamoto involution
-    -r_e (extended by the identity on the z-part); each one is verified."""
-    if algebra.meta.kind != SPLIT_SPIN:
-        raise WrongAlgebraKind("the four-axis property concerns the split spin algebra")
-    if algebra.field.characteristic == 2:
-        raise CharTwo("axes require characteristic != 2")
+    """The four axes x, x^-, 1-x, 1-x^- of the split spin algebra sharing
+    the Miyamoto involution -r_e (extended by the identity on the z-part);
+    each one is verified.  `family_axis` rejects any other algebra,
+    characteristic 2 and an e with b(e, e) != 1."""
+    x = family_axis(algebra, e, FAMILY_A)
     space = algebra.meta.space
     e = space.vector(e)
-    if not space.bform(e, e).is_one:
-        raise NotNormOne("axes are attached to norm-one vectors")
-    alpha = algebra.meta.alpha
-    field = algebra.field
-    half = field.half()
-    law_a = monster_law(field, alpha, half)
-    law_b = monster_law(field, field.one() - alpha, half)
-    x = family_axis(algebra, e, FAMILY_A)
     x_minus = family_axis(algebra, tuple(-c for c in e), FAMILY_A)
     one_elt = algebra.identity()
-    y = one_elt - x
+    y = one_elt - x  # 1 - x_a(e) = x_b(-e)
     y_minus = one_elt - x_minus
     expected = extend_orthogonal(algebra, space.neg_reflection(e))
+    law_a, law_b = axis_law(algebra, TAG_FAMILY_A), axis_law(algebra, TAG_FAMILY_B)
     for axis, law in ((x, law_a), (x_minus, law_a), (y, law_b), (y_minus, law_b)):
         tau = miyamoto(algebra, axis, law)
         check(tau == expected, "Miyamoto involution differs from the negated reflection",
@@ -336,11 +352,11 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
     k = space.dim
     n = algebra.dim
     if kind == SPLIT_SPIN:
-        alpha = algebra.meta.alpha
-        e_scale, z_diagonal = (alpha + 1) * (2 - alpha), (alpha + 1, 2 - alpha)
+        a = algebra.meta.alpha.value
+        e_scale, z_diagonal = (a + 1) * (2 - a), (a + 1, 2 - a)
     else:
-        e_scale, z_diagonal = field.scalar(3), (field.one(), field.zero())
-    rows = [[e_scale * b for b in row] + [0, 0] for row in space.gram.entries]
+        e_scale, z_diagonal = 3, (1, 0)
+    rows = [[e_scale * b for b in row] + [0, 0] for row in space.gram.raw]
     rows += [[0] * n, [0] * n]
     rows[k][k], rows[k + 1][k + 1] = z_diagonal
     gram = Matrix(field, rows)

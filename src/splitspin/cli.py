@@ -20,23 +20,17 @@ from json.encoder import encode_basestring_ascii
 
 from . import serialize
 from .algebra import exceptional_cover, split_spin
-from .axial import (
-    algebra_radical,
-    check_axis,
-    frobenius,
-    is_simple,
-    jordan_law,
-    monster_law,
-)
+from .axial import algebra_radical, axis_law, check_axis, frobenius, is_simple
 from .config import RunConfig, apply_overrides, parse_config
 from .cover import verify_cover
 from .errors import BaricCase, ConfigError, SplitSpinError
 from .idempotents import (
-    FAMILY_A,
-    FAMILY_B,
-    FAMILY_EXC,
+    TAG_Z1,
+    TAG_Z2,
+    classes,
     classify_idempotents,
     enumerate_idempotents_bruteforce,
+    expected_count,
     family_axis,
 )
 from .two_gen import TwoGenConfig, axet, build_two_gen, yabe_data
@@ -281,16 +275,11 @@ def _cmd_idempotents(args, cfg: RunConfig):
             if verdict.raw_e is not None:
                 entry["e"] = list(verdict.raw_e)
             classified.append(entry)
-        n_norm_one = len(search.vectors) if search.status == "exhaustive" else None
-        # the 3 + 2N count and the absence of "other" need alpha outside {0, 1, 1/2}
+        # the count and the absence of "other" need alpha outside {0, 1, 1/2}
         special = algebra.meta.jordan_special
         expected = None
-        if n_norm_one is not None and not special:
-            # one member per norm-one e on the cover; two (families a and b) otherwise
-            if algebra.meta.kind == "cover":
-                expected = 1 + n_norm_one
-            else:
-                expected = 3 + 2 * n_norm_one
+        if search.status == "exhaustive" and not special:
+            expected = expected_count(algebra, len(search.vectors))
         ok = special or (counts.get("other", 0) == 0 and (expected is None or expected == len(found)))
         report["enumeration"] = {
             "feasible": True,
@@ -300,7 +289,7 @@ def _cmd_idempotents(args, cfg: RunConfig):
             "idempotents": classified,
         }
     else:
-        families = [FAMILY_EXC] if algebra.meta.kind == "cover" else [FAMILY_A, FAMILY_B]
+        families = [family for family, _ in classes(algebra).values() if family]
         members = []
         for e in search.vectors:
             for fam in families:
@@ -317,46 +306,20 @@ def _cmd_idempotents(args, cfg: RunConfig):
     return report, ok
 
 
-def _axis_witnesses(cfg: RunConfig, algebra):
-    space = algebra.meta.space
-    search = space.find_norm_one(budget=cfg.budgets.norm_one, seed=cfg.seed)
-    return search, search.vectors[:4]
-
-
 def _cmd_axis_check(args, cfg: RunConfig):
     algebra = _build_algebra(cfg)
-    field = algebra.field
-    half = field.half()
+    table = classes(algebra)
     reports = []
-    ok = True
-    if algebra.meta.kind == "cover":
-        z1 = algebra.basis_by_label("z1")
-        rep = check_axis(algebra, z1, jordan_law(field, -field.one()))
-        reports.append({"axis_name": "z1", **serialize.axis_report_to_json(rep)})
-        law = monster_law(field, -field.one(), half)
-        search, witnesses = _axis_witnesses(cfg, algebra)
-        for e in witnesses:
-            x = family_axis(algebra, e, FAMILY_EXC)
-            rep = check_axis(algebra, x, law)
-            reports.append({"axis_name": "family_exc", **serialize.axis_report_to_json(rep)})
-    else:
-        alpha = algebra.meta.alpha
-        rep = check_axis(algebra, algebra.basis_by_label("z1"), jordan_law(field, alpha))
-        reports.append({"axis_name": "z1", **serialize.axis_report_to_json(rep)})
-        rep = check_axis(
-            algebra, algebra.basis_by_label("z2"), jordan_law(field, field.one() - alpha)
-        )
-        reports.append({"axis_name": "z2", **serialize.axis_report_to_json(rep)})
-        law_a = monster_law(field, alpha, half)
-        law_b = monster_law(field, field.one() - alpha, half)
-        search, witnesses = _axis_witnesses(cfg, algebra)
-        for e in witnesses:
-            for fam, law in ((FAMILY_A, law_a), (FAMILY_B, law_b)):
-                x = family_axis(algebra, e, fam)
-                rep = check_axis(algebra, x, law)
-                reports.append(
-                    {"axis_name": f"family_{fam}", **serialize.axis_report_to_json(rep)}
-                )
+    for tag in (TAG_Z1, TAG_Z2):
+        if tag in table:
+            rep = check_axis(algebra, algebra.basis_by_label(tag), axis_law(algebra, tag))
+            reports.append({"axis_name": tag, **serialize.axis_report_to_json(rep)})
+    laws = {tag: (family, axis_law(algebra, tag)) for tag, (family, _) in table.items() if family}
+    search = algebra.meta.space.find_norm_one(budget=cfg.budgets.norm_one, seed=cfg.seed)
+    for e in search.vectors[:4]:
+        for tag, (family, law) in laws.items():
+            rep = check_axis(algebra, family_axis(algebra, e, family), law)
+            reports.append({"axis_name": tag, **serialize.axis_report_to_json(rep)})
     ok = all(r["ok"] for r in reports)
     return {"axes": reports, "norm_one": serialize.norm_one_to_json(search)}, ok
 

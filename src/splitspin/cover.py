@@ -16,14 +16,13 @@ from .algebra import Algebra, Element, exceptional_cover, matsuo_3c, split_spin
 from .axial import (
     AxisReport,
     algebra_radical,
+    axis_law,
     check_axis,
     frobenius,
     is_automorphism,
-    jordan_law,
-    monster_law,
 )
 from .errors import BadCharacteristic, VerificationFailed, check
-from .idempotents import FAMILY_EXC, family_axis
+from .idempotents import FAMILY_EXC, TAG_FAMILY_EXC, TAG_Z1, family_axis
 from .linalg import Matrix, Vector, same_span
 from .quadratic import QuadraticSpace
 
@@ -88,16 +87,13 @@ def verify_cover(
     )
 
     z1 = algebra.basis_by_label("z1")
-    z1_report = check_axis(algebra, z1, jordan_law(field, -field.one()))
+    z1_report = check_axis(algebra, z1, axis_law(algebra, TAG_Z1))
 
     search = space.find_norm_one(budget=norm_one_budget, seed=seed)
     witnesses = search.vectors[:max_witnesses]
-    law = monster_law(field, -field.one(), field.half())
-    axis_reports = []
-    for e in witnesses:
-        x = family_axis(algebra, e, FAMILY_EXC)
-        report = check_axis(algebra, x, law)
-        axis_reports.append(report)
+    law = axis_law(algebra, TAG_FAMILY_EXC)
+    axis_reports = [check_axis(algebra, family_axis(algebra, e, FAMILY_EXC), law)
+                    for e in witnesses]
 
     three_c_ok = None
     if witnesses:
@@ -155,7 +151,7 @@ def cover_aut_membership(space: QuadraticSpace, m: Matrix) -> bool:
     """
     algebra = exceptional_cover(space)
     ok = is_automorphism(algebra, m)
-    form_nonzero = any(x for row in space.gram.entries for x in row)
+    form_nonzero = any(map(any, space.gram.raw))
     if ok and form_nonzero:
         k = space.dim
         for idx in (k, k + 1):

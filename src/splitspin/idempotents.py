@@ -3,9 +3,10 @@
 A nonzero idempotent of the split spin factor is one of 1, z1, z2, or a
 member of family (a) = (e + alpha z1 + (alpha + 1) z2)/2 or family
 (b) = (e + (2 - alpha) z1 + (1 - alpha) z2)/2 with b(e, e) = 1; the cover
-has z1 and the single family (e - z1 + n)/2.  Classification matches an
-element against those templates; the exhaustive finite-field scan is the
-independent oracle that nothing else exists.
+has z1 and the single family (e - z1 + n)/2.  `classes` writes that
+classification down once; construction, classification and the expected
+count read it.  The exhaustive finite-field scan is the independent oracle
+that nothing else exists.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     check,
 )
 from .fields import Field
-from .linalg import Vector, boxed, zero_one
+from .linalg import Vector, _reduced, boxed, zero_one
 
 FAMILY_A = "a"
 FAMILY_B = "b"
@@ -57,43 +58,62 @@ class IdempotentClass:
         return None if self.raw_e is None else boxed(self.field, self.raw_e)
 
 
+def classes(algebra: Algebra) -> dict[str, tuple[str | None, tuple]]:
+    """The classes of nonzero idempotents, in report order: tag ->
+    (family, (gamma, delta)), the z-part raw.  A point class (family None)
+    is gamma z1 + delta z2 (z2 is n on the cover); a family member is
+    e/2 plus its z-part, one for each e with b(e, e) = 1.  The families need
+    1/2, so characteristic 2 has none."""
+    kind, field = algebra.meta.kind, algebra.field
+    zero, one = zero_one(field)
+    if kind == COVER:
+        table = {TAG_Z1: (None, (one, zero))}
+    elif kind == SPLIT_SPIN:
+        table = {TAG_ONE: (None, (one, one)), TAG_Z1: (None, (one, zero)),
+                 TAG_Z2: (None, (zero, one))}
+    else:
+        raise WrongAlgebraKind(f"no idempotent classes on a {kind} algebra")
+    if field.characteristic == 2:
+        return table
+    half, alpha = field.half().value, algebra.meta.alpha.value
+    if kind == COVER:
+        table[TAG_FAMILY_EXC] = (FAMILY_EXC, (-half, half))
+    else:
+        table[TAG_FAMILY_A] = (FAMILY_A, (half * alpha, half * (alpha + 1)))
+        table[TAG_FAMILY_B] = (FAMILY_B, (half * (2 - alpha), half * (1 - alpha)))
+    return {tag: (family, tuple(_reduced(field.p, z))) for tag, (family, z) in table.items()}
+
+
+def expected_count(algebra: Algebra, norm_one: int) -> int:
+    """The number of nonzero idempotents, given the number of norm-one
+    vectors, when alpha is not Jordan-special: one per point class, and one
+    per family and norm-one vector."""
+    table = classes(algebra)
+    families = sum(family is not None for family, _ in table.values())
+    return len(table) - families + families * norm_one
+
+
 def is_idempotent(x: Element) -> bool:
-    return (x * x).raw == x.raw
+    return x.algebra._mul_coords(x.raw, x.raw) == x.raw
 
 
 def family_axis(algebra: Algebra, e, family: str) -> Element:
     """The family idempotent attached to a norm-one vector e; verified to
     square to itself before being returned."""
-    kind = algebra.meta.kind
-    if kind not in (SPLIT_SPIN, COVER):
-        raise WrongAlgebraKind(f"no idempotent families on a {kind} algebra")
+    table = classes(algebra)
     if algebra.field.characteristic == 2:
         raise CharTwo("idempotent families require characteristic != 2")
     space = algebra.meta.space
     e = space.vector(e)
     if not space.bform(e, e).is_one:
         raise NotNormOne("family idempotents require b(e, e) = 1")
-    field = algebra.field
-    half = field.half()
-    one = field.one()
-    coords = [half * c for c in e]
-    if family == FAMILY_EXC:
-        if kind != COVER:
-            raise WrongAlgebraKind("family 'exc' lives on the cover algebra")
-        coords += [-half, half]
-    elif family == FAMILY_A:
-        if kind != SPLIT_SPIN:
-            raise WrongAlgebraKind("family 'a' lives on the split spin algebra")
-        alpha = algebra.meta.alpha
-        coords += [half * alpha, half * (alpha + one)]
-    elif family == FAMILY_B:
-        if kind != SPLIT_SPIN:
-            raise WrongAlgebraKind("family 'b' lives on the split spin algebra")
-        alpha = algebra.meta.alpha
-        coords += [half * (2 - alpha), half * (one - alpha)]
-    else:
+    z_parts = {fam: z for fam, z in table.values() if fam}
+    if family not in z_parts:
+        if family in (FAMILY_A, FAMILY_B, FAMILY_EXC):
+            raise WrongAlgebraKind(f"no family {family!r} on the {algebra.meta.kind} algebra")
         raise ValueError(f"unknown family {family!r}")
-    x = algebra.element(coords)
+    half = algebra.field.half()
+    x = algebra.element([half * c for c in e] + list(z_parts[family]))
     check(is_idempotent(x), "family template failed to square to itself", witness=x)
     return x
 
@@ -105,62 +125,36 @@ def classify_idempotent(algebra: Algebra, x: Element) -> IdempotentClass:
 
 
 def classify_idempotents(algebra: Algebra, xs: Sequence[Element]) -> list[IdempotentClass]:
-    """Match nonzero idempotents against the known templates, in order.
+    """Match nonzero idempotents against the `classes` of the algebra, in
+    order.
 
-    Every x is squared again from the stored cells, so a zero or
-    non-idempotent x raises NotIdempotent.  The templates (the (gamma,
-    delta) points of 1, z1, z2 and of the families) are built once, on raw
-    values, and the form tests b(e, e) = 1 for e = 2u on raw values too.  Tag
-    "other" is only ever produced when an idempotent matches nothing, which
-    would contradict the classification under its hypotheses."""
+    A zero or non-idempotent x raises NotIdempotent.  A point class matches
+    on the z-part alone; a family member needs its z-part and b(e, e) = 1
+    for e = 2u, tested on raw values.  Tag "other" is only ever produced
+    when an idempotent matches nothing, which would contradict the
+    classification under its hypotheses."""
+    table = classes(algebra)
+    points = {z: tag for tag, (family, z) in table.items() if family is None}
+    families = {z: tag for tag, (family, z) in table.items() if family}
     field, p = algebra.field, algebra.field.p
-    cells = _square_cells(algebra, algebra.dim)
-    points = [_raw_idempotent(x, cells, p) for x in xs]
-    kind = algebra.meta.kind
-    if kind not in (SPLIT_SPIN, COVER):
-        raise WrongAlgebraKind(f"no idempotent classification on a {kind} algebra")
-    zero, one = zero_one(field)
-    half, alpha = (p + 1) // 2 if p else one / 2, algebra.meta.alpha.value
-    if kind == COVER:
-        corners, families = {(one, zero): TAG_Z1}, {(-half, half): TAG_FAMILY_EXC}
-    else:
-        corners = {(one, one): TAG_ONE, (one, zero): TAG_Z1, (zero, one): TAG_Z2}
-        families = {(half * alpha, half * (alpha + 1)): TAG_FAMILY_A,
-                    (half * (2 - alpha), half * (1 - alpha)): TAG_FAMILY_B}
-    if field.characteristic == 2:
-        families = {}  # no half, so no family
-    elif p:
-        families = {(g % p, d % p): tag for (g, d), tag in families.items()}
     space = algebra.meta.space
     k = space.dim
     out = []
-    for x, raw in zip(xs, points):
-        u, z = raw[:k], (raw[k], raw[k + 1])
+    for x in xs:
+        raw = x.raw
+        if x.is_zero or not is_idempotent(x):
+            raise NotIdempotent("classification requires a nonzero idempotent")
+        u, z = raw[:k], raw[k:]
         verdict = None
         if not any(u):
-            if z in corners:
-                verdict = IdempotentClass(corners[z])
+            if z in points:
+                verdict = IdempotentClass(points[z])
         elif z in families:
             e = tuple(2 * a % p for a in u) if p else tuple(2 * a for a in u)
             if space.is_norm_one_raw(e):
                 verdict = IdempotentClass(families[z], e, field)
         out.append(verdict or IdempotentClass(TAG_OTHER, witness=x))
     return out
-
-
-def _raw_idempotent(x: Element, cells: list, p: int | None) -> list:
-    """The raw coordinates of x, once x is nonzero and squares to itself
-    over the `_square_cells`; NotIdempotent otherwise."""
-    raw = x.raw
-    square = [0] * len(raw)
-    for i, j, cell in cells:
-        w = raw[i] * raw[j]
-        if w:
-            for k, c in cell:
-                square[k] += w * c
-    if not any(raw) or any((s - a) % p if p else s != a for s, a in zip(square, raw)):
-        raise NotIdempotent("classification requires a nonzero idempotent")
-    return raw
 
 
 def enumerate_idempotents_bruteforce(algebra: Algebra, budget: int = 1_000_000) -> tuple[Element, ...]:

@@ -89,9 +89,11 @@ class QuadraticSpace:
 
     def is_norm_one_raw(self, e: Sequence) -> bool:
         """b(e, e) == 1 for a raw vector e; no coercion."""
+        p = self.field.p
+        if p:
+            return self._form(e, e) % p == 1
         d, x = cleared(e)
-        nrm, p = self._form(x, x), self.field.p
-        return nrm % p == 1 if p else nrm == self._scale * d * d
+        return self._form(x, x) == self._scale * d * d
 
     def vector(self, values: Sequence) -> Vector:
         return boxed(self.field, self._raw(values))

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .algebra import COVER, SPLIT_SPIN, Algebra, Element, exceptional_cover, split_spin
-from .axial import miyamoto, monster_law
+from .axial import axis_law, miyamoto
 from .errors import (
     BadCharacteristic,
     CapExceeded,
@@ -34,7 +34,7 @@ from .errors import (
     check,
 )
 from .fields import Field, Scalar
-from .idempotents import FAMILY_A, FAMILY_EXC, family_axis
+from .idempotents import FAMILY_A, FAMILY_EXC, classify_idempotent, family_axis
 from .linalg import Matrix, Vector, _reduced, boxed
 from .quadratic import QuadraticSpace
 
@@ -129,9 +129,9 @@ def build_two_gen(cfg: TwoGenConfig) -> tuple[Algebra, Element, Element]:
         algebra = exceptional_cover(space)
         family = FAMILY_EXC
     else:
-        if cfg.alpha in (field.zero(), field.one(), field.half()):
-            raise ConfigError("alpha in {0, 1, 1/2} gives a Jordan algebra, not a two-generated axial pair")
         algebra = split_spin(space, cfg.alpha)
+        if algebra.meta.jordan_special:
+            raise ConfigError("alpha in {0, 1, 1/2} gives a Jordan algebra, not a two-generated axial pair")
         family = FAMILY_A
     e = space.vector([1, 0])
     f = space.vector([0, 1])
@@ -179,16 +179,13 @@ def yabe_data(algebra: Algebra, x: Element, y: Element) -> YabeData:
     if mu.is_one:
         raise MuOne("mu = 1: x and y generate a two-dimensional Jordan subalgebra")
     alpha = algebra.meta.alpha
-    half = field.half()
     if kind == SPLIT_SPIN:
         if alpha == -field.one():
             raise SpecialAlpha("alpha = -1: x and y do not generate the split spin algebra")
-        law = monster_law(field, alpha, half)
         q = algebra.identity() * (alpha * (alpha + 1) * (mu - 1) / 4)
     else:
-        law = monster_law(field, -field.one(), half)
         q = algebra.basis_by_label("n") * ((1 - mu) / 4)
-    tau_x = miyamoto(algebra, x, law)
+    tau_x = miyamoto(algebra, x, axis_law(algebra, classify_idempotent(algebra, x).tag))
     a_minus1 = Element(algebra, tau_x.apply_raw(y.raw))
     delta = -two * mu - 1
     basis = Matrix.from_columns(field, [x.raw, y.raw, a_minus1.raw, q.raw])

@@ -87,7 +87,7 @@ def test_criterion_1_fails_under_optimize_when_z1_plus_z2_is_not_the_identity():
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.startswith("FAIL criterion 1: ")
-    assert "(the identity is not z1 + z2)" in proc.stdout
+    assert "(VerificationFailed: the identity is not z1 + z2; witness " in proc.stdout
     assert "Traceback" not in proc.stderr
 
 
@@ -122,7 +122,7 @@ def test_criterion_4_fails_under_optimize_when_an_e_product_leaves_z():
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.startswith("FAIL criterion 4: ")
-    assert "(z1 is not a Jordan axis of type " in proc.stdout
+    assert "(VerificationFailed: z1 is not a Jordan axis of type " in proc.stdout
     assert "Traceback" not in proc.stderr
 
 
@@ -150,5 +150,39 @@ def test_criterion_10_fails_under_optimize_when_rho_has_a_wrong_order():
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.startswith("FAIL criterion 10: ")
-    assert "(rho(-1) over Q has finite order)" in proc.stdout
+    assert "(VerificationFailed: rho(-1) over Q has finite order; witness " in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_all_reports_any_exception_and_goes_on():
+    """A criterion that raises something other than a SplitSpinError is a
+    FAIL line with its type and message, the later criteria still run, the
+    exit code is 1 and no traceback escapes.  A failed check also shows its
+    witness, cut to 200 characters."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from splitspin import acceptance
+        from splitspin.cli import main
+        from splitspin.errors import VerificationFailed
+
+        def broken():
+            raise TypeError("unsupported operand")
+
+        def failed():
+            raise VerificationFailed("wrong count", witness="w" * 500)
+
+        acceptance.CRITERIA = ((1, "broken", broken), (2, "failed", failed), (3, "fine", lambda: None))
+        sys.exit(main(["selftest"]))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(splitspin.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "FAIL criterion 1: broken (TypeError: unsupported operand)",
+        "FAIL criterion 2: failed (VerificationFailed: wrong count; witness '" + "w" * 199 + ")",
+        "PASS criterion 3: fine",
+    ]
     assert "Traceback" not in proc.stderr

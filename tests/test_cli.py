@@ -227,6 +227,21 @@ def test_selftest_wiring(capsys, monkeypatch):
     assert main(["selftest"]) == 0
 
 
+@pytest.mark.parametrize("p, gram", [(3, '[["2","1"],["1","1"]]'), (2, '[["1"]]'), (3, '[["0"]]')])
+def test_cover_idempotents_where_minus_one_is_jordan_special(capsys, p, gram):
+    """The cover's alpha = -1 is 1/2 at p = 3 and 1 at p = 2, where the
+    1 + N count does not apply: the scan is reported without an expected
+    count and the command succeeds."""
+    code, doc = run_json(capsys, "idempotents", "--p", str(p), "--variant", "cover", "--gram", gram)
+    assert code == 0
+    assert doc["enumeration"]["expected_count"] is None
+    space = splitspin.QuadraticSpace(splitspin.Matrix.identity(splitspin.Field.prime(p), 1))
+    assert splitspin.exceptional_cover(space).meta.jordan_special
+    for field in (splitspin.Field.prime(5), splitspin.Field.rationals()):
+        space = splitspin.QuadraticSpace(splitspin.Matrix.identity(field, 1))
+        assert not splitspin.exceptional_cover(space).meta.jordan_special
+
+
 def test_selftest_only_flag(capsys):
     assert main(["selftest", "--only", "2"]) == 0
     out = capsys.readouterr().out

@@ -3,12 +3,14 @@ cli_golden.json must stay byte-identical.
 
 The corpus covers every subcommand over Q and F_p, the split spin algebra
 and its cover, a Jordan-special alpha (exit 1), `idempotents` at dim E 3-4
-over F_5 and F_7 (also on a degenerate form and in text format), config
-errors (exit 2), small axet sweeps, `axis-check` and `cover` at dim E 6-8 over Q (with
-Fraction alpha and Gram entries) and over F_10007, and `axis-check` and `cover` at dim E 10
-and `frobenius` and `radical` at dim E 11-12 over Q, where integer entry growth in
-elimination would show.  Over Q every Gram matrix
-has a norm-one basis vector, so the sampled norm-one search ends quickly.
+over F_5 and F_7 (also on a degenerate form and in text format), family
+members where the scan is out of budget (the cover over Q, split spin over
+F_101), config errors (exit 2), small axet sweeps, `axis-check` and `cover`
+at dim E 6-8 over Q (with Fraction alpha and Gram entries) and over
+F_10007, and `axis-check` and `cover` at dim E 10 and `frobenius` and
+`radical` at dim E 11-12 over Q, where integer entry growth in elimination
+would show.  Over Q every Gram matrix has a norm-one basis vector, so the
+sampled norm-one search ends quickly.
 
 Regenerate the expected outputs (only when a report is meant to change):
 
@@ -85,6 +87,9 @@ COMMANDS = [
     ["idempotents", "--p", "7", "--alpha", "3", "--gram", DEGENERATE],
     ["idempotents", "--p", "5", "--variant", "cover", "--gram", DEGENERATE],
     ["idempotents", "--p", "5", "--alpha", "2", "--gram", DIAG12, "--format", "text"],
+    # family members from norm-one witnesses where the scan is out of budget
+    ["idempotents", "--variant", "cover", "--gram", I2],
+    ["idempotents", "--p", "101", "--alpha", "3", "--gram", "[[1]]"],
     # axis-check
     ["axis-check", "--alpha", "3", "--gram", I2],
     ["axis-check", "--alpha=-2/5", "--gram", Q3],
@@ -116,6 +121,7 @@ COMMANDS = [
     # yabe
     ["yabe", "--mu", "1/3", "--alpha", "3"],
     ["yabe", "--p", "11", "--mu", "2", "--variant", "cover"],
+    ["yabe", "--p", "11", "--mu", "2", "--alpha", "3"],
     ["yabe", "--mu", "1", "--alpha", "3"],
     # axet
     ["axet", "--p", "7", "--mu", "1"],

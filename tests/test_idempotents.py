@@ -25,6 +25,7 @@ from splitspin import (
     split_spin,
 )
 from splitspin.algebra import COVER, DERIVED, Algebra, AlgebraMeta
+from splitspin.axial import axis_law, check_axis, jordan_law, monster_law
 from splitspin.errors import (
     BudgetExceeded,
     CharTwo,
@@ -45,6 +46,8 @@ from splitspin.idempotents import (
     TAG_Z1,
     TAG_Z2,
     IdempotentClass,
+    classes,
+    expected_count,
 )
 
 QQ = Field.rationals()
@@ -491,3 +494,79 @@ def test_classify_idempotents_meets_every_tag(field):
     else:
         families = {TAG_FAMILY_A, TAG_FAMILY_B, TAG_FAMILY_EXC}
         assert tags == {TAG_ONE, TAG_Z1, TAG_Z2, *families} | ({TAG_OTHER} if p else set())
+
+
+# -- the class table against the classification, written out --------------------
+
+
+TABLE_FIELDS = (QQ, F5, Field.prime(7), Field.prime(13))
+
+
+def table_alphas(field):
+    """A few alphas outside {0, 1, 1/2}."""
+    excluded = (field.zero(), field.one(), field.half())
+    candidates = (field.scalar(a) for a in (2, 3, 4, -2, Fraction(2, 3)))
+    return list(dict.fromkeys(a for a in candidates if a not in excluded))
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
+def test_class_table_matches_the_classification(field):
+    """The z-parts, fusion laws and expected count read from `classes`,
+    `axis_law` and `expected_count` agree with the paper's formulas: 1, z1,
+    z2 and families (a) = e/2 + (alpha/2) z1 + ((alpha + 1)/2) z2 and
+    (b) = e/2 + ((2 - alpha)/2) z1 + ((1 - alpha)/2) z2 with 3 + 2N in all
+    on split spin; z1 and (e - z1 + n)/2 with 1 + N on the cover.  Each
+    class's axes pass their law, and every family member classifies back
+    to its own tag with its own e."""
+    one, zero, half = field.one(), field.zero(), field.half()
+    space = identity_space(field, 2)
+    cases = []
+    for alpha in table_alphas(field):
+        algebra = split_spin(space, alpha)
+        z_parts = {TAG_ONE: (None, (one, one)), TAG_Z1: (None, (one, zero)), TAG_Z2: (None, (zero, one)),
+                   TAG_FAMILY_A: (FAMILY_A, (alpha / 2, (alpha + 1) / 2)),
+                   TAG_FAMILY_B: (FAMILY_B, ((2 - alpha) / 2, (1 - alpha) / 2))}
+        laws = {TAG_Z1: jordan_law(field, alpha), TAG_Z2: jordan_law(field, 1 - alpha),
+                TAG_FAMILY_A: monster_law(field, alpha, half), TAG_FAMILY_B: monster_law(field, 1 - alpha, half)}
+        cases.append((algebra, z_parts, laws, lambda n: 3 + 2 * n))
+    cover = exceptional_cover(space)
+    z_parts = {TAG_Z1: (None, (one, zero)), TAG_FAMILY_EXC: (FAMILY_EXC, (-half, half))}
+    laws = {TAG_Z1: jordan_law(field, -one), TAG_FAMILY_EXC: monster_law(field, -one, half)}
+    cases.append((cover, z_parts, laws, lambda n: 1 + n))
+
+    norm_one = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for algebra, z_parts, laws, count in cases:
+        table = classes(algebra)
+        assert list(table) == list(z_parts)
+        assert {tag: (family, tuple(field.scalar(c) for c in z)) for tag, (family, z) in table.items()} == z_parts
+        for n in (0, 1, 4, 12):
+            assert expected_count(algebra, n) == count(n)
+        for tag, law in laws.items():
+            assert axis_law(algebra, tag) == law
+        for tag in (TAG_ONE, TAG_OTHER):
+            with pytest.raises(ValueError):
+                axis_law(algebra, tag)
+        assert check_axis(algebra, algebra.basis_by_label("z1"), laws[TAG_Z1]).ok
+        for tag, (family, (gamma, delta)) in z_parts.items():
+            if family is None:
+                continue
+            for e in norm_one:
+                x = family_axis(algebra, e, family)
+                assert x == algebra.element([half * c for c in e] + [gamma, delta])
+                verdict = classify_idempotent(algebra, x)
+                assert verdict.tag == tag and verdict.e == space.vector(e)
+            assert check_axis(algebra, x, laws[tag]).ok
+
+
+def test_class_table_edges():
+    """No family in characteristic 2, no z2 axis on the cover, and no
+    classes at all on other algebras."""
+    F2 = Field.prime(2)
+    assert list(classes(split_spin(identity_space(F2, 1), 1))) == [TAG_ONE, TAG_Z1, TAG_Z2]
+    assert list(classes(exceptional_cover(identity_space(F2, 1)))) == [TAG_Z1]
+    with pytest.raises(ValueError):
+        axis_law(exceptional_cover(identity_space(QQ, 1)), TAG_Z2)
+    with pytest.raises(WrongAlgebraKind):
+        classes(matsuo_3c(QQ, 3))
+    with pytest.raises(ValueError):
+        family_axis(split_spin(identity_space(QQ, 1), 3), [1], "c")
