@@ -27,14 +27,13 @@ from .axial import (
     extend_orthogonal,
     frobenius,
     frobenius_s3_invariant,
-    fusion_law,
     is_automorphism,
     is_simple,
     jordan_law,
     miyamoto,
     monster_law,
 )
-from .cover import CoverReport, cover_aut_membership, verify_cover
+from .cover import CoverReport, verify_cover
 from .errors import SplitSpinError
 from .fields import Field, Scalar
 from .idempotents import (
@@ -89,14 +88,12 @@ __all__ = [
     "check_axis",
     "classify_idempotent",
     "classify_idempotents",
-    "cover_aut_membership",
     "enumerate_idempotents_bruteforce",
     "exceptional_cover",
     "extend_orthogonal",
     "family_axis",
     "frobenius",
     "frobenius_s3_invariant",
-    "fusion_law",
     "is_automorphism",
     "is_idempotent",
     "is_simple",

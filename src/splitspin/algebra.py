@@ -9,15 +9,16 @@ throughout the package:
 * the three-idempotent algebra 3C(alpha) with pairwise products
   x y = (alpha / 2)(x + y - z).
 
-Construction never rejects degenerate parameters: characteristic-two and
-Jordan-special values of alpha are recorded on the meta tag, and the axial
-operations that genuinely need the exclusions enforce them.
+Construction never rejects degenerate parameters: the meta tag records a
+characteristic-two warning and reports a Jordan-special alpha, and the
+axial operations that genuinely need the exclusions enforce them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -45,8 +46,12 @@ class AlgebraMeta:
     kind: str
     alpha: Scalar | None = None
     space: QuadraticSpace | None = None
-    jordan_special: bool = False
     warnings: tuple[str, ...] = ()
+
+    @property
+    def jordan_special(self) -> bool:
+        """Whether this is a split spin or cover algebra at a Jordan-special alpha."""
+        return self.kind in (SPLIT_SPIN, COVER) and self.alpha is not None and is_jordan_special(self.alpha)
 
 
 class Element:
@@ -126,12 +131,13 @@ class Algebra:
 
     The constants are (i, j, k, value) entries, value being the coefficient
     of b_k in b_i b_j, in either order of i and j; absent entries are zero.
-    Each unordered pair's nonzero (k, c) pairs are stored once, as raw
-    values (int residues over F_p, Fractions over Q), and shared by the
-    rows of i and j.
+    Each unordered pair's nonzero (k, c) pairs are stored once, shared by
+    the rows of i and j: c is the int D times the constant, D being the
+    least common multiple of the constants' denominators over Q (and 1 over
+    F_p, where c is the residue), and readers divide by D once per entry.
     """
 
-    __slots__ = ("field", "labels", "_rows", "meta")
+    __slots__ = ("field", "labels", "_rows", "denominator", "meta")
 
     def __init__(
         self,
@@ -151,15 +157,17 @@ class Algebra:
             (c,) = raw_values(field, (value,))
             if values.setdefault(key, c) != c:
                 raise ValueError(f"conflicting structure constants at {key}")
+        d = 1 if field.p else math.lcm(*(c.denominator for c in values.values()))
         rows: list[dict[int, list]] = [{} for _ in range(n)]
         for (i, j, k), c in sorted(values.items()):  # (i, j) order, so each row's keys ascend
             if c:
                 cell = rows[i].setdefault(j, [])
-                cell.append((k, c))
+                cell.append((k, c if field.p else c.numerator * (d // c.denominator)))
                 rows[j][i] = cell
         self.field = field
         self.labels = tuple(labels)
         self._rows = rows
+        self.denominator = d
         self.meta = meta
 
     # -- basic structure -----------------------------------------------------
@@ -212,34 +220,32 @@ class Algebra:
     def constants(self) -> tuple[tuple[int, int, int, Scalar], ...]:
         """The nonzero (i, j, k, b_k-coefficient of b_i b_j) entries with
         i <= j, in (i, j, k) order: the interchange form."""
+        field, d = self.field, self.denominator
         return tuple(
-            (i, j, k, Scalar(self.field, c))
+            (i, j, k, Scalar(field, c if field.p else Fraction(c, d)))
             for i, row in enumerate(self._rows)
             for j, cell in row.items()
             if j >= i
             for k, c in cell
         )
 
-    def cell(self, i: int, j: int) -> Sequence[tuple[int, object]]:
-        """The stored nonzero (k, c) pairs of b_i b_j, c raw."""
+    def cell(self, i: int, j: int) -> Sequence[tuple[int, int]]:
+        """The stored nonzero (k, D c) pairs of b_i b_j, D the `denominator`."""
         return self._rows[i].get(j, ())
 
-    def cleared_rows(self) -> list[dict[int, Sequence[tuple[int, int]]]]:
-        """The stored cells as ints, row i mapping j to the (k, c) pairs of
-        b_i b_j: over Q every c times the least common multiple of all
-        their denominators, built per call; over F_p the stored residues.
-        Read-only."""
-        if self.field.p:
-            return self._rows
-        d = math.lcm(*(c.denominator for row in self._rows for cell in row.values() for _, c in cell))
-        return [{j: [(k, c.numerator * (d // c.denominator)) for k, c in cell] for j, cell in row.items()}
-                for row in self._rows]
+    def _from_cells(self, sums: Iterable) -> tuple:
+        """Sums of products with the stored cells as raw values: reduced mod
+        p over F_p, divided by D over Q."""
+        p, d = self.field.p, self.denominator
+        if p:
+            return tuple([a % p for a in sums])
+        return tuple([a / d if a else a for a in sums]) if d != 1 else tuple(sums)
 
     # -- multiplication ------------------------------------------------------
 
     def _mul_coords(self, u: Sequence, v: Sequence) -> tuple:
         """The raw coordinates of u v, for raw coordinate vectors u and v."""
-        rows, p = self._rows, self.field.p
+        rows = self._rows
         acc = [zero_one(self.field)[0]] * self.dim
         for i, ui in enumerate(u):
             if not ui:
@@ -250,7 +256,7 @@ class Algebra:
                     w = ui * vj
                     for k, c in cell:
                         acc[k] += w * c
-        return tuple(acc) if p is None else tuple([a % p for a in acc])
+        return self._from_cells(acc)
 
     def multiply(self, u: Element, v: Element) -> Element:
         if u.algebra is not self or v.algebra is not self:
@@ -261,17 +267,17 @@ class Algebra:
         """Matrix of v -> a v in the algebra basis."""
         return Matrix._from_raw(self.field, self._adjoint_raw(a.raw))
 
-    def _adjoint_raw(self, u: Sequence) -> list[list]:
+    def _adjoint_raw(self, u: Sequence) -> list[tuple]:
         """The raw rows of ad_u for the raw coordinates u, from the stored
         cells: entry (k, j) is the b_k-coefficient of u b_j."""
-        n, p = self.dim, self.field.p
+        n = self.dim
         ad = [[zero_one(self.field)[0]] * n for _ in range(n)]
         for i, ui in enumerate(u):
             if ui:
                 for j, cell in self._rows[i].items():
                     for k, c in cell:
                         ad[k][j] += ui * c
-        return [[a % p for a in row] for row in ad] if p else ad
+        return [self._from_cells(row) for row in ad]
 
     # -- eigenstructure ------------------------------------------------------
 
@@ -284,7 +290,7 @@ class Algebra:
         ad = self._adjoint_raw(u)
         bases = []
         for lam in values:
-            shifted = [row[:i] + [(row[i] - lam) % p if p else row[i] - lam] + row[i + 1:]
+            shifted = [row[:i] + ((row[i] - lam) % p if p else row[i] - lam,) + row[i + 1:]
                        for i, row in enumerate(ad)]
             bases.append(Matrix(self.field, shifted).kernel_raw())
         return bases
@@ -293,19 +299,19 @@ class Algebra:
         """The multiplicative identity, or None if no element satisfies
         u b_i = b_i for every basis vector b_i.
 
-        Equation (i, k) is sum_j u_j (b_k-coefficient of b_j b_i) = [k == i].
-        Each is read off the stored cells as an augmented row and reduced
-        into one echelon basis; a pivot on the right-hand side means no
-        solution.  An identity is unique when it exists, so a consistent
+        Equation (i, k), sum_j u_j (b_k-coefficient of b_j b_i) = [k == i]
+        times D, is read off the stored cells as an augmented row and
+        reduced into one echelon basis; a pivot on the right-hand side means
+        no solution.  An identity is unique when it exists, so a consistent
         system has full rank and u is the last column of the reduced rows.
         """
         if not all(self._rows):
             return None  # u b_i = 0 for a b_i whose products all vanish
         n = self.dim
-        zero, one = zero_one(self.field)
+        zero = zero_one(self.field)[0]
         span = Echelon(self.field)
         for i, row in enumerate(self._rows):
-            equations = {i: [zero] * n + [one]}  # only the equations with a nonzero entry
+            equations = {i: [zero] * n + [self.denominator]}  # only the equations with a nonzero entry
             for j, cell in row.items():
                 for k, c in cell:
                     equations.setdefault(k, [zero] * (n + 1))[j] = c
@@ -404,7 +410,7 @@ class Algebra:
             (a, b, t, c)
             for a in range(len(free))
             for b in range(a, len(free))
-            for t, c in enumerate(projection.apply_sparse(self.cell(free[a], free[b])))
+            for t, c in enumerate(self._from_cells(projection.apply_sparse(self.cell(free[a], free[b]))))
             if c
         ]
         labels = tuple(self.labels[f] for f in free)
@@ -428,7 +434,7 @@ class Algebra:
         cols = list(zip(*mapping.raw))
         for i in range(self.dim):
             for j in range(i, self.dim):
-                if mapping.apply_sparse(self.cell(i, j)) != other._mul_coords(cols[i], cols[j]):
+                if self._from_cells(mapping.apply_sparse(self.cell(i, j))) != other._mul_coords(cols[i], cols[j]):
                     return False, (i, j)
         return True, None
 
@@ -476,8 +482,7 @@ def split_spin(space: QuadraticSpace, alpha) -> Algebra:
     constants += [(z1, z1, z1, 1), (z2, z2, z2, 1)]
     labels = tuple(f"e{i + 1}" for i in range(k)) + ("z1", "z2")
     warnings = ("characteristic_two",) if field.characteristic == 2 else ()
-    meta = AlgebraMeta(SPLIT_SPIN, alpha=alpha, space=space,
-                       jordan_special=is_jordan_special(alpha), warnings=warnings)
+    meta = AlgebraMeta(SPLIT_SPIN, alpha=alpha, space=space, warnings=warnings)
     return Algebra(field, labels, constants, meta)
 
 
@@ -501,9 +506,7 @@ def exceptional_cover(space: QuadraticSpace) -> Algebra:
         warnings = ("characteristic_two",)
     elif field.characteristic == 3:
         warnings = ("characteristic_three",)
-    alpha = field.scalar(-1)
-    meta = AlgebraMeta(COVER, alpha=alpha, space=space,
-                       jordan_special=is_jordan_special(alpha), warnings=warnings)
+    meta = AlgebraMeta(COVER, alpha=field.scalar(-1), space=space, warnings=warnings)
     return Algebra(field, labels, constants, meta)
 
 

@@ -129,16 +129,6 @@ def monster_law(field: Field, alpha, beta) -> FusionLaw:
     )
 
 
-def fusion_law(field: Field, kind: str, params: Sequence) -> FusionLaw:
-    if kind == JORDAN:
-        (eta,) = params
-        return jordan_law(field, eta)
-    if kind == MONSTER:
-        alpha, beta = params
-        return monster_law(field, alpha, beta)
-    raise ValueError(f"unknown fusion law kind {kind!r}")
-
-
 def axis_law(algebra: Algebra, tag: str) -> FusionLaw:
     """The fusion law of the axes in one idempotent class: z1 and z2 are of
     Jordan type alpha and 1 - alpha, family (a) and the cover's family of
@@ -183,9 +173,9 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     minus part negated) is multiplicative exactly when no component has a
     grade other than grade(lambda) grade(mu), and is built only then.
 
-    The loop runs on ints, eigenvalues as indices into the law.  Over Q the
-    eigenvectors, the structure cells and the rows of B^-1 are scaled by
-    nonzero integers to clear their denominators, which changes no support.
+    The loop runs on ints: eigenvalues as indices into the law, the stored
+    cells (D times the constants) and, over Q, the eigenvectors and rows of
+    B^-1 times integers that clear their denominators; no scale changes a support.
 
     Raises IncompleteDecomposition when the adjoint eigenspaces for the
     law's eigenvalues do not fill the algebra.
@@ -212,7 +202,7 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     owner = [a for a, basis in enumerate(bases) for _ in basis]
     plus = [lam in law.plus for lam in eigenvalues]
 
-    cells = algebra.cleared_rows()
+    cells = algebra._rows
     vectors = [[(i, c) for i, c in enumerate(cleared(v)[1]) if c] for v in columns]
     inverse_columns = [[] for _ in range(n)]
     for t, row in enumerate(inverse.raw):
@@ -363,8 +353,8 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
     if not any(map(any, gram.raw)):
         raise BadCharacteristic("the Frobenius form vanishes identically here")
 
-    # (b_i, b_j b_t) = g[j][t][i] and, G being symmetric, (b_i b_j, b_t) = g[i][j][t];
-    # raw values, so the n^3 comparisons compare ints or Fractions
+    # D (b_i, b_j b_t) = g[j][t][i] and, G being symmetric, D (b_i b_j, b_t) = g[i][j][t], D the
+    # cells' denominator; raw values, so the n^3 comparisons compare ints or Fractions, all scaled by D
     g = [[None] * n for _ in range(n)]
     for j in range(n):
         for t in range(j, n):
@@ -376,16 +366,12 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
     return FrobeniusForm(algebra, gram, radical)
 
 
-def _basis_vec(algebra: Algebra, i: int) -> tuple:
-    return algebra.basis(i).raw
-
-
 def _verify_ideal(algebra: Algebra, vectors: Sequence[tuple]) -> None:
     """Raise VerificationFailed, with the first (vector, basis) index pair
     whose product leaves the span, unless the span of the raw vectors is an
     ideal."""
     span = Echelon(algebra.field, vectors)
-    units = [_basis_vec(algebra, k) for k in range(algebra.dim)]
+    units = [algebra.basis(k).raw for k in range(algebra.dim)]
     for i, v in enumerate(vectors):
         for k, unit in enumerate(units):
             prod = algebra._mul_coords(v, unit)
@@ -403,7 +389,7 @@ def algebra_radical(algebra: Algebra) -> tuple[Element, ...]:
         k = algebra.e_dim
         if alpha == field.scalar(-1) or alpha == field.scalar(2):
             which = k if alpha == field.scalar(-1) else k + 1
-            vecs = [_basis_vec(algebra, i) for i in range(k)] + [_basis_vec(algebra, which)]
+            vecs = [algebra.basis(i).raw for i in (*range(k), which)]
             _verify_ideal(algebra, vecs)
             tag = "alpha=-1" if alpha == field.scalar(-1) else "alpha=2"
             raise BaricCase(tag, tuple(algebra.element(v) for v in vecs))
@@ -415,7 +401,7 @@ def algebra_radical(algebra: Algebra) -> tuple[Element, ...]:
             raise BadCharacteristic("cover radical requires characteristic outside {2, 3}")
         k = algebra.e_dim
         lifted = [_lift(algebra, v) for v in algebra.meta.space.radical()]
-        lifted.append(_basis_vec(algebra, k + 1))  # n
+        lifted.append(algebra.basis(k + 1).raw)  # n
         _verify_ideal(algebra, lifted)
         return tuple(algebra.element(v) for v in lifted)
     raise WrongAlgebraKind(f"no radical description for a {kind} algebra")

@@ -19,9 +19,8 @@ from .axial import (
     axis_law,
     check_axis,
     frobenius,
-    is_automorphism,
 )
-from .errors import BadCharacteristic, VerificationFailed, check
+from .errors import BadCharacteristic, VerificationFailed
 from .idempotents import FAMILY_EXC, TAG_FAMILY_EXC, TAG_Z1, family_axis
 from .linalg import Matrix, Vector, same_span
 from .quadratic import QuadraticSpace
@@ -139,22 +138,3 @@ def verify_cover(
         radical_ok=radical_ok,
         radical_basis=radical_basis,
     )
-
-
-def cover_aut_membership(space: QuadraticSpace, m: Matrix) -> bool:
-    """Whether the matrix is an automorphism of the cover algebra.
-
-    When the form b is nonzero, any automorphism must fix both z1 and n;
-    that consequence is a sanity check on the multiplicative test, and its
-    failure raises VerificationFailed with the index of the moved basis
-    vector.  With b = 0 the scalar action on n is genuinely free.
-    """
-    algebra = exceptional_cover(space)
-    ok = is_automorphism(algebra, m)
-    form_nonzero = any(map(any, space.gram.raw))
-    if ok and form_nonzero:
-        k = space.dim
-        for idx in (k, k + 1):
-            check(m.column(idx) == algebra.basis(idx).coords,
-                  "automorphism of a cover with b != 0 must fix z1 and n", witness=idx)
-    return ok

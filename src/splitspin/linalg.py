@@ -4,8 +4,8 @@ Below the API every number is raw: an int residue in [0, p) over F_p, a
 Fraction over Q (never an int, so that every quotient stays exact).
 `raw_values` coerces at the API edge, through `fields.raw_value`; Scalars
 come back only from the methods that hand results to callers.  Matrices
-are immutable raw rows; each row's nonzero (column, value) pairs, the
-Scalar view `entries` and the `kernel` are built on first use.
+are immutable raw rows; each row's and each column's nonzero (index, value)
+pairs, the Scalar view `entries` and the `kernel` are built on first use.
 Elimination runs on the incremental `Echelon` basis with first-nonzero
 pivots and builds no combination columns, so kernels and inverses are
 deterministic: kernel bases come out in echelon order with a unit entry at
@@ -74,7 +74,7 @@ def boxed(field: Field, values: Iterable) -> Vector:
 class Matrix:
     """An exact rows x cols matrix over a single field, stored raw."""
 
-    __slots__ = ("field", "raw", "_nonzeros", "_entries", "_kernel")
+    __slots__ = ("field", "raw", "_nonzeros", "_column_nonzeros", "_entries", "_kernel")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
         rows = [raw_values(field, row) for row in entries]
@@ -95,6 +95,7 @@ class Matrix:
         self.field = field
         self.raw = tuple(map(tuple, rows))
         self._nonzeros = None
+        self._column_nonzeros = None
         self._entries = None
         self._kernel = None
 
@@ -219,17 +220,16 @@ class Matrix:
 
     def apply_sparse(self, pairs: Sequence[tuple[int, object]]) -> tuple:
         """`apply_raw` on the raw vector whose nonzero entries are the
-        (index, value) pairs; no coercion."""
+        (index, value) pairs, reading only the nonzero matrix entries of
+        their columns; no coercion."""
+        if self._column_nonzeros is None:  # each column's nonzero (row, value) pairs, built once
+            self._column_nonzeros = tuple([(i, a) for i, a in enumerate(col) if a] for col in zip(*self.raw))
         zero, p = zero_one(self.field)[0], self.field.p
-        out = []
-        for row in self.raw:
-            acc = zero
-            for k, c in pairs:
-                a = row[k]
-                if a:
-                    acc += a * c
-            out.append(acc % p if p else acc)
-        return tuple(out)
+        out = [zero] * self.rows
+        for k, c in pairs:
+            for i, a in self._column_nonzeros[k]:
+                out[i] += a * c
+        return tuple([a % p for a in out]) if p else tuple(out)
 
     def pow(self, k: int) -> Matrix:
         """Exact k-th power by repeated squaring; M**0 is the identity."""

@@ -78,7 +78,6 @@ def algebra_from_json(doc) -> Algebra:
         doc["kind"],
         alpha=alpha,
         space=space,
-        jordan_special=doc.get("jordan_special", False),
         warnings=tuple(doc.get("warnings", ())),
     )
     return Algebra(field, labels, doc["structure_constants"], meta)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -505,13 +506,16 @@ def with_annihilated(algebra, pos):
 def derived_algebras(draw):
     """A split spin, cover or 3C algebra over Q, F_5 or F_10007, or a
     subalgebra, quotient or perturbation of one, or one with an annihilated
-    basis vector inserted before its last."""
+    basis vector inserted before its last.  Alpha and the Gram entries may
+    be Fractions with coprime denominators, so that over Q the stored cells'
+    denominator D exceeds 1."""
     field = draw(st.sampled_from([QQ, F5, F10007]))
     kind = draw(st.sampled_from(["split_spin", "cover", "matsuo_3c"]))
     derive = draw(st.sampled_from(["none", "subalgebra", "quotient", "perturbed", "annihilated"]))
     small = st.integers(-3, 3)
+    parameter = st.one_of(small, st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]))
     if kind == "matsuo_3c":
-        algebra = matsuo_3c(field, draw(small))
+        algebra = matsuo_3c(field, draw(parameter))
     else:
         k = draw(st.integers(1, 3))
         rows = [[0] * k for _ in range(k)]
@@ -519,9 +523,9 @@ def derived_algebras(draw):
             for j in range(i, k):
                 # e_k spans an ideal of split spin when it is orthogonal to E
                 zero_last = derive == "quotient" and j == k - 1
-                rows[i][j] = rows[j][i] = 0 if zero_last else draw(small)
+                rows[i][j] = rows[j][i] = 0 if zero_last else draw(parameter)
         space = QuadraticSpace(Matrix(field, rows))
-        algebra = split_spin(space, draw(small)) if kind == "split_spin" else exceptional_cover(space)
+        algebra = split_spin(space, draw(parameter)) if kind == "split_spin" else exceptional_cover(space)
     n = algebra.dim
     if derive == "subalgebra":
         gens = [algebra.element(draw(st.lists(small, min_size=n, max_size=n))) for _ in range(2)]
@@ -564,6 +568,24 @@ def test_sparse_product_matches_dense_reference(algebra, data):
     one = algebra.identity()
     assert (None if one is None else one.coords) == reference_identity(field, table)
     assert fractions_over_q(field, (c.value for _, _, _, c in algebra.constants))
+    rebuilt = Algebra(field, algebra.labels, algebra.constants, algebra.meta)
+    assert (rebuilt._rows, rebuilt.denominator) == (algebra._rows, algebra.denominator)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "F7"])
+def test_cells_are_integers_over_one_denominator(field):
+    """Each stored cell is D times its constant, D the lcm of the constants'
+    denominators over Q and 1 over F_p, where the cells are the residues."""
+    gram = [[1, Fraction(1, 2), 0], [Fraction(1, 2), 2, 1], [0, 1, -3]]
+    for algebra in (split_spin(QuadraticSpace(Matrix(field, gram)), Fraction(-2, 5)),
+                    exceptional_cover(QuadraticSpace(Matrix(field, gram))), matsuo_3c(field, 3)):
+        d = math.lcm(*(c.value.denominator for *_, c in algebra.constants)) if field.p is None else 1
+        assert algebra.denominator == d
+        assert d > 1 or field.p
+        for i, j, k, c in algebra.constants:
+            assert (k, c.value * d) in algebra.cell(i, j) and (k, c.value * d) in algebra.cell(j, i)
+        cells = [c for row in algebra._rows for cell in row.values() for _, c in cell]
+        assert all(type(c) is int and (field.p is None or 0 <= c < field.p) for c in cells)
 
 
 def test_identity_stops_at_an_annihilated_basis_vector(monkeypatch):
@@ -583,9 +605,16 @@ def test_identity_stops_at_an_annihilated_basis_vector(monkeypatch):
 @pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "F7"])
 def test_derived_constants_match_the_full_constant_lists(field):
     """subalgebra and quotient pass only nonzero constants; the algebra is
-    the one built from every constant, zeros included."""
-    space = QuadraticSpace(Matrix(field, [[1, 1, 0], [1, 2, 0], [0, 0, 0]]))
-    algebra = split_spin(space, 3)
+    the one built from every constant, zeros included.  The second form and
+    alpha make the ambient cells' denominator D > 1 over Q."""
+    half = Fraction(1, 2)
+    check_derived_constants(field, split_spin(QuadraticSpace(Matrix(field, [[1, 1, 0], [1, 2, 0], [0, 0, 0]])), 3))
+    algebra = split_spin(QuadraticSpace(Matrix(field, [[1, half, 0], [half, 2, 0], [0, 0, 0]])), Fraction(5, 3))
+    assert algebra.denominator == (18 if field.p is None else 1)
+    check_derived_constants(field, algebra)
+
+
+def check_derived_constants(field, algebra):
     gens = [algebra.element([1, 0, 2, 0, 1]), algebra.element([0, 1, 0, 1, 0])]
     result = algebra.subalgebra(gens)
     sub, emb = result.algebra, result.embedding
@@ -595,7 +624,8 @@ def test_derived_constants_match_the_full_constant_lists(field):
         for j in range(i, sub.dim):
             product = algebra.element(columns[i]) * algebra.element(columns[j])
             full += [(i, j, t, c) for t, c in enumerate(reference_solve(field, columns, product.coords))]
-    assert Algebra(field, sub.labels, full, AlgebraMeta(DERIVED))._rows == sub._rows
+    rebuilt = Algebra(field, sub.labels, full, AlgebraMeta(DERIVED))
+    assert (rebuilt._rows, rebuilt.denominator) == (sub._rows, sub.denominator)
 
     result = algebra.quotient([algebra.basis(2)])  # e3 spans the radical of the form, an ideal
     quot, projection = result.algebra, result.projection
@@ -603,7 +633,8 @@ def test_derived_constants_match_the_full_constant_lists(field):
     full = [(a, b, t, c)
             for a in range(len(free)) for b in range(a, len(free))
             for t, c in enumerate(projection.apply((algebra.basis(free[a]) * algebra.basis(free[b])).coords))]
-    assert Algebra(field, quot.labels, full, AlgebraMeta(DERIVED))._rows == quot._rows
+    rebuilt = Algebra(field, quot.labels, full, AlgebraMeta(DERIVED))
+    assert (rebuilt._rows, rebuilt.denominator) == (quot._rows, quot.denominator)
 
 
 class BoxedElement:

@@ -20,7 +20,6 @@ from splitspin import (
     family_axis,
     frobenius,
     frobenius_s3_invariant,
-    fusion_law,
     is_automorphism,
     is_simple,
     jordan_law,
@@ -92,13 +91,6 @@ def test_law_collisions_are_named():
     with pytest.raises(EigenvalueCollision):
         # 1/2 = 3 = alpha in F_5
         monster_law(F5, 3, HALF)
-
-
-def test_fusion_law_dispatch():
-    assert fusion_law(QQ, "jordan", [3]).kind == "jordan"
-    assert fusion_law(QQ, "monster", [3, HALF]).kind == "monster"
-    with pytest.raises(ValueError):
-        fusion_law(QQ, "both", [1])
 
 
 # -- axis checking ----------------------------------------------------------------

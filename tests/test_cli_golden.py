@@ -2,8 +2,10 @@
 cli_golden.json must stay byte-identical.
 
 The corpus covers every subcommand over Q and F_p, the split spin algebra
-and its cover, a Jordan-special alpha (exit 1), `idempotents` at dim E 3-4
-over F_5 and F_7 (also on a degenerate form and in text format), family
+and its cover, `build` with Fraction structure constants over Q (which pin
+the Scalar view of the stored integer cells), a Jordan-special alpha (exit
+1), `idempotents` at dim E 3-4 over F_5 and F_7 (also on a degenerate form
+and in text format), family
 members where the scan is out of budget (the cover over Q, split spin over
 F_101), config errors (exit 2), small axet sweeps, `axis-check` and `cover`
 at dim E 6-8 over Q (with Fraction alpha and Gram entries) and over
@@ -72,6 +74,9 @@ COMMANDS = [
     ["build", "--alpha", "3", "--gram", I2],
     ["build", "--p", "7", "--alpha", "3", "--gram", F7_FORM, "--format", "text"],
     ["build", "--variant", "cover", "--gram", DIAG12],
+    # Fraction constants over Q
+    ["build", "--alpha=-2/5", "--gram", Q3],
+    ["build", "--variant", "cover", "--gram", Q3],
     # idempotents
     ["idempotents", "--p", "5", "--gram", "[[1]]", "--alpha", "2"],
     ["idempotents", "--p", "7", "--variant", "cover", "--gram", "[[1]]"],

@@ -4,9 +4,7 @@ from splitspin import (
     Field,
     Matrix,
     QuadraticSpace,
-    cover_aut_membership,
     exceptional_cover,
-    extend_orthogonal,
     verify_cover,
 )
 from splitspin.errors import BadCharacteristic, VerificationFailed
@@ -105,25 +103,6 @@ def test_verify_cover_rejects_small_characteristic():
         verify_cover(space(Field.prime(3), [[1]]))
     with pytest.raises(BadCharacteristic):
         verify_cover(space(Field.prime(2), [[1]]))
-
-
-def test_cover_aut_membership_reflection():
-    sp = space(QQ, [[1, 0], [0, 1]])
-    algebra = exceptional_cover(sp)
-    m = extend_orthogonal(algebra, sp.neg_reflection([1, 0]))
-    assert cover_aut_membership(sp, m)
-
-
-def test_cover_aut_membership_rejects_nil_scaling_when_form_nonzero():
-    sp = space(QQ, [[1, 0], [0, 1]])
-    scale_n = Matrix.diagonal(QQ, [1, 1, 1, 2])
-    assert not cover_aut_membership(sp, scale_n)
-
-
-def test_cover_aut_membership_allows_nil_scaling_when_form_zero():
-    sp = space(QQ, [[0, 0], [0, 0]])
-    scale_n = Matrix.diagonal(QQ, [1, 1, 1, 2])
-    assert cover_aut_membership(sp, scale_n)
 
 
 def test_w_z1_n_is_a_subalgebra():

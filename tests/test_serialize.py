@@ -55,6 +55,24 @@ def test_algebra_roundtrip_cover():
     assert rebuilt.meta.space == space
 
 
+@pytest.mark.parametrize("p, variant, alpha, special", [
+    (3, "cover", None, True),  # alpha = -1 = 1/2
+    (2, "cover", None, True),  # alpha = -1 = 1
+    (7, "cover", None, False),
+    (None, "split_spin", Fraction(1, 2), True),
+    (None, "split_spin", 3, False),
+])
+def test_jordan_special_survives_a_json_round_trip(p, variant, alpha, special):
+    field = Field.prime(p) if p else QQ
+    space = QuadraticSpace(Matrix.identity(field, 1))
+    algebra = exceptional_cover(space) if variant == "cover" else split_spin(space, alpha)
+    doc = algebra_to_json(algebra)
+    rebuilt = algebra_from_json(json.loads(json.dumps(doc)))
+    assert algebra.meta.jordan_special == rebuilt.meta.jordan_special == special
+    assert algebra_to_json(rebuilt) == doc
+    assert ("jordan_special" in doc) == (variant == "split_spin")
+
+
 def test_algebra_roundtrip_3c_and_quotient():
     cover = exceptional_cover(QuadraticSpace(Matrix(QQ, [[1, 2], [2, -1]])))
     quotient = cover.quotient([cover.basis_by_label("n")]).algebra
