@@ -23,6 +23,7 @@ from .axial import (
     check_axis,
     extend_orthogonal,
     frobenius,
+    frobenius_s3_invariant,
     is_automorphism,
     is_simple,
     jordan_law,
@@ -391,8 +392,9 @@ def criterion_5():
 def criterion_6():
     """Frobenius form: associativity on all basis triples for both
     constructors; family (a) axes have length alpha + 1 and family (b)
-    axes 2 - alpha; invariance under 20 sampled reflection products; at
-    alpha in {-1, 2} the form has rank one with the stated radical."""
+    axes 2 - alpha; invariance under 20 sampled reflection products and,
+    for dim E = 1 over Q and F_7, under the six permutations of x, x^- and
+    z1; at alpha in {-1, 2} the form has rank one with the stated radical."""
     rng = random.Random(1006)
     grams = ([[1, 0], [0, 1]], [[1, 1], [1, 1]])
     sampled = 0
@@ -433,6 +435,9 @@ def criterion_6():
                   "the cover's Frobenius form is not invariant under a sampled automorphism", witness=m)
             sampled += 1
     check(sampled >= 20, f"only {sampled} automorphisms sampled", witness=sampled)
+    for field in (QQ, F7):
+        check(frobenius_s3_invariant(split_spin(QuadraticSpace(Matrix(field, [[1]])), 3), [1]),
+              "the Frobenius form at dim E = 1 is not invariant under permuting x, x^- and z1", witness=field)
     for alpha, label in ((-1, "z1"), (2, "z2")):
         for gram in grams:
             space = QuadraticSpace(Matrix(QQ, gram))

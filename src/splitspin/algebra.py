@@ -265,11 +265,11 @@ class Algebra:
 
     def adjoint(self, a: Element) -> Matrix:
         """Matrix of v -> a v in the algebra basis."""
-        return Matrix._from_raw(self.field, self._adjoint_raw(a.raw))
+        return Matrix._from_raw(self.field, map(self._from_cells, self._adjoint_raw(a.raw)))
 
-    def _adjoint_raw(self, u: Sequence) -> list[tuple]:
-        """The raw rows of ad_u for the raw coordinates u, from the stored
-        cells: entry (k, j) is the b_k-coefficient of u b_j."""
+    def _adjoint_raw(self, u: Sequence) -> list[list]:
+        """The rows of D ad_u for the raw coordinates u, from the stored
+        cells, unreduced: entry (k, j) is D times the b_k-coefficient of u b_j."""
         n = self.dim
         ad = [[zero_one(self.field)[0]] * n for _ in range(n)]
         for i, ui in enumerate(u):
@@ -277,22 +277,24 @@ class Algebra:
                 for j, cell in self._rows[i].items():
                     for k, c in cell:
                         ad[k][j] += ui * c
-        return [self._from_cells(row) for row in ad]
+        return ad
 
     # -- eigenstructure ------------------------------------------------------
 
     def eigenspaces_raw(self, u: Sequence, values: Sequence) -> list[list[list]]:
-        """Raw bases of the kernels of ad_u - lambda, one per raw lambda in
-        values, for the raw coordinates u."""
+        """Bases of the kernels of ad_u - lambda, one per raw lambda in
+        values, for the raw coordinates u: the `Echelon.kernel` of the rows
+        of D (ad_u - lambda), so ints, each a positive multiple of the vector
+        with a unit entry at its free column over Q."""
         if len(set(values)) != len(values):
             raise DuplicateCandidates("candidate eigenvalues must be pairwise distinct")
-        p = self.field.p
+        p, d, n = self.field.p, self.denominator, self.dim
         ad = self._adjoint_raw(u)
         bases = []
         for lam in values:
-            shifted = [row[:i] + ((row[i] - lam) % p if p else row[i] - lam,) + row[i + 1:]
-                       for i, row in enumerate(ad)]
-            bases.append(Matrix(self.field, shifted).kernel_raw())
+            shifted = (_reduced(p, (a - d * lam if j == k else a for j, a in enumerate(row)))
+                       for k, row in enumerate(ad))
+            bases.append(Echelon._from_raw(self.field, shifted).kernel(n))
         return bases
 
     def identity(self) -> Element | None:
@@ -378,6 +380,14 @@ class Algebra:
         sub = Algebra(self.field, labels, constants, AlgebraMeta(DERIVED))
         return SubalgebraResult(sub, embedding, degree)
 
+    def ideal_witness(self, vectors: Sequence[Sequence]) -> tuple[int, int] | None:
+        """The first (vector, basis) index pair (i, k) whose product v_i b_k
+        leaves the span of the raw vectors, or None when the span is an ideal."""
+        span = Echelon(self.field, vectors)
+        units = [self.basis(k).raw for k in range(self.dim)]
+        return next(((i, k) for i, v in enumerate(vectors) for k, unit in enumerate(units)
+                     if not span.contains(self._mul_coords(v, unit))), None)
+
     def quotient(self, ideal: Sequence[Element]) -> QuotientResult:
         """Quotient by the span of the given elements.
 
@@ -388,24 +398,19 @@ class Algebra:
         for x in ideal:
             if x.algebra is not self:
                 raise AlgebraMismatch("ideal element from a different algebra")
-        n = self.dim
-        span = Echelon(self.field, (x.raw for x in ideal))
+        raws = [x.raw for x in ideal]
+        witness = self.ideal_witness(raws)
+        if witness is not None:
+            raise NotAnIdeal(f"span not closed under multiplication by basis vector {self.labels[witness[1]]}")
+        span = Echelon(self.field, raws)
         ideal_rows, pivots = span.unit_rows(), span.pivots
-        units = [self.basis(k).raw for k in range(n)]
-        for v in ideal_rows:
-            for k in range(n):
-                if not span.contains(self._mul_coords(v, units[k])):
-                    raise NotAnIdeal(
-                        f"span not closed under multiplication by basis vector {self.labels[k]}"
-                    )
-        free = [c for c in range(n) if c not in set(pivots)]
-        change = Matrix.from_columns(self.field, ideal_rows + [units[f] for f in free])
+        free = [c for c in range(self.dim) if c not in set(pivots)]
+        if not free:
+            raise ValueError("quotient by the whole algebra is empty")
+        change = Matrix.from_columns(self.field, ideal_rows + [self.basis(f).raw for f in free])
         inverse = change.inverse()
         check(inverse is not None, "ideal rows and free basis vectors do not form a basis", pivots)
-        r = len(ideal_rows)
-        projection = Matrix(self.field, inverse.raw[r:]) if free else None
-        if projection is None:
-            raise ValueError("quotient by the whole algebra is empty")
+        projection = Matrix._from_raw(self.field, inverse.raw[len(ideal_rows):])
         constants = [
             (a, b, t, c)
             for a in range(len(free))

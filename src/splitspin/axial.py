@@ -43,7 +43,7 @@ from .idempotents import (
     family_axis,
     is_idempotent,
 )
-from .linalg import Echelon, Matrix, Vector, cleared, raw_values, zero_one
+from .linalg import Echelon, Matrix, Vector, raw_values, zero_one
 from .quadratic import NormOneSearch, QuadraticSpace
 
 JORDAN = "jordan"
@@ -75,58 +75,39 @@ class FusionLaw:
 
 
 def _check_distinct(named_values: list[tuple[str, Scalar]]):
-    for i in range(len(named_values)):
-        for j in range(i + 1, len(named_values)):
-            n1, v1 = named_values[i]
-            n2, v2 = named_values[j]
-            if v1 == v2:
-                raise EigenvalueCollision(f"{n1} = {v1} collides with {n2} = {v2}")
+    for (n1, v1), (n2, v2) in itertools.combinations(named_values, 2):
+        if v1 == v2:
+            raise EigenvalueCollision(f"{n1} = {v1} collides with {n2} = {v2}")
+
+
+def _law(field: Field, kind: str, named: list[tuple[str, object]]) -> FusionLaw:
+    """The law on 1, 0 and the named eigenvalues, the last one graded: 1 and
+    0 act as identity and zero, an ungraded value squares into {1, 0} and
+    fixes the graded one, and the graded value squares into the plus part."""
+    one, zero = field.one(), field.zero()
+    named = [(name, field.scalar(value)) for name, value in named]
+    _check_distinct([("1", one), ("0", zero), *named])
+    *ungraded, graded = [value for _, value in named]
+    plus = frozenset([one, zero, *ungraded])
+    table = {(one, one): frozenset([one]), (one, zero): frozenset(), (zero, zero): frozenset([zero])}
+    for lam in (*ungraded, graded):
+        table[one, lam] = table[zero, lam] = frozenset([lam])
+    for lam in ungraded:
+        table[lam, lam] = frozenset([one, zero])
+        table[lam, graded] = frozenset([graded])
+    table[graded, graded] = plus
+    return FusionLaw(kind, (one, zero, *ungraded, graded), table, plus, frozenset([graded]))
 
 
 def jordan_law(field: Field, eta) -> FusionLaw:
     """The Jordan-type law on {1, 0, eta}: eta is the graded eigenvalue."""
-    one, zero = field.one(), field.zero()
-    eta = field.scalar(eta)
-    _check_distinct([("1", one), ("0", zero), ("eta", eta)])
-    empty = frozenset()
-    table = {
-        (one, one): frozenset([one]),
-        (one, zero): empty,
-        (one, eta): frozenset([eta]),
-        (zero, zero): frozenset([zero]),
-        (zero, eta): frozenset([eta]),
-        (eta, eta): frozenset([one, zero]),
-    }
-    return FusionLaw(JORDAN, (one, zero, eta), table, frozenset([one, zero]), frozenset([eta]))
+    return _law(field, JORDAN, [("eta", eta)])
 
 
 def monster_law(field: Field, alpha, beta) -> FusionLaw:
     """The Monster-type law on {1, 0, alpha, beta}: beta is the graded
     eigenvalue, alpha * alpha = {1, 0} and beta * beta = {1, 0, alpha}."""
-    one, zero = field.one(), field.zero()
-    alpha = field.scalar(alpha)
-    beta = field.scalar(beta)
-    _check_distinct([("1", one), ("0", zero), ("alpha", alpha), ("beta", beta)])
-    empty = frozenset()
-    table = {
-        (one, one): frozenset([one]),
-        (one, zero): empty,
-        (one, alpha): frozenset([alpha]),
-        (one, beta): frozenset([beta]),
-        (zero, zero): frozenset([zero]),
-        (zero, alpha): frozenset([alpha]),
-        (zero, beta): frozenset([beta]),
-        (alpha, alpha): frozenset([one, zero]),
-        (alpha, beta): frozenset([beta]),
-        (beta, beta): frozenset([one, zero, alpha]),
-    }
-    return FusionLaw(
-        MONSTER,
-        (one, zero, alpha, beta),
-        table,
-        frozenset([one, zero, alpha]),
-        frozenset([beta]),
-    )
+    return _law(field, MONSTER, [("alpha", alpha), ("beta", beta)])
 
 
 def axis_law(algebra: Algebra, tag: str) -> FusionLaw:
@@ -174,8 +155,10 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     grade other than grade(lambda) grade(mu), and is built only then.
 
     The loop runs on ints: eigenvalues as indices into the law, the stored
-    cells (D times the constants) and, over Q, the eigenvectors and rows of
-    B^-1 times integers that clear their denominators; no scale changes a support.
+    cells (D times the constants), the integer eigenvectors of
+    `eigenspaces_raw` and the right halves of the reduced [B | I], rows of
+    B^-1 times positive ints over Q; no scale changes a support, and none
+    changes tau.  Fractions are built only for tau.
 
     Raises IncompleteDecomposition when the adjoint eigenspaces for the
     law's eigenvalues do not fill the algebra.
@@ -194,19 +177,18 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
         )
     primitive = dims[eigenvalues[0]] == 1
 
-    # change of basis to the concatenated eigenbasis
+    # [B | I] for the concatenated eigenbasis B: row t's right half is row t of B^-1 times a positive int
     columns = [v for basis in bases for v in basis]
-    basis_change = Matrix.from_columns(field, columns)
-    inverse = basis_change.inverse()
-    check(inverse is not None, "a complete eigenbasis must be a basis", witness=basis_change)
+    span = Echelon.inverting(field, list(zip(*columns)))
+    check(span is not None, "a complete eigenbasis must be a basis", witness=columns)
     owner = [a for a, basis in enumerate(bases) for _ in basis]
     plus = [lam in law.plus for lam in eigenvalues]
 
     cells = algebra._rows
-    vectors = [[(i, c) for i, c in enumerate(cleared(v)[1]) if c] for v in columns]
+    vectors = [[(i, c) for i, c in enumerate(v) if c] for v in columns]
     inverse_columns = [[] for _ in range(n)]
-    for t, row in enumerate(inverse.raw):
-        for k, c in enumerate(cleared(row)[1]):
+    for t, row in enumerate(span.rows):
+        for k, c in enumerate(row[n:]):
             if c:
                 inverse_columns[k].append((t, c))
 
@@ -252,17 +234,11 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     miyamoto_matrix = None
     if graded:
         signed = [v if plus[a] else [-c % p if p else -c for c in v] for a, v in zip(owner, columns)]
+        inverse = Matrix._from_raw(field, (row[n:] for row in span.unit_rows()))
         miyamoto_matrix = Matrix.from_columns(field, signed) @ inverse
         check(miyamoto_matrix @ miyamoto_matrix == Matrix.identity(field, n),
               "the grading involution must square to the identity", witness=miyamoto_matrix)
-    return AxisReport(
-        axis=x,
-        law=law,
-        dims=dims,
-        primitive=primitive,
-        violations=violations,
-        miyamoto=miyamoto_matrix,
-    )
+    return AxisReport(x, law, dims, primitive, violations, miyamoto_matrix)
 
 
 def miyamoto(algebra: Algebra, x: Element, law: FusionLaw) -> Matrix:
@@ -337,10 +313,8 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
     kind = algebra.meta.kind
     if kind not in (SPLIT_SPIN, COVER):
         raise WrongAlgebraKind(f"no Frobenius form constructor for a {kind} algebra")
-    field = algebra.field
-    space = algebra.meta.space
-    k = space.dim
-    n = algebra.dim
+    field, space = algebra.field, algebra.meta.space
+    k, n = space.dim, algebra.dim
     if kind == SPLIT_SPIN:
         a = algebra.meta.alpha.value
         e_scale, z_diagonal = (a + 1) * (2 - a), (a + 1, 2 - a)
@@ -370,12 +344,8 @@ def _verify_ideal(algebra: Algebra, vectors: Sequence[tuple]) -> None:
     """Raise VerificationFailed, with the first (vector, basis) index pair
     whose product leaves the span, unless the span of the raw vectors is an
     ideal."""
-    span = Echelon(algebra.field, vectors)
-    units = [algebra.basis(k).raw for k in range(algebra.dim)]
-    for i, v in enumerate(vectors):
-        for k, unit in enumerate(units):
-            prod = algebra._mul_coords(v, unit)
-            check(span.contains(prod), "radical candidate is not an ideal", (i, k))
+    witness = algebra.ideal_witness(vectors)
+    check(witness is None, "radical candidate is not an ideal", witness)
 
 
 def algebra_radical(algebra: Algebra) -> tuple[Element, ...]:
@@ -393,18 +363,16 @@ def algebra_radical(algebra: Algebra) -> tuple[Element, ...]:
             _verify_ideal(algebra, vecs)
             tag = "alpha=-1" if alpha == field.scalar(-1) else "alpha=2"
             raise BaricCase(tag, tuple(algebra.element(v) for v in vecs))
-        lifted = [_lift(algebra, v) for v in algebra.meta.space.radical()]
-        _verify_ideal(algebra, lifted)
-        return tuple(algebra.element(v) for v in lifted)
-    if kind == COVER:
+    elif kind == COVER:
         if field.characteristic in (2, 3):
             raise BadCharacteristic("cover radical requires characteristic outside {2, 3}")
-        k = algebra.e_dim
-        lifted = [_lift(algebra, v) for v in algebra.meta.space.radical()]
-        lifted.append(algebra.basis(k + 1).raw)  # n
-        _verify_ideal(algebra, lifted)
-        return tuple(algebra.element(v) for v in lifted)
-    raise WrongAlgebraKind(f"no radical description for a {kind} algebra")
+    else:
+        raise WrongAlgebraKind(f"no radical description for a {kind} algebra")
+    lifted = [_lift(algebra, v) for v in algebra.meta.space.radical()]
+    if kind == COVER:
+        lifted.append(algebra.basis(algebra.e_dim + 1).raw)  # n
+    _verify_ideal(algebra, lifted)
+    return tuple(algebra.element(v) for v in lifted)
 
 
 def _lift(algebra: Algebra, e_vec: Vector) -> tuple:
@@ -451,8 +419,7 @@ def is_automorphism(algebra: Algebra, m: Matrix) -> bool:
     """Whether the matrix is invertible and multiplicative on basis pairs."""
     if m.rows != algebra.dim or m.cols != algebra.dim:
         raise DimensionMismatch("matrix must be square of the algebra dimension")
-    ok, _ = algebra.check_isomorphism(algebra, m)
-    return ok
+    return algebra.check_isomorphism(algebra, m)[0]
 
 
 def frobenius_s3_invariant(algebra: Algebra, e) -> bool:
@@ -465,18 +432,13 @@ def frobenius_s3_invariant(algebra: Algebra, e) -> bool:
     e = space.vector(e)
     x = family_axis(algebra, e, FAMILY_A)
     x_minus = family_axis(algebra, tuple(-c for c in e), FAMILY_A)
-    z1 = algebra.basis_by_label("z1")
-    basis = Matrix.from_columns(algebra.field, [x.raw, x_minus.raw, z1.raw])
-    inverse = basis.inverse()
+    columns = [x.raw, x_minus.raw, algebra.basis_by_label("z1").raw]
+    inverse = Matrix.from_columns(algebra.field, columns).inverse()
     if inverse is None:
         return False
     gram = frobenius(algebra).gram
-    for perm in itertools.permutations(range(3)):
-        perm_cols = [basis.column(perm[j]) for j in range(3)]
-        mapped = Matrix.from_columns(algebra.field, perm_cols) @ inverse
-        if mapped.transpose() @ gram @ mapped != gram:
-            return False
-    return True
+    mapped = (Matrix.from_columns(algebra.field, perm) @ inverse for perm in itertools.permutations(columns))
+    return all(m.transpose() @ gram @ m == gram for m in mapped)
 
 
 def sample_orthogonal_extension(algebra: Algebra, rng: random.Random) -> Matrix:

@@ -8,10 +8,12 @@ are immutable raw rows; each row's and each column's nonzero (index, value)
 pairs, the Scalar view `entries` and the `kernel` are built on first use.
 Elimination runs on the incremental `Echelon` basis with first-nonzero
 pivots and builds no combination columns, so kernels and inverses are
-deterministic: kernel bases come out in echelon order with a unit entry at
-each free column, and an inverse is the right half of the reduced [M | I].
-Over Q, elimination and products run on integers, with one Fraction built
-per returned entry.  Vectors are tuples of Scalars at the API edge.
+deterministic: `kernel` and `kernel_raw` bases come out in echelon order
+with a unit entry at each free column, and an inverse is the right half of
+the reduced [M | I].  Over Q, elimination and products run on integers, with
+one Fraction built per returned entry; the integer views `Echelon.kernel`
+and `Echelon.rows` are positive multiples of those.  Vectors are tuples of
+Scalars at the API edge.
 """
 
 from __future__ import annotations
@@ -266,33 +268,25 @@ class Matrix:
         return self._kernel
 
     def kernel_raw(self) -> list[list]:
-        """`kernel` as raw vectors."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        zero, one = zero_one(self.field)
-        p = self.field.p
-        basis = []
-        for f in (c for c in range(self.cols) if c not in pivot_set):
-            v = [zero] * self.cols
-            v[f] = one
-            for r, c in enumerate(pivots):
-                v[c] = -reduced.raw[r][f]
-            basis.append(_reduced(p, v))
-        return basis
+        """`kernel` as raw vectors: the `Echelon.kernel` vectors, each divided
+        by its entry at its free column over Q."""
+        span = Echelon._from_raw(self.field, self.raw)
+        basis = span.kernel(self.cols)
+        if self.field.p:
+            return basis
+        pivots = set(span.pivots)
+        free = [c for c in range(self.cols) if c not in pivots]
+        return [[Fraction(a, v[f]) for a in v] for f, v in zip(free, basis)]
 
     def inverse(self) -> Matrix | None:
         """The exact inverse, or None if the matrix is singular: the right
         half of the reduced form of [M | I]."""
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.rows
-        zero, one = zero_one(self.field)
-        augmented = (row + tuple(one if j == i else zero for j in range(n))
-                     for i, row in enumerate(self.raw))
-        span = Echelon._from_raw(self.field, augmented)
-        if span.pivots[-1] >= n:
+        span = Echelon.inverting(self.field, self.raw)
+        if span is None:
             return None
-        return Matrix._from_raw(self.field, (row[n:] for row in span.unit_rows()))
+        return Matrix._from_raw(self.field, (row[self.rows:] for row in span.unit_rows()))
 
 
 class Echelon:
@@ -325,6 +319,15 @@ class Echelon:
             span._insert(row)
         return span
 
+    @classmethod
+    def inverting(cls, field: Field, rows: Sequence[Sequence]) -> Echelon | None:
+        """The basis of [M | I] for the n x n raw rows M, or None when M is
+        singular.  Row t's right half is row t of M^-1 times the row's pivot
+        entry (1 over F_p)."""
+        n = len(rows)
+        span = cls._from_raw(field, (list(row) + [int(j == i) for j in range(n)] for i, row in enumerate(rows)))
+        return None if span.pivots[-1] >= n else span
+
     @property
     def rank(self) -> int:
         return len(self._rows)
@@ -333,10 +336,33 @@ class Echelon:
     def pivots(self) -> list[int]:
         return [pivot for pivot, _ in self._rows]
 
+    @property
+    def rows(self) -> list[list]:
+        """The rows as held, raw, in pivot order: unit-pivot residues over
+        F_p, primitive ints with a positive pivot entry over Q."""
+        return [row for _, row in self._rows]
+
     def unit_rows(self) -> list[list]:
         """The rows scaled to unit pivots, raw, in pivot order."""
         zero, p = zero_one(self.field)[0], self.field.p
         return [row if p else [Fraction(a, row[c]) if a else zero for a in row] for c, row in self._rows]
+
+    def kernel(self, width: int) -> list[list[int]]:
+        """An int vector of the rows' null space for each free column f < width,
+        in column order: over F_p the unit entry 1 at f and -row[f] at each
+        row's pivot; over Q m times that vector, m the lcm of the pivot entries
+        row[c] of the rows with row[f] != 0, so m at f and -row[f] (m // row[c]) at c."""
+        p, pivots = self.field.p, set(self.pivots)
+        basis = []
+        for f in (c for c in range(width) if c not in pivots):
+            rows = [(c, row) for c, row in self._rows if row[f]]
+            m = 1 if p else math.lcm(*(row[c] for c, row in rows))
+            v = [0] * width
+            v[f] = m
+            for c, row in rows:
+                v[c] = -row[f] % p if p else -row[f] * (m // row[c])
+            basis.append(v)
+        return basis
 
     def _raw(self, vec: Sequence) -> list:
         v = raw_values(self.field, vec)

@@ -186,3 +186,23 @@ def test_run_all_reports_any_exception_and_goes_on():
         "PASS criterion 3: fine",
     ]
     assert "Traceback" not in proc.stderr
+
+
+def test_criterion_6_checks_the_s3_invariance(monkeypatch):
+    """Criterion 6 runs the S3 invariance of the dim E = 1 Frobenius form
+    over Q, then over F_7, and fails with the field as witness."""
+    import splitspin.acceptance
+    from splitspin import Field
+    from splitspin.errors import VerificationFailed
+
+    seen = []
+
+    def invariant_over_q_only(algebra, e):
+        seen.append((algebra.field, algebra.e_dim, tuple(e)))
+        return algebra.field.p is None
+
+    monkeypatch.setattr(splitspin.acceptance, "frobenius_s3_invariant", invariant_over_q_only)
+    with pytest.raises(VerificationFailed, match="permuting x, x\\^- and z1") as info:
+        splitspin.acceptance.criterion_6()
+    assert info.value.witness == Field.prime(7)
+    assert seen == [(Field.rationals(), 1, (1,)), (Field.prime(7), 1, (1,))]

@@ -27,7 +27,7 @@ from splitspin.errors import (
 )
 from splitspin.idempotents import FAMILY_A, family_axis
 from splitspin.linalg import Echelon, boxed, raw_values
-from test_linalg import reference_solve
+from test_linalg import _reference_kernel, positive_multiple, reference_solve
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -120,6 +120,43 @@ def test_eigendecompose_z1(A3):
 def test_eigendecompose_incomplete_without_half(A3):
     x = family_axis(A3, [1, 0], FAMILY_A)
     assert sum(eigenspace_dims(A3, x, [1, 0, 3])) < A3.dim
+
+
+_big_fractions = st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from([1, 3, 97, 65537, 10**9 + 7]))
+
+
+@given(st.integers(1, 4), st.data())
+def test_eigenspaces_raw_are_integer_multiples_of_the_unit_kernel(k, data):
+    """Over Q, each eigenspace vector is ints, a positive multiple of the
+    unit-entry kernel vector of Matrix(QQ, ad_u - lambda), on split spin
+    algebras with Fraction Gram entries and alpha of large coprime
+    denominators, for z1, z2, a family axis and a random u."""
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = data.draw(_big_fractions)
+    rows[0][0] = 1
+    alpha = data.draw(_big_fractions)
+    assume(alpha not in (0, 1, Fraction(1, 2)))
+    algebra = split_spin(QuadraticSpace(Matrix(QQ, rows)), alpha)
+    u = data.draw(st.sampled_from(["z1", "z2", "axis", "random"]))
+    if u == "axis":
+        x = family_axis(algebra, [1] + [0] * (k - 1), FAMILY_A)
+    elif u == "random":
+        x = algebra.element(data.draw(st.lists(_big_fractions, min_size=k + 2, max_size=k + 2)))
+    else:
+        x = algebra.basis_by_label(u)
+    values = list(dict.fromkeys([Fraction(1), Fraction(0), alpha, 1 - alpha, Fraction(1, 2),
+                                 data.draw(_big_fractions)]))
+    bases = algebra.eigenspaces_raw(x.raw, values)
+    ad = algebra.adjoint(x).raw
+    for lam, basis in zip(values, bases):
+        shifted = Matrix(QQ, [[a - lam if i == j else a for j, a in enumerate(row)] for i, row in enumerate(ad)])
+        expected = shifted.kernel_raw()
+        assert expected == _reference_kernel(QQ, shifted.raw)
+        assert len(basis) == len(expected)
+        assert all(type(a) is int for v in basis for a in v)
+        assert all(positive_multiple(QQ, v, unit) for v, unit in zip(basis, expected))
 
 
 def test_eigendecompose_rejects_duplicates(A3):

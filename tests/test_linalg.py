@@ -668,3 +668,80 @@ def test_echelon_rejects_vectors_of_another_length():
         span.contains((1,))
     with pytest.raises(DimensionMismatch):
         Echelon(F5, [(1, 0), (1, 0, 0)])
+
+
+# -- the integer kernel of Echelon against the reference elimination ----------------
+
+
+@st.composite
+def _kernel_matrices(draw, field):
+    """A raw rows x cols matrix, wide, tall or square: all zero, of full rank
+    (upper triangular with a nonzero diagonal, rows shuffled), or one of the
+    rank-deficient grids of `_echelon_cases`, Fractions with large coprime
+    denominators over Q."""
+    grid = draw(_echelon_cases(field))[0]
+    rows, cols = len(grid), len(grid[0])
+    kind = draw(st.sampled_from(["zero", "full", "grid"]))
+    if kind == "zero":
+        grid = [[0] * cols for _ in range(rows)]
+    elif kind == "full":
+        nonzero = st.integers(1, field.p - 1) if field.p else st.builds(
+            Fraction, st.integers(1, 10**6), st.sampled_from([1, 97, 65537, 10**9 + 7]))
+        for i in range(min(rows, cols)):
+            grid[i][:i] = [0] * i
+            grid[i][i] = draw(nonzero) * draw(st.sampled_from([1, -1]))
+        grid = draw(st.permutations(grid))
+    return [raw_values(field, row) for row in grid]
+
+
+def _reference_kernel(field, rows):
+    """The kernel basis from `reference_rref`: a unit entry at each free
+    column f and -reduced[r][f] at the pivot of row r, as raw values."""
+    reduced, pivots = reference_rref(field, rows)
+    cols = len(rows[0])
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [field.zero()] * cols
+        v[f] = field.one()
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][f]
+        basis.append([x.value for x in v])
+    return basis
+
+
+def positive_multiple(field, vector, unit):
+    """Whether the int vector is m times the raw vector unit for an m > 0
+    (m = 1 over F_p), m read off unit's last nonzero entry, which is 1."""
+    f = max(i for i, a in enumerate(unit) if a)
+    m = vector[f]
+    if field.p:
+        return unit[f] == 1 and vector == unit
+    return unit[f] == 1 and m > 0 and all(Fraction(a) == m * b for a, b in zip(vector, unit))
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F10007], ids=["QQ", "F7", "F10007"])
+def test_integer_kernel_against_reference(field):
+    @given(_kernel_matrices(field))
+    def check(grid):
+        expected = _reference_kernel(field, grid)
+        span = Echelon._from_raw(field, grid)
+        integer = span.kernel(len(grid[0]))
+        assert len(integer) == len(expected) == len(grid[0]) - span.rank
+        assert all(type(a) is int for v in integer for a in v)
+        assert all(positive_multiple(field, v, u) for v, u in zip(integer, expected))
+        kernel = Matrix(field, grid).kernel_raw()
+        assert kernel == expected
+        assert all(_raws_over_q_are_fractions(field, v) for v in kernel)
+
+    check()
+
+
+def test_integer_kernel_of_a_rational_matrix_by_hand():
+    # rows (3, 0, 2, 1) and (0, 2, 1, 0): free columns 2 and 3
+    span = Echelon(QQ, [(Fraction(3, 5), 0, Fraction(2, 5), Fraction(1, 5)), (0, 4, 2, 0)])
+    assert span.rows == [[3, 0, 2, 1], [0, 2, 1, 0]]
+    # column 2: m = lcm(3, 2) = 6, so (-2 * 2, -1 * 3, 6, 0); column 3: m = 3, so (-1, 0, 0, 3)
+    assert span.kernel(4) == [[-4, -3, 6, 0], [-1, 0, 0, 3]]
+    assert Matrix(QQ, span.rows).kernel_raw() == [
+        [Fraction(-2, 3), Fraction(-1, 2), 1, 0], [Fraction(-1, 3), 0, 0, 1]]
+    assert Echelon(QQ).kernel(2) == [[1, 0], [0, 1]]  # the empty span
