@@ -32,7 +32,7 @@ from .errors import (
     check,
 )
 from .fields import Field, Scalar
-from .linalg import Echelon, Matrix, Vector, _reduced, boxed, raw_values, zero_one
+from .linalg import Echelon, Matrix, Vector, _reduced, boxed, cleared, raw_values, zero_one
 from .quadratic import QuadraticSpace
 
 SPLIT_SPIN = "split_spin"
@@ -265,13 +265,16 @@ class Algebra:
 
     def adjoint(self, a: Element) -> Matrix:
         """Matrix of v -> a v in the algebra basis."""
-        return Matrix._from_raw(self.field, map(self._from_cells, self._adjoint_raw(a.raw)))
+        (du, u), p = cleared(a.raw), self.field.p
+        d = du * self.denominator
+        return Matrix._from_raw(self.field, ([x % p if p else Fraction(x, d) for x in row]
+                                             for row in self._adjoint_raw(u)))
 
-    def _adjoint_raw(self, u: Sequence) -> list[list]:
-        """The rows of D ad_u for the raw coordinates u, from the stored
+    def _adjoint_raw(self, u: Sequence[int]) -> list[list[int]]:
+        """The rows of D ad_u for the int coordinates u, from the stored
         cells, unreduced: entry (k, j) is D times the b_k-coefficient of u b_j."""
         n = self.dim
-        ad = [[zero_one(self.field)[0]] * n for _ in range(n)]
+        ad = [[0] * n for _ in range(n)]
         for i, ui in enumerate(u):
             if ui:
                 for j, cell in self._rows[i].items():
@@ -281,20 +284,21 @@ class Algebra:
 
     # -- eigenstructure ------------------------------------------------------
 
-    def eigenspaces_raw(self, u: Sequence, values: Sequence) -> list[list[list]]:
-        """Bases of the kernels of ad_u - lambda, one per raw lambda in
-        values, for the raw coordinates u: the `Echelon.kernel` of the rows
-        of D (ad_u - lambda), so ints, each a positive multiple of the vector
-        with a unit entry at its free column over Q."""
+    def eigenspaces_raw(self, u: Sequence, values: Sequence) -> list[list[list[int]]]:
+        """Bases of the kernels of ad_u - lambda, one per raw lambda = a / q
+        in values (q = 1 over F_p), for the raw coordinates u, cleared once
+        to the ints du u: the `Echelon.kernel` of the int rows q D du ad_u -
+        a D du I, each a positive multiple of the vector with a unit entry at
+        its free column over Q.  One path over Q and F_p, where du = 1."""
         if len(set(values)) != len(values):
             raise DuplicateCandidates("candidate eigenvalues must be pairwise distinct")
-        p, d, n = self.field.p, self.denominator, self.dim
-        ad = self._adjoint_raw(u)
+        (du, u), p, n = cleared(u), self.field.p, self.dim
+        ad, scale = self._adjoint_raw(u), du * self.denominator
         bases = []
-        for lam in values:
-            shifted = (_reduced(p, (a - d * lam if j == k else a for j, a in enumerate(row)))
+        for a, q in (lam.as_integer_ratio() for lam in values):
+            shifted = (_reduced(p, (q * x - a * scale if j == k else q * x for j, x in enumerate(row)))
                        for k, row in enumerate(ad))
-            bases.append(Echelon._from_raw(self.field, shifted).kernel(n))
+            bases.append(Echelon._from_ints(self.field, shifted).kernel(n))
         return bases
 
     def identity(self) -> Element | None:
@@ -310,13 +314,12 @@ class Algebra:
         if not all(self._rows):
             return None  # u b_i = 0 for a b_i whose products all vanish
         n = self.dim
-        zero = zero_one(self.field)[0]
         span = Echelon(self.field)
         for i, row in enumerate(self._rows):
-            equations = {i: [zero] * n + [self.denominator]}  # only the equations with a nonzero entry
+            equations = {i: [0] * n + [self.denominator]}  # only the equations with a nonzero entry, as ints
             for j, cell in row.items():
                 for k, c in cell:
-                    equations.setdefault(k, [zero] * (n + 1))[j] = c
+                    equations.setdefault(k, [0] * (n + 1))[j] = c
             for equation in equations.values():
                 if span._insert(equation) and span.pivots[-1] == n:
                     return None

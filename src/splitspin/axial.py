@@ -12,8 +12,10 @@ as a witness rather than a bare boolean.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .algebra import COVER, SPLIT_SPIN, Algebra, Element
@@ -41,7 +43,6 @@ from .idempotents import (
     TAG_Z2,
     classes,
     family_axis,
-    is_idempotent,
 )
 from .linalg import Echelon, Matrix, Vector, raw_values, zero_one
 from .quadratic import NormOneSearch, QuadraticSpace
@@ -157,17 +158,19 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     The loop runs on ints: eigenvalues as indices into the law, the stored
     cells (D times the constants), the integer eigenvectors of
     `eigenspaces_raw` and the right halves of the reduced [B | I], rows of
-    B^-1 times positive ints over Q; no scale changes a support, and none
-    changes tau.  Fractions are built only for tau.
+    B^-1 times their pivot entries q_t over Q; no scale changes a support.
+    tau is built on ints too, as L tau for L the lcm of the q_t (1 over
+    F_p), checked to square to L^2, and boxed once, entry by entry.
 
-    Raises IncompleteDecomposition when the adjoint eigenspaces for the
-    law's eigenvalues do not fill the algebra.
+    Raises NotIdempotent unless x is nonzero and in the kernel of ad_x - 1
+    (the law's first eigenvalue), and IncompleteDecomposition when the
+    adjoint eigenspaces for the law's eigenvalues do not fill the algebra.
     """
-    if x.is_zero or not is_idempotent(x):
-        raise NotIdempotent("axis candidates must be nonzero idempotents")
     field, n, p = algebra.field, algebra.dim, algebra.field.p
     eigenvalues = law.eigenvalues
     bases = algebra.eigenspaces_raw(x.raw, raw_values(field, eigenvalues))
+    if x.is_zero or not Echelon._from_ints(field, bases[0]).contains(x.raw):  # x x = x: x in ker(ad_x - 1)
+        raise NotIdempotent("axis candidates must be nonzero idempotents")
     dims = {lam: len(basis) for lam, basis in zip(eigenvalues, bases)}
     if sum(dims.values()) != n:
         raise IncompleteDecomposition(
@@ -232,12 +235,27 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     violations = tuple((eigenvalues[a], eigenvalues[b], eigenvalues[nu]) for a, b, nu in found)
 
     miyamoto_matrix = None
-    if graded:
-        signed = [v if plus[a] else [-c % p if p else -c for c in v] for a, v in zip(owner, columns)]
-        inverse = Matrix._from_raw(field, (row[n:] for row in span.unit_rows()))
-        miyamoto_matrix = Matrix.from_columns(field, signed) @ inverse
-        check(miyamoto_matrix @ miyamoto_matrix == Matrix.identity(field, n),
-              "the grading involution must square to the identity", witness=miyamoto_matrix)
+    if graded:  # L tau = sum over t of (+-column t of B)(L / q_t)(right half of row t), L the lcm of the q_t
+        scale = math.lcm(*(row[t] for t, row in enumerate(span.rows)))
+        tau = [[0] * n for _ in range(n)]
+        for t, row in enumerate(span.rows):
+            f = scale // row[t] if plus[owner[t]] else -scale // row[t]
+            half = [(j, f * c) for j, c in enumerate(row[n:]) if c]
+            for i, b in vectors[t]:
+                for j, c in half:
+                    tau[i][j] += b * c
+        tau = [[c % p for c in row] for row in tau] if p else tau
+        sparse = [[(j, c) for j, c in enumerate(row) if c] for row in tau]
+        for i, row in enumerate(sparse):  # (L tau)^2 = L^2 I, row by row
+            square = [-scale * scale if j == i else 0 for j in range(n)]
+            for k, a in row:
+                for j, c in sparse[k]:
+                    square[j] += a * c
+            check(not any(c % p if p else c for c in square), "the grading involution must square to the identity",
+                  witness=(scale, tau))
+        zero = zero_one(field)[0]
+        miyamoto_matrix = Matrix._from_raw(field, tau if p else ([Fraction(c, scale) if c else zero for c in row]
+                                                                  for row in tau))
     return AxisReport(x, law, dims, primitive, violations, miyamoto_matrix)
 
 

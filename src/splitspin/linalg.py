@@ -12,8 +12,9 @@ deterministic: `kernel` and `kernel_raw` bases come out in echelon order
 with a unit entry at each free column, and an inverse is the right half of
 the reduced [M | I].  Over Q, elimination and products run on integers, with
 one Fraction built per returned entry; the integer views `Echelon.kernel`
-and `Echelon.rows` are positive multiples of those.  Vectors are tuples of
-Scalars at the API edge.
+and `Echelon.rows` are positive multiples of those.  `Echelon` clears a raw
+row once, where it comes in (`add`, `contains`, the `Matrix` methods), and
+takes int rows as they are.  Vectors are tuples of Scalars at the API edge.
 """
 
 from __future__ import annotations
@@ -283,10 +284,9 @@ class Matrix:
         half of the reduced form of [M | I]."""
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
-        span = Echelon.inverting(self.field, self.raw)
-        if span is None:
-            return None
-        return Matrix._from_raw(self.field, (row[self.rows:] for row in span.unit_rows()))
+        scales, rows = (None, self.raw) if self.field.p else zip(*map(cleared, self.raw))
+        span = Echelon.inverting(self.field, rows, scales)
+        return None if span is None else Matrix._from_raw(self.field, (row[self.rows:] for row in span.unit_rows()))
 
 
 class Echelon:
@@ -295,10 +295,11 @@ class Echelon:
     Rows vanish at every other row's pivot and are kept sorted by pivot, so
     `unit_rows`, which scales them to unit pivots, is the subspace's reduced
     row echelon form.  Over F_p rows are residues with unit pivots.  Over Q
-    they are primitive integers (content 1, positive pivot entry): a vector
-    is cleared of denominators once, and each step v <- q v - v[c] row
-    divides out its content.  Every vector must have the length of the
-    first one seen.
+    they are primitive integers (content 1, positive pivot entry): a raw
+    vector is cleared of denominators once, on the way in (`add`,
+    `contains`, `_from_raw`), an int one is taken as it is (`_insert`,
+    `_from_ints`, `inverting`), and each step v <- q v - v[c] row divides
+    out its content.  Every vector must have the length of the first one.
     """
 
     __slots__ = ("field", "_rows", "_width")
@@ -313,19 +314,27 @@ class Echelon:
     @classmethod
     def _from_raw(cls, field: Field, rows: Iterable[Sequence]) -> Echelon:
         """The basis of raw rows of one length (residues in [0, p) over
-        F_p); no coercion."""
+        F_p), each cleared of denominators over Q; no coercion."""
+        return cls._from_ints(field, rows if field.p else (cleared(row)[1] for row in rows))
+
+    @classmethod
+    def _from_ints(cls, field: Field, rows: Iterable[Sequence]) -> Echelon:
+        """The basis of int rows of one length (residues in [0, p) over
+        F_p), taken as they are."""
         span = cls(field)
         for row in rows:
             span._insert(row)
         return span
 
     @classmethod
-    def inverting(cls, field: Field, rows: Sequence[Sequence]) -> Echelon | None:
-        """The basis of [M | I] for the n x n raw rows M, or None when M is
-        singular.  Row t's right half is row t of M^-1 times the row's pivot
-        entry (1 over F_p)."""
+    def inverting(cls, field: Field, rows: Sequence[Sequence], scales: Sequence[int] | None = None) -> Echelon | None:
+        """The basis of [M | S] for the n x n int rows M (residues over F_p)
+        and the diagonal S of the scales (I by default), or None when M is
+        singular.  Row t's right half is row t of M^-1 S times the row's
+        pivot entry q_t (1 over F_p)."""
         n = len(rows)
-        span = cls._from_raw(field, (list(row) + [int(j == i) for j in range(n)] for i, row in enumerate(rows)))
+        span = cls._from_ints(field, (list(row) + [s if j == i else 0 for j in range(n)]
+                                      for i, (row, s) in enumerate(zip(rows, scales or [1] * n))))
         return None if span.pivots[-1] >= n else span
 
     @property
@@ -370,13 +379,12 @@ class Echelon:
             self._width = len(v)
         elif len(v) != self._width:
             raise DimensionMismatch("vector length does not match the echelon basis")
-        return v
+        return v if self.field.p else cleared(v)[1]
 
     def _reduce(self, v: Sequence) -> list:
-        """The raw vector v minus its part in the span, times a nonzero
+        """The int vector v minus its part in the span, times a nonzero
         integer over Q.  Each F_p step adds < p^2, so mod p comes at the end."""
         p = self.field.p
-        v = v if p else cleared(v)[1]
         for pivot, row in self._rows:
             f = v[pivot] % p if p else v[pivot]  # rows vanish at each other's pivots
             if f:
@@ -388,7 +396,7 @@ class Echelon:
         return self._insert(self._raw(vec))
 
     def _insert(self, v: Sequence) -> bool:
-        """`add` on a raw vector; no coercion."""
+        """`add` on an int vector (residues over F_p); no coercion."""
         r = self._reduce(v)
         pivot = next((c for c, a in enumerate(r) if a), None)
         if pivot is None:

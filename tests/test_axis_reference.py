@@ -1,0 +1,146 @@
+"""`check_axis` against the slow path it replaced: eigenspaces from
+`Matrix.kernel` of `adjoint(x) - lambda I`, eigen-coordinates from the
+Fraction inverse of B, and tau = B S B^-1 from Fraction `Matrix` products.
+Dimensions, primitivity, the violations in order and the Miyamoto matrix
+must agree exactly, over Q (Fraction alpha and Gram entries of large
+coprime denominators), F_7 and F_10007, on split spin and the cover, on
+z1, z2 and the family axes, on non-degenerate and degenerate Grams, and on
+algebras perturbed away from the axis so that the fusion law can fail; and
+a candidate is rejected as not idempotent exactly when x x != x or x = 0."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splitspin import Field, Matrix, QuadraticSpace, check_axis, exceptional_cover, family_axis, split_spin
+from splitspin.axial import axis_law
+from splitspin.errors import IncompleteDecomposition, NotIdempotent
+from splitspin.idempotents import FAMILY_A, FAMILY_B, FAMILY_EXC, TAG_FAMILY_A, TAG_FAMILY_B, TAG_FAMILY_EXC
+from test_algebra import add_to_constants
+
+QQ, F7, F10007 = Field.rationals(), Field.prime(7), Field.prime(10007)
+DENOMINATORS = [1, 3, 97, 65537, 10**9 + 7]
+FAMILIES = {TAG_FAMILY_A: FAMILY_A, TAG_FAMILY_B: FAMILY_B, TAG_FAMILY_EXC: FAMILY_EXC}
+
+
+def slow_check_axis(algebra, x, law):
+    """(dims, primitive, violations, miyamoto) of the axis x, with violations
+    in the order check_axis reports them, or None when the eigenspaces do
+    not fill the algebra."""
+    field, n = algebra.field, algebra.dim
+    ad = algebra.adjoint(x).entries
+    spaces = []
+    for lam in law.eigenvalues:
+        shifted = Matrix(field, [[ad[i][j] - lam if i == j else ad[i][j] for j in range(n)] for i in range(n)])
+        spaces.append([algebra.element(v) for v in shifted.kernel()])
+    dims = {lam: len(space) for lam, space in zip(law.eigenvalues, spaces)}
+    if sum(dims.values()) != n:
+        return None
+    basis_change = Matrix.from_columns(field, [v.coords for space in spaces for v in space])
+    inverse = basis_change.inverse()
+    owner = [a for a, space in enumerate(spaces) for _ in space]
+    plus = [lam in law.plus for lam in law.eigenvalues]
+    violations, graded = [], True
+    for a, lam in enumerate(law.eigenvalues):
+        for b in range(a, len(spaces)):
+            allowed = law.allowed(lam, law.eigenvalues[b])
+            for u in spaces[a]:
+                for v in spaces[b]:
+                    coords = inverse.apply((u * v).coords)
+                    nus = sorted({owner[t] for t, c in enumerate(coords) if c})
+                    for nu in nus:
+                        found = (lam, law.eigenvalues[b], law.eigenvalues[nu])
+                        if law.eigenvalues[nu] not in allowed and found not in violations:
+                            violations.append(found)
+                    graded = graded and all(plus[nu] == (plus[a] == plus[b]) for nu in nus)
+    tau = None
+    if graded:
+        one = field.one()
+        signs = Matrix.diagonal(field, [one if plus[a] else -one for a in owner])
+        tau = basis_change @ signs @ inverse
+    return dims, dims[law.eigenvalues[0]] == 1, violations, tau
+
+
+def _scalars(field):
+    if field.p:
+        return st.integers(0, field.p - 1)
+    return st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(DENOMINATORS))
+
+
+def _nonzero(field):
+    return _scalars(field).filter(bool)
+
+
+@st.composite
+def axis_cases(draw, field):
+    """(algebra, axis, law, i): split spin at a drawn alpha or the cover, on a
+    Gram of dim E 1-4 with b(e1, e1) = s^2, so e = e1 / s has norm one; a
+    degenerate Gram appends a combination of the coordinates.  A perturbed
+    case adds to the products of basis vectors outside the axis's support,
+    which keeps the axis idempotent with the same adjoint.  x + b_i is a
+    candidate that is mostly not idempotent."""
+    k = draw(st.integers(1, 4))
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = draw(_scalars(field))
+    s = draw(_nonzero(field))
+    rows[0][0] = s * s
+    if draw(st.booleans()):  # degenerate: the new coordinate is c in the old ones
+        c = draw(st.lists(_scalars(field), min_size=k, max_size=k))
+        image = [sum(ci * row[j] for ci, row in zip(c, rows)) for j in range(k)]
+        rows = [row + [image[i]] for i, row in enumerate(rows)] + [image + [sum(a * b for a, b in zip(c, image))]]
+    space = QuadraticSpace(Matrix(field, rows))
+    e = [field.one() / field.scalar(s)] + [0] * (len(rows) - 1)
+    if draw(st.booleans()):
+        algebra = exceptional_cover(space)
+        tags = ["z1", TAG_FAMILY_EXC]
+    else:
+        half = Fraction(1, 2) if not field.p else pow(2, -1, field.p)
+        alpha = draw(_scalars(field).filter(lambda a: a not in (0, 1, half)))
+        algebra = split_spin(space, alpha)
+        tags = ["z1", "z2", TAG_FAMILY_A, TAG_FAMILY_B]
+    tag = draw(st.sampled_from(tags))
+    x = algebra.basis_by_label(tag) if tag in ("z1", "z2") else family_axis(algebra, e, FAMILIES[tag])
+    law = axis_law(algebra, tag)
+    outside = [i for i, c in enumerate(x.raw) if not c]
+    if outside and draw(st.booleans()):
+        i, j = draw(st.sampled_from(outside)), draw(st.sampled_from(outside))
+        delta = draw(st.lists(_scalars(field), min_size=algebra.dim, max_size=algebra.dim))
+        algebra = add_to_constants(algebra, [(i, j, t, d) for t, d in enumerate(delta)])
+        x = algebra.element(x.coords)
+    return algebra, x, law, draw(st.integers(0, algebra.dim - 1))
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F10007], ids=["QQ", "F7", "F10007"])
+def test_check_axis_matches_the_slow_path(field):
+    outcomes = set()
+
+    @settings(derandomize=True, max_examples=60)
+    @given(axis_cases(field))
+    def check(case):
+        algebra, x, law, i = case
+        for y in (algebra.zero(), x + algebra.basis(i)):
+            try:
+                check_axis(algebra, y, law)
+                rejected = False
+            except NotIdempotent:
+                rejected = True
+            except IncompleteDecomposition:
+                rejected = False
+            assert rejected == (y.is_zero or y * y != y)
+        expected = slow_check_axis(algebra, x, law)
+        if expected is None:
+            with pytest.raises(IncompleteDecomposition):
+                check_axis(algebra, x, law)
+            return
+        report = check_axis(algebra, x, law)
+        assert (report.dims, report.primitive, list(report.violations), report.miyamoto) == expected
+        if report.miyamoto is not None and not field.p:
+            assert all(type(c) is Fraction for row in report.miyamoto.raw for c in row)
+        outcomes.add((report.miyamoto is not None, bool(report.violations)))
+
+    check()
+    assert (True, False) in outcomes and (False, True) in outcomes

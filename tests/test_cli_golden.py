@@ -68,6 +68,10 @@ def _gram_json(g):
 
 
 Q10, Q11, QD12 = _gram_json(_q_gram(10)), _gram_json(_q_gram(11)), _gram_json(_degenerate_extension(_q_gram(11)))
+# dim E 9: a Fraction Gram over Q, dense residues over F_10007; QD5 is degenerate with
+# Fraction entries, so an axis's coordinates have denominators other than the cells' D
+Q9, QD5 = _gram_json(_q_gram(9)), _gram_json(_degenerate_extension(_q_gram(4)))
+F9 = json.dumps([[str(1 + i * i) if i == j else str(3 * (i + j) + 7 * i * j) for j in range(9)] for i in range(9)])
 
 COMMANDS = [
     # build
@@ -107,6 +111,8 @@ COMMANDS = [
     ["axis-check", "--p", "10007", "--alpha", "5/3", "--gram", F8],
     ["axis-check", "--alpha", "5/3", "--gram", Q10],
     ["axis-check", "--alpha=-3/2", "--gram", Q10],
+    ["axis-check", "--alpha", "7/11", "--gram", QD5],
+    ["axis-check", "--alpha", "5/3", "--p", "10007", "--gram", F9],
     # frobenius
     ["frobenius", "--alpha", "2/3", "--gram", Q3],
     ["frobenius", "--p", "7", "--alpha", "5", "--gram", F7_FORM],
@@ -140,6 +146,7 @@ COMMANDS = [
     ["cover", "--gram", Q7],
     ["cover", "--p", "10007", "--gram", F6],
     ["cover", "--gram", Q10],
+    ["cover", "--format", "json", "--gram", Q9],
     # selftest
     ["selftest", "--only", "1"],
     ["selftest", "--only", "99"],

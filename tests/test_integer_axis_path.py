@@ -1,18 +1,35 @@
 """The axis check runs on one integer path: `axial.py` leaves the clearing
-of denominators to `linalg.Echelon`, and `Algebra.eigenspaces_raw` hands
-D (ad_u - lambda) to `Echelon` without building a `Matrix`.  Both are
-pinned here with `ast`, in the style of test_no_assert.py."""
+of denominators to `linalg.Echelon`, `Algebra.eigenspaces_raw` hands
+D (ad_u - lambda) to `Echelon` without building a `Matrix` and on one path
+for Q and F_p, and `check_axis` builds tau on ints rather than from
+`Matrix` products.  These are pinned here with `ast`, in the style of
+test_no_assert.py; that `Echelon` takes int rows as they are is checked by
+recording what reaches `cleared`."""
 
 import ast
 import pathlib
+from fractions import Fraction
 
 import splitspin
+from splitspin import Field, Matrix, QuadraticSpace, check_axis, family_axis, split_spin
+from splitspin import linalg
+from splitspin.axial import axis_law
+from splitspin.idempotents import FAMILY_A, TAG_FAMILY_A
+from splitspin.linalg import Echelon, cleared
 
 PACKAGE = pathlib.Path(splitspin.__file__).parent
 
 
 def _tree(name):
     return ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
+
+
+def _function(name, cls, method):
+    (node,) = [node for node in _tree(name).body if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+               and node.name == (cls or method)]
+    if cls:
+        (node,) = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == method]
+    return node
 
 
 def _called_name(node):
@@ -32,12 +49,53 @@ def test_axial_neither_imports_nor_calls_cleared():
 
 
 def test_eigenspaces_raw_builds_no_matrix():
-    (algebra_class,) = [node for node in _tree("algebra.py").body
-                        if isinstance(node, ast.ClassDef) and node.name == "Algebra"]
-    (method,) = [node for node in algebra_class.body
-                 if isinstance(node, ast.FunctionDef) and node.name == "eigenspaces_raw"]
+    method = _function("algebra.py", "Algebra", "eigenspaces_raw")
     # a Matrix is built by naming the class or through the adjoint
     lines = [node.lineno for node in ast.walk(method)
              if isinstance(node, ast.Name) and node.id == "Matrix"
              or isinstance(node, ast.Attribute) and node.attr == "adjoint"]
     assert not lines, f"Algebra.eigenspaces_raw builds a Matrix at lines {lines}"
+
+
+def test_eigenspaces_raw_has_no_branch_on_the_characteristic():
+    method = _function("algebra.py", "Algebra", "eigenspaces_raw")
+    tests = [node.test for node in ast.walk(method) if isinstance(node, (ast.If, ast.IfExp, ast.While))]
+    tests += [cond for node in ast.walk(method) if isinstance(node, ast.comprehension) for cond in node.ifs]
+    lines = [test.lineno for test in tests for node in ast.walk(test)
+             if isinstance(node, ast.Name) and node.id == "p" or isinstance(node, ast.Attribute) and node.attr == "p"]
+    assert not lines, f"Algebra.eigenspaces_raw branches on p at lines {lines}"
+
+
+def test_check_axis_builds_tau_without_matrix_products():
+    function = _function("axial.py", None, "check_axis")
+    lines = [node.lineno for node in ast.walk(function)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+             or isinstance(node, ast.Call) and _called_name(node) in ("unit_rows", "from_columns")]
+    assert not lines, f"check_axis multiplies matrices or boxes B^-1 at lines {lines}"
+
+
+def test_echelon_takes_int_rows_as_they_are(monkeypatch):
+    """`Echelon` clears only raw Fraction rows: the integer entry points, the
+    identity's equations and the whole axis check hand it ints, which reach
+    `cleared` in `linalg` never; the axis check clears its raw x once, to
+    test that x lies in the 1-eigenspace."""
+    seen = []
+
+    def recording(values):
+        values = list(values)
+        seen.append(values)
+        return cleared(values)
+
+    field = Field.rationals()
+    gram = [[1, Fraction(1, 3), 0], [Fraction(1, 3), Fraction(4, 9), Fraction(2, 65537)], [0, Fraction(2, 65537), 5]]
+    algebra = split_spin(QuadraticSpace(Matrix(field, gram)), Fraction(7, 11))
+    x = family_axis(algebra, (1, 0, 0), FAMILY_A)
+    expected = check_axis(algebra, x, axis_law(algebra, TAG_FAMILY_A))
+    monkeypatch.setattr(linalg, "cleared", recording)
+    assert Echelon._from_ints(field, [[2, 4, 6], [0, 3, 9]]).rows == [[1, 0, -3], [0, 1, 3]]
+    assert Echelon.inverting(field, [[2, 0], [0, 3]]).rows == [[2, 0, 1, 0], [0, 3, 0, 1]]
+    assert algebra.identity() == algebra.basis_by_label("z1") + algebra.basis_by_label("z2")
+    assert seen == []
+    report = check_axis(algebra, x, axis_law(algebra, TAG_FAMILY_A))
+    assert (report.dims, report.violations, report.miyamoto) == (expected.dims, expected.violations, expected.miyamoto)
+    assert seen == [list(x.raw)]
