@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -69,6 +70,14 @@ class FusionLaw:
     def allowed(self, lam: Scalar, mu: Scalar) -> frozenset:
         key = (lam, mu) if (lam, mu) in self.table else (mu, lam)
         return self.table[key]
+
+    @cached_property
+    def allowed_indices(self) -> tuple[tuple[frozenset, ...], ...]:
+        """`allowed` on eigenvalue indices: entry [a][b] holds the indices of
+        allowed(eigenvalues[a], eigenvalues[b]); built once."""
+        index = {lam: a for a, lam in enumerate(self.eigenvalues)}
+        return tuple(tuple(frozenset(index[nu] for nu in self.allowed(lam, mu)) for mu in self.eigenvalues)
+                     for lam in self.eigenvalues)
 
     def __repr__(self):
         vals = ", ".join(str(v) for v in self.eigenvalues)
@@ -216,12 +225,10 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
         return {owner[t] for t, c in coords.items() if (c % p if p else c)}
 
     blocks = [[t for t, a in enumerate(owner) if a == b] for b in range(len(bases))]
-    index = {lam: a for a, lam in enumerate(eigenvalues)}
     found: list[tuple[int, int, int]] = []
     graded = True
-    for a, lam in enumerate(eigenvalues):
-        for b in range(a, len(eigenvalues)):
-            allowed = {index[nu] for nu in law.allowed(lam, eigenvalues[b])}
+    for a, allowed_with in enumerate(law.allowed_indices):
+        for b, allowed in enumerate(allowed_with[a:], a):
             grade = plus[a] == plus[b]
             for s in blocks[a]:
                 for t in blocks[b]:

@@ -409,9 +409,7 @@ def _axet_worker(payload: dict) -> dict:
             "mu": payload["mu"],
             "error": {"code": type(exc).__name__, "message": str(exc)},
         }
-    doc = serialize.axet_to_json(result)
-    doc.pop("orbit", None)
-    return {"mu": payload["mu"], **doc}
+    return {"mu": payload["mu"], **serialize.axet_to_json(result)}
 
 
 def _cmd_axet(args, cfg: RunConfig):

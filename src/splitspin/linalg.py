@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -72,6 +73,25 @@ def cleared(values: Sequence) -> tuple[int, list[int]]:
 def boxed(field: Field, values: Iterable) -> Vector:
     """Raw values as a tuple of Scalars, for the API edge."""
     return tuple(Scalar(field, a) for a in values)
+
+
+def product(p: int | None, left: Sequence[Sequence], right: Sequence[Sequence]) -> list[list]:
+    """The product of two raw matrices given by their rows, as raw rows; no
+    coercion.  Over Q it runs on integers: the right factor times the lcm d
+    of its denominators, each left row times the lcm a of its own, and one
+    Fraction c / (a d) per nonzero entry."""
+    if p:
+        columns = list(zip(*right))
+        return [[sum(map(operator.mul, row, column)) % p for column in columns] for row in left]
+    width = len(right[0])
+    d, flat = cleared([b for row in right for b in row])
+    columns = [flat[j::width] for j in range(width)]
+    zero, out = _RATIONAL_ZERO_ONE[0], []
+    for row in left:
+        a, ints = cleared(row)
+        sums = (sum(map(operator.mul, ints, column)) for column in columns)
+        out.append([Fraction(c, a * d) if c else zero for c in sums])
+    return out
 
 
 class Matrix:
@@ -185,22 +205,7 @@ class Matrix:
             raise FieldMismatch("matrices over different fields")
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero, p, width = zero_one(self.field)[0], self.field.p, other.cols
-        right = other._sparse
-        if not p:  # over Q, the right factor as ints times the lcm d of its denominators
-            d = math.lcm(*(b.denominator for nonzeros in right for _, b in nonzeros))
-            right = [[(j, b.numerator * (d // b.denominator)) for j, b in nonzeros] for nonzeros in right]
-        out = []
-        for nonzeros in self._sparse:
-            if not p:  # and each left row times its own lcm a
-                a = math.lcm(*(x.denominator for _, x in nonzeros))
-                nonzeros = [(k, x.numerator * (a // x.denominator)) for k, x in nonzeros]
-            acc = [0] * width
-            for k, x in nonzeros:
-                for j, y in right[k]:
-                    acc[j] += x * y
-            out.append([c % p for c in acc] if p else [Fraction(c, a * d) if c else zero for c in acc])
-        return Matrix._from_raw(self.field, out)
+        return Matrix._from_raw(self.field, product(self.field.p, self.raw, other.raw))
 
     def apply(self, vec: Sequence) -> Vector:
         v = raw_values(self.field, vec)
@@ -240,14 +245,14 @@ class Matrix:
             raise DimensionMismatch("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative power")
-        result = Matrix.identity(self.field, self.rows)
-        base = self
+        p = self.field.p
+        result, base = Matrix.identity(self.field, self.rows).raw, self.raw
         while k:
             if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
+                result = product(p, result, base)
+            base = product(p, base, base) if k > 1 else base
             k >>= 1
-        return result
+        return Matrix._from_raw(self.field, result)
 
     # -- elimination ---------------------------------------------------------
 

@@ -112,28 +112,28 @@ class QuadraticSpace:
 
         Requires b(e, e) != 0; e may be Scalars or raw values.
         """
-        return self._reflection(e, 1)
+        return Matrix._from_raw(self.field, self.reflection_raw(self._raw(e), 1))
 
     def neg_reflection(self, e: Sequence) -> Matrix:
         """-r_e : v -> 2 b(e,v)/b(e,e) e - v, the Miyamoto action on E."""
-        return self._reflection(e, -1)
+        return Matrix._from_raw(self.field, self.reflection_raw(self._raw(e), -1))
 
-    def _reflection(self, e: Sequence, sign: int) -> Matrix:
-        """sign r_e as one raw matrix.  For x = d e on integers, g = s G x
-        and nrm = s d^2 b(e, e), entry (i, j) is sign (delta_ij - 2 x_i g_j
-        / nrm): s and d cancel."""
-        x = cleared(self._raw(e))[1]
+    def reflection_raw(self, e: Sequence, sign: int) -> list[list]:
+        """sign r_e as raw rows, for a raw vector e; no coercion.  For x = d e
+        on integers (x = e over F_p), g = s G x and nrm = s d^2 b(e, e), entry
+        (i, j) is sign (delta_ij - 2 x_i g_j / nrm): s and d cancel.  For a
+        norm-one e over F_p, nrm = 1 (mod p) and -r_e = 2 e (G e)^T - I."""
+        p = self.field.p
+        x = e if p else cleared(e)[1]
         g = self._image(x)
-        nrm, p = sum(map(operator.mul, x, g)), self.field.p
+        nrm = sum(map(operator.mul, x, g))
         if not (nrm % p if p else nrm):
             raise IsotropicVector("cannot reflect in a vector of norm zero")
         if p:
             f = 2 * sign * pow(nrm, -1, p)
-            rows = [[(sign * (i == j) - f * a * b) % p for j, b in enumerate(g)] for i, a in enumerate(x)]
-        else:
-            rows = [[Fraction(sign * ((i == j) * nrm - 2 * a * b), nrm) for j, b in enumerate(g)]
-                    for i, a in enumerate(x)]
-        return Matrix._from_raw(self.field, rows)
+            return [[(sign * (i == j) - f * a * b) % p for j, b in enumerate(g)] for i, a in enumerate(x)]
+        return [[Fraction(sign * ((i == j) * nrm - 2 * a * b), nrm) for j, b in enumerate(g)]
+                for i, a in enumerate(x)]
 
     def radical(self) -> tuple[Vector, ...]:
         """Basis of E-perp = {v : b(v, w) = 0 for all w}; empty iff b is non-degenerate."""

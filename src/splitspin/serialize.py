@@ -139,14 +139,11 @@ def yabe_to_json(data: YabeData):
 
 
 def axet_to_json(result: AxetResult):
-    doc = {
+    return {
         "size": result.size.order if result.size.is_finite else result.size.kind,
         "split": result.d_orbit_split,
         "index": result.d_hat_index,
     }
-    if result.orbit is not None:
-        doc["orbit"] = [vector_to_json(v) for v in result.orbit]
-    return doc
 
 
 def cover_report_to_json(report):

@@ -13,7 +13,9 @@ found among the divisors with exact matrix powers.
 X is enumerated as the orbit of {e, f} under the two generating
 involutions alone: orthogonal maps conjugate reflections, so that orbit
 is closed under the involution of every axis in it, and a per-vector
-certificate checks this exactly.
+certificate checks this exactly.  The search, its certificate and rho's
+powers run on raw residues, with Scalars and Matrix objects only at the
+API edge: |X| = 10006 (p = 10007, mu = 6) takes about 0.2 s on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ from .errors import (
     ConfigError,
     MuOne,
     SpecialAlpha,
+    VerificationFailed,
     WrongAlgebraKind,
     check,
 )
 from .fields import Field, Scalar
 from .idempotents import FAMILY_A, FAMILY_EXC, classify_idempotent, family_axis
-from .linalg import Matrix, Vector, _reduced, boxed
+from .linalg import Matrix, Vector, _reduced, boxed, product
 from .quadratic import QuadraticSpace
 
 VARIANT_SPLIT = "split_spin"
@@ -259,8 +262,9 @@ def rho_order(field: Field, mu, cap: int | None = None) -> OrbitSize:
     1/l: they lie in F_p when mu^2 - 1 is a square, so the order divides
     p - 1, and else l^p = 1/l in F_{p^2}, so it divides p + 1.  That N is
     certified by rho^N = 1, then each prime q is divided out of N while
-    rho^(N/q) = 1, which costs O(log p) products per prime divisor.  Over
-    F_2 the one remaining value mu = 0 is powered directly.
+    rho^(N/q) = 1, which costs O(log p) raw 2x2 products per prime divisor
+    (`Matrix.pow` boxes each power once).  Over F_2 the one remaining value
+    mu = 0 is powered directly.
 
     A finite order greater than cap is reported as exceeds_cap.
     """
@@ -303,7 +307,9 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
     Orthogonal maps conjugate reflections, tau_{g v} = g tau_v g^-1, so
     each new vector v = tau_g(u) is certified by tau_v = tau_g tau_u tau_g
     exactly; by induction every tau_v lies in <tau_e, tau_f>, and the orbit
-    is closed under the involution of every axis in it.
+    is closed under the involution of every axis in it.  Each v is checked
+    to have norm one before tau_v = 2 v (G v)^T - I is built, as raw rows,
+    and the certificate multiplies raw rows (`linalg.product`).
 
     The same search gives the D-orbits, D = <tau_e, tau_f>: each vector
     inherits the seed (e or f) it was reached from.  The orbits of e and f
@@ -326,13 +332,9 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
     if cap is not None and order.order > cap:
         raise CapExceeded(f"axet enumeration needs {order.order} elements, beyond cap {cap}")
 
-    # orbit vectors are raw tuples, boxed only into the result
-    reflections = {}
-
-    def neg_reflection_of(vec: tuple) -> Matrix:
-        if vec not in reflections:
-            reflections[vec] = space.neg_reflection(vec)
-        return reflections[vec]
+    # orbit vectors are raw tuples, boxed only into the result; rows[v] holds tau_v as raw rows
+    rows = {g: space.reflection_raw(g, -1) for g in (e, f)}
+    tau = {g: Matrix._from_raw(field, rows[g]) for g in (e, f)}
 
     # parent[v] = (g, u) with v = tau_g(u); seed[v] is e or f
     orbit = [e, f]
@@ -343,20 +345,20 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
     while queue:
         current = queue.popleft()
         for g in (e, f):
-            image = neg_reflection_of(g).apply_raw(current)
+            image = tau[g].apply_raw(current)
             if image in seed:
                 orbits_meet = orbits_meet or seed[image] != seed[current]
                 continue
-            norm = space.bform(image, image)
-            check(norm.is_one, "orbit left the norm-one set", witness=(image, norm))
+            if not space.is_norm_one_raw(image):  # b(image, image) is only the witness
+                raise VerificationFailed("orbit left the norm-one set", (image, space.bform(image, image)))
+            rows[image] = space.reflection_raw(image, -1)
             seed[image] = seed[current]
             orbit.append(image)
             parent[image] = (g, current)
             queue.append(image)
     for v, (g, u) in parent.items():
-        tau_g = neg_reflection_of(g)
         check(
-            neg_reflection_of(v) == tau_g @ neg_reflection_of(u) @ tau_g,
+            rows[v] == product(field.p, product(field.p, rows[g], rows[u]), rows[g]),
             "tau_v is not the conjugate of its parent's involution",
             witness=(v, g, u),
         )

@@ -1,9 +1,11 @@
-"""`splitspin idempotents` reports checked by the benchmark's oracles.
+"""`splitspin idempotents` reports and rho orders checked by the benchmark's
+oracles.
 
 `perfbench/oracles.py` computes every expected value with plain int
 arithmetic from the closed-form product and imports nothing from splitspin:
 it counts the norm-one vectors itself, expects 3 + 2N idempotents (1 + N on
-the cover), and squares each listed idempotent with its own product.  The
+the cover), squares each listed idempotent with its own product, and
+powers the 2x2 matrix rho(mu) with its own products.  The
 module is read and executed here, so importing it writes nothing under
 `perfbench/`.
 
@@ -23,7 +25,7 @@ import types
 
 import pytest
 
-from splitspin import Field, Matrix, QuadraticSpace, exceptional_cover, split_spin
+from splitspin import Field, Matrix, QuadraticSpace, exceptional_cover, rho_order, split_spin
 from splitspin.cli import main
 from splitspin.idempotents import enumerate_idempotents_bruteforce
 
@@ -195,3 +197,13 @@ def test_norm_one_search_and_scan_match_the_closed_form(p):
             assert len(cover) == 1 + expected, (p, gram)
             algebra = split_spin(space, field.scalar(rng.choice(alphas)))
             assert len(enumerate_idempotents_bruteforce(algebra, budget=SCAN_VECTORS)) == 3 + 2 * expected, (p, gram)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 10007])
+def test_rho_order_matches_the_independent_oracle(p):
+    """rho_order against the oracle's plain 2x2 powering: every mu at the
+    primes up to 31, and every 97th mu together with mu = +-1 at 10007."""
+    field = Field.prime(p)
+    for mu in range(p) if p < 100 else [*range(0, p, 97), 1, p - 1]:
+        order = rho_order(field, mu)
+        assert order.is_finite and order.order == oracles.rho_order(mu, p), (p, mu)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from splitspin import Field, Matrix
 from splitspin.errors import DimensionMismatch, FieldMismatch
-from splitspin.linalg import Echelon, boxed, raw_values
+from splitspin.linalg import Echelon, boxed, product, raw_values
 
 QQ = Field.rationals()
 F3 = Field.prime(3)
@@ -589,6 +589,26 @@ def test_apply_matmul_against_boxed_reference(field, entries):
             a.entries[i][j] == a.entries[j][i] for i in range(r) for j in range(c)))
         assert _exact(field, _flat(-a)) and (-a).entries == tuple(
             tuple(-x for x in row) for row in a.entries)
+
+    check()
+
+
+@pytest.mark.parametrize("field, entries", [(QQ, small_rationals), (F7, st.integers(0, 6)),
+                                           (F10007, st.integers(0, 10006))], ids=["QQ", "F7", "F10007"])
+def test_raw_product_against_boxed_reference(field, entries):
+    """linalg.product on the raw rows of rectangular, sparse and all-zero
+    matrices gives the boxed product's values, exact (Fractions over Q)."""
+    @given(st.data())
+    def check(data):
+        r, c, s = (data.draw(st.integers(1, 4)) for _ in range(3))
+        a, b = (Matrix(field, data.draw(st.one_of(_sparse_rows(entries, rows, cols),
+                                                  st.just([[0] * cols] * rows))))
+                for rows, cols in ((r, c), (c, s)))
+        raw = product(field.p, a.raw, b.raw)
+        rows = [boxed(field, row) for row in raw]
+        assert rows == reference_matmul(field, a.entries, b.entries)
+        assert all(_exact(field, row) for row in rows)
+        assert (a @ b).raw == tuple(map(tuple, raw))
 
     check()
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitspin import Field, Matrix, QuadraticSpace
+from splitspin import Field, Matrix, QuadraticSpace, Scalar
 from splitspin.errors import DimensionMismatch, FieldMismatch, IsotropicVector
 
 QQ = Field.rationals()
@@ -375,6 +375,28 @@ def test_form_and_reflections_against_boxed_reference(field, entries):
         assert neg == -r and r.transpose() @ q.gram @ r == q.gram
 
     check()
+
+
+@pytest.mark.parametrize("field, gram", [
+    (Field.prime(101), [[1, 6], [6, 1]]),
+    (F7, [[2, 1, 0], [1, 3, 5], [0, 5, 4]]),
+    (QQ, [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]),
+    (QQ, [[1, 0, 0], [0, 2, 0], [0, 0, Fraction(3, 4)]]),
+], ids=["F101", "F7", "QQ-2", "QQ-3"])
+def test_raw_reflection_of_norm_one_vectors(field, gram):
+    """For b(v, v) = 1 the raw rows of -r_v are 2 v (G v)^T - I, and
+    neg_reflection(v) holds the same rows."""
+    q = space(field, gram)
+    vectors = q.find_norm_one(max_results=8).vectors
+    assert vectors
+    n, g = q.dim, q.gram.entries
+    for v in vectors:
+        rows = q.reflection_raw([c.value for c in v], -1)
+        gv = [sum((g[j][k] * v[k] for k in range(n)), field.zero()) for j in range(n)]
+        expected = [[2 * v[i] * gv[j] - int(i == j) for j in range(n)] for i in range(n)]
+        assert [[field.scalar(c) for c in row] for row in rows] == expected
+        assert _exact(field, [Scalar(field, c) for row in rows for c in row])
+        assert rows == [list(row) for row in q.neg_reflection(v).raw]
 
 
 def test_bform_of_a_zero_row_stays_a_fraction():

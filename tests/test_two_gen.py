@@ -9,9 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import splitspin
+import splitspin.two_gen as two_gen
 from splitspin import (
     Field,
     Matrix,
+    QuadraticSpace,
     TwoGenConfig,
     axet,
     build_two_gen,
@@ -22,7 +24,7 @@ from splitspin import (
     rho_order,
     yabe_data,
 )
-from splitspin.errors import CapExceeded, CharTwo, MuOne, SpecialAlpha
+from splitspin.errors import CapExceeded, CharTwo, MuOne, SpecialAlpha, VerificationFailed
 from splitspin.two_gen import (
     SINGLE,
     TWO_HALVES,
@@ -371,3 +373,74 @@ def test_axet_rejects_wrong_rho_order_under_optimize():
     assert proc.returncode == 0, proc.stderr
     size = rho_order(Field.prime(101), 6).order
     assert proc.stdout.strip() == f"VerificationFailed ({size}, 5)"
+
+
+F101 = Field.prime(101)
+# F_101, mu = 6: e = (1, 0), f = (0, 1), and tau_f(e) = 2 mu f - e = (100, 12) is
+# the first vector found past them.  Adding 1 to entry (1, 1) of its tau_v or
+# of every product breaks its certificate first; of tau_f = [[-1, 0], [12, 1]]
+# it sends f to (0, 2), of norm 4.
+CORRUPTED_WITNESS = {
+    "reflection": ((100, 12), (0, 1), (1, 0)),
+    "product": ((100, 12), (0, 1), (1, 0)),
+    "generator": ((0, 2), F101.scalar(4)),
+}
+
+
+def corrupted_axet_failure(kind):
+    """The VerificationFailed that axet raises at F_101, mu = 6 with one
+    reflection (of (100, 12), or of the generator f) or every certificate
+    product corrupted; None if it raises none."""
+    algebra, x, y = build_two_gen(TwoGenConfig(F101, mu=F101.scalar(6), alpha=F101.scalar(2)))
+    target = {"reflection": (100, 12), "generator": (0, 1)}.get(kind)
+    reflection_raw, product = QuadraticSpace.reflection_raw, two_gen.product
+
+    def bumped(rows):
+        rows[1][1] = (rows[1][1] + 1) % 101
+        return rows
+
+    def corrupted_reflection(space, e, sign):
+        rows = reflection_raw(space, e, sign)
+        return bumped(rows) if tuple(e) == target else rows
+
+    QuadraticSpace.reflection_raw = corrupted_reflection
+    if kind == "product":
+        two_gen.product = lambda p, left, right: bumped(product(p, left, right))
+    try:
+        axet(algebra, x, y)
+    except VerificationFailed as exc:
+        return exc
+    finally:
+        QuadraticSpace.reflection_raw, two_gen.product = reflection_raw, product
+    return None
+
+
+@pytest.mark.parametrize("kind", list(CORRUPTED_WITNESS))
+def test_axet_certificate_catches_a_corrupted_involution(kind):
+    exc = corrupted_axet_failure(kind)
+    assert exc is not None and exc.witness == CORRUPTED_WITNESS[kind]
+    assert str(exc) == ("orbit left the norm-one set" if kind == "generator"
+                        else "tau_v is not the conjugate of its parent's involution")
+    algebra, x, y = build_two_gen(TwoGenConfig(F101, mu=F101.scalar(6), alpha=F101.scalar(2)))
+    assert axet(algebra, x, y).size.order == rho_order(F101, 6).order  # the patches are undone
+
+
+def test_axet_catches_a_corrupted_involution_under_optimize():
+    script = textwrap.dedent(
+        """
+        import test_two_gen
+
+        assert False, "assert statements run: not optimised"
+        for kind in test_two_gen.CORRUPTED_WITNESS:
+            print(kind, test_two_gen.corrupted_axet_failure(kind).witness)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(splitspin.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests]), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{kind} {witness}" for kind, witness in CORRUPTED_WITNESS.items()]
