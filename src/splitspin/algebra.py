@@ -509,11 +509,7 @@ def exceptional_cover(space: QuadraticSpace) -> Algebra:
         constants.append((i, z1, i, -1))
     constants.append((z1, z1, z1, 1))
     labels = tuple(f"e{i + 1}" for i in range(k)) + ("z1", "n")
-    warnings = ()
-    if field.characteristic == 2:
-        warnings = ("characteristic_two",)
-    elif field.characteristic == 3:
-        warnings = ("characteristic_three",)
+    warnings = {2: ("characteristic_two",), 3: ("characteristic_three",)}.get(field.characteristic, ())
     meta = AlgebraMeta(COVER, alpha=field.scalar(-1), space=space, warnings=warnings)
     return Algebra(field, labels, constants, meta)
 

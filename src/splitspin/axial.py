@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,6 +32,7 @@ from .errors import (
     NotAnAutomorphism,
     NotIdempotent,
     UnverifiedSpanHypothesis,
+    VerificationFailed,
     WrongAlgebraKind,
     check,
 )
@@ -321,7 +323,8 @@ class FrobeniusForm:
     radical_basis: tuple[Element, ...]
 
     def evaluate(self, u: Element, v: Element) -> Scalar:
-        return QuadraticSpace(self.gram).bform(u.raw, v.raw)  # gram is symmetric by construction
+        acc, p = sum(map(operator.mul, u.raw, self.gram.apply_raw(v.raw))), self.gram.field.p
+        return Scalar(self.gram.field, acc % p if p else acc)
 
 
 def frobenius(algebra: Algebra) -> FrobeniusForm:
@@ -331,38 +334,51 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
     (z2, z2) = 2-alpha, everything else orthogonal.  Cover: (e, f) = 3 b(e, f),
     (z1, z1) = 1, and n is isotropic and orthogonal to everything.
 
-    Associativity is checked exactly on all n^3 basis triples from the
-    n(n+1)/2 vectors G (b_j b_t), in O(n^4); the first failing triple
-    (i, j, t) in lexicographic order raises VerificationFailed as witness.
+    Associativity is checked on ints, with F cleared once to s F and
+    g[j][t] = s F (D b_j b_t) built once per pair from the stored cells:
+    T(i, j, t) = g[j][t][i] = s D (b_i, b_j b_t) is symmetric in j and t, so
+    the form associates exactly when g[j][t][i] == g[i][t][j] == g[i][j][t]
+    for all i <= j <= t.  Only if that fails, the scan of all n^3 triples
+    raises the first failing (i, j, t) in lexicographic order as witness.
+    The radical is read off F's blocks: the lift of the radical of b (all of
+    E when the E-block's scale vanishes) and each z basis vector of length 0.
     """
     kind = algebra.meta.kind
     if kind not in (SPLIT_SPIN, COVER):
         raise WrongAlgebraKind(f"no Frobenius form constructor for a {kind} algebra")
     field, space = algebra.field, algebra.meta.space
-    k, n = space.dim, algebra.dim
+    k, n, p = space.dim, algebra.dim, field.p
     if kind == SPLIT_SPIN:
         a = algebra.meta.alpha.value
         e_scale, z_diagonal = (a + 1) * (2 - a), (a + 1, 2 - a)
     else:
         e_scale, z_diagonal = 3, (1, 0)
     rows = [[e_scale * b for b in row] + [0, 0] for row in space.gram.raw]
-    rows += [[0] * n, [0] * n]
-    rows[k][k], rows[k + 1][k + 1] = z_diagonal
+    rows += [[0] * k + [z_diagonal[0], 0], [0] * (k + 1) + [z_diagonal[1]]]
     gram = Matrix(field, rows)
     if not any(map(any, gram.raw)):
         raise BadCharacteristic("the Frobenius form vanishes identically here")
 
-    # D (b_i, b_j b_t) = g[j][t][i] and, G being symmetric, D (b_i b_j, b_t) = g[i][j][t], D the
-    # cells' denominator; raw values, so the n^3 comparisons compare ints or Fractions, all scaled by D
+    # g[j][t][i] = s D (b_i, b_j b_t) and, F being symmetric, g[i][j][t] = s D (b_i b_j, b_t)
+    columns = [[] for _ in range(n)]  # column c's nonzero (i, s F_ic), from the terms of F on ints
+    for i, j, c in QuadraticSpace(gram)._terms:
+        columns[j].append((i, c))
+        columns[i] += [(j, c)] if i != j else []
     g = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for t in range(j, n):
-            g[j][t] = g[t][j] = gram.apply_sparse(algebra.cell(j, t))
-    triples = itertools.product(range(n), repeat=3)
-    witness = next(((i, j, t) for i, j, t in triples if g[j][t][i] != g[i][j][t]), None)
-    check(witness is None, f"Frobenius associativity fails on basis triple {witness}", witness)
-    radical = tuple(algebra.element(v) for v in gram.kernel())
-    return FrobeniusForm(algebra, gram, radical)
+    for j, t in itertools.combinations_with_replacement(range(n), 2):
+        out = [0] * n
+        for c, d in algebra.cell(j, t):
+            for i, a in columns[c]:
+                out[i] += a * d
+        g[j][t] = g[t][j] = [x % p for x in out] if p else out
+    if not all(list(map(operator.itemgetter(i), g[j][j:])) == list(map(operator.itemgetter(j), g[i][j:])) == g[i][j][j:]
+               for i, j in itertools.combinations_with_replacement(range(n), 2)):
+        witness = next((i, j, t) for i, j, t in itertools.product(range(n), repeat=3) if g[j][t][i] != g[i][j][t])
+        raise VerificationFailed(f"Frobenius associativity fails on basis triple {witness}", witness)
+    e_radical = space.radical() if raw_values(field, (e_scale,))[0] else Matrix.identity(field, k).raw
+    radical = [algebra.element(_lift(algebra, v)) for v in e_radical]
+    radical += [algebra.basis(i) for i in (k, k + 1) if not gram.raw[i][i]]
+    return FrobeniusForm(algebra, gram, tuple(radical))
 
 
 def _verify_ideal(algebra: Algebra, vectors: Sequence[tuple]) -> None:
@@ -380,13 +396,11 @@ def algebra_radical(algebra: Algebra) -> tuple[Element, ...]:
     kind = algebra.meta.kind
     field = algebra.field
     if kind == SPLIT_SPIN:
-        alpha = algebra.meta.alpha
-        k = algebra.e_dim
-        if alpha == field.scalar(-1) or alpha == field.scalar(2):
-            which = k if alpha == field.scalar(-1) else k + 1
+        alpha, k = algebra.meta.alpha, algebra.e_dim
+        if alpha in (field.scalar(-1), field.scalar(2)):
+            which, tag = (k, "alpha=-1") if alpha == field.scalar(-1) else (k + 1, "alpha=2")
             vecs = [algebra.basis(i).raw for i in (*range(k), which)]
             _verify_ideal(algebra, vecs)
-            tag = "alpha=-1" if alpha == field.scalar(-1) else "alpha=2"
             raise BaricCase(tag, tuple(algebra.element(v) for v in vecs))
     elif kind == COVER:
         if field.characteristic in (2, 3):

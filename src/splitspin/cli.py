@@ -193,23 +193,15 @@ def _write(doc, pad: str) -> str:
 
 def _render_text(doc, indent=0) -> str:
     pad = "  " * indent
+    if not isinstance(doc, (dict, list)):
+        return f"{pad}{doc}"
     lines = []
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {value}")
-    elif isinstance(doc, list):
-        for value in doc:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {value}")
-    else:
-        lines.append(f"{pad}{doc}")
+    labelled = ((f"{key}:", value) for key, value in doc.items()) if isinstance(doc, dict) else (("-", v) for v in doc)
+    for label, value in labelled:
+        if isinstance(value, (dict, list)):
+            lines += [f"{pad}{label}", _render_text(value, indent + 1)]
+        else:
+            lines.append(f"{pad}{label} {value}")
     return "\n".join(lines)
 
 

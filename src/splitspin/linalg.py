@@ -14,7 +14,9 @@ the reduced [M | I].  Over Q, elimination and products run on integers, with
 one Fraction built per returned entry; the integer views `Echelon.kernel`
 and `Echelon.rows` are positive multiples of those.  `Echelon` clears a raw
 row once, where it comes in (`add`, `contains`, the `Matrix` methods), and
-takes int rows as they are.  Vectors are tuples of Scalars at the API edge.
+takes int rows as they are.  A kernel over Q runs the integer `Echelon`
+only when the rank mod the fixed prime 2^61 - 1 falls short of full column
+rank.  Vectors are tuples of Scalars at the API edge.
 """
 
 from __future__ import annotations
@@ -275,10 +277,16 @@ class Matrix:
 
     def kernel_raw(self) -> list[list]:
         """`kernel` as raw vectors: the `Echelon.kernel` vectors, each divided
-        by its entry at its free column over Q."""
-        span = Echelon._from_raw(self.field, self.raw)
+        by its entry at its free column over Q, where the cleared rows come
+        first to a certificate: full column rank mod P = 2^61 - 1 proves the
+        kernel empty (a minor nonzero mod P is nonzero over Z)."""
+        p = self.field.p
+        rows = self.raw if p else [cleared(row)[1] for row in self.raw]
+        if not p and _full_rank_mod(rows, self.cols):
+            return []
+        span = Echelon._from_ints(self.field, rows)
         basis = span.kernel(self.cols)
-        if self.field.p:
+        if p:
             return basis
         pivots = set(span.pivots)
         free = [c for c in range(self.cols) if c not in pivots]
@@ -433,6 +441,24 @@ def _eliminate(p: int | None, v: list, f: int, q: int, row: list) -> list:
         v = [q * a - f * b if b else q * a for a, b in zip(v, row)]
     g = 1 if p else math.gcd(*v)
     return [a // g for a in v] if g > 1 else v
+
+
+CERTIFICATE_PRIME = 2**61 - 1
+
+
+def _full_rank_mod(rows: Iterable[Sequence[int]], width: int) -> bool:
+    """Whether the int rows have rank `width` mod P = CERTIFICATE_PRIME, by forward
+    elimination; an entry is reduced only in the pivot column (a step adds < P^2)."""
+    rows = [[a % CERTIFICATE_PRIME for a in row] for row in rows]
+    for _ in range(width):
+        heads = [row[0] % CERTIFICATE_PRIME for row in rows]
+        at = next((i for i, h in enumerate(heads) if h), None)
+        if at is None:
+            return False
+        f, pivot = pow(heads.pop(at), -1, CERTIFICATE_PRIME), rows.pop(at)
+        tail = [b * f % CERTIFICATE_PRIME for b in pivot[1:]]
+        rows = [[a - h * b for a, b in zip(row[1:], tail)] if h else row[1:] for row, h in zip(rows, heads)]
+    return True
 
 
 def same_span(field: Field, first: Sequence[Vector], second: Sequence[Vector]) -> bool:

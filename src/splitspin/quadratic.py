@@ -40,8 +40,8 @@ class QuadraticSpace:
 
     The form is kept once, raw and on integers: the nonzero terms (i, j, c),
     i <= j, of s G, where s is the least common multiple of the Gram
-    denominators over Q and 1 over F_p.  `_image` is the one reader of the
-    terms: every b(u, v), norm test and reflection goes through it.
+    denominators over Q and 1 over F_p.  Every b(u, v), norm test and
+    reflection goes through `_image`; `axial.frobenius` reads the terms too.
     """
 
     __slots__ = ("gram", "_scale", "_terms")

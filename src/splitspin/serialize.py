@@ -109,7 +109,7 @@ def frobenius_to_json(form: FrobeniusForm):
     return {
         "gram": matrix_to_json(form.gram),
         "radical": [element_to_json(v) for v in form.radical_basis],
-        "rank": form.gram.cols - len(form.gram.kernel()),
+        "rank": form.gram.cols - len(form.radical_basis),
     }
 
 

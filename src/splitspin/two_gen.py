@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import COVER, SPLIT_SPIN, Algebra, Element, exceptional_cover, split_spin
 from .axial import axis_law, miyamoto
@@ -99,8 +100,7 @@ class TwoGenConfig:
             object.__setattr__(self, "alpha", self.field.scalar(self.alpha))
 
     def space(self) -> QuadraticSpace:
-        one = self.field.one()
-        return QuadraticSpace(Matrix(self.field, [[one, self.mu], [self.mu, one]]))
+        return QuadraticSpace(Matrix(self.field, [[1, self.mu], [self.mu, 1]]))
 
 
 def default_two_gen_alpha(field: Field) -> Scalar:
@@ -136,11 +136,7 @@ def build_two_gen(cfg: TwoGenConfig) -> tuple[Algebra, Element, Element]:
         if algebra.meta.jordan_special:
             raise ConfigError("alpha in {0, 1, 1/2} gives a Jordan algebra, not a two-generated axial pair")
         family = FAMILY_A
-    e = space.vector([1, 0])
-    f = space.vector([0, 1])
-    x = family_axis(algebra, e, family)
-    y = family_axis(algebra, f, family)
-    return algebra, x, y
+    return algebra, family_axis(algebra, [1, 0], family), family_axis(algebra, [0, 1], family)
 
 
 @dataclass
@@ -207,9 +203,7 @@ def yabe_data(algebra: Algebra, x: Element, y: Element) -> YabeData:
 def rho(mu: Scalar) -> Matrix:
     """The matrix [[2 mu, -1], [1, 0]] of the swap-then-reflect composite
     acting on row vectors of E; trace 2 mu, determinant 1."""
-    field = mu.field
-    one, zero = field.one(), field.zero()
-    return Matrix(field, [[2 * mu, -one], [one, zero]])
+    return Matrix(mu.field, [[2 * mu, -1], [1, 0]])
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -289,14 +283,23 @@ class AxetResult:
     """The closed axis set X: its size, the axis E-vectors in discovery
     order (finite case), the D-orbit split and the index of D in the
     dihedral overgroup (1 exactly when |X| is odd).  orbit_x and orbit_y
-    are the D-orbits of e and f, each in discovery order."""
+    are the D-orbits of e and f, each in discovery order.  The vectors are
+    held raw and boxed into Scalars on first read."""
 
     size: OrbitSize
-    orbit: tuple[Vector, ...] | None
+    raw_orbit: tuple[tuple, ...] | None
     d_orbit_split: str
     d_hat_index: int
-    orbit_x: tuple[Vector, ...] | None = None
-    orbit_y: tuple[Vector, ...] | None = None
+    raw_x: tuple[tuple, ...] | None = None
+    raw_y: tuple[tuple, ...] | None = None
+    field: Field | None = None
+
+    def _boxed(self, vectors) -> tuple[Vector, ...] | None:
+        return None if vectors is None else tuple(boxed(self.field, v) for v in vectors)
+
+    orbit = cached_property(lambda self: self._boxed(self.raw_orbit))
+    orbit_x = cached_property(lambda self: self._boxed(self.raw_x))
+    orbit_y = cached_property(lambda self: self._boxed(self.raw_y))
 
 
 def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> AxetResult:
@@ -332,7 +335,7 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
     if cap is not None and order.order > cap:
         raise CapExceeded(f"axet enumeration needs {order.order} elements, beyond cap {cap}")
 
-    # orbit vectors are raw tuples, boxed only into the result; rows[v] holds tau_v as raw rows
+    # orbit vectors are raw tuples, boxed only on reading the result; rows[v] holds tau_v as raw rows
     rows = {g: space.reflection_raw(g, -1) for g in (e, f)}
     tau = {g: Matrix._from_raw(field, rows[g]) for g in (e, f)}
 
@@ -365,17 +368,16 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
     n = len(orbit)
     check(n == order.order, f"orbit size {n} disagrees with the rho order {order.order}",
           witness=(n, order.order))
-    vectors = {v: boxed(field, v) for v in orbit}
     if orbits_meet:
         split = SINGLE
-        orbit_x = orbit_y = tuple(vectors.values())
+        orbit_x = orbit_y = tuple(orbit)
     else:
         split = TWO_HALVES
-        orbit_x = tuple(vectors[v] for v in orbit if seed[v] == e)
-        orbit_y = tuple(vectors[v] for v in orbit if seed[v] == f)
+        orbit_x = tuple(v for v in orbit if seed[v] == e)
+        orbit_y = tuple(v for v in orbit if seed[v] == f)
         check(len(orbit_x) == len(orbit_y) == n // 2, "the D-orbits are not halves of X",
               witness=(len(orbit_x), len(orbit_y), n))
     index = 1 if n % 2 == 1 else 2
     check((split == SINGLE) == (n % 2 == 1), "odd size must mean a single D-orbit",
           witness=(n, split))
-    return AxetResult(order, tuple(vectors.values()), split, index, orbit_x, orbit_y)
+    return AxetResult(order, tuple(orbit), split, index, orbit_x, orbit_y, field)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -280,26 +281,39 @@ def test_projection_graph_surrogate():
 # -- radical and simplicity ---------------------------------------------------------
 
 
+def reference_form(gram, u, v):
+    """u^T F v by a boxed loop over the Scalars u and v."""
+    gv = gram.apply(v)
+    acc = gram.field.zero()
+    for a, b in zip(u, gv):
+        acc = acc + a * b
+    return acc
+
+
 def frobenius_witness_reference(algebra, gram):
     """The first basis triple (i, j, t) with (b_i, b_j b_t) != (b_i b_j, b_t),
     or None: the O(n^5) loop frobenius ran before its O(n^4) check."""
-
-    def form(u, v):
-        gv = gram.apply(v)
-        acc = gram.field.zero()
-        for a, b in zip(u, gv):
-            acc = acc + a * b
-        return acc
-
     n, table = algebra.dim, dense_table(algebra)
     for i in range(n):
         for j in range(n):
             for t in range(n):
-                lhs = form(algebra.basis(i).coords, table[j][t])
-                rhs = form(table[i][j], algebra.basis(t).coords)
+                lhs = reference_form(gram, algebra.basis(i).coords, table[j][t])
+                rhs = reference_form(gram, table[i][j], algebra.basis(t).coords)
                 if lhs != rhs:
                     return (i, j, t)
     return None
+
+
+def first_failing_sorted_triple(algebra, gram):
+    """The first i <= j <= t at which (b_i, b_j b_t), (b_j, b_i b_t) and
+    (b_t, b_i b_j) are not all equal, or None."""
+    n, table = algebra.dim, dense_table(algebra)
+
+    def value(i, j, t):
+        return reference_form(gram, algebra.basis(i).coords, table[j][t])
+
+    return next(((i, j, t) for i, j, t in itertools.combinations_with_replacement(range(n), 3)
+                 if not value(i, j, t) == value(j, i, t) == value(t, i, j)), None)
 
 
 def perturbed(algebra, i, j, delta):
@@ -307,26 +321,34 @@ def perturbed(algebra, i, j, delta):
     return add_to_constants(algebra, [(i, j, k, d) for k, d in enumerate(delta)])
 
 
-def random_gram(field, k, rng):
+def random_gram(field, k, rng, entries=None):
+    """A random symmetric k x k Gram matrix: ints in [-2, 2], or draws from entries."""
     rows = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+            rows[i][j] = rows[j][i] = rng.randint(-2, 2) if entries is None else rng.choice(entries)
     return QuadraticSpace(Matrix(field, rows))
 
 
-@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "F7"])
+FRACTION_ENTRIES = (0, 1, -1, 2, HALF, Fraction(-2, 3), Fraction(5, 3))
+F10007 = Field.prime(10007)
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F10007], ids=["QQ", "F7", "F10007"])
 @pytest.mark.parametrize("k", range(1, 6))
 def test_frobenius_matches_reference_loop(field, k):
+    """The sorted-triple integer check against the boxed lexicographic loop,
+    with Fraction alpha and Gram entries (cells over a denominator D > 1)."""
     rng = random.Random(f"frobenius/{field.p}/{k}")
-    for build in (lambda s: split_spin(s, 3), exceptional_cover):
-        algebra = build(random_gram(field, k, rng))
+    builds = (lambda s: split_spin(s, 3), lambda s: split_spin(s, Fraction(5, 3)), exceptional_cover)
+    for build, entries in itertools.product(builds, (None, FRACTION_ENTRIES)):
+        algebra = build(random_gram(field, k, rng, entries))
         gram = frobenius(algebra).gram
         assert frobenius_witness_reference(algebra, gram) is None
         n = algebra.dim
         for _ in range(3):
             i, j = rng.randrange(n), rng.randrange(n)
-            delta = [rng.choice((0, 0, 1, -1, 2)) for _ in range(n)]
+            delta = [rng.choice((0, 0, 1, -1, 2, Fraction(1, 3))) for _ in range(n)]
             broken = perturbed(algebra, i, j, delta)
             expected = frobenius_witness_reference(broken, gram)
             if expected is None:
@@ -335,6 +357,59 @@ def test_frobenius_matches_reference_loop(field, k):
             with pytest.raises(VerificationFailed) as info:
                 frobenius(broken)
             assert info.value.witness == expected
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F10007], ids=["QQ", "F7", "F10007"])
+def test_frobenius_witness_is_lexicographic_not_sorted(field):
+    """On a diagonal Gram, adding b_1 to b_0 b_2 changes only (b_1, b_0 b_2):
+    the sorted triple (0, 1, 2) fails first, and the witness is the first
+    failing triple in lexicographic order, (0, 2, 1)."""
+    space = QuadraticSpace(Matrix.diagonal(field, [HALF, 3, Fraction(-2, 3)]))
+    for algebra in (split_spin(space, Fraction(5, 3)), exceptional_cover(space)):
+        broken = perturbed(algebra, 0, 2, [0, 1, 0, 0, 0])
+        gram = frobenius(algebra).gram
+        assert first_failing_sorted_triple(broken, gram) == (0, 1, 2)
+        assert frobenius_witness_reference(broken, gram) == (0, 2, 1)
+        with pytest.raises(VerificationFailed) as info:
+            frobenius(broken)
+        assert info.value.witness == (0, 2, 1)
+
+
+def _radical_cases():
+    """Algebras over Q, F_5, F_7 and F_10007 on regular, degenerate and zero
+    Grams: split spin at alpha in {3, 5/3, -1, 2} and the cover; and the
+    cover over F_3, where the E-block's scale 3 vanishes."""
+    grams = ([[1, 0], [0, 1]], [[1, 1], [1, 1]], [[0, 0], [0, 0]],
+             [[HALF, 1, 0], [1, 2, 3], [0, 3, Fraction(9, 2)]], [[2, 1, 0], [1, 1, 0], [0, 0, 0]])
+    for field in (QQ, F5, F7, F10007):
+        for rows in grams:
+            space = QuadraticSpace(Matrix(field, rows))
+            yield exceptional_cover(space)
+            for alpha in (3, Fraction(5, 3), -1, 2):
+                yield split_spin(space, alpha)
+    yield exceptional_cover(QuadraticSpace(Matrix(Field.prime(3), [[1, 2], [2, 0]])))
+
+
+def test_frobenius_radical_is_the_kernel_of_its_gram():
+    """The radical read off G's kernel and the z-diagonal equals, vector for
+    vector, the generic kernel of the whole Frobenius Gram matrix."""
+    for algebra in _radical_cases():
+        form = frobenius(algebra)
+        assert [v.coords for v in form.radical_basis] == list(form.gram.kernel()), algebra.meta
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "F7"])
+def test_frobenius_evaluate_is_the_plain_bilinear_form(field):
+    rng = random.Random(f"evaluate/{field.p}")
+    entries = FRACTION_ENTRIES if field.p is None else range(7)
+    for algebra in (split_spin(random_gram(field, 3, rng, entries), Fraction(5, 3)),
+                    exceptional_cover(random_gram(field, 2, rng, entries))):
+        form = frobenius(algebra)
+        for _ in range(10):
+            u, v = (algebra.element([rng.choice(entries) for _ in range(algebra.dim)]) for _ in range(2))
+            plain = sum((a * form.gram.entries[i][j] * b for i, a in enumerate(u.coords)
+                         for j, b in enumerate(v.coords)), field.zero())
+            assert form.evaluate(u, v) == plain
 
 
 def check_axis_reference(algebra, x, law):

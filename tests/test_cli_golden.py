@@ -11,7 +11,9 @@ F_101), config errors (exit 2), small axet sweeps, `axis-check` and `cover`
 at dim E 6-8 over Q (with Fraction alpha and Gram entries) and over
 F_10007, and `axis-check` and `cover` at dim E 10 and `frobenius` and
 `radical` at dim E 11-12 over Q, where integer entry growth in elimination
-would show.  Over Q every Gram matrix has a norm-one basis vector, so the
+would show.  `frobenius` also runs where the form's E-block vanishes
+(alpha = -1), on degenerate Grams over F_10007, and on a Gram that is
+singular modulo 2^61 - 1 but regular over Q.  Over Q every Gram matrix has a norm-one basis vector, so the
 sampled norm-one search ends quickly.
 
 Regenerate the expected outputs (only when a report is meant to change):
@@ -72,6 +74,11 @@ Q10, Q11, QD12 = _gram_json(_q_gram(10)), _gram_json(_q_gram(11)), _gram_json(_d
 # Fraction entries, so an axis's coordinates have denominators other than the cells' D
 Q9, QD5 = _gram_json(_q_gram(9)), _gram_json(_degenerate_extension(_q_gram(4)))
 F9 = json.dumps([[str(1 + i * i) if i == j else str(3 * (i + j) + 7 * i * j) for j in range(9)] for i in range(9)])
+# FD5: an integer Gram with the degenerate extension, read over F_10007; P61 is regular over Q
+# but singular modulo the prime 2^61 - 1 that certifies full rank
+FD5 = _gram_json(_degenerate_extension([[Fraction(1 + i * i if i == j else 3 * (i + j) + 7 * i * j)
+                                         for j in range(4)] for i in range(4)]))
+P61 = '[["2305843009213693951","0"],["0","1"]]'
 
 COMMANDS = [
     # build
@@ -119,6 +126,11 @@ COMMANDS = [
     ["frobenius", "--variant", "cover", "--gram", DIAG12],
     ["frobenius", "--alpha", "5/3", "--gram", Q11],
     ["frobenius", "--alpha=-3/2", "--gram", QD12],
+    # e_scale = 0 (all of E radical), degenerate Grams over F_10007, a full-rank certificate that must fall back
+    ["frobenius", "--alpha=-1", "--gram", Q3],
+    ["frobenius", "--alpha", "2", "--p", "10007", "--gram", FD5],
+    ["frobenius", "--variant", "cover", "--p", "10007", "--gram", FD5],
+    ["frobenius", "--alpha", "3", "--gram", P61],
     # radical
     ["radical", "--alpha", "3", "--gram", DEGENERATE],
     ["radical", "--alpha=-1", "--gram", I2],

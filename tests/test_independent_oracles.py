@@ -22,6 +22,7 @@ import math
 import pathlib
 import random
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -207,3 +208,40 @@ def test_rho_order_matches_the_independent_oracle(p):
     for mu in range(p) if p < 100 else [*range(0, p, 97), 1, p - 1]:
         order = rho_order(field, mu)
         assert order.is_finite and order.order == oracles.rho_order(mu, p), (p, mu)
+
+
+# -- Frobenius forms and structure constants against the closed form ----------------
+
+
+Q_GRAMS = ([[1, 0], [0, 1]], [[1, 1], [1, 1]], [[Fraction(1, 2), 1, 0], [1, -2, Fraction(1, 3)], [0, Fraction(1, 3), 5]])
+
+
+def _frobenius_cases():
+    """(p, gram, alpha, variant): dim E 1-3 over F_5, F_7 and F_11 on the
+    grams of `_grams`, every alpha outside {0, 1, 1/2} (among them -1 and 2,
+    where the form has rank one), and a few Grams over Q."""
+    for p in (5, 7, 11):
+        for k in (1, 2, 3):
+            for gram in _grams(p, k):
+                yield p, gram, None, oracles.COVER
+                for alpha in (a for a in range(p) if a not in (0, 1, (p + 1) // 2)):
+                    yield p, gram, alpha, oracles.SPLIT
+    for gram in Q_GRAMS:
+        yield None, gram, None, oracles.COVER
+        for alpha in (3, Fraction(5, 3), -1, 2):
+            yield None, gram, alpha, oracles.SPLIT
+
+
+@pytest.mark.parametrize("command", ["frobenius", "build"])
+def test_frobenius_and_build_reports_pass_the_independent_oracle(command):
+    """`check_job` compares the Frobenius Gram matrix with the closed form,
+    checks that it associates with the emitted (or closed-form) products on
+    every basis triple, and checks the reported rank and radical."""
+    for p, gram, alpha, variant in _frobenius_cases():
+        argv = [command, "--gram", json.dumps([[str(x) for x in row] for row in gram])]
+        argv += ["--p", str(p)] if p else []
+        argv += ["--alpha=" + str(alpha)] if variant == oracles.SPLIT else ["--variant", "cover"]
+        code, stdout = _run(argv)
+        assert code == 0, (argv, stdout)
+        params = {"command": command, "p": p, "gram": gram, "alpha": alpha, "variant": variant}
+        oracles.check_job(params, stdout)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from splitspin import Field, Matrix
 from splitspin.errors import DimensionMismatch, FieldMismatch
-from splitspin.linalg import Echelon, boxed, product, raw_values
+from splitspin.linalg import CERTIFICATE_PRIME, Echelon, _full_rank_mod, boxed, cleared, product, raw_values
 
 QQ = Field.rationals()
 F3 = Field.prime(3)
@@ -765,3 +765,51 @@ def test_integer_kernel_of_a_rational_matrix_by_hand():
     assert Matrix(QQ, span.rows).kernel_raw() == [
         [Fraction(-2, 3), Fraction(-1, 2), 1, 0], [Fraction(-1, 3), 0, 0, 1]]
     assert Echelon(QQ).kernel(2) == [[1, 0], [0, 1]]  # the empty span
+
+
+# -- the full-rank certificate mod 2^61 - 1 against the integer Echelon ---------------
+
+
+def _echelon_kernel(rows):
+    """`kernel_raw` over Q without the certificate: the integer `Echelon`'s
+    kernel vectors, each divided by its entry at its free column."""
+    span = Echelon._from_raw(QQ, rows)
+    cols = len(rows[0])
+    free = [c for c in range(cols) if c not in span.pivots]
+    return [[Fraction(a, v[f]) for a in v] for f, v in zip(free, span.kernel(cols))]
+
+
+def test_certified_kernel_against_integer_echelon():
+    @given(_kernel_matrices(QQ))
+    def check(grid):
+        assert Matrix(QQ, grid).kernel_raw() == _echelon_kernel(grid)
+        full = Echelon._from_raw(QQ, grid).rank == len(grid[0])
+        assert not _full_rank_mod([cleared(row)[1] for row in grid], len(grid[0])) or full
+
+    check()
+
+
+P61 = CERTIFICATE_PRIME
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[P61, 0], [0, 1]], 2),  # regular over Q, singular mod P
+    ([[2, 1], [1, Fraction(P61 + 1, 2)]], 2),  # determinant P
+    ([[Fraction(1, 2), 1], [1, Fraction(P61 + 4, 2)]], 2),  # cleared rows (1, 2), (2, P + 4): determinant P
+    ([[P61, 2 * P61], [1, 2]], 1),
+    ([[1, 2, 3], [2, 4, 6], [0, 1, P61]], 2),
+])
+def test_certificate_falls_back_where_it_cannot_decide(rows, rank):
+    rows = [raw_values(QQ, row) for row in rows]
+    assert not _full_rank_mod([cleared(row)[1] for row in rows], len(rows[0]))
+    kernel = Matrix(QQ, rows).kernel_raw()
+    assert kernel == _echelon_kernel(rows) and len(kernel) == len(rows[0]) - rank
+
+
+def test_certified_full_rank_skips_the_integer_elimination(monkeypatch):
+    rows = [[Fraction(1, i + j + 1) for j in range(6)] for i in range(6)]  # the Hilbert matrix
+    assert _full_rank_mod([cleared(raw_values(QQ, row))[1] for row in rows], 6)
+    monkeypatch.setattr(Echelon, "_from_ints", None)
+    assert Matrix(QQ, rows).kernel_raw() == []
+    with pytest.raises(TypeError):  # a wide matrix has a kernel: the certificate declines it
+        Matrix(QQ, rows[:5]).kernel_raw()

@@ -204,6 +204,24 @@ def test_axet_prime_cases():
     assert len(result.orbit_x) == len(result.orbit_y) == 5
 
 
+@pytest.mark.parametrize("field, mu", [(QQ, Fraction(1, 2)), (QQ, 0), (F5, -1), (Field.prime(101), 6)])
+def test_axet_keeps_its_orbit_raw_until_read(field, mu):
+    """The report reads only size, split and index, and boxes no vector; the
+    orbits, boxed on first read, are the Scalar views of the raw vectors."""
+    from splitspin import serialize
+    from splitspin.linalg import boxed
+
+    algebra, x, y = build_two_gen(TwoGenConfig(field, mu=field.scalar(mu), alpha=field.scalar(2)))
+    result = axet(algebra, x, y)
+    serialize.axet_to_json(result)
+    assert not {"orbit", "orbit_x", "orbit_y"} & vars(result).keys()
+    assert all(type(a) is (int if field.p else Fraction) for v in result.raw_orbit for a in v)
+    for boxed_vectors, raw in ((result.orbit, result.raw_orbit), (result.orbit_x, result.raw_x),
+                               (result.orbit_y, result.raw_y)):
+        assert boxed_vectors == tuple(boxed(field, v) for v in raw)
+    assert set(result.orbit_x) | set(result.orbit_y) == set(result.orbit)
+
+
 def test_axet_norm_one_stability():
     algebra, x, y = build_two_gen(TwoGenConfig(QQ, mu=QQ.scalar(Fraction(1, 2)), alpha=QQ.scalar(3)))
     result = axet(algebra, x, y)
