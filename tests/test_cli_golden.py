@@ -79,6 +79,8 @@ F9 = json.dumps([[str(1 + i * i) if i == j else str(3 * (i + j) + 7 * i * j) for
 FD5 = _gram_json(_degenerate_extension([[Fraction(1 + i * i if i == j else 3 * (i + j) + 7 * i * j)
                                          for j in range(4)] for i in range(4)]))
 P61 = '[["2305843009213693951","0"],["0","1"]]'
+# Fraction entries read over F_7 and F_11 (every denominator a unit there)
+FRAC2 = '[["1/2","1/3"],["1/3","2/5"]]'
 
 COMMANDS = [
     # build
@@ -167,6 +169,31 @@ COMMANDS = [
     ["build", "--alpha", "3", "--gram", "[[1,"],
     ["axet", "--p", "7"],
     ["axet", "--mu=,", "--p", "7"],
+    # every "gram" config error
+    ["build", "--alpha", "3", "--gram", '[["1","2"],["3"]]'],
+    ["build", "--alpha", "3", "--gram", "[]"],
+    ["build", "--alpha", "3", "--gram", '[["1","2"],["3","1"]]'],
+    ["build", "--alpha", "3", "--gram", "[[1.5]]"],
+    ["build", "--alpha", "3", "--gram", "[[true]]"],
+    ["build", "--alpha", "3", "--gram", '[["x"]]'],
+    ["build", "--alpha", "3", "--gram", '[["1/0"]]'],
+    ["build", "--p", "7", "--alpha", "3", "--gram", '[["1/7"]]'],
+    # Fraction Gram entries and a Fraction alpha over F_p
+    ["build", "--p", "7", "--alpha", "2/3", "--gram", FRAC2],
+    ["build", "--p", "11", "--alpha", "5/3", "--gram", FRAC2],
+    ["axis-check", "--p", "7", "--alpha", "2/3", "--gram", FRAC2],
+    ["axis-check", "--p", "11", "--alpha", "5/3", "--gram", FRAC2],
+    ["frobenius", "--p", "7", "--alpha", "2/3", "--gram", FRAC2],
+    ["frobenius", "--p", "11", "--alpha", "5/3", "--gram", FRAC2],
+    ["cover", "--p", "7", "--gram", FRAC2],
+    ["cover", "--p", "11", "--gram", FRAC2],
+    # alpha where whole cells vanish: c2 at 1 and -1, c1 at 2, z1's or z2's action at 1
+    ["build", "--alpha", "1", "--gram", Q3],
+    ["build", "--alpha", "2", "--gram", Q3],
+    ["build", "--alpha=-1", "--gram", Q3],
+    ["build", "--p", "7", "--alpha", "1", "--gram", F7_FORM],
+    ["build", "--p", "7", "--alpha", "2", "--gram", F7_FORM],
+    ["build", "--p", "7", "--alpha=-1", "--gram", F7_FORM],
 ]
 
 
