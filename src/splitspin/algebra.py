@@ -139,13 +139,7 @@ class Algebra:
 
     __slots__ = ("field", "labels", "_rows", "denominator", "meta")
 
-    def __init__(
-        self,
-        field: Field,
-        labels: Sequence[str],
-        constants: Iterable[Sequence],
-        meta: AlgebraMeta,
-    ):
+    def __init__(self, field: Field, labels: Sequence[str], constants: Iterable[Sequence], meta: AlgebraMeta):
         n = len(labels)
         if n == 0:
             raise ValueError("algebra must have positive dimension")
@@ -157,17 +151,35 @@ class Algebra:
             (c,) = raw_values(field, (value,))
             if values.setdefault(key, c) != c:
                 raise ValueError(f"conflicting structure constants at {key}")
-        d = 1 if field.p else math.lcm(*(c.denominator for c in values.values()))
-        rows: list[dict[int, list]] = [{} for _ in range(n)]
-        for (i, j, k), c in sorted(values.items()):  # (i, j) order, so each row's keys ascend
-            if c:
+        d, ints = cleared(list(values.values()))
+        self._store(field, labels, [(*key, c) for key, c in zip(values, ints)], d, meta)
+
+    @classmethod
+    def _from_ints(cls, field: Field, labels: Sequence[str], cells: Sequence[Sequence[int]],
+                   d0: int, meta: AlgebraMeta) -> Algebra:
+        """The algebra whose constants are the cells' ints over d0; no coercion."""
+        algebra = cls.__new__(cls)
+        algebra._store(field, labels, cells, d0, meta)
+        return algebra
+
+    def _store(self, field: Field, labels: Sequence[str], cells: Sequence[Sequence[int]],
+               d0: int, meta: AlgebraMeta) -> None:
+        """Store the nonzero constants c / d0 of the distinct (i, j, k, c)
+        cells, i <= j and c an int: as the residues c / d0 over F_p (D = 1),
+        as c / g over D = d0 / g over Q, g the gcd of d0 and every c."""
+        p = field.p
+        f = pow(d0, -1, p) if p else 1
+        g = d0 if p else math.gcd(d0, *(c for *_, c in cells))  # D = d0 / g
+        rows: list[dict[int, list]] = [{} for _ in labels]
+        for i, j, k, c in sorted(cells):  # (i, j) order, so each row's keys ascend
+            if c := c * f % p if p else c // g:
                 cell = rows[i].setdefault(j, [])
-                cell.append((k, c if field.p else c.numerator * (d // c.denominator)))
+                cell.append((k, c))
                 rows[j][i] = cell
         self.field = field
         self.labels = tuple(labels)
         self._rows = rows
-        self.denominator = d
+        self.denominator = d0 // g
         self.meta = meta
 
     # -- basic structure -----------------------------------------------------
@@ -220,14 +232,13 @@ class Algebra:
     def constants(self) -> tuple[tuple[int, int, int, Scalar], ...]:
         """The nonzero (i, j, k, b_k-coefficient of b_i b_j) entries with
         i <= j, in (i, j, k) order: the interchange form."""
-        field, d = self.field, self.denominator
-        return tuple(
-            (i, j, k, Scalar(field, c if field.p else Fraction(c, d)))
-            for i, row in enumerate(self._rows)
-            for j, cell in row.items()
-            if j >= i
-            for k, c in cell
-        )
+        return tuple((i, j, k, Scalar(self.field, c)) for i, j, k, c in self.raw_constants())
+
+    def raw_constants(self) -> list[tuple]:
+        """`constants` with raw values."""
+        p, d = self.field.p, self.denominator
+        return [(i, j, k, c if p else Fraction(c, d))
+                for i, row in enumerate(self._rows) for j, cell in row.items() if j >= i for k, c in cell]
 
     def cell(self, i: int, j: int) -> Sequence[tuple[int, int]]:
         """The stored nonzero (k, D c) pairs of b_i b_j, D the `denominator`."""
@@ -474,44 +485,38 @@ def is_jordan_special(alpha: Scalar) -> bool:
 
 
 def split_spin(space: QuadraticSpace, alpha) -> Algebra:
-    """The split spin factor algebra on E + F z1 + F z2."""
+    """The split spin factor algebra on E + F z1 + F z2.  For alpha = r / q
+    and the form's terms t = s b(e_i, e_j), its cells are ints over s q^2:
+    -t r (r - 2q) and -t (r - q)(r + q), s q r and s q (q - r), and s q^2."""
     field = space.field
     alpha = field.scalar(alpha)
-    k = space.dim
+    k, s = space.dim, space._scale
     z1, z2 = k, k + 1
-    a = alpha.value
-    c1, c2 = a * (a - 2), (a - 1) * (a + 1)
-    constants = []
-    for i in range(k):
-        for j in range(i, k):
-            b = space.gram.raw[i][j]
-            constants += [(i, j, z1, -b * c1), (i, j, z2, -b * c2)]
-        constants += [(i, z1, i, a), (i, z2, i, 1 - a)]
-    constants += [(z1, z1, z1, 1), (z2, z2, z2, 1)]
+    r, q = alpha.value.as_integer_ratio()
+    c1, c2 = -r * (r - 2 * q), (q - r) * (r + q)
+    cells = [cell for i, j, t in space._terms for cell in ((i, j, z1, t * c1), (i, j, z2, t * c2))]
+    cells += [cell for i in range(k) for cell in ((i, z1, i, s * q * r), (i, z2, i, s * q * (q - r)))]
+    cells += [(z1, z1, z1, s * q * q), (z2, z2, z2, s * q * q)]
     labels = tuple(f"e{i + 1}" for i in range(k)) + ("z1", "z2")
     warnings = ("characteristic_two",) if field.characteristic == 2 else ()
     meta = AlgebraMeta(SPLIT_SPIN, alpha=alpha, space=space, warnings=warnings)
-    return Algebra(field, labels, constants, meta)
+    return Algebra._from_ints(field, labels, cells, s * q * q, meta)
 
 
 def exceptional_cover(space: QuadraticSpace) -> Algebra:
     """The nil cover on E + F z1 + F n: n annihilates everything,
-    e z1 = -e and e f = -b(e, f)(3 z1 - 2 n).  Its alpha = -1 is
-    Jordan-special at p = 3, where -1 = 1/2, and at p = 2, where -1 = 1."""
+    e z1 = -e and e f = -b(e, f)(3 z1 - 2 n), as ints over the form's
+    scale s.  Its alpha = -1 is Jordan-special at p = 3, where -1 = 1/2,
+    and at p = 2, where -1 = 1."""
     field = space.field
-    k = space.dim
+    k, s = space.dim, space._scale
     z1, nil = k, k + 1
-    constants = []
-    for i in range(k):
-        for j in range(i, k):
-            b = space.gram.raw[i][j]
-            constants += [(i, j, z1, -3 * b), (i, j, nil, 2 * b)]
-        constants.append((i, z1, i, -1))
-    constants.append((z1, z1, z1, 1))
+    cells = [cell for i, j, t in space._terms for cell in ((i, j, z1, -3 * t), (i, j, nil, 2 * t))]
+    cells += [(i, z1, i, -s) for i in range(k)] + [(z1, z1, z1, s)]
     labels = tuple(f"e{i + 1}" for i in range(k)) + ("z1", "n")
     warnings = {2: ("characteristic_two",), 3: ("characteristic_three",)}.get(field.characteristic, ())
     meta = AlgebraMeta(COVER, alpha=field.scalar(-1), space=space, warnings=warnings)
-    return Algebra(field, labels, constants, meta)
+    return Algebra._from_ints(field, labels, cells, s, meta)
 
 
 def matsuo_3c(field: Field, alpha) -> Algebra:

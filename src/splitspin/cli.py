@@ -262,8 +262,7 @@ def _cmd_idempotents(args, cfg: RunConfig):
         classified = []
         for x, verdict in zip(found, classify_idempotents(algebra, found)):
             counts[verdict.tag] = counts.get(verdict.tag, 0) + 1
-            # over F_p a residue is its own JSON value
-            entry = {"coords": list(x.raw), "class": verdict.tag}
+            entry = {"coords": serialize.element_to_json(x), "class": verdict.tag}
             if verdict.raw_e is not None:
                 entry["e"] = list(verdict.raw_e)
             classified.append(entry)
@@ -325,16 +324,10 @@ def _cmd_frobenius(args, cfg: RunConfig):
 def _cmd_radical(args, cfg: RunConfig):
     algebra = _build_algebra(cfg)
     try:
-        basis = algebra_radical(algebra)
+        baric, basis = None, algebra_radical(algebra)
     except BaricCase as exc:
-        return (
-            {
-                "baric": exc.tag,
-                "radical": [serialize.element_to_json(v) for v in exc.radical],
-            },
-            True,
-        )
-    return {"baric": None, "radical": [serialize.element_to_json(v) for v in basis]}, True
+        baric, basis = exc.tag, exc.radical
+    return {"baric": baric, "radical": [serialize.element_to_json(v) for v in basis]}, True
 
 
 def _cmd_simple(args, cfg: RunConfig):

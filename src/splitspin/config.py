@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError
-from .fields import Field, Scalar
+from .fields import Field, Scalar, raw_value
 from .linalg import Matrix
 from .quadratic import QuadraticSpace
 
@@ -80,11 +80,12 @@ def _parse_field(obj) -> Field:
     raise ConfigError(f'unknown field kind {kind!r}')
 
 
-def _parse_scalar(field: Field, value, where: str) -> Scalar:
+def _parse_raw(field: Field, value, where: str):
+    """The raw value of an int or fraction string over the field."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigError(f"{where} must be an integer or a fraction string")
     try:
-        return field.scalar(value)
+        return raw_value(field, value)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad scalar for {where}: {exc}") from exc
 
@@ -98,7 +99,7 @@ def parse_config(raw: dict) -> RunConfig:
 
     alpha = None
     if "alpha" in raw:
-        alpha = _parse_scalar(field, raw["alpha"], '"alpha"')
+        alpha = Scalar(field, _parse_raw(field, raw["alpha"], '"alpha"'))
 
     space = None
     mu_values: tuple[Scalar, ...] = ()
@@ -106,20 +107,16 @@ def parse_config(raw: dict) -> RunConfig:
     if isinstance(gram, list):
         if not gram or any(not isinstance(row, list) or len(row) != len(gram) for row in gram):
             raise ConfigError('"gram" must be a square array of scalars')
-        entries = [
-            [_parse_scalar(field, v, '"gram" entry') for v in row] for row in gram
-        ]
-        matrix = Matrix(field, entries)
-        if not matrix.is_symmetric():
-            raise ConfigError('"gram" must be symmetric')
-        space = QuadraticSpace(matrix)
+        entries = [[_parse_raw(field, v, '"gram" entry') for v in row] for row in gram]
+        try:
+            space = QuadraticSpace(Matrix._from_raw(field, entries))
+        except ValueError as exc:  # the one symmetry check
+            raise ConfigError('"gram" must be symmetric') from exc
     elif isinstance(gram, dict):
         _reject_unknown(gram, {"two_gen_mu"}, '"gram"')
         mu = gram.get("two_gen_mu")
-        if isinstance(mu, list):
-            mu_values = tuple(_parse_scalar(field, v, '"two_gen_mu"') for v in mu)
-        else:
-            mu_values = (_parse_scalar(field, mu, '"two_gen_mu"'),)
+        mu_values = tuple(Scalar(field, _parse_raw(field, v, '"two_gen_mu"'))
+                          for v in (mu if isinstance(mu, list) else [mu]))
         if not mu_values:
             raise ConfigError('"two_gen_mu" must list at least one value')
     elif gram is not None:
@@ -187,13 +184,9 @@ def apply_overrides(raw: dict, *, p=None, alpha=None, mu=None, gram=None,
     if variant is not None:
         merged["variant"] = variant
     if cap is not None:
-        merged.setdefault("budgets", {})
-        merged["budgets"] = dict(merged["budgets"])
-        merged["budgets"]["axet_cap"] = cap
+        merged["budgets"] = dict(merged.get("budgets", {}), axet_cap=cap)
     if seed is not None:
-        merged.setdefault("seeds", {})
-        merged["seeds"] = dict(merged["seeds"])
-        merged["seeds"]["default"] = seed
+        merged["seeds"] = dict(merged.get("seeds", {}), default=seed)
     if output is not None:
         merged["output"] = output
     return merged

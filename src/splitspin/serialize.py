@@ -21,12 +21,19 @@ def scalar_to_json(s: Scalar):
     return s.to_json()
 
 
+def raw_to_json(p: int | None, a):
+    """A raw value as `Scalar.to_json` writes it, unboxed: the residue over
+    F_p, "num/den" over Q."""
+    return a if p else f"{a.numerator}/{a.denominator}"
+
+
 def vector_to_json(v: Vector):
     return [scalar_to_json(c) for c in v]
 
 
 def matrix_to_json(m: Matrix):
-    return [[scalar_to_json(c) for c in row] for row in m.entries]
+    p = m.field.p
+    return [[raw_to_json(p, a) for a in row] for row in m.raw]
 
 
 def matrix_from_json(field: Field, rows) -> Matrix:
@@ -34,7 +41,8 @@ def matrix_from_json(field: Field, rows) -> Matrix:
 
 
 def element_to_json(x: Element):
-    return vector_to_json(x.coords)
+    p = x.algebra.field.p
+    return [raw_to_json(p, a) for a in x.raw]
 
 
 def algebra_to_json(algebra: Algebra):
@@ -44,7 +52,8 @@ def algebra_to_json(algebra: Algebra):
         "field": algebra.field.to_json(),
         "dimension": algebra.dim,
         "kind": meta.kind,
-        "structure_constants": [[i, j, k, scalar_to_json(c)] for i, j, k, c in algebra.constants],
+        "structure_constants": [[i, j, k, raw_to_json(algebra.field.p, c)]
+                                for i, j, k, c in algebra.raw_constants()],
     }
     if meta.alpha is not None:
         doc["alpha"] = scalar_to_json(meta.alpha)

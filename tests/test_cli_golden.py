@@ -13,7 +13,11 @@ F_10007, and `axis-check` and `cover` at dim E 10 and `frobenius` and
 `radical` at dim E 11-12 over Q, where integer entry growth in elimination
 would show.  `frobenius` also runs where the form's E-block vanishes
 (alpha = -1), on degenerate Grams over F_10007, and on a Gram that is
-singular modulo 2^61 - 1 but regular over Q.  Over Q every Gram matrix has a norm-one basis vector, so the
+singular modulo 2^61 - 1 but regular over Q.  Every "gram" config error
+has its entry; Fraction Gram entries and a Fraction alpha run over F_7 and
+F_11 through `build`, `axis-check`, `frobenius` and `cover`; and `build`
+runs at alpha 1, 2 and -1 over Q and F_7, where whole columns of cells
+vanish.  Over Q every Gram matrix has a norm-one basis vector, so the
 sampled norm-one search ends quickly.
 
 Regenerate the expected outputs (only when a report is meant to change):
