@@ -16,6 +16,7 @@ axial operations that genuinely need the exclusions enforce them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,20 +245,19 @@ class Algebra:
         """The stored nonzero (k, D c) pairs of b_i b_j, D the `denominator`."""
         return self._rows[i].get(j, ())
 
-    def _from_cells(self, sums: Iterable) -> tuple:
-        """Sums of products with the stored cells as raw values: reduced mod
-        p over F_p, divided by D over Q."""
-        p, d = self.field.p, self.denominator
-        if p:
-            return tuple([a % p for a in sums])
-        return tuple([a / d if a else a for a in sums]) if d != 1 else tuple(sums)
+    def _from_cells(self, sums: Iterable, scale: int = 1) -> tuple:
+        """Sums of products with the stored cells, over scale, as raw values:
+        reduced mod p over F_p, Fractions over D scale over Q."""
+        p, d, zero = self.field.p, self.denominator * scale, zero_one(self.field)[0]
+        return tuple([a % p for a in sums]) if p else tuple([Fraction(a, d) if a else zero for a in sums])
 
     # -- multiplication ------------------------------------------------------
 
-    def _mul_coords(self, u: Sequence, v: Sequence) -> tuple:
-        """The raw coordinates of u v, for raw coordinate vectors u and v."""
+    def _mul_coords(self, u: Sequence, v: Sequence) -> list:
+        """D u v summed on the stored cells, unreduced, for int (or raw)
+        coordinate vectors u and v; `_from_cells` makes it raw."""
         rows = self._rows
-        acc = [zero_one(self.field)[0]] * self.dim
+        acc = [0] * self.dim
         for i, ui in enumerate(u):
             if not ui:
                 continue
@@ -267,19 +267,18 @@ class Algebra:
                     w = ui * vj
                     for k, c in cell:
                         acc[k] += w * c
-        return self._from_cells(acc)
+        return acc
 
     def multiply(self, u: Element, v: Element) -> Element:
         if u.algebra is not self or v.algebra is not self:
             raise AlgebraMismatch("elements belong to a different algebra")
-        return Element(self, self._mul_coords(u.raw, v.raw))
+        (du, a), (dv, b) = ((1, u.raw), (1, v.raw)) if self.field.p else (cleared(u.raw), cleared(v.raw))
+        return Element(self, self._from_cells(self._mul_coords(a, b), du * dv))
 
     def adjoint(self, a: Element) -> Matrix:
         """Matrix of v -> a v in the algebra basis."""
-        (du, u), p = cleared(a.raw), self.field.p
-        d = du * self.denominator
-        return Matrix._from_raw(self.field, ([x % p if p else Fraction(x, d) for x in row]
-                                             for row in self._adjoint_raw(u)))
+        du, u = cleared(a.raw)
+        return Matrix._from_raw(self.field, (self._from_cells(row, du) for row in self._adjoint_raw(u)))
 
     def _adjoint_raw(self, u: Sequence[int]) -> list[list[int]]:
         """The rows of D ad_u for the int coordinates u, from the stored
@@ -347,60 +346,63 @@ class Algebra:
         many rounds of products were needed (1 means the generators already
         span a subalgebra).
         """
+        if any(g.algebra is not self for g in generators):
+            raise AlgebraMismatch("generator from a different algebra")
         cap = self.dim if cap is None else cap
-        span = Echelon(self.field)
-        basis: list[tuple] = []  # raw
-
-        def try_add(vec: tuple) -> bool:
-            if not span.add(vec):
-                return False
-            if span.rank > cap:
-                raise CapExceeded(f"subalgebra closure exceeded cap {cap}")
-            basis.append(vec)
-            return True
-
-        for g in generators:
-            if g.algebra is not self:
-                raise AlgebraMismatch("generator from a different algebra")
-            try_add(g.raw)
+        p, n, span = self.field.p, self.dim, Echelon(self.field)
+        basis: list[tuple[int, list[int]]] = []  # (d_t, B_t): basis vector t is the ints B_t over d_t
+        d, flat = cleared([a for g in generators for a in g.raw])
+        for t in range(0, len(flat), n):
+            if span._insert(vec := flat[t:t + n]):
+                basis.append((d, vec))
         if not basis:
             raise ValueError("need at least one nonzero generator")
 
         # a pair multiplied in an earlier round already lies in the span
-        products: dict[tuple[int, int], tuple] = {}
+        products: dict[tuple[int, int], list[int]] = {}
         degree = 1
         while True:
-            added = False
             m = len(basis)  # products found this round wait for the next
+            if m > cap:
+                raise CapExceeded(f"subalgebra closure exceeded cap {cap}")
             for i in range(m):
                 for j in range(i, m):
                     if (i, j) not in products:
-                        products[i, j] = self._mul_coords(basis[i], basis[j])
-                        added = try_add(products[i, j]) or added
-            if not added:
+                        products[i, j] = prod = _reduced(p, self._mul_coords(basis[i][1], basis[j][1]))
+                        if span._insert(prod):  # D B_i B_j over D d_i d_j
+                            basis.append((self.denominator * basis[i][0] * basis[j][0], prod))
+            if len(basis) == m:
                 break
             degree += 1
 
-        embedding = Matrix.from_columns(self.field, basis)
-        # a vector of the span is fixed by its entries at the pivots
+        # a vector of the span is fixed by its entries at the pivots; row t of the reduced [P | I], P the
+        # pivot block of the B_t, holds q_t at t and q_t times row t of P^-1, read here by column
         pivots = span.pivots
-        inverse = Matrix._from_raw(self.field, ([b[c] for b in basis] for c in pivots)).inverse()
-        constants = []
+        rows = Echelon.inverting(self.field, [[b[c] for _, b in basis] for c in pivots]).rows
+        inverse = [[(t, row[m + r]) for t, row in enumerate(rows) if row[m + r]] for r in range(m)]
+        coords: dict[tuple[int, int, int], int] = {}  # b_t-coefficient of b_i b_j: d_t coords / (q_t D d_i d_j)
         for (i, j), prod in products.items():
-            check(span.contains(prod), "subalgebra closure misses a product", (i, j))
-            coords = inverse.apply_raw([prod[c] for c in pivots])
-            constants += [(i, j, t, c) for t, c in enumerate(coords) if c]
+            check(not any(span._reduce(prod)), "subalgebra closure misses a product", (i, j))
+            for r, c in enumerate(pivots):
+                for t, a in inverse[r] if prod[c] else ():
+                    coords[i, j, t] = coords.get((i, j, t), 0) + a * prod[c]
+        constants = [(i, j, t, a % p if p else Fraction(basis[t][0] * a,
+                                                        rows[t][t] * self.denominator * basis[i][0] * basis[j][0]))
+                     for (i, j, t), a in coords.items()]
+        embedding = Matrix._from_raw(self.field, zip(*(b if p else [Fraction(a, d) for a in b] for d, b in basis)))
         labels = tuple(f"s{i + 1}" for i in range(m))
         sub = Algebra(self.field, labels, constants, AlgebraMeta(DERIVED))
         return SubalgebraResult(sub, embedding, degree)
 
     def ideal_witness(self, vectors: Sequence[Sequence]) -> tuple[int, int] | None:
         """The first (vector, basis) index pair (i, k) whose product v_i b_k
-        leaves the span of the raw vectors, or None when the span is an ideal."""
-        span = Echelon(self.field, vectors)
-        units = [self.basis(k).raw for k in range(self.dim)]
-        return next(((i, k) for i, v in enumerate(vectors) for k, unit in enumerate(units)
-                     if not span.contains(self._mul_coords(v, unit))), None)
+        leaves the span of the raw (or int) vectors, or None when the span is
+        an ideal; the vectors are cleared once, and v_i b_k is column k of D ad."""
+        n, (_, flat) = self.dim, cleared([a for v in vectors for a in v])
+        ints = [flat[i:i + n] for i in range(0, len(flat), n)]
+        span = Echelon._from_ints(self.field, ints)
+        return next(((i, k) for i, v in enumerate(ints) for k, column in enumerate(zip(*self._adjoint_raw(v)))
+                     if any(span._reduce(column))), None)
 
     def quotient(self, ideal: Sequence[Element]) -> QuotientResult:
         """Quotient by the span of the given elements.
@@ -408,52 +410,64 @@ class Algebra:
         The span is verified to be an ideal first; the quotient basis is the
         set of standard basis vectors at the non-pivot coordinates of the
         ideal's echelon form, so quotient labels are inherited from ambient.
+        The projection maps b_f to the unit vector at a free column f and
+        b_c to minus the reduced row of pivot c at the free columns.
         """
-        for x in ideal:
-            if x.algebra is not self:
-                raise AlgebraMismatch("ideal element from a different algebra")
-        raws = [x.raw for x in ideal]
-        witness = self.ideal_witness(raws)
+        if any(x.algebra is not self for x in ideal):
+            raise AlgebraMismatch("ideal element from a different algebra")
+        p, n, (_, flat) = self.field.p, self.dim, cleared([a for x in ideal for a in x.raw])
+        ints = [flat[i:i + n] for i in range(0, len(flat), n)]
+        witness = self.ideal_witness(ints)
         if witness is not None:
             raise NotAnIdeal(f"span not closed under multiplication by basis vector {self.labels[witness[1]]}")
-        span = Echelon(self.field, raws)
-        ideal_rows, pivots = span.unit_rows(), span.pivots
-        free = [c for c in range(self.dim) if c not in set(pivots)]
+        span = Echelon._from_ints(self.field, ints)
+        free = [c for c in range(n) if c not in set(span.pivots)]
         if not free:
             raise ValueError("quotient by the whole algebra is empty")
-        change = Matrix.from_columns(self.field, ideal_rows + [self.basis(f).raw for f in free])
-        inverse = change.inverse()
-        check(inverse is not None, "ideal rows and free basis vectors do not form a basis", pivots)
-        projection = Matrix._from_raw(self.field, inverse.raw[len(ideal_rows):])
-        constants = [
-            (a, b, t, c)
-            for a in range(len(free))
-            for b in range(a, len(free))
-            for t, c in enumerate(self._from_cells(projection.apply_sparse(self.cell(free[a], free[b]))))
-            if c
-        ]
-        labels = tuple(self.labels[f] for f in free)
-        quot = Algebra(self.field, labels, constants, AlgebraMeta(DERIVED))
-        return QuotientResult(quot, projection)
+        # column k of L pi as {t: entry}, L the lcm of the pivot entries q_c (1 over F_p)
+        scale = 1 if p else math.lcm(*(row[c] for c, row in span._rows))
+        images = {f: {t: scale} for t, f in enumerate(free)}
+        for c, row in span._rows:
+            images[c] = {t: -row[f] * (scale // row[c]) for t, f in enumerate(free) if row[f]}
+        projection = ([a % p if p else Fraction(a, scale) for a in (images[k].get(t, 0) for k in range(n))]
+                      for t in range(len(free)))
+        cells: dict[tuple[int, int, int], int] = {}
+        for a, b in itertools.combinations_with_replacement(range(len(free)), 2):
+            for k, w in self.cell(free[a], free[b]):
+                for t, x in images[k].items():
+                    cells[a, b, t] = cells.get((a, b, t), 0) + w * x
+        quot = Algebra._from_ints(self.field, tuple(self.labels[f] for f in free),
+                                  [(*k, c) for k, c in cells.items()], scale * self.denominator, AlgebraMeta(DERIVED))
+        return QuotientResult(quot, Matrix._from_raw(self.field, projection))
 
     # -- isomorphism checking --------------------------------------------------
 
     def check_isomorphism(self, other: Algebra, mapping: Matrix) -> tuple[bool, tuple[int, int] | None]:
         """Whether the matrix (columns = images of this basis in the other
         algebra) is an algebra isomorphism.  Returns the first failing basis
-        pair as a witness, or None when the map is singular or correct."""
+        pair as a witness, or None when the map is singular or correct.
+        On ints, for C = d M and the other algebra's denominator D', the
+        test is d D' C (D b_i b_j) == D (C b_i)(C b_j) summed on its cells."""
         if self.field != other.field:
             raise FieldMismatch("algebras over different fields")
         if mapping.field != self.field:
             raise FieldMismatch(f"mapping over {mapping.field!r} for algebras over {self.field!r}")
-        if self.dim != other.dim or mapping.rows != self.dim or mapping.cols != self.dim:
+        n, p = self.dim, self.field.p
+        if other.dim != n or mapping.rows != n or mapping.cols != n:
             raise DimensionMismatch("mapping must be square of the common dimension")
-        if mapping.rank() < self.dim:
+        d, flat = cleared([a for row in mapping.raw for a in row])
+        if Echelon._from_ints(self.field, (flat[i:i + n] for i in range(0, n * n, n))).rank < n:
             return False, None
-        cols = list(zip(*mapping.raw))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if self._from_cells(mapping.apply_sparse(self.cell(i, j))) != other._mul_coords(cols[i], cols[j]):
+        cols = [flat[j::n] for j in range(n)]
+        sparse = [[(r, d * other.denominator * a) for r, a in enumerate(col) if a] for col in cols]  # d D' C
+        scaled = [[self.denominator * a for a in col] for col in cols]  # D C
+        for i in range(n):
+            for j in range(i, n):
+                image = [0] * n
+                for k, c in self.cell(i, j):
+                    for r, a in sparse[k]:
+                        image[r] += c * a
+                if _reduced(p, image) != _reduced(p, other._mul_coords(scaled[i], cols[j])):
                     return False, (i, j)
         return True, None
 

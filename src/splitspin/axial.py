@@ -48,7 +48,7 @@ from .idempotents import (
     family_axis,
 )
 from .linalg import Echelon, Matrix, Vector, raw_values, zero_one
-from .quadratic import NormOneSearch, QuadraticSpace
+from .quadratic import NormOneSearch
 
 JORDAN = "jordan"
 MONSTER = "monster"
@@ -334,9 +334,10 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
     (z2, z2) = 2-alpha, everything else orthogonal.  Cover: (e, f) = 3 b(e, f),
     (z1, z1) = 1, and n is isotropic and orthogonal to everything.
 
-    Associativity is checked on ints, with F cleared once to s F and
-    g[j][t] = s F (D b_j b_t) built once per pair from the stored cells:
-    T(i, j, t) = g[j][t][i] = s D (b_i, b_j b_t) is symmetric in j and t, so
+    Associativity is checked on ints, with S F (S = s q^2 for the form's
+    scale s and alpha = r / q) read off the form's int terms and
+    g[j][t] = S F (D b_j b_t) built once per pair from the stored cells:
+    T(i, j, t) = g[j][t][i] = S D (b_i, b_j b_t) is symmetric in j and t, so
     the form associates exactly when g[j][t][i] == g[i][t][j] == g[i][j][t]
     for all i <= j <= t.  Only if that fails, the scan of all n^3 triples
     raises the first failing (i, j, t) in lexicographic order as witness.
@@ -347,23 +348,24 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
     if kind not in (SPLIT_SPIN, COVER):
         raise WrongAlgebraKind(f"no Frobenius form constructor for a {kind} algebra")
     field, space = algebra.field, algebra.meta.space
-    k, n, p = space.dim, algebra.dim, field.p
-    if kind == SPLIT_SPIN:
-        a = algebra.meta.alpha.value
-        e_scale, z_diagonal = (a + 1) * (2 - a), (a + 1, 2 - a)
+    k, n, p, s = space.dim, algebra.dim, field.p, space._scale
+    if kind == SPLIT_SPIN:  # alpha = r / q: S F on ints for S = s q^2
+        r, q = algebra.meta.alpha.value.as_integer_ratio()
+        e_scale, z_diagonal = (r + q) * (2 * q - r), (s * q * (r + q), s * q * (2 * q - r))
     else:
-        e_scale, z_diagonal = 3, (1, 0)
-    rows = [[e_scale * b for b in row] + [0, 0] for row in space.gram.raw]
-    rows += [[0] * k + [z_diagonal[0], 0], [0] * (k + 1) + [z_diagonal[1]]]
-    gram = Matrix(field, rows)
-    if not any(map(any, gram.raw)):
-        raise BadCharacteristic("the Frobenius form vanishes identically here")
+        q, e_scale, z_diagonal = 1, 3, (s, 0)
+    terms = [(i, j, e_scale * c) for i, j, c in space._terms] + [(k, k, z_diagonal[0]), (k + 1, k + 1, z_diagonal[1])]
 
-    # g[j][t][i] = s D (b_i, b_j b_t) and, F being symmetric, g[i][j][t] = s D (b_i b_j, b_t)
-    columns = [[] for _ in range(n)]  # column c's nonzero (i, s F_ic), from the terms of F on ints
-    for i, j, c in QuadraticSpace(gram)._terms:
+    # g[j][t][i] = S D (b_i, b_j b_t) and, F being symmetric, g[i][j][t] = S D (b_i b_j, b_t)
+    rows = [[zero_one(field)[0]] * n for _ in range(n)]
+    columns = [[] for _ in range(n)]  # column c's (i, S F_ic), from the terms of S F
+    for i, j, c in terms:
+        rows[i][j] = rows[j][i] = c % p if p else Fraction(c, s * q * q)
         columns[j].append((i, c))
         columns[i] += [(j, c)] if i != j else []
+    gram = Matrix._from_raw(field, rows)
+    if not any(map(any, gram.raw)):
+        raise BadCharacteristic("the Frobenius form vanishes identically here")
     g = [[None] * n for _ in range(n)]
     for j, t in itertools.combinations_with_replacement(range(n), 2):
         out = [0] * n
@@ -375,7 +377,7 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
                for i, j in itertools.combinations_with_replacement(range(n), 2)):
         witness = next((i, j, t) for i, j, t in itertools.product(range(n), repeat=3) if g[j][t][i] != g[i][j][t])
         raise VerificationFailed(f"Frobenius associativity fails on basis triple {witness}", witness)
-    e_radical = space.radical() if raw_values(field, (e_scale,))[0] else Matrix.identity(field, k).raw
+    e_radical = space.radical() if (e_scale % p if p else e_scale) else Matrix.identity(field, k).raw
     radical = [algebra.element(_lift(algebra, v)) for v in e_radical]
     radical += [algebra.basis(i) for i in (k, k + 1) if not gram.raw[i][i]]
     return FrobeniusForm(algebra, gram, tuple(radical))

@@ -94,7 +94,7 @@ def expected_count(algebra: Algebra, norm_one: int) -> int:
 
 
 def is_idempotent(x: Element) -> bool:
-    return x.algebra._mul_coords(x.raw, x.raw) == x.raw
+    return x * x == x
 
 
 def family_axis(algebra: Algebra, e, family: str) -> Element:

@@ -4,8 +4,8 @@ Below the API every number is raw: an int residue in [0, p) over F_p, a
 Fraction over Q (never an int, so that every quotient stays exact).
 `raw_values` coerces at the API edge, through `fields.raw_value`; Scalars
 come back only from the methods that hand results to callers.  Matrices
-are immutable raw rows; each row's and each column's nonzero (index, value)
-pairs, the Scalar view `entries` and the `kernel` are built on first use.
+are immutable raw rows; each row's nonzero (index, value) pairs, the
+Scalar view `entries` and the `kernel` are built on first use.
 Elimination runs on the incremental `Echelon` basis with first-nonzero
 pivots and builds no combination columns, so kernels and inverses are
 deterministic: `kernel` and `kernel_raw` bases come out in echelon order
@@ -14,8 +14,9 @@ the reduced [M | I].  Over Q, elimination and products run on integers, with
 one Fraction built per returned entry; the integer views `Echelon.kernel`
 and `Echelon.rows` are positive multiples of those.  `Echelon` clears a raw
 row once, where it comes in (`add`, `contains`, the `Matrix` methods), and
-takes int rows as they are.  A kernel over Q runs the integer `Echelon`
-only when the rank mod the fixed prime 2^61 - 1 falls short of full column
+takes int rows as they are (the algebra's identity, eigenspaces and
+closure hand it ints).  A kernel over Q runs the integer `Echelon` only
+when the rank mod the fixed prime 2^61 - 1 falls short of full column
 rank.  Vectors are tuples of Scalars at the API edge.
 """
 
@@ -99,7 +100,7 @@ def product(p: int | None, left: Sequence[Sequence], right: Sequence[Sequence]) 
 class Matrix:
     """An exact rows x cols matrix over a single field, stored raw."""
 
-    __slots__ = ("field", "raw", "_nonzeros", "_column_nonzeros", "_entries", "_kernel")
+    __slots__ = ("field", "raw", "_nonzeros", "_entries", "_kernel")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
         rows = [raw_values(field, row) for row in entries]
@@ -120,7 +121,6 @@ class Matrix:
         self.field = field
         self.raw = tuple(map(tuple, rows))
         self._nonzeros = None
-        self._column_nonzeros = None
         self._entries = None
         self._kernel = None
 
@@ -227,19 +227,6 @@ class Matrix:
                     acc += a * x
             out.append(acc % p if p else acc)
         return tuple(out)
-
-    def apply_sparse(self, pairs: Sequence[tuple[int, object]]) -> tuple:
-        """`apply_raw` on the raw vector whose nonzero entries are the
-        (index, value) pairs, reading only the nonzero matrix entries of
-        their columns; no coercion."""
-        if self._column_nonzeros is None:  # each column's nonzero (row, value) pairs, built once
-            self._column_nonzeros = tuple([(i, a) for i, a in enumerate(col) if a] for col in zip(*self.raw))
-        zero, p = zero_one(self.field)[0], self.field.p
-        out = [zero] * self.rows
-        for k, c in pairs:
-            for i, a in self._column_nonzeros[k]:
-                out[i] += a * c
-        return tuple([a % p for a in out]) if p else tuple(out)
 
     def pow(self, k: int) -> Matrix:
         """Exact k-th power by repeated squaring; M**0 is the identity."""

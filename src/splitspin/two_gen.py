@@ -187,16 +187,12 @@ def yabe_data(algebra: Algebra, x: Element, y: Element) -> YabeData:
     tau_x = miyamoto(algebra, x, axis_law(algebra, classify_idempotent(algebra, x).tag))
     a_minus1 = Element(algebra, tau_x.apply_raw(y.raw))
     delta = -two * mu - 1
-    basis = Matrix.from_columns(field, [x.raw, y.raw, a_minus1.raw, q.raw])
-    inverse = basis.inverse()
-    spans = inverse is not None and algebra.dim == 4
-    check(spans, "the Yabe basis must span the four-dimensional algebra",
-          witness=basis)
     elements = (x, y, a_minus1, q)
-    constants = tuple(
-        tuple(inverse.apply((elements[i] * elements[j]).raw) for j in range(4))
-        for i in range(4)
-    )
+    sub = algebra.subalgebra(elements)  # the four span the algebra exactly when they are its sub-basis
+    spans = sub.closure_degree == 1 and sub.algebra.dim == algebra.dim == 4
+    check(spans, "the Yabe basis must span the four-dimensional algebra",
+          witness=Matrix.from_columns(field, [element.raw for element in elements]))
+    constants = tuple(tuple((sub.algebra.basis(i) * sub.algebra.basis(j)).coords for j in range(4)) for i in range(4))
     return YabeData(x, y, a_minus1, q, delta, constants, spans)
 
 

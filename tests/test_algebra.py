@@ -306,7 +306,7 @@ def subalgebra_reference(algebra, generators):
     field, basis = algebra.field, []
 
     def product(u, v):
-        return boxed(field, algebra._mul_coords(raw_values(field, u), raw_values(field, v)))
+        return boxed(field, algebra._from_cells(algebra._mul_coords(raw_values(field, u), raw_values(field, v))))
 
     def try_add(vec):
         if not any(vec) or (basis and reference_solve(field, basis, vec) is not None):

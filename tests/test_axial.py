@@ -316,6 +316,27 @@ def first_failing_sorted_triple(algebra, gram):
                  if not value(i, j, t) == value(j, i, t) == value(t, i, j)), None)
 
 
+def reference_frobenius_gram(algebra):
+    """The Frobenius Gram as frobenius built it before it read the form's
+    int terms: Fraction products with the Gram entries, coerced by Matrix."""
+    space = algebra.meta.space
+    if algebra.meta.kind == "split_spin":
+        a = algebra.meta.alpha.value
+        e_scale, z_diagonal = (a + 1) * (2 - a), (a + 1, 2 - a)
+    else:
+        e_scale, z_diagonal = 3, (1, 0)
+    k = space.dim
+    rows = [[e_scale * b for b in row] + [0, 0] for row in space.gram.raw]
+    rows += [[0] * k + [z_diagonal[0], 0], [0] * (k + 1) + [z_diagonal[1]]]
+    return Matrix(algebra.field, rows)
+
+
+def assert_reference_gram(gram, algebra):
+    assert gram == reference_frobenius_gram(algebra)
+    kind = int if algebra.field.p else Fraction
+    assert all(type(a) is kind for row in gram.raw for a in row)
+
+
 def perturbed(algebra, i, j, delta):
     """The algebra with delta added to the coordinates of b_i b_j = b_j b_i."""
     return add_to_constants(algebra, [(i, j, k, d) for k, d in enumerate(delta)])
@@ -338,12 +359,15 @@ F10007 = Field.prime(10007)
 @pytest.mark.parametrize("k", range(1, 6))
 def test_frobenius_matches_reference_loop(field, k):
     """The sorted-triple integer check against the boxed lexicographic loop,
-    with Fraction alpha and Gram entries (cells over a denominator D > 1)."""
+    with Fraction alpha and Gram entries (cells over a denominator D > 1);
+    the Gram read off the form's int terms against the Fraction products."""
     rng = random.Random(f"frobenius/{field.p}/{k}")
-    builds = (lambda s: split_spin(s, 3), lambda s: split_spin(s, Fraction(5, 3)), exceptional_cover)
+    builds = (lambda s: split_spin(s, 3), lambda s: split_spin(s, Fraction(5, 3)),
+              lambda s: split_spin(s, Fraction(-3, 4)), exceptional_cover)
     for build, entries in itertools.product(builds, (None, FRACTION_ENTRIES)):
         algebra = build(random_gram(field, k, rng, entries))
         gram = frobenius(algebra).gram
+        assert_reference_gram(gram, algebra)
         assert frobenius_witness_reference(algebra, gram) is None
         n = algebra.dim
         for _ in range(3):
@@ -395,6 +419,7 @@ def test_frobenius_radical_is_the_kernel_of_its_gram():
     vector, the generic kernel of the whole Frobenius Gram matrix."""
     for algebra in _radical_cases():
         form = frobenius(algebra)
+        assert_reference_gram(form.gram, algebra)
         assert [v.coords for v in form.radical_basis] == list(form.gram.kernel()), algebra.meta
 
 

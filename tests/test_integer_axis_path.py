@@ -2,13 +2,17 @@
 of denominators to `linalg.Echelon`, `Algebra.eigenspaces_raw` hands
 D (ad_u - lambda) to `Echelon` without building a `Matrix` and on one path
 for Q and F_p, and `check_axis` builds tau on ints rather than from
-`Matrix` products.  These are pinned here with `ast`, in the style of
-test_no_assert.py; that `Echelon` takes int rows as they are is checked by
-recording what reaches `cleared`."""
+`Matrix` products.  The closure (`subalgebra`, `ideal_witness`, `quotient`,
+`check_isomorphism` and `two_gen.yabe_data`) runs on ints too: it clears
+each input once and solves in the int `Echelon`.  These are pinned here
+with `ast`, in the style of test_no_assert.py; that `Echelon` takes int
+rows as they are is checked by recording what reaches `cleared`."""
 
 import ast
 import pathlib
 from fractions import Fraction
+
+import pytest
 
 import splitspin
 from splitspin import Field, Matrix, QuadraticSpace, check_axis, family_axis, split_spin
@@ -99,3 +103,50 @@ def test_echelon_takes_int_rows_as_they_are(monkeypatch):
     report = check_axis(algebra, x, axis_law(algebra, TAG_FAMILY_A))
     assert (report.dims, report.violations, report.miyamoto) == (expected.dims, expected.violations, expected.miyamoto)
     assert seen == [list(x.raw)]
+
+
+CLOSURE = [("algebra.py", "Algebra", "subalgebra"), ("algebra.py", "Algebra", "ideal_witness"),
+           ("algebra.py", "Algebra", "quotient"), ("algebra.py", "Algebra", "check_isomorphism"),
+           ("two_gen.py", None, "yabe_data")]
+# membership, solves and products on raw Fraction coordinates
+FRACTION_PATH = ("add", "contains", "inverse", "raw_values", "apply", "apply_raw", "apply_sparse")
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _calls(function, names):
+    return [(node.lineno, _called_name(node)) for node in ast.walk(function)
+            if isinstance(node, ast.Call) and _called_name(node) in names]
+
+
+@pytest.mark.parametrize("module, cls, name", CLOSURE, ids=[name for *_, name in CLOSURE])
+def test_the_closure_takes_no_fraction_path(module, cls, name):
+    calls = _calls(_function(module, cls, name), FRACTION_PATH)
+    if name == "yabe_data":  # a_minus1 = y^tau_x, the one image under the Miyamoto involution; no solve
+        calls.remove(next(call for call in calls if call[1] == "apply_raw"))
+    assert not calls, f"{name} takes the Fraction path at {calls}"
+
+
+def _repeated(function):
+    """The ids of the nodes that a loop of function may run more than once:
+    all of the loop but the iterable that a for loop or a comprehension
+    evaluates once."""
+    repeated = set()
+    for loop in ast.walk(function):
+        if isinstance(loop, ast.While):
+            skipped = set()
+        elif isinstance(loop, LOOPS):
+            once = loop.iter if isinstance(loop, ast.For) else loop.generators[0].iter
+            skipped = {id(node) for node in ast.walk(once)}
+        else:
+            continue
+        repeated |= {id(node) for node in ast.walk(loop) if node is not loop and id(node) not in skipped}
+    return repeated
+
+
+@pytest.mark.parametrize("module, cls, name", CLOSURE, ids=[name for *_, name in CLOSURE])
+def test_the_closure_clears_outside_every_loop(module, cls, name):
+    function = _function(module, cls, name)
+    repeated = _repeated(function)
+    lines = [node.lineno for node in ast.walk(function)
+             if isinstance(node, ast.Call) and _called_name(node) == "cleared" and id(node) in repeated]
+    assert not lines, f"{name} clears inside a loop at lines {lines}"

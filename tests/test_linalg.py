@@ -565,14 +565,6 @@ def test_apply_matmul_against_boxed_reference(field, entries):
         image = a.apply(v)
         assert image == reference_apply(field, a.entries, v) and _exact(field, image)
         assert a.apply_raw(tuple(x.value for x in field_vector(field, v))) == tuple(x.value for x in image)
-        # apply_sparse on the nonzero (index, value) pairs of v, and on int pairs d v
-        raw = [x.value for x in field_vector(field, v)]
-        d = math.lcm(*(x.as_integer_ratio()[1] for x in raw))
-        for scale, pairs in ((1, [(j, x) for j, x in enumerate(raw) if x]),
-                             (d, [(j, int(x * d)) for j, x in enumerate(raw) if x])):
-            sparse = a.apply_sparse(pairs)
-            assert sparse == tuple(x.value * scale for x in image)
-            assert _exact(field, boxed(field, sparse))
         product = a @ b
         assert product.entries == tuple(reference_matmul(field, a.entries, b.entries))
         assert _exact(field, _flat(product))
