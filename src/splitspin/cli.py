@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii
 
 from . import serialize
@@ -403,6 +402,7 @@ def _cmd_axet(args, cfg: RunConfig):
     payloads = [_axet_payload(cfg, mu) for mu in cfg.mu_values]
     workers = min(args.workers, len(payloads), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a sweep on several cores pays for the import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_axet_worker, payloads))
     else:

@@ -129,8 +129,10 @@ class Field:
         return self.scalar(1)
 
     def half(self) -> Scalar:
-        """1/2; raises DivisionByZero in characteristic two."""
-        return self.one() / 2
+        """1/2, built raw; raises DivisionByZero in characteristic two."""
+        if self.p == 2:
+            raise DivisionByZero("inverse of zero")
+        return Scalar(self, (self.p + 1) // 2 if self.p else Fraction(1, 2))
 
     def scalar(self, value) -> Scalar:
         """Coerce an int, Fraction, "a/b" string, or same-field Scalar."""

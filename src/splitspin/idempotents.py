@@ -104,16 +104,16 @@ def family_axis(algebra: Algebra, e, family: str) -> Element:
     if algebra.field.characteristic == 2:
         raise CharTwo("idempotent families require characteristic != 2")
     space = algebra.meta.space
-    e = space.vector(e)
-    if not space.bform(e, e).is_one:
+    e = space._raw(e)
+    if not space.is_norm_one_raw(e):
         raise NotNormOne("family idempotents require b(e, e) = 1")
     z_parts = {fam: z for fam, z in table.values() if fam}
     if family not in z_parts:
         if family in (FAMILY_A, FAMILY_B, FAMILY_EXC):
             raise WrongAlgebraKind(f"no family {family!r} on the {algebra.meta.kind} algebra")
         raise ValueError(f"unknown family {family!r}")
-    half = algebra.field.half()
-    x = algebra.element([half * c for c in e] + list(z_parts[family]))
+    half = algebra.field.half().value
+    x = Element(algebra, _reduced(algebra.field.p, [half * a for a in e]) + list(z_parts[family]))
     check(is_idempotent(x), "family template failed to square to itself", witness=x)
     return x
 

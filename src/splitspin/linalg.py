@@ -228,21 +228,6 @@ class Matrix:
             out.append(acc % p if p else acc)
         return tuple(out)
 
-    def pow(self, k: int) -> Matrix:
-        """Exact k-th power by repeated squaring; M**0 is the identity."""
-        if not self.is_square:
-            raise DimensionMismatch("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        p = self.field.p
-        result, base = Matrix.identity(self.field, self.rows).raw, self.raw
-        while k:
-            if k & 1:
-                result = product(p, result, base)
-            base = product(p, base, base) if k > 1 else base
-            k >>= 1
-        return Matrix._from_raw(self.field, result)
-
     # -- elimination ---------------------------------------------------------
 
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:

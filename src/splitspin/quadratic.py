@@ -121,8 +121,7 @@ class QuadraticSpace:
     def reflection_raw(self, e: Sequence, sign: int) -> list[list]:
         """sign r_e as raw rows, for a raw vector e; no coercion.  For x = d e
         on integers (x = e over F_p), g = s G x and nrm = s d^2 b(e, e), entry
-        (i, j) is sign (delta_ij - 2 x_i g_j / nrm): s and d cancel.  For a
-        norm-one e over F_p, nrm = 1 (mod p) and -r_e = 2 e (G e)^T - I."""
+        (i, j) is sign (delta_ij - 2 x_i g_j / nrm): s and d cancel."""
         p = self.field.p
         x = e if p else cleared(e)[1]
         g = self._image(x)

@@ -280,9 +280,11 @@ class RecordingPool:
 
 
 def test_axet_workers_are_clamped(capsys, monkeypatch):
+    import concurrent.futures
+
     import splitspin.cli as cli
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(RecordingPool, "created", [])
     # clamped to the sweep length

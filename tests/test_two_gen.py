@@ -13,7 +13,6 @@ import splitspin.two_gen as two_gen
 from splitspin import (
     Field,
     Matrix,
-    QuadraticSpace,
     TwoGenConfig,
     axet,
     build_two_gen,
@@ -32,6 +31,7 @@ from splitspin.two_gen import (
     _prime_divisors,
     default_two_gen_alpha,
 )
+from test_linalg import reference_pow
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -113,9 +113,9 @@ def test_rho_order_rational(mu, expected):
         assert order.order == expected
         # oracle: direct powering reaches the identity exactly at the order
         m = rho(QQ.scalar(mu))
-        assert m.pow(expected) == Matrix.identity(QQ, 2)
+        assert reference_pow(m, expected) == Matrix.identity(QQ, 2)
         for k in range(1, expected):
-            assert m.pow(k) != Matrix.identity(QQ, 2)
+            assert reference_pow(m, k) != Matrix.identity(QQ, 2)
 
 
 def test_rho_order_prime_special_values():
@@ -123,7 +123,7 @@ def test_rho_order_prime_special_values():
     assert rho_order(F5, F5.scalar(-1)).order == 10
     assert rho_order(F5, F5.scalar(2)).order == 3
     m = rho(F5.scalar(2))
-    assert m.pow(3) == Matrix.identity(F5, 2)
+    assert reference_pow(m, 3) == Matrix.identity(F5, 2)
 
 
 def test_rho_order_cap():
@@ -287,9 +287,9 @@ def test_rho_order_large_prime_is_exact():
         n = rho_order(field, mu).order
         assert (10007 - 1) % n == 0 or (10007 + 1) % n == 0
         m = rho(field.scalar(mu))
-        assert m.pow(n) == ident
+        assert reference_pow(m, n) == ident
         for q in _prime_divisors(n):
-            assert m.pow(n // q) != ident
+            assert reference_pow(m, n // q) != ident
 
 
 def axet_by_all_reflections(algebra, x, y):
@@ -396,8 +396,8 @@ def test_axet_rejects_wrong_rho_order_under_optimize():
 F101 = Field.prime(101)
 # F_101, mu = 6: e = (1, 0), f = (0, 1), and tau_f(e) = 2 mu f - e = (100, 12) is
 # the first vector found past them.  Adding 1 to entry (1, 1) of its tau_v or
-# of every product breaks its certificate first; of tau_f = [[-1, 0], [12, 1]]
-# it sends f to (0, 2), of norm 4.
+# of every certificate product breaks its certificate first; of
+# tau_f = [[-1, 0], [12, 1]] it sends f to (0, 2), of norm 4.
 CORRUPTED_WITNESS = {
     "reflection": ((100, 12), (0, 1), (1, 0)),
     "product": ((100, 12), (0, 1), (1, 0)),
@@ -407,29 +407,32 @@ CORRUPTED_WITNESS = {
 
 def corrupted_axet_failure(kind):
     """The VerificationFailed that axet raises at F_101, mu = 6 with one
-    reflection (of (100, 12), or of the generator f) or every certificate
-    product corrupted; None if it raises none."""
+    involution (of (100, 12), or of the generator f) from `_involution`, or
+    every `_compose` product, corrupted; None if it raises none.  rho's
+    order is pinned to its uncorrupted value, since rho's powers run through
+    `_compose` too."""
     algebra, x, y = build_two_gen(TwoGenConfig(F101, mu=F101.scalar(6), alpha=F101.scalar(2)))
     target = {"reflection": (100, 12), "generator": (0, 1)}.get(kind)
-    reflection_raw, product = QuadraticSpace.reflection_raw, two_gen.product
+    involution, compose, order = two_gen._involution, two_gen._compose, two_gen.rho_order
+    size = order(F101, 6)
 
-    def bumped(rows):
-        rows[1][1] = (rows[1][1] + 1) % 101
-        return rows
+    def bumped(flat):
+        return (*flat[:3], (flat[3] + 1) % 101)
 
-    def corrupted_reflection(space, e, sign):
-        rows = reflection_raw(space, e, sign)
-        return bumped(rows) if tuple(e) == target else rows
+    def corrupted_involution(space, v):
+        tau = involution(space, v)
+        return bumped(tau) if v == target else tau
 
-    QuadraticSpace.reflection_raw = corrupted_reflection
+    two_gen._involution = corrupted_involution
     if kind == "product":
-        two_gen.product = lambda p, left, right: bumped(product(p, left, right))
+        two_gen._compose = lambda p, s, t: bumped(compose(p, s, t))
+        two_gen.rho_order = lambda field, mu, cap=None: size
     try:
         axet(algebra, x, y)
     except VerificationFailed as exc:
         return exc
     finally:
-        QuadraticSpace.reflection_raw, two_gen.product = reflection_raw, product
+        two_gen._involution, two_gen._compose, two_gen.rho_order = involution, compose, order
     return None
 
 
