@@ -16,10 +16,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Algebra, exceptional_cover, matsuo_3c, split_spin
+from .algebra import Algebra, exceptional_cover, is_jordan_special, matsuo_3c, split_spin
 from .axial import (
     algebra_radical,
     axes_with_involution,
+    axis_law,
     check_axis,
     extend_orthogonal,
     frobenius,
@@ -41,6 +42,7 @@ from .idempotents import (
     TAG_FAMILY_A,
     TAG_FAMILY_B,
     TAG_FAMILY_EXC,
+    TAG_ONE,
     classify_idempotent,
     enumerate_idempotents_bruteforce,
     family_axis,
@@ -95,13 +97,6 @@ def _orthonormal_rich_space(field: Field, dim: int, rng: random.Random):
     t_inv = t.inverse()
     witnesses = [t_inv.column(j) for j in range(dim)]
     return QuadraticSpace(gram), witnesses
-
-
-def _alpha_exclusions(field: Field):
-    out = {field.zero(), field.one()}
-    if field.characteristic != 2:
-        out.add(field.half())
-    return out
 
 
 def _swap_z_map(algebra: Algebra) -> Matrix:
@@ -332,7 +327,7 @@ def criterion_4():
                 continue
             found += 1
             alpha_s = field.scalar(alpha)
-            check(alpha_s not in _alpha_exclusions(field), "alpha is a Jordan-special value", witness=alpha_s)
+            check(not is_jordan_special(alpha_s), "alpha is a Jordan-special value", witness=alpha_s)
             algebra = split_spin(space, alpha_s)
             for e in search.vectors[:3]:
                 _fusion_pair_check(algebra, e)
@@ -369,20 +364,12 @@ def criterion_5():
     e5 = space5.vector([1, 0])
     quad5 = axes_with_involution(algebra5, e5)
     expected5 = extend_orthogonal(algebra5, space5.neg_reflection(e5))
-    half = field.half()
     matching = set()
     for x in enumerate_idempotents_bruteforce(algebra5):
         verdict = classify_idempotent(algebra5, x)
-        if verdict.tag == TAG_FAMILY_A:
-            law = monster_law(field, algebra5.meta.alpha, half)
-        elif verdict.tag == TAG_FAMILY_B:
-            law = monster_law(field, field.one() - algebra5.meta.alpha, half)
-        elif verdict.tag in ("z1", "z2"):
-            eta = algebra5.meta.alpha if verdict.tag == "z1" else field.one() - algebra5.meta.alpha
-            law = jordan_law(field, eta)
-        else:
+        if verdict.tag == TAG_ONE:
             continue  # the identity is not primitive
-        if miyamoto(algebra5, x, law) == expected5:
+        if miyamoto(algebra5, x, axis_law(algebra5, verdict.tag)) == expected5:
             matching.add(x.coords)
     axes5 = {x.coords for x in quad5}
     check(matching == axes5, "the axes sharing -r_e over F_5 are not the four of the theorem",

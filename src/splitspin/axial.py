@@ -16,7 +16,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -61,54 +60,44 @@ BARIC_TWO = "BaricTwo"
 
 @dataclass(frozen=True)
 class FusionLaw:
-    """Eigenvalues with a symmetric product table and a C2-grading."""
+    """Eigenvalues with a symmetric product table and a C2-grading: entry
+    table[a][b] holds the indices of the eigenvalues allowed in the product
+    of the eigenvalues[a]- and eigenvalues[b]-eigenspaces."""
 
     kind: str
     eigenvalues: tuple[Scalar, ...]
-    table: dict
+    table: tuple[tuple[frozenset, ...], ...]
     plus: frozenset
     minus: frozenset
 
     def allowed(self, lam: Scalar, mu: Scalar) -> frozenset:
-        key = (lam, mu) if (lam, mu) in self.table else (mu, lam)
-        return self.table[key]
-
-    @cached_property
-    def allowed_indices(self) -> tuple[tuple[frozenset, ...], ...]:
-        """`allowed` on eigenvalue indices: entry [a][b] holds the indices of
-        allowed(eigenvalues[a], eigenvalues[b]); built once."""
-        index = {lam: a for a, lam in enumerate(self.eigenvalues)}
-        return tuple(tuple(frozenset(index[nu] for nu in self.allowed(lam, mu)) for mu in self.eigenvalues)
-                     for lam in self.eigenvalues)
+        index = self.eigenvalues.index
+        return frozenset(self.eigenvalues[c] for c in self.table[index(lam)][index(mu)])
 
     def __repr__(self):
         vals = ", ".join(str(v) for v in self.eigenvalues)
         return f"FusionLaw({self.kind}: {vals})"
 
 
-def _check_distinct(named_values: list[tuple[str, Scalar]]):
-    for (n1, v1), (n2, v2) in itertools.combinations(named_values, 2):
+def _law(field: Field, kind: str, named: list[tuple[str, object]]) -> FusionLaw:
+    """The law on 1, 0 and the named eigenvalues, the last one graded and at
+    most one other.  A product lies in the later eigenvalue of the pair (1
+    and 0 act as identity and zero, the ungraded value fixes the graded
+    one), except 1 0 = {}, the ungraded value squares into {1, 0} and the
+    graded value squares into the plus part."""
+    one, zero = field.one(), field.zero()
+    named = [("1", one), ("0", zero), *((name, field.scalar(value)) for name, value in named)]
+    for (n1, v1), (n2, v2) in itertools.combinations(named, 2):
         if v1 == v2:
             raise EigenvalueCollision(f"{n1} = {v1} collides with {n2} = {v2}")
-
-
-def _law(field: Field, kind: str, named: list[tuple[str, object]]) -> FusionLaw:
-    """The law on 1, 0 and the named eigenvalues, the last one graded: 1 and
-    0 act as identity and zero, an ungraded value squares into {1, 0} and
-    fixes the graded one, and the graded value squares into the plus part."""
-    one, zero = field.one(), field.zero()
-    named = [(name, field.scalar(value)) for name, value in named]
-    _check_distinct([("1", one), ("0", zero), *named])
-    *ungraded, graded = [value for _, value in named]
-    plus = frozenset([one, zero, *ungraded])
-    table = {(one, one): frozenset([one]), (one, zero): frozenset(), (zero, zero): frozenset([zero])}
-    for lam in (*ungraded, graded):
-        table[one, lam] = table[zero, lam] = frozenset([lam])
-    for lam in ungraded:
-        table[lam, lam] = frozenset([one, zero])
-        table[lam, graded] = frozenset([graded])
-    table[graded, graded] = plus
-    return FusionLaw(kind, (one, zero, *ungraded, graded), table, plus, frozenset([graded]))
+    eigenvalues = tuple(value for _, value in named)
+    graded = len(eigenvalues) - 1
+    table = [[frozenset([max(a, b)]) for b in range(graded + 1)] for a in range(graded + 1)]
+    table[0][1] = table[1][0] = frozenset()
+    for a in range(2, graded + 1):
+        table[a][a] = frozenset([0, 1]) if a < graded else frozenset(range(graded))
+    return FusionLaw(kind, eigenvalues, tuple(map(tuple, table)), frozenset(eigenvalues[:graded]),
+                     frozenset(eigenvalues[graded:]))
 
 
 def jordan_law(field: Field, eta) -> FusionLaw:
@@ -229,7 +218,7 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     blocks = [[t for t, a in enumerate(owner) if a == b] for b in range(len(bases))]
     found: list[tuple[int, int, int]] = []
     graded = True
-    for a, allowed_with in enumerate(law.allowed_indices):
+    for a, allowed_with in enumerate(law.table):
         for b, allowed in enumerate(allowed_with[a:], a):
             grade = plus[a] == plus[b]
             for s in blocks[a]:
@@ -335,12 +324,13 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
     (z1, z1) = 1, and n is isotropic and orthogonal to everything.
 
     Associativity is checked on ints, with S F (S = s q^2 for the form's
-    scale s and alpha = r / q) read off the form's int terms and
-    g[j][t] = S F (D b_j b_t) built once per pair from the stored cells:
-    T(i, j, t) = g[j][t][i] = S D (b_i, b_j b_t) is symmetric in j and t, so
-    the form associates exactly when g[j][t][i] == g[i][t][j] == g[i][j][t]
-    for all i <= j <= t.  Only if that fails, the scan of all n^3 triples
-    raises the first failing (i, j, t) in lexicographic order as witness.
+    scale s and alpha = r / q) read off the form's int terms: the nonzero
+    T[i, j, t] = S D (b_i, b_j b_t), j <= t, are built from the stored cells,
+    and the form associates exactly when T is symmetric.  Each stored entry
+    is compared with its permutations (a missing key reads 0), which meets
+    any two differing entries from the nonzero side.  Only if that fails,
+    the first (i, j, t) in lexicographic order with (b_i, b_j b_t) !=
+    (b_i b_j, b_t) is raised as witness.
     The radical is read off F's blocks: the lift of the radical of b (all of
     E when the E-block's scale vanishes) and each z basis vector of length 0.
     """
@@ -356,7 +346,6 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
         q, e_scale, z_diagonal = 1, 3, (s, 0)
     terms = [(i, j, e_scale * c) for i, j, c in space._terms] + [(k, k, z_diagonal[0]), (k + 1, k + 1, z_diagonal[1])]
 
-    # g[j][t][i] = S D (b_i, b_j b_t) and, F being symmetric, g[i][j][t] = S D (b_i b_j, b_t)
     rows = [[zero_one(field)[0]] * n for _ in range(n)]
     columns = [[] for _ in range(n)]  # column c's (i, S F_ic), from the terms of S F
     for i, j, c in terms:
@@ -366,16 +355,24 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
     gram = Matrix._from_raw(field, rows)
     if not any(map(any, gram.raw)):
         raise BadCharacteristic("the Frobenius form vanishes identically here")
-    g = [[None] * n for _ in range(n)]
+    tensor: dict[tuple[int, int, int], int] = {}
     for j, t in itertools.combinations_with_replacement(range(n), 2):
-        out = [0] * n
+        out: dict[int, int] = {}
         for c, d in algebra.cell(j, t):
             for i, a in columns[c]:
-                out[i] += a * d
-        g[j][t] = g[t][j] = [x % p for x in out] if p else out
-    if not all(list(map(operator.itemgetter(i), g[j][j:])) == list(map(operator.itemgetter(j), g[i][j:])) == g[i][j][j:]
-               for i, j in itertools.combinations_with_replacement(range(n), 2)):
-        witness = next((i, j, t) for i, j, t in itertools.product(range(n), repeat=3) if g[j][t][i] != g[i][j][t])
+                out[i] = out.get(i, 0) + a * d
+        for i, x in out.items():
+            if p:
+                x %= p
+            if x:
+                tensor[i, j, t] = x
+
+    def entry(i: int, j: int, t: int) -> int:  # T is symmetric in its last two places
+        return tensor.get((i, j, t) if j <= t else (i, t, j), 0)
+
+    if any(entry(j, i, t) != x or entry(t, i, j) != x for (i, j, t), x in tensor.items()):
+        witness = min(w for i, j, t in tensor for w in itertools.permutations((i, j, t))
+                      if entry(*w) != entry(w[2], w[0], w[1]))
         raise VerificationFailed(f"Frobenius associativity fails on basis triple {witness}", witness)
     e_radical = space.radical() if (e_scale % p if p else e_scale) else Matrix.identity(field, k).raw
     radical = [algebra.element(_lift(algebra, v)) for v in e_radical]
@@ -396,16 +393,14 @@ def algebra_radical(algebra: Algebra) -> tuple[Element, ...]:
     {-1, 2}) or E-perp + <n> (cover).  Raises BaricCase for alpha in {-1, 2},
     carrying the rank-one-form radical E + F z1 (resp. E + F z2)."""
     kind = algebra.meta.kind
-    field = algebra.field
     if kind == SPLIT_SPIN:
-        alpha, k = algebra.meta.alpha, algebra.e_dim
-        if alpha in (field.scalar(-1), field.scalar(2)):
-            which, tag = (k, "alpha=-1") if alpha == field.scalar(-1) else (k + 1, "alpha=2")
-            vecs = [algebra.basis(i).raw for i in (*range(k), which)]
+        baric, k = _baric(algebra), algebra.e_dim
+        if baric is not None:
+            vecs = [algebra.basis(i).raw for i in (*range(k), k if baric == -1 else k + 1)]
             _verify_ideal(algebra, vecs)
-            raise BaricCase(tag, tuple(algebra.element(v) for v in vecs))
+            raise BaricCase(f"alpha={baric}", tuple(algebra.element(v) for v in vecs))
     elif kind == COVER:
-        if field.characteristic in (2, 3):
+        if algebra.field.characteristic in (2, 3):
             raise BadCharacteristic("cover radical requires characteristic outside {2, 3}")
     else:
         raise WrongAlgebraKind(f"no radical description for a {kind} algebra")
@@ -414,6 +409,12 @@ def algebra_radical(algebra: Algebra) -> tuple[Element, ...]:
         lifted.append(algebra.basis(algebra.e_dim + 1).raw)  # n
     _verify_ideal(algebra, lifted)
     return tuple(algebra.element(v) for v in lifted)
+
+
+def _baric(algebra: Algebra) -> int | None:
+    """-1 or 2 if alpha is that value, else None: -1 first, as -1 = 2 over F_3."""
+    alpha, field = algebra.meta.alpha, algebra.field
+    return next((value for value in (-1, 2) if alpha == field.scalar(value)), None)
 
 
 def _lift(algebra: Algebra, e_vec: Vector) -> tuple:
@@ -445,12 +446,9 @@ def is_simple(
             raise UnverifiedSpanHypothesis(
                 f"norm-one search ({evidence.status}) did not establish a spanning set"
             )
-    field = algebra.field
-    alpha = algebra.meta.alpha
-    if alpha == field.scalar(-1):
-        return False, BARIC_MINUS_ONE
-    if alpha == field.scalar(2):
-        return False, BARIC_TWO
+    baric = _baric(algebra)
+    if baric is not None:
+        return False, BARIC_MINUS_ONE if baric == -1 else BARIC_TWO
     if algebra.meta.space.is_degenerate():
         return False, DEGENERATE_FORM
     return True, SIMPLE

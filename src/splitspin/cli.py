@@ -21,7 +21,7 @@ from . import serialize
 from .algebra import exceptional_cover, split_spin
 from .axial import algebra_radical, axis_law, check_axis, frobenius, is_simple
 from .config import RunConfig, apply_overrides, parse_config
-from .cover import verify_cover
+from .cover import MAX_WITNESSES, verify_cover
 from .errors import BaricCase, ConfigError, SplitSpinError
 from .idempotents import (
     TAG_Z1,
@@ -306,7 +306,7 @@ def _cmd_axis_check(args, cfg: RunConfig):
             reports.append({"axis_name": tag, **serialize.axis_report_to_json(rep)})
     laws = {tag: (family, axis_law(algebra, tag)) for tag, (family, _) in table.items() if family}
     search = algebra.meta.space.find_norm_one(budget=cfg.budgets.norm_one, seed=cfg.seed)
-    for e in search.vectors[:4]:
+    for e in search.vectors[:MAX_WITNESSES]:
         for tag, (family, law) in laws.items():
             rep = check_axis(algebra, family_axis(algebra, e, family), law)
             reports.append({"axis_name": tag, **serialize.axis_report_to_json(rep)})

@@ -25,6 +25,8 @@ from .idempotents import FAMILY_EXC, TAG_FAMILY_EXC, TAG_Z1, family_axis
 from .linalg import Matrix, Vector, same_span
 from .quadratic import QuadraticSpace
 
+MAX_WITNESSES = 4  # norm-one vectors whose family axes the cover and axis-check pipelines check
+
 
 @dataclass
 class CoverReport:
@@ -61,7 +63,6 @@ def verify_cover(
     space: QuadraticSpace,
     norm_one_budget: int = 100_000,
     seed: int = 0,
-    max_witnesses: int = 4,
 ) -> CoverReport:
     field = space.field
     if field.characteristic in (2, 3):
@@ -89,7 +90,7 @@ def verify_cover(
     z1_report = check_axis(algebra, z1, axis_law(algebra, TAG_Z1))
 
     search = space.find_norm_one(budget=norm_one_budget, seed=seed)
-    witnesses = search.vectors[:max_witnesses]
+    witnesses = search.vectors[:MAX_WITNESSES]
     law = axis_law(algebra, TAG_FAMILY_EXC)
     axis_reports = [check_axis(algebra, family_axis(algebra, e, FAMILY_EXC), law)
                     for e in witnesses]

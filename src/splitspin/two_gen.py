@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import COVER, SPLIT_SPIN, Algebra, Element, exceptional_cover, split_spin
+from .algebra import COVER, SPLIT_SPIN, Algebra, Element, exceptional_cover, is_jordan_special, split_spin
 from .axial import axis_law, miyamoto
 from .errors import (
     BadCharacteristic,
@@ -113,10 +113,9 @@ def default_two_gen_alpha(field: Field) -> Scalar:
     """
     if field.characteristic == 2:
         raise CharTwo("two-generated axes require characteristic != 2")
-    excluded = {field.zero(), field.one(), field.half()}
     for candidate in range(2, 9):
         value = field.scalar(candidate)
-        if value not in excluded:
+        if not is_jordan_special(value):
             return value
     # F_3 is {0, 1, 1/2}: no alpha admits the two-generated axes there
     raise ConfigError(f"no valid alpha exists over {field!r}")

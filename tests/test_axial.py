@@ -83,6 +83,37 @@ def test_jordan_law_is_the_sublaw():
     assert law.plus == {one, zero}
 
 
+# the allowed products by eigenvalue index, written out for every ordered
+# pair: 1, 0, alpha, beta for the Monster-type law, 1, 0, eta for the Jordan one
+MONSTER_TABLE = (
+    ({0}, set(), {2}, {3}),
+    (set(), {1}, {2}, {3}),
+    ({2}, {2}, {0, 1}, {3}),
+    ({3}, {3}, {3}, {0, 1, 2}),
+)
+JORDAN_TABLE = (
+    ({0}, set(), {2}),
+    (set(), {1}, {2}),
+    ({2}, {2}, {0, 1}),
+)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "F7"])
+@pytest.mark.parametrize("build, named, expected", [
+    (lambda field: monster_law(field, 3, HALF), (3, HALF), MONSTER_TABLE),
+    (lambda field: jordan_law(field, 3), (3,), JORDAN_TABLE),
+], ids=["monster", "jordan"])
+def test_law_table_matches_the_written_table(field, build, named, expected):
+    law = build(field)
+    values = (field.one(), field.zero(), *map(field.scalar, named))
+    assert law.eigenvalues == values
+    assert law.table == tuple(tuple(frozenset(cell) for cell in row) for row in expected)
+    for a, b in itertools.product(range(len(values)), repeat=2):
+        assert law.table[a][b] == law.table[b][a]
+        assert law.allowed(values[a], values[b]) == {values[c] for c in expected[a][b]}
+    assert law.plus == frozenset(values[:-1]) and law.minus == {values[-1]}
+
+
 def test_law_collisions_are_named():
     with pytest.raises(EigenvalueCollision):
         jordan_law(QQ, 1)
@@ -590,6 +621,18 @@ def test_radical_baric_case():
     stated = [algebra.basis(0).coords, algebra.basis(1).coords,
               algebra.basis_by_label("z2").coords]
     assert same_span(QQ, [v.coords for v in info.value.radical], stated)
+
+
+def test_baric_minus_one_is_decided_before_two():
+    # over F_3, alpha = 2 = -1: the radical and the simplicity verdict name -1
+    F3 = Field.prime(3)
+    algebra = split_spin(identity_space(F3, 2), 2)
+    with pytest.raises(BaricCase) as info:
+        algebra_radical(algebra)
+    assert info.value.tag == "alpha=-1"
+    stated = [algebra.basis(0).coords, algebra.basis(1).coords, algebra.basis_by_label("z1").coords]
+    assert same_span(F3, [v.coords for v in info.value.radical], stated)
+    assert is_simple(algebra, assume_spanned=True) == (False, "BaricMinusOne")
 
 
 def test_radical_cover():
