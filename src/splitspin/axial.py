@@ -3,10 +3,10 @@ radicals and simplicity.
 
 The Monster-type law on {1, 0, alpha, beta} and its Jordan-type sublaw on
 {1, 0, eta} are the only laws constructed here.  Axis checking decomposes
-the algebra into adjoint eigenspaces for exactly the law's eigenvalues: an
-incomplete decomposition is reported as such (it is the signal that the
-wrong law was tried), and fusion violations carry the offending eigenvalue
-as a witness rather than a bare boolean.
+the algebra into adjoint eigenspaces for exactly the law's eigenvalues, on
+the paper's eigenvectors where x's class has them, else on solved kernels:
+an incomplete decomposition signals that the wrong law was tried, and
+fusion violations carry the offending eigenvalue as a witness.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .idempotents import (
     TAG_Z1,
     TAG_Z2,
     classes,
+    eigenbasis,
     family_axis,
 )
 from .linalg import Echelon, Matrix, Vector, raw_values, zero_one
@@ -147,6 +148,14 @@ class AxisReport:
 def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     """Full axis verification of the idempotent x against the law.
 
+    The eigenbasis B is the paper's (`idempotents.eigenbasis`, each vector
+    checked by one product x v = lambda v) for a class idempotent under its
+    class's eigenvalues, else the kernels of ad_x - lambda from
+    `eigenspaces_raw`.  `Echelon.inverting` proves B a basis, so dims,
+    primitivity and tau do not depend on which it is, and each template
+    vector is a nonzero multiple of the solved kernel vector in its place,
+    so the supports, and with them the violations and their order, agree.
+
     Each eigenbasis product u v (each unordered pair once: the algebra is
     commutative) is written in eigenbasis coordinates once, from the
     nonzero columns of B^-1 at its nonzero coordinates.  Components outside
@@ -156,44 +165,36 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     grade other than grade(lambda) grade(mu), and is built only then.
 
     The loop runs on ints: eigenvalues as indices into the law, the stored
-    cells (D times the constants), the integer eigenvectors of
-    `eigenspaces_raw` and the right halves of the reduced [B | I], rows of
-    B^-1 times their pivot entries q_t over Q; no scale changes a support.
-    tau is built on ints too, as L tau for L the lcm of the q_t (1 over
-    F_p), checked to square to L^2, and boxed once, entry by entry.
+    cells (D times the constants), the eigenvectors and the right halves
+    of the reduced [B | I], rows of B^-1 times their pivot entries q_t over
+    Q; no scale changes a support.  tau is built on ints too, as L tau for
+    L the lcm of the q_t (1 over F_p), checked to square to L^2, and boxed
+    once, entry by entry.
 
     Raises NotIdempotent unless x is nonzero and in the kernel of ad_x - 1
     (the law's first eigenvalue), and IncompleteDecomposition when the
     adjoint eigenspaces for the law's eigenvalues do not fill the algebra.
     """
-    field, n, p = algebra.field, algebra.dim, algebra.field.p
-    eigenvalues = law.eigenvalues
-    bases = algebra.eigenspaces_raw(x.raw, raw_values(field, eigenvalues))
-    if x.is_zero or not Echelon._from_ints(field, bases[0]).contains(x.raw):  # x x = x: x in ker(ad_x - 1)
-        raise NotIdempotent("axis candidates must be nonzero idempotents")
+    field, n, p, cells = algebra.field, algebra.dim, algebra.field.p, algebra._rows
+    eigenvalues, values = law.eigenvalues, raw_values(field, law.eigenvalues)
+    plus = [lam in law.plus for lam in eigenvalues]
+    bases = eigenbasis(algebra, x, values)
+    if bases is None:
+        bases = algebra.eigenspaces_raw(x.raw, values)
+        if x.is_zero or not Echelon._from_ints(field, bases[0]).contains(x.raw):  # x in ker(ad_x - 1)
+            raise NotIdempotent("axis candidates must be nonzero idempotents")
     dims = {lam: len(basis) for lam, basis in zip(eigenvalues, bases)}
     if sum(dims.values()) != n:
-        raise IncompleteDecomposition(
-            f"eigenspace dimensions {tuple(dims.values())} sum to "
-            f"{sum(dims.values())} < {n}: an eigenvalue lies outside the law",
-            dims=dims,
-        )
-    primitive = dims[eigenvalues[0]] == 1
+        raise IncompleteDecomposition(f"eigenspace dimensions {tuple(dims.values())} sum to "
+                                      f"{sum(dims.values())} < {n}: an eigenvalue lies outside the law", dims=dims)
 
     # [B | I] for the concatenated eigenbasis B: row t's right half is row t of B^-1 times a positive int
     columns = [v for basis in bases for v in basis]
     span = Echelon.inverting(field, list(zip(*columns)))
     check(span is not None, "a complete eigenbasis must be a basis", witness=columns)
     owner = [a for a, basis in enumerate(bases) for _ in basis]
-    plus = [lam in law.plus for lam in eigenvalues]
-
-    cells = algebra._rows
     vectors = [[(i, c) for i, c in enumerate(v) if c] for v in columns]
-    inverse_columns = [[] for _ in range(n)]
-    for t, row in enumerate(span.rows):
-        for k, c in enumerate(row[n:]):
-            if c:
-                inverse_columns[k].append((t, c))
+    inverse_columns = [[(t, row[n + k]) for t, row in enumerate(span.rows) if row[n + k]] for k in range(n)]
 
     def support(u, v) -> set[int]:
         """The eigenvalue indices of the nonzero eigenbasis coordinates of u v."""
@@ -216,8 +217,7 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
         return {owner[t] for t, c in coords.items() if (c % p if p else c)}
 
     blocks = [[t for t, a in enumerate(owner) if a == b] for b in range(len(bases))]
-    found: list[tuple[int, int, int]] = []
-    graded = True
+    found, graded = [], True  # violations as (lambda, mu, nu) indices; whether tau is multiplicative
     for a, allowed_with in enumerate(law.table):
         for b, allowed in enumerate(allowed_with[a:], a):
             grade = plus[a] == plus[b]
@@ -254,7 +254,7 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
         zero = zero_one(field)[0]
         miyamoto_matrix = Matrix._from_raw(field, tau if p else ([Fraction(c, scale) if c else zero for c in row]
                                                                   for row in tau))
-    return AxisReport(x, law, dims, primitive, violations, miyamoto_matrix)
+    return AxisReport(x, law, dims, dims[eigenvalues[0]] == 1, violations, miyamoto_matrix)
 
 
 def miyamoto(algebra: Algebra, x: Element, law: FusionLaw) -> Matrix:

@@ -26,7 +26,7 @@ from .errors import (
     check,
 )
 from .fields import Field
-from .linalg import Vector, _reduced, boxed, zero_one
+from .linalg import Vector, _reduced, boxed, cleared, zero_one
 
 FAMILY_A = "a"
 FAMILY_B = "b"
@@ -84,6 +84,37 @@ def classes(algebra: Algebra) -> dict[str, tuple[str | None, tuple]]:
     return {tag: (family, tuple(_reduced(field.p, z))) for tag, (family, z) in table.items()}
 
 
+def eigenbasis(algebra: Algebra, x: Element, values: Sequence) -> list[list[list[int]]] | None:
+    """The paper's eigenvectors of the class idempotent x as int rows, one
+    block per raw eigenvalue in values (the table below; e-perp is spanned by
+    the g_i e_j - g_j e_i, j != i, for g = s G e and g_i its first nonzero
+    entry), each checked by one sparse product x v = lambda v.  None when x
+    is in no class, values are not its class's, or a check fails."""
+    if algebra.meta.kind not in (SPLIT_SPIN, COVER) or (verdict := _matcher(algebra)(x.raw)) is None:
+        return None
+    alpha, p, space, e = algebra.meta.alpha.value, algebra.field.p, algebra.meta.space, verdict.raw_e
+    eta, *vectors = {  # tag -> (eta, the 0- and eta-eigenvectors as (e, z1, z2)-coefficients, None for E)
+        TAG_Z1: (alpha, (0, 0, 1), None), TAG_Z2: (1 - alpha, (0, 1, 0), None),
+        TAG_FAMILY_A: (alpha, (1, alpha - 2, alpha - 1), (1, 2 - alpha, -alpha - 1)),
+        TAG_FAMILY_B: (1 - alpha, (-1, alpha, alpha + 1), (-1, 2 - alpha, -alpha - 1)),
+        TAG_FAMILY_EXC: (alpha, (0, 0, 1), (1, 3, -1))}.get(verdict.tag, (None,))
+    if eta is None or list(values) != _reduced(p, [1, 0, eta] + [algebra.field.half().value] * bool(e)):
+        return None
+    (dx, xi), units = cleared(x.raw), [[int(i == j) for j in range(algebra.dim)] for i in range(space.dim)]
+    if e:
+        g = _reduced(p, space._image(cleared(e)[1]))
+        i = next(i for i, c in enumerate(g) if c)
+        units = [[g[i] * a - g[j] * b for a, b in zip(unit, units[i])] for j, unit in enumerate(units) if j != i]
+    blocks = [[xi], *([cleared([s * a for a in e or [0] * space.dim] + [a1, a2])[1]]
+                      for s, a1, a2 in filter(None, vectors)), units]
+    scale = algebra.denominator * dx
+    for (a, q), block in zip((value.as_integer_ratio() for value in values), blocks):
+        for v in block:  # q D dx (x v) = a D dx v, v the outer factor: e-perp's have two nonzero entries
+            if any(_reduced(p, (q * c - a * scale * w for c, w in zip(algebra._mul_coords(v, xi), v)))):
+                return None
+    return blocks
+
+
 def expected_count(algebra: Algebra, norm_one: int) -> int:
     """The number of nonzero idempotents, given the number of norm-one
     vectors, when alpha is not Jordan-special: one per point class, and one
@@ -126,35 +157,30 @@ def classify_idempotent(algebra: Algebra, x: Element) -> IdempotentClass:
 
 def classify_idempotents(algebra: Algebra, xs: Sequence[Element]) -> list[IdempotentClass]:
     """Match nonzero idempotents against the `classes` of the algebra, in
-    order.
-
-    A zero or non-idempotent x raises NotIdempotent.  A point class matches
-    on the z-part alone; a family member needs its z-part and b(e, e) = 1
-    for e = 2u, tested on raw values.  Tag "other" is only ever produced
-    when an idempotent matches nothing, which would contradict the
-    classification under its hypotheses."""
-    table = classes(algebra)
-    points = {z: tag for tag, (family, z) in table.items() if family is None}
-    families = {z: tag for tag, (family, z) in table.items() if family}
-    field, p = algebra.field, algebra.field.p
-    space = algebra.meta.space
-    k = space.dim
-    out = []
+    order; a zero or non-idempotent x raises NotIdempotent.  Tag "other" is
+    only ever produced when an idempotent matches nothing, which would
+    contradict the classification under its hypotheses."""
+    match, out = _matcher(algebra), []
     for x in xs:
-        raw = x.raw
         if x.is_zero or not is_idempotent(x):
             raise NotIdempotent("classification requires a nonzero idempotent")
-        u, z = raw[:k], raw[k:]
-        verdict = None
-        if not any(u):
-            if z in points:
-                verdict = IdempotentClass(points[z])
-        elif z in families:
-            e = tuple(2 * a % p for a in u) if p else tuple(2 * a for a in u)
-            if space.is_norm_one_raw(e):
-                verdict = IdempotentClass(families[z], e, field)
-        out.append(verdict or IdempotentClass(TAG_OTHER, witness=x))
+        out.append(match(x.raw) or IdempotentClass(TAG_OTHER, witness=x))
     return out
+
+
+def _matcher(algebra: Algebra):
+    """Raw coordinates -> their class among the `classes`, or None: a point
+    class matches on the z-part, a family member also needs b(e, e) = 1, e = 2u."""
+    table, space, p = classes(algebra), algebra.meta.space, algebra.field.p
+    points = {z: tag for tag, (family, z) in table.items() if family is None}
+    families = {z: tag for tag, (family, z) in table.items() if family}
+    def match(raw: tuple) -> IdempotentClass | None:
+        u, z = raw[:space.dim], raw[space.dim:]
+        if not any(u):
+            return IdempotentClass(points[z]) if z in points else None
+        e = tuple(_reduced(p, (2 * a for a in u)))
+        return IdempotentClass(families[z], e, algebra.field) if z in families and space.is_norm_one_raw(e) else None
+    return match
 
 
 def enumerate_idempotents_bruteforce(algebra: Algebra, budget: int = 1_000_000) -> tuple[Element, ...]:

@@ -16,7 +16,7 @@ import pytest
 
 import splitspin
 from splitspin import Field, Matrix, QuadraticSpace, check_axis, family_axis, split_spin
-from splitspin import linalg
+from splitspin import axial, linalg
 from splitspin.axial import axis_law
 from splitspin.idempotents import FAMILY_A, TAG_FAMILY_A
 from splitspin.linalg import Echelon, cleared
@@ -81,8 +81,9 @@ def test_check_axis_builds_tau_without_matrix_products():
 def test_echelon_takes_int_rows_as_they_are(monkeypatch):
     """`Echelon` clears only raw Fraction rows: the integer entry points, the
     identity's equations and the whole axis check hand it ints, which reach
-    `cleared` in `linalg` never; the axis check clears its raw x once, to
-    test that x lies in the 1-eigenspace."""
+    `cleared` in `linalg` never.  On the paper's eigenbasis nothing reaches
+    it; on the solved path the axis check clears its raw x once, to test
+    that x lies in the 1-eigenspace."""
     seen = []
 
     def recording(values):
@@ -102,7 +103,21 @@ def test_echelon_takes_int_rows_as_they_are(monkeypatch):
     assert seen == []
     report = check_axis(algebra, x, axis_law(algebra, TAG_FAMILY_A))
     assert (report.dims, report.violations, report.miyamoto) == (expected.dims, expected.violations, expected.miyamoto)
+    assert seen == []
+    monkeypatch.setattr(axial, "eigenbasis", lambda *args: None)  # the solved path
+    report = check_axis(algebra, x, axis_law(algebra, TAG_FAMILY_A))
+    assert (report.dims, report.violations, report.miyamoto) == (expected.dims, expected.violations, expected.miyamoto)
     assert seen == [list(x.raw)]
+
+
+def test_the_eigenbasis_builder_solves_nothing():
+    """`idempotents.eigenbasis` checks the paper's vectors by products: it
+    builds no `Matrix` or `Echelon` and solves no eigenspace."""
+    function = _function("idempotents.py", None, "eigenbasis")
+    lines = [(node.lineno, node.id if isinstance(node, ast.Name) else node.attr) for node in ast.walk(function)
+             if isinstance(node, ast.Name) and node.id in ("Matrix", "Echelon")
+             or isinstance(node, ast.Attribute) and node.attr in ("Matrix", "Echelon", "eigenspaces_raw", "adjoint")]
+    assert not lines, f"eigenbasis builds or solves at {lines}"
 
 
 CLOSURE = [("algebra.py", "Algebra", "subalgebra"), ("algebra.py", "Algebra", "ideal_witness"),
