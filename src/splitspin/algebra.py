@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     AlgebraMismatch,
-    CapExceeded,
     CharTwo,
     DimensionMismatch,
     DuplicateCandidates,
@@ -275,11 +274,6 @@ class Algebra:
         (du, a), (dv, b) = ((1, u.raw), (1, v.raw)) if self.field.p else (cleared(u.raw), cleared(v.raw))
         return Element(self, self._from_cells(self._mul_coords(a, b), du * dv))
 
-    def adjoint(self, a: Element) -> Matrix:
-        """Matrix of v -> a v in the algebra basis."""
-        du, u = cleared(a.raw)
-        return Matrix._from_raw(self.field, (self._from_cells(row, du) for row in self._adjoint_raw(u)))
-
     def _adjoint_raw(self, u: Sequence[int]) -> list[list[int]]:
         """The rows of D ad_u for the int coordinates u, from the stored
         cells, unreduced: entry (k, j) is D times the b_k-coefficient of u b_j."""
@@ -338,17 +332,17 @@ class Algebra:
 
     # -- subalgebras and quotients --------------------------------------------
 
-    def subalgebra(self, generators: Sequence[Element], cap: int | None = None) -> SubalgebraResult:
+    def subalgebra(self, generators: Sequence[Element]) -> SubalgebraResult:
         """Close the span of the generators under products.
 
         The sub-basis is greedy: generators first (independent ones kept in
         order), then products as they appear.  The closure degree records how
         many rounds of products were needed (1 means the generators already
-        span a subalgebra).
+        span a subalgebra).  The closure needs no cap: its basis is
+        independent in the algebra, so it never outgrows dim.
         """
         if any(g.algebra is not self for g in generators):
             raise AlgebraMismatch("generator from a different algebra")
-        cap = self.dim if cap is None else cap
         p, n, span = self.field.p, self.dim, Echelon(self.field)
         basis: list[tuple[int, list[int]]] = []  # (d_t, B_t): basis vector t is the ints B_t over d_t
         d, flat = cleared([a for g in generators for a in g.raw])
@@ -363,8 +357,6 @@ class Algebra:
         degree = 1
         while True:
             m = len(basis)  # products found this round wait for the next
-            if m > cap:
-                raise CapExceeded(f"subalgebra closure exceeded cap {cap}")
             for i in range(m):
                 for j in range(i, m):
                     if (i, j) not in products:

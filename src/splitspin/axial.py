@@ -71,10 +71,6 @@ class FusionLaw:
     plus: frozenset
     minus: frozenset
 
-    def allowed(self, lam: Scalar, mu: Scalar) -> frozenset:
-        index = self.eigenvalues.index
-        return frozenset(self.eigenvalues[c] for c in self.table[index(lam)][index(mu)])
-
     def __repr__(self):
         vals = ", ".join(str(v) for v in self.eigenvalues)
         return f"FusionLaw({self.kind}: {vals})"
@@ -423,29 +419,22 @@ def _lift(algebra: Algebra, e_vec: Vector) -> tuple:
     return tuple(raw_values(algebra.field, e_vec)) + (zero, zero)
 
 
-def is_simple(
-    algebra: Algebra,
-    evidence: NormOneSearch | None = None,
-    assume_spanned: bool = False,
-) -> tuple[bool, str]:
+def is_simple(algebra: Algebra, evidence: NormOneSearch | None = None) -> tuple[bool, str]:
     """Simplicity of the split spin algebra: simple iff b is non-degenerate
     and alpha is outside {-1, 2}.
 
-    The criterion presumes E is spanned by norm-one vectors; pass a
-    NormOneSearch with spans=True as evidence, or assume_spanned=True to
-    assert it.
+    The criterion presumes E is spanned by norm-one vectors; the evidence
+    must be a NormOneSearch with spans=True, or UnverifiedSpanHypothesis is
+    raised.
     """
     if algebra.meta.kind != SPLIT_SPIN:
         raise WrongAlgebraKind("simplicity criterion concerns the split spin algebra")
     if algebra.field.characteristic == 2:
         raise CharTwo("simplicity criterion requires characteristic != 2")
-    if not assume_spanned:
-        if evidence is None:
-            raise UnverifiedSpanHypothesis("no evidence that norm-one vectors span E")
-        if not evidence.spans:
-            raise UnverifiedSpanHypothesis(
-                f"norm-one search ({evidence.status}) did not establish a spanning set"
-            )
+    if evidence is None:
+        raise UnverifiedSpanHypothesis("no evidence that norm-one vectors span E")
+    if not evidence.spans:
+        raise UnverifiedSpanHypothesis(f"norm-one search ({evidence.status}) did not establish a spanning set")
     baric = _baric(algebra)
     if baric is not None:
         return False, BARIC_MINUS_ONE if baric == -1 else BARIC_TWO

@@ -8,7 +8,6 @@ FieldMismatch instead of coercing silently.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch
@@ -74,17 +73,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
-
-
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """The positive rational square root of q, or None if q is not a square."""
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        return None
-    return Fraction(rn, rd)
 
 
 class Field:
@@ -280,15 +268,6 @@ class Scalar:
         if p is None:
             return Scalar(self.field, 1 / Fraction(self.value))
         return Scalar(self.field, pow(self.value, -1, p))
-
-    def sqrt(self) -> Scalar | None:
-        """A square root in the same field, or None if no such element exists."""
-        p = self.field.p
-        if p is None:
-            root = rational_sqrt(self.value)
-            return None if root is None else Scalar(self.field, root)
-        root = sqrt_mod(self.value, p)
-        return None if root is None else Scalar(self.field, root)
 
     # -- comparisons, hashing, display --------------------------------------
 

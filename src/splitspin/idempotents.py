@@ -25,8 +25,7 @@ from .errors import (
     WrongAlgebraKind,
     check,
 )
-from .fields import Field
-from .linalg import Vector, _reduced, boxed, cleared, zero_one
+from .linalg import _reduced, cleared, zero_one
 
 FAMILY_A = "a"
 FAMILY_B = "b"
@@ -44,18 +43,13 @@ TAG_OTHER = "other"
 @dataclass(frozen=True)
 class IdempotentClass:
     """Classification verdict: a template tag plus, for the families, the
-    norm-one witness vector e, kept raw as `raw_e` over `field` and boxed
-    only when `e` is read.  "other" signals an element matching no template
-    and carries the offending element."""
+    norm-one witness vector e as raw coordinates `raw_e` over the algebra's
+    field.  "other" signals an element matching no template and carries the
+    offending element."""
 
     tag: str
     raw_e: tuple | None = None
-    field: Field | None = None
     witness: Element | None = None
-
-    @property
-    def e(self) -> Vector | None:
-        return None if self.raw_e is None else boxed(self.field, self.raw_e)
 
 
 def classes(algebra: Algebra) -> dict[str, tuple[str | None, tuple]]:
@@ -88,17 +82,19 @@ def eigenbasis(algebra: Algebra, x: Element, values: Sequence) -> list[list[list
     """The paper's eigenvectors of the class idempotent x as int rows, one
     block per raw eigenvalue in values (the table below; e-perp is spanned by
     the g_i e_j - g_j e_i, j != i, for g = s G e and g_i its first nonzero
-    entry), each checked by one sparse product x v = lambda v.  None when x
-    is in no class, values are not its class's, or a check fails."""
+    entry), each checked by one sparse product x v = lambda v against its
+    block's value, which `axial.axis_law` writes: 1, 0, eta and, for a
+    family, 1/2.  None when x is in no class, values does not hold one value
+    per block, or a check fails."""
     if algebra.meta.kind not in (SPLIT_SPIN, COVER) or (verdict := _matcher(algebra)(x.raw)) is None:
         return None
     alpha, p, space, e = algebra.meta.alpha.value, algebra.field.p, algebra.meta.space, verdict.raw_e
-    eta, *vectors = {  # tag -> (eta, the 0- and eta-eigenvectors as (e, z1, z2)-coefficients, None for E)
-        TAG_Z1: (alpha, (0, 0, 1), None), TAG_Z2: (1 - alpha, (0, 1, 0), None),
-        TAG_FAMILY_A: (alpha, (1, alpha - 2, alpha - 1), (1, 2 - alpha, -alpha - 1)),
-        TAG_FAMILY_B: (1 - alpha, (-1, alpha, alpha + 1), (-1, 2 - alpha, -alpha - 1)),
-        TAG_FAMILY_EXC: (alpha, (0, 0, 1), (1, 3, -1))}.get(verdict.tag, (None,))
-    if eta is None or list(values) != _reduced(p, [1, 0, eta] + [algebra.field.half().value] * bool(e)):
+    vectors = {  # tag -> the 0- and eta-eigenvectors as (e, z1, z2)-coefficients, None for E
+        TAG_Z1: ((0, 0, 1), None), TAG_Z2: ((0, 1, 0), None),
+        TAG_FAMILY_A: ((1, alpha - 2, alpha - 1), (1, 2 - alpha, -alpha - 1)),
+        TAG_FAMILY_B: ((-1, alpha, alpha + 1), (-1, 2 - alpha, -alpha - 1)),
+        TAG_FAMILY_EXC: ((0, 0, 1), (1, 3, -1))}.get(verdict.tag)
+    if vectors is None or len(values) != 3 + bool(e):
         return None
     (dx, xi), units = cleared(x.raw), [[int(i == j) for j in range(algebra.dim)] for i in range(space.dim)]
     if e:
@@ -179,7 +175,7 @@ def _matcher(algebra: Algebra):
         if not any(u):
             return IdempotentClass(points[z]) if z in points else None
         e = tuple(_reduced(p, (2 * a for a in u)))
-        return IdempotentClass(families[z], e, algebra.field) if z in families and space.is_norm_one_raw(e) else None
+        return IdempotentClass(families[z], e) if z in families and space.is_norm_one_raw(e) else None
     return match
 
 

@@ -132,12 +132,6 @@ class Matrix:
         return cls._from_raw(field, ([one if i == j else zero for j in range(n)] for i in range(n)))
 
     @classmethod
-    def diagonal(cls, field: Field, diag: Sequence) -> Matrix:
-        d, zero = raw_values(field, diag), zero_one(field)[0]
-        n = len(d)
-        return cls._from_raw(field, ([d[i] if i == j else zero for j in range(n)] for i in range(n)))
-
-    @classmethod
     def from_columns(cls, field: Field, columns: Sequence[Sequence]) -> Matrix:
         cols = [raw_values(field, c) for c in columns]
         if not cols or not cols[0]:
@@ -232,13 +226,13 @@ class Matrix:
 
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns."""
-        span = Echelon._from_raw(self.field, self.raw)
+        span = Echelon(self.field, self.raw)
         zero = [zero_one(self.field)[0]] * self.cols
         rows = span.unit_rows() + [zero] * (self.rows - span.rank)
         return Matrix._from_raw(self.field, rows), tuple(span.pivots)
 
     def rank(self) -> int:
-        return Echelon._from_raw(self.field, self.raw).rank
+        return Echelon(self.field, self.raw).rank
 
     def kernel(self) -> tuple[Vector, ...]:
         """Deterministic basis of the null space, one vector per free column;
@@ -282,7 +276,7 @@ class Echelon:
     row echelon form.  Over F_p rows are residues with unit pivots.  Over Q
     they are primitive integers (content 1, positive pivot entry): a raw
     vector is cleared of denominators once, on the way in (`add`,
-    `contains`, `_from_raw`), an int one is taken as it is (`_insert`,
+    `contains`), an int one is taken as it is (`_insert`,
     `_from_ints`, `inverting`), and each step v <- q v - v[c] row divides
     out its content.  Every vector must have the length of the first one.
     """
@@ -295,12 +289,6 @@ class Echelon:
         self._width: int | None = None
         for vec in vectors:
             self.add(vec)
-
-    @classmethod
-    def _from_raw(cls, field: Field, rows: Iterable[Sequence]) -> Echelon:
-        """The basis of raw rows of one length (residues in [0, p) over
-        F_p), each cleared of denominators over Q; no coercion."""
-        return cls._from_ints(field, rows if field.p else (cleared(row)[1] for row in rows))
 
     @classmethod
     def _from_ints(cls, field: Field, rows: Iterable[Sequence]) -> Echelon:

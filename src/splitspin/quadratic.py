@@ -24,6 +24,7 @@ from .linalg import Echelon, Matrix, Vector, boxed, cleared, raw_values
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
 UNKNOWN = "unknown"
+MAX_SAMPLED = 16  # the sampled norm-one search stops after this many vectors
 
 
 @dataclass(frozen=True)
@@ -143,20 +144,19 @@ class QuadraticSpace:
 
     # -- norm-one search -----------------------------------------------------
 
-    def find_norm_one(
-        self, budget: int = 100_000, seed: int = 0, max_results: int = 16
-    ) -> NormOneSearch:
+    def find_norm_one(self, budget: int = 100_000, seed: int = 0) -> NormOneSearch:
         """Vectors e with b(e, e) = 1.
 
         Over F_p with p**dim <= budget the list is exhaustive.  Otherwise up
-        to `budget` candidates are tried: deterministic simple vectors first,
-        then seeded random ones, each rescaled when its norm is a nonzero
-        square.  `spans` reports whether the returned vectors span E.
+        to `budget` candidates are tried, until MAX_SAMPLED vectors are found:
+        deterministic simple vectors first, then seeded random ones, each
+        rescaled when its norm is a nonzero square.  `spans` reports whether
+        the returned vectors span E.
         """
         p = self.field.p
         if p is not None and p**self.dim <= budget:
             return self._norm_one_exhaustive()
-        return self._norm_one_sampled(budget, seed, max_results)
+        return self._norm_one_sampled(budget, seed)
 
     def _norm_one_exhaustive(self) -> NormOneSearch:
         n, p = self.dim, self.field.p
@@ -165,7 +165,7 @@ class QuadraticSpace:
         spans = any(span.add(e) and span.rank == n for e in found)
         return NormOneSearch(EXHAUSTIVE, tuple(boxed(self.field, e) for e in found), spans)
 
-    def _norm_one_sampled(self, budget: int, seed: int, max_results: int) -> NormOneSearch:
+    def _norm_one_sampled(self, budget: int, seed: int) -> NormOneSearch:
         rng = random.Random(seed)
         n = self.dim
         p = self.field.p
@@ -223,7 +223,7 @@ class QuadraticSpace:
             before = len(found)
             consider(w)
             stagnant = 0 if len(found) != before else stagnant + 1
-            if len(found) >= max_results:
+            if len(found) >= MAX_SAMPLED:
                 break
             if span.rank == n and stagnant >= 200:
                 break  # a spanning set exists and new vectors stopped appearing
@@ -233,12 +233,11 @@ class QuadraticSpace:
 
     # -- orthogonal group sampling -------------------------------------------
 
-    def sample_orthogonal(self, rng: random.Random, reflections: int | None = None) -> Matrix:
+    def sample_orthogonal(self, rng: random.Random) -> Matrix:
         """A random element of O(E, b): a product of at most dim reflections
         in random anisotropic vectors (Cartan-Dieudonne style sampling)."""
-        count = reflections if reflections is not None else rng.randint(1, self.dim)
         result = Matrix.identity(self.field, self.dim)
-        for _ in range(count):
+        for _ in range(rng.randint(1, self.dim)):
             v = self._random_anisotropic(rng)
             if v is None:
                 break  # the form is zero; O(E, b) fixes nothing to reflect in

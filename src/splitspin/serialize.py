@@ -11,14 +11,10 @@ from __future__ import annotations
 from .algebra import Algebra, Element
 from .axial import AxisReport, FrobeniusForm
 from .errors import DimensionMismatch
-from .fields import Field, Scalar
+from .fields import Field
 from .linalg import Matrix, Vector
 from .quadratic import NormOneSearch
 from .two_gen import AxetResult, YabeData
-
-
-def scalar_to_json(s: Scalar):
-    return s.to_json()
 
 
 def raw_to_json(p: int | None, a):
@@ -28,16 +24,12 @@ def raw_to_json(p: int | None, a):
 
 
 def vector_to_json(v: Vector):
-    return [scalar_to_json(c) for c in v]
+    return [c.to_json() for c in v]
 
 
 def matrix_to_json(m: Matrix):
     p = m.field.p
     return [[raw_to_json(p, a) for a in row] for row in m.raw]
-
-
-def matrix_from_json(field: Field, rows) -> Matrix:
-    return Matrix(field, rows)
 
 
 def element_to_json(x: Element):
@@ -56,7 +48,7 @@ def algebra_to_json(algebra: Algebra):
                                 for i, j, k, c in algebra.raw_constants()],
     }
     if meta.alpha is not None:
-        doc["alpha"] = scalar_to_json(meta.alpha)
+        doc["alpha"] = meta.alpha.to_json()
     if meta.space is not None:
         doc["gram"] = matrix_to_json(meta.space.gram)
     if meta.kind == "split_spin":
@@ -80,9 +72,7 @@ def algebra_from_json(doc) -> Algebra:
     if doc["dimension"] != len(labels):
         raise DimensionMismatch(f"dimension {doc['dimension']} but {len(labels)} basis labels")
     alpha = field.scalar(doc["alpha"]) if "alpha" in doc else None
-    space = (
-        QuadraticSpace(matrix_from_json(field, doc["gram"])) if "gram" in doc else None
-    )
+    space = QuadraticSpace(Matrix(field, doc["gram"])) if "gram" in doc else None
     meta = AlgebraMeta(
         doc["kind"],
         alpha=alpha,
@@ -95,7 +85,7 @@ def algebra_from_json(doc) -> Algebra:
 def law_to_json(law):
     return {
         "kind": law.kind,
-        "eigenvalues": [scalar_to_json(v) for v in law.eigenvalues],
+        "eigenvalues": [v.to_json() for v in law.eigenvalues],
     }
 
 
@@ -106,7 +96,7 @@ def axis_report_to_json(report: AxisReport):
         "dims": {str(lam): d for lam, d in report.dims.items()},
         "primitive": report.primitive,
         "violations": [
-            [scalar_to_json(a), scalar_to_json(b), scalar_to_json(c)]
+            [a.to_json(), b.to_json(), c.to_json()]
             for a, b, c in report.violations
         ],
         "miyamoto": None if report.miyamoto is None else matrix_to_json(report.miyamoto),
@@ -135,7 +125,7 @@ def yabe_to_json(data: YabeData):
     basis = ["a0", "a1", "a_minus1", "q"]
     return {
         "basis": basis,
-        "delta": scalar_to_json(data.delta),
+        "delta": data.delta.to_json(),
         "a0": element_to_json(data.a0),
         "a1": element_to_json(data.a1),
         "a_minus1": element_to_json(data.a_minus1),

@@ -18,7 +18,6 @@ from splitspin import algebra as algebra_module
 from splitspin.algebra import DERIVED, Algebra, AlgebraMeta
 from splitspin.errors import (
     AlgebraMismatch,
-    CapExceeded,
     CharTwo,
     DimensionMismatch,
     DuplicateCandidates,
@@ -27,7 +26,7 @@ from splitspin.errors import (
 )
 from splitspin.idempotents import FAMILY_A, family_axis
 from splitspin.linalg import Echelon, boxed, raw_values
-from test_linalg import _reference_kernel, positive_multiple, reference_solve
+from test_linalg import _reference_kernel, diagonal, positive_multiple, reference_solve
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -85,12 +84,17 @@ def test_cover_n_annihilates_and_no_identity():
     assert e * algebra.basis_by_label("z1") == -e
 
 
+def adjoint(algebra, a):
+    """The matrix of v -> a v in the algebra basis: column j is a b_j."""
+    return Matrix.from_columns(algebra.field, [(a * algebra.basis(j)).coords for j in range(algebra.dim)])
+
+
 def test_adjoint_matrices(A3):
     z1 = A3.basis_by_label("z1")
-    assert A3.adjoint(z1) == Matrix.diagonal(QQ, [3, 3, 1, 0])
-    assert A3.adjoint(A3.identity()) == Matrix.identity(QQ, 4)
+    assert adjoint(A3, z1) == diagonal(QQ, [3, 3, 1, 0])
+    assert adjoint(A3, A3.identity()) == Matrix.identity(QQ, 4)
     cover = exceptional_cover(identity_space(QQ, 1))
-    assert cover.adjoint(cover.basis_by_label("n")) == Matrix(QQ, [[0] * 3] * 3)
+    assert adjoint(cover, cover.basis_by_label("n")) == Matrix(QQ, [[0] * 3] * 3)
 
 
 def test_multiply_rejects_foreign_elements(A3):
@@ -149,7 +153,7 @@ def test_eigenspaces_raw_are_integer_multiples_of_the_unit_kernel(k, data):
     values = list(dict.fromkeys([Fraction(1), Fraction(0), alpha, 1 - alpha, Fraction(1, 2),
                                  data.draw(_big_fractions)]))
     bases = algebra.eigenspaces_raw(x.raw, values)
-    ad = algebra.adjoint(x).raw
+    ad = adjoint(algebra, x).raw
     for lam, basis in zip(values, bases):
         shifted = Matrix(QQ, [[a - lam if i == j else a for j, a in enumerate(row)] for i, row in enumerate(ad)])
         expected = shifted.kernel_raw()
@@ -217,11 +221,6 @@ def test_family_only_generators_are_two_closed():
     sub = algebra.subalgebra(gens)
     assert sub.algebra.dim == 4
     assert sub.closure_degree == 2
-
-
-def test_subalgebra_cap(A3):
-    with pytest.raises(CapExceeded):
-        A3.subalgebra([A3.basis(0), A3.basis_by_label("z1")], cap=2)
 
 
 def test_w_plus_z_closed_for_any_subspace():
@@ -598,10 +597,6 @@ def test_sparse_product_matches_dense_reference(algebra, data):
             product = u * v
             assert product.coords == reference_product(field, table, u.coords, v.coords)
             assert fractions_over_q(field, (c.value for c in product.coords))
-        adjoint = algebra.adjoint(u)
-        columns = [reference_product(field, table, u.coords, b.coords) for b in vectors[:n]]
-        assert adjoint == Matrix.from_columns(field, columns)
-        assert fractions_over_q(field, (c for row in adjoint.raw for c in row))
     one = algebra.identity()
     assert (None if one is None else one.coords) == reference_identity(field, table)
     assert fractions_over_q(field, (c.value for _, _, _, c in algebra.constants))

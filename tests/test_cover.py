@@ -27,11 +27,31 @@ def test_verify_cover_reports_failed_frobenius_check(monkeypatch):
     monkeypatch.setattr(cover, "frobenius", failing)
     report = verify_cover(space(QQ, [[1, 0], [0, 1]]))
     assert not report.frobenius_ok and not report.all_ok
-    assert report.radical_ok  # the radical is still checked, against E-perp + <n>
+    assert report.radical_ok  # algebra_radical still checks that E-perp + <n> is an ideal
+
+
+def test_radical_ok_fails_when_the_gram_misses_the_radical(monkeypatch):
+    """radical_ok asks the Frobenius gram to annihilate the radical: a gram
+    with a nonzero (n, n) entry fails it, while the form itself still builds."""
+    import dataclasses
+
+    import splitspin.cover as cover
+    from splitspin.axial import frobenius
+
+    def perturbed(algebra):
+        form = frobenius(algebra)
+        rows = [list(row) for row in form.gram.raw]
+        rows[-1][-1] = 1
+        return dataclasses.replace(form, gram=Matrix(algebra.field, rows))
+
+    monkeypatch.setattr(cover, "frobenius", perturbed)
+    for field, rows in ((QQ, [[1, 0], [0, 1]]), (QQ, [[1, 1], [1, 1]]), (F7, [[1, 2], [2, 4]])):
+        report = verify_cover(space(field, rows))
+        assert report.frobenius_ok and not report.radical_ok and not report.all_ok
 
 
 def test_verify_cover_computes_the_gram_kernel_once(monkeypatch):
-    # E-perp is read twice, for `expected` and by algebra_radical
+    # E-perp is read twice, by frobenius and by algebra_radical
     from splitspin.linalg import Matrix as LinalgMatrix
 
     kernel_raw = LinalgMatrix.kernel_raw

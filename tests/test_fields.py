@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from splitspin import Field, Scalar
 from splitspin.errors import DivisionByZero, FieldMismatch
-from splitspin.fields import MR_BOUND
+from splitspin.fields import MR_BOUND, sqrt_mod
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -102,13 +103,25 @@ def test_scalar_power():
     assert F5.scalar(2) ** -1 == F5.scalar(3)
 
 
+def rational_root(q):
+    """The positive square root of the rational q, or None if q is not a square."""
+    q = Fraction(q)
+    n, d = (math.isqrt(max(a, 0)) for a in (q.numerator, q.denominator))
+    return Fraction(n, d) if q >= 0 and (n * n, d * d) == (q.numerator, q.denominator) else None
+
+
 def test_sqrt():
-    assert QQ.scalar(Fraction(9, 4)).sqrt() == QQ.scalar(Fraction(3, 2))
-    assert QQ.scalar(2).sqrt() is None
-    assert QQ.scalar(-1).sqrt() is None
-    root = F7.scalar(2).sqrt()  # 3*3 = 9 = 2 and 4*4 = 16 = 2
-    assert root is not None and root * root == F7.scalar(2)
-    assert F5.scalar(2).sqrt() is None  # squares mod 5 are {0, 1, 4}
+    """`sqrt_mod` against brute force for every residue: a root exactly for
+    the squares.  Primes 1 mod 8 (17, 41, 97, 7681, 65537) run the
+    Tonelli-Shanks loop past its first step."""
+    for p in (2, 3, 5, 7, 13, 17, 41, 97, 7681, 65537):
+        squares = {r * r % p for r in range(p)}
+        for a in range(p):
+            root = sqrt_mod(a, p)
+            if a in squares:
+                assert root is not None and 0 <= root < p and root * root % p == a, (p, a, root)
+            else:
+                assert root is None, (p, a, root)
 
 
 rational_scalars = st.fractions(

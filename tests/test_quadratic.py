@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 
 from splitspin import Field, Matrix, QuadraticSpace, Scalar
 from splitspin.errors import DimensionMismatch, FieldMismatch, IsotropicVector
+from splitspin.fields import sqrt_mod
+from splitspin.quadratic import MAX_SAMPLED
+from test_fields import rational_root
+from test_linalg import diagonal
 
 QQ = Field.rationals()
 F3 = Field.prime(3)
@@ -43,7 +47,7 @@ def test_gram_must_be_symmetric():
 
 def test_reflection_coordinate():
     q = space(QQ, [[1, 0], [0, 1]])
-    assert q.reflection([1, 0]) == Matrix.diagonal(QQ, [-1, 1])
+    assert q.reflection([1, 0]) == diagonal(QQ, [-1, 1])
 
 
 def test_reflection_negates_its_vector():
@@ -164,7 +168,14 @@ def test_sample_orthogonal_zero_form_is_identity():
 # -- norm-one sampling against the boxed scorer -----------------------------------
 
 
-def reference_norm_one_sampled(q, budget, seed, max_results):
+def scalar_root(x):
+    """A square root of the Scalar x in its field, or None if there is none."""
+    p = x.field.p
+    root = sqrt_mod(x.value, p) if p else rational_root(x.value)
+    return None if root is None else x.field.scalar(root)
+
+
+def reference_norm_one_sampled(q, budget, seed):
     """The sampled search as it scored candidates before the integer form:
     each candidate boxed, its norm a Scalar, rescaled by its Scalar root."""
     from splitspin.linalg import Echelon
@@ -179,7 +190,7 @@ def reference_norm_one_sampled(q, budget, seed, max_results):
         nrm = q.norm(v)
         if nrm.is_zero:
             return
-        root = nrm.sqrt()
+        root = scalar_root(nrm)
         if root is None:
             return
         scaled = tuple(x / root for x in v)
@@ -216,7 +227,7 @@ def reference_norm_one_sampled(q, budget, seed, max_results):
                 spans_now = Echelon(q.field, found).rank == n
         else:
             stagnant += 1
-        if len(found) >= max_results:
+        if len(found) >= MAX_SAMPLED:
             break
         if spans_now and stagnant >= 200:
             break
@@ -249,13 +260,12 @@ NORM_ONE_CASES = [
 @pytest.mark.parametrize("field, rows, budget, status", NORM_ONE_CASES)
 def test_norm_one_sampled_matches_boxed_scorer(field, rows, budget, status):
     """Same status, vectors in the same order and same spans as the boxed
-    scorer, for two seeds and two result caps."""
+    scorer, for two seeds."""
     q = space(field, rows)
     for seed in (0, 5):
-        for max_results in (3, 16):
-            expected = reference_norm_one_sampled(q, budget, seed, max_results)
-            assert expected.status == status
-            assert q.find_norm_one(budget, seed, max_results) == expected
+        expected = reference_norm_one_sampled(q, budget, seed)
+        assert expected.status == status
+        assert q.find_norm_one(budget, seed) == expected
 
 
 # -- the one form against boxed Scalar references ----------------------------------
@@ -387,7 +397,7 @@ def test_raw_reflection_of_norm_one_vectors(field, gram):
     """For b(v, v) = 1 the raw rows of -r_v are 2 v (G v)^T - I, and
     neg_reflection(v) holds the same rows."""
     q = space(field, gram)
-    vectors = q.find_norm_one(max_results=8).vectors
+    vectors = q.find_norm_one().vectors
     assert vectors
     n, g = q.dim, q.gram.entries
     for v in vectors:
