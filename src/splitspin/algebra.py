@@ -32,7 +32,7 @@ from .errors import (
     check,
 )
 from .fields import Field, Scalar
-from .linalg import Echelon, Matrix, Vector, _reduced, boxed, cleared, raw_values, zero_one
+from .linalg import Echelon, Matrix, Vector, _reduced, boxed, cleared, pruned, raw_values, sparse, zero_one
 from .quadratic import QuadraticSpace
 
 SPLIT_SPIN = "split_spin"
@@ -244,47 +244,39 @@ class Algebra:
         """The stored nonzero (k, D c) pairs of b_i b_j, D the `denominator`."""
         return self._rows[i].get(j, ())
 
-    def _from_cells(self, sums: Iterable, scale: int = 1) -> tuple:
-        """Sums of products with the stored cells, over scale, as raw values:
-        reduced mod p over F_p, Fractions over D scale over Q."""
-        p, d, zero = self.field.p, self.denominator * scale, zero_one(self.field)[0]
-        return tuple([a % p for a in sums]) if p else tuple([Fraction(a, d) if a else zero for a in sums])
+    def _from_cells(self, sums: dict, scale: int = 1) -> tuple:
+        """The sparse sums of products with the stored cells, over scale, as
+        dense raw values: residues over F_p, Fractions over D scale over Q."""
+        p, d = self.field.p, self.denominator * scale
+        out = [zero_one(self.field)[0]] * self.dim
+        for k, a in sums.items():
+            out[k] = a if p else Fraction(a, d)
+        return tuple(out)
 
     # -- multiplication ------------------------------------------------------
 
-    def _mul_coords(self, u: Sequence, v: Sequence) -> list:
-        """D u v summed on the stored cells, unreduced, for int (or raw)
-        coordinate vectors u and v; `_from_cells` makes it raw."""
-        rows = self._rows
-        acc = [0] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, cell in rows[i].items():
-                vj = v[j]
-                if vj:
+    def _mul_coords(self, u: dict, v: dict) -> dict:
+        """D u v summed on the stored cells as a sparse vector (residues over
+        F_p), for the sparse int (or raw) vectors u and v: the one loop that
+        multiplies on the cells, one cell read per pair of nonzero entries of
+        u and v.  `_from_cells` makes it dense and raw."""
+        rows, acc = self._rows, {}
+        for i, ui in u.items():
+            row = rows[i]
+            for j, vj in v.items():
+                cell = row.get(j)
+                if cell:
                     w = ui * vj
                     for k, c in cell:
-                        acc[k] += w * c
-        return acc
+                        acc[k] = acc.get(k, 0) + w * c
+        return pruned(self.field.p, acc)
 
     def multiply(self, u: Element, v: Element) -> Element:
         if u.algebra is not self or v.algebra is not self:
             raise AlgebraMismatch("elements belong to a different algebra")
         (du, a), (dv, b) = ((1, u.raw), (1, v.raw)) if self.field.p else (cleared(u.raw), cleared(v.raw))
-        return Element(self, self._from_cells(self._mul_coords(a, b), du * dv))
-
-    def _adjoint_raw(self, u: Sequence[int]) -> list[list[int]]:
-        """The rows of D ad_u for the int coordinates u, from the stored
-        cells, unreduced: entry (k, j) is D times the b_k-coefficient of u b_j."""
-        n = self.dim
-        ad = [[0] * n for _ in range(n)]
-        for i, ui in enumerate(u):
-            if ui:
-                for j, cell in self._rows[i].items():
-                    for k, c in cell:
-                        ad[k][j] += ui * c
-        return ad
+        a = sparse(a)
+        return Element(self, self._from_cells(self._mul_coords(a, a if v is u else sparse(b)), du * dv))
 
     # -- eigenstructure ------------------------------------------------------
 
@@ -293,15 +285,19 @@ class Algebra:
         in values (q = 1 over F_p), for the raw coordinates u, cleared once
         to the ints du u: the `Echelon.kernel` of the int rows q D du ad_u -
         a D du I, each a positive multiple of the vector with a unit entry at
-        its free column over Q.  One path over Q and F_p, where du = 1."""
+        its free column over Q.  Column j of D du ad_u is the product of
+        du u and b_j.  One path over Q and F_p, where du = 1."""
         if len(set(values)) != len(values):
             raise DuplicateCandidates("candidate eigenvalues must be pairwise distinct")
-        (du, u), p, n = cleared(u), self.field.p, self.dim
-        ad, scale = self._adjoint_raw(u), du * self.denominator
+        (du, u), n = cleared(u), self.dim
+        u, scale = sparse(u), du * self.denominator
+        columns = [self._mul_coords(u, {j: 1}) for j in range(n)]
         bases = []
         for a, q in (lam.as_integer_ratio() for lam in values):
-            shifted = (_reduced(p, (q * x - a * scale if j == k else q * x for j, x in enumerate(row)))
-                       for k, row in enumerate(ad))
+            shifted = [{k: -a * scale} for k in range(n)]
+            for j, column in enumerate(columns):
+                for k, x in column.items():
+                    shifted[k][j] = shifted[k].get(j, 0) + q * x
             bases.append(Echelon._from_ints(self.field, shifted).kernel(n))
         return bases
 
@@ -310,7 +306,7 @@ class Algebra:
         u b_i = b_i for every basis vector b_i.
 
         Equation (i, k), sum_j u_j (b_k-coefficient of b_j b_i) = [k == i]
-        times D, is read off the stored cells as an augmented row and
+        times D, is read off the stored cells as a sparse augmented row and
         reduced into one echelon basis; a pivot on the right-hand side means
         no solution.  An identity is unique when it exists, so a consistent
         system has full rank and u is the last column of the reduced rows.
@@ -320,15 +316,15 @@ class Algebra:
         n = self.dim
         span = Echelon(self.field)
         for i, row in enumerate(self._rows):
-            equations = {i: [0] * n + [self.denominator]}  # only the equations with a nonzero entry, as ints
+            equations = {i: {n: self.denominator}}  # only the equations with a nonzero entry
             for j, cell in row.items():
                 for k, c in cell:
-                    equations.setdefault(k, [0] * (n + 1))[j] = c
+                    equations.setdefault(k, {})[j] = c
             for equation in equations.values():
-                if span._insert(equation) and span.pivots[-1] == n:
+                if span._insert(equation) and n in span._rows:
                     return None
         check(span.rank == n, "a consistent identity system is not of full rank", span.rank)
-        return Element(self, [row[n] for row in span.unit_rows()])
+        return Element(self, [row[n] for row in span.unit_rows(n + 1)])
 
     # -- subalgebras and quotients --------------------------------------------
 
@@ -344,23 +340,23 @@ class Algebra:
         if any(g.algebra is not self for g in generators):
             raise AlgebraMismatch("generator from a different algebra")
         p, n, span = self.field.p, self.dim, Echelon(self.field)
-        basis: list[tuple[int, list[int]]] = []  # (d_t, B_t): basis vector t is the ints B_t over d_t
+        basis: list[tuple[int, dict]] = []  # (d_t, B_t): basis vector t is the sparse ints B_t over d_t
         d, flat = cleared([a for g in generators for a in g.raw])
         for t in range(0, len(flat), n):
-            if span._insert(vec := flat[t:t + n]):
+            if span._insert(vec := sparse(flat[t:t + n])):
                 basis.append((d, vec))
         if not basis:
             raise ValueError("need at least one nonzero generator")
 
         # a pair multiplied in an earlier round already lies in the span
-        products: dict[tuple[int, int], list[int]] = {}
+        products: dict[tuple[int, int], dict] = {}
         degree = 1
         while True:
             m = len(basis)  # products found this round wait for the next
             for i in range(m):
                 for j in range(i, m):
                     if (i, j) not in products:
-                        products[i, j] = prod = _reduced(p, self._mul_coords(basis[i][1], basis[j][1]))
+                        products[i, j] = prod = self._mul_coords(basis[i][1], basis[j][1])
                         if span._insert(prod):  # D B_i B_j over D d_i d_j
                             basis.append((self.denominator * basis[i][0] * basis[j][0], prod))
             if len(basis) == m:
@@ -370,18 +366,20 @@ class Algebra:
         # a vector of the span is fixed by its entries at the pivots; row t of the reduced [P | I], P the
         # pivot block of the B_t, holds q_t at t and q_t times row t of P^-1, read here by column
         pivots = span.pivots
-        rows = Echelon.inverting(self.field, [[b[c] for _, b in basis] for c in pivots]).rows
-        inverse = [[(t, row[m + r]) for t, row in enumerate(rows) if row[m + r]] for r in range(m)]
+        block = [{t: b[c] for t, (_, b) in enumerate(basis) if c in b} for c in pivots]  # P
+        rows = Echelon.inverting(self.field, block)._rows
+        inverse = {c: [(t, rows[t][m + r]) for t in range(m) if m + r in rows[t]] for r, c in enumerate(pivots)}
         coords: dict[tuple[int, int, int], int] = {}  # b_t-coefficient of b_i b_j: d_t coords / (q_t D d_i d_j)
         for (i, j), prod in products.items():
-            check(not any(span._reduce(prod)), "subalgebra closure misses a product", (i, j))
-            for r, c in enumerate(pivots):
-                for t, a in inverse[r] if prod[c] else ():
-                    coords[i, j, t] = coords.get((i, j, t), 0) + a * prod[c]
+            check(not span._reduce(prod), "subalgebra closure misses a product", (i, j))
+            for c, x in prod.items():  # read only at the product's nonzero pivots
+                for t, a in inverse.get(c, ()):
+                    coords[i, j, t] = coords.get((i, j, t), 0) + a * x
         constants = [(i, j, t, a % p if p else Fraction(basis[t][0] * a,
                                                         rows[t][t] * self.denominator * basis[i][0] * basis[j][0]))
                      for (i, j, t), a in coords.items()]
-        embedding = Matrix._from_raw(self.field, zip(*(b if p else [Fraction(a, d) for a in b] for d, b in basis)))
+        columns = ([b.get(k, 0) if p else Fraction(b.get(k, 0), d) for k in range(n)] for d, b in basis)
+        embedding = Matrix._from_raw(self.field, zip(*columns))
         labels = tuple(f"s{i + 1}" for i in range(m))
         sub = Algebra(self.field, labels, constants, AlgebraMeta(DERIVED))
         return SubalgebraResult(sub, embedding, degree)
@@ -389,12 +387,13 @@ class Algebra:
     def ideal_witness(self, vectors: Sequence[Sequence]) -> tuple[int, int] | None:
         """The first (vector, basis) index pair (i, k) whose product v_i b_k
         leaves the span of the raw (or int) vectors, or None when the span is
-        an ideal; the vectors are cleared once, and v_i b_k is column k of D ad."""
+        an ideal; the vectors are cleared once, and each product is reduced
+        as it comes."""
         n, (_, flat) = self.dim, cleared([a for v in vectors for a in v])
-        ints = [flat[i:i + n] for i in range(0, len(flat), n)]
+        ints = [sparse(flat[i:i + n]) for i in range(0, len(flat), n)]
         span = Echelon._from_ints(self.field, ints)
-        return next(((i, k) for i, v in enumerate(ints) for k, column in enumerate(zip(*self._adjoint_raw(v)))
-                     if any(span._reduce(column))), None)
+        return next(((i, k) for i, v in enumerate(ints) for k in range(n)
+                     if span._reduce(self._mul_coords(v, {k: 1}))), None)
 
     def quotient(self, ideal: Sequence[Element]) -> QuotientResult:
         """Quotient by the span of the given elements.
@@ -412,15 +411,15 @@ class Algebra:
         witness = self.ideal_witness(ints)
         if witness is not None:
             raise NotAnIdeal(f"span not closed under multiplication by basis vector {self.labels[witness[1]]}")
-        span = Echelon._from_ints(self.field, ints)
-        free = [c for c in range(n) if c not in set(span.pivots)]
+        span = Echelon._from_ints(self.field, map(sparse, ints))
+        free = [c for c in range(n) if c not in span._rows]
         if not free:
             raise ValueError("quotient by the whole algebra is empty")
         # column k of L pi as {t: entry}, L the lcm of the pivot entries q_c (1 over F_p)
-        scale = 1 if p else math.lcm(*(row[c] for c, row in span._rows))
+        scale = 1 if p else math.lcm(*(row[c] for c, row in span._rows.items()))
         images = {f: {t: scale} for t, f in enumerate(free)}
-        for c, row in span._rows:
-            images[c] = {t: -row[f] * (scale // row[c]) for t, f in enumerate(free) if row[f]}
+        for c, row in span._rows.items():
+            images[c] = {t: -row[f] * (scale // row[c]) for t, f in enumerate(free) if f in row}
         projection = ([a % p if p else Fraction(a, scale) for a in (images[k].get(t, 0) for k in range(n))]
                       for t in range(len(free)))
         cells: dict[tuple[int, int, int], int] = {}
@@ -438,8 +437,9 @@ class Algebra:
         """Whether the matrix (columns = images of this basis in the other
         algebra) is an algebra isomorphism.  Returns the first failing basis
         pair as a witness, or None when the map is singular or correct.
-        On ints, for C = d M and the other algebra's denominator D', the
-        test is d D' C (D b_i b_j) == D (C b_i)(C b_j) summed on its cells."""
+        On sparse ints, for C = d M and the other algebra's denominator D',
+        the test is d D' C (D b_i b_j) == D (D' (C b_i)(C b_j)), both
+        products through `_mul_coords` (D = D' = d = 1 over F_p)."""
         if self.field != other.field:
             raise FieldMismatch("algebras over different fields")
         if mapping.field != self.field:
@@ -448,19 +448,17 @@ class Algebra:
         if other.dim != n or mapping.rows != n or mapping.cols != n:
             raise DimensionMismatch("mapping must be square of the common dimension")
         d, flat = cleared([a for row in mapping.raw for a in row])
-        if Echelon._from_ints(self.field, (flat[i:i + n] for i in range(0, n * n, n))).rank < n:
+        if Echelon._from_ints(self.field, (sparse(flat[i:i + n]) for i in range(0, n * n, n))).rank < n:
             return False, None
-        cols = [flat[j::n] for j in range(n)]
-        sparse = [[(r, d * other.denominator * a) for r, a in enumerate(col) if a] for col in cols]  # d D' C
-        scaled = [[self.denominator * a for a in col] for col in cols]  # D C
-        for i in range(n):
-            for j in range(i, n):
-                image = [0] * n
-                for k, c in self.cell(i, j):
-                    for r, a in sparse[k]:
-                        image[r] += c * a
-                if _reduced(p, image) != _reduced(p, other._mul_coords(scaled[i], cols[j])):
-                    return False, (i, j)
+        cols = [sparse(flat[j::n]) for j in range(n)]
+        image_of = [{r: d * other.denominator * a for r, a in col.items()} for col in cols]  # d D' C
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            image: dict[int, int] = {}
+            for k, c in self._mul_coords({i: 1}, {j: 1}).items():
+                for r, a in image_of[k].items():
+                    image[r] = image.get(r, 0) + c * a
+            if pruned(p, image) != {r: self.denominator * a for r, a in other._mul_coords(cols[i], cols[j]).items()}:
+                return False, (i, j)
         return True, None
 
     def __repr__(self):

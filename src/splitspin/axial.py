@@ -47,7 +47,7 @@ from .idempotents import (
     eigenbasis,
     family_axis,
 )
-from .linalg import Echelon, Matrix, Vector, raw_values, zero_one
+from .linalg import Echelon, Matrix, Vector, raw_values, sparse, zero_one
 from .quadratic import NormOneSearch
 
 JORDAN = "jordan"
@@ -171,13 +171,13 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     (the law's first eigenvalue), and IncompleteDecomposition when the
     adjoint eigenspaces for the law's eigenvalues do not fill the algebra.
     """
-    field, n, p, cells = algebra.field, algebra.dim, algebra.field.p, algebra._rows
+    field, n, p = algebra.field, algebra.dim, algebra.field.p
     eigenvalues, values = law.eigenvalues, raw_values(field, law.eigenvalues)
     plus = [lam in law.plus for lam in eigenvalues]
     bases = eigenbasis(algebra, x, values)
     if bases is None:
         bases = algebra.eigenspaces_raw(x.raw, values)
-        if x.is_zero or not Echelon._from_ints(field, bases[0]).contains(x.raw):  # x in ker(ad_x - 1)
+        if x.is_zero or not Echelon._from_ints(field, map(sparse, bases[0])).contains(x.raw):  # x in ker(ad_x - 1)
             raise NotIdempotent("axis candidates must be nonzero idempotents")
     dims = {lam: len(basis) for lam, basis in zip(eigenvalues, bases)}
     if sum(dims.values()) != n:
@@ -185,31 +185,18 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
                                       f"{sum(dims.values())} < {n}: an eigenvalue lies outside the law", dims=dims)
 
     # [B | I] for the concatenated eigenbasis B: row t's right half is row t of B^-1 times a positive int
-    columns = [v for basis in bases for v in basis]
-    span = Echelon.inverting(field, list(zip(*columns)))
-    check(span is not None, "a complete eigenbasis must be a basis", witness=columns)
-    owner = [a for a, basis in enumerate(bases) for _ in basis]
-    vectors = [[(i, c) for i, c in enumerate(v) if c] for v in columns]
-    inverse_columns = [[(t, row[n + k]) for t, row in enumerate(span.rows) if row[n + k]] for k in range(n)]
+    vectors = [sparse(v) for basis in bases for v in basis]
+    span = Echelon.inverting(field, [{t: v[i] for t, v in enumerate(vectors) if i in v} for i in range(n)])
+    check(span is not None, "a complete eigenbasis must be a basis", witness=bases)
+    rows, owner = span._rows, [a for a, basis in enumerate(bases) for _ in basis]
+    inverse_columns = [[(t, rows[t][n + k]) for t in range(n) if n + k in rows[t]] for k in range(n)]
 
     def support(u, v) -> set[int]:
         """The eigenvalue indices of the nonzero eigenbasis coordinates of u v."""
-        product: dict[int, int] = {}
-        for i, ui in u:
-            row = cells[i]
-            for j, vj in v:
-                cell = row.get(j)
-                if cell:
-                    w = ui * vj
-                    for k, c in cell:
-                        product[k] = product.get(k, 0) + w * c
         coords: dict[int, int] = {}
-        for k, w in product.items():
-            if p:
-                w %= p
-            if w:
-                for t, b in inverse_columns[k]:
-                    coords[t] = coords.get(t, 0) + w * b
+        for k, w in algebra._mul_coords(u, v).items():
+            for t, b in inverse_columns[k]:
+                coords[t] = coords.get(t, 0) + w * b
         return {owner[t] for t, c in coords.items() if (c % p if p else c)}
 
     blocks = [[t for t, a in enumerate(owner) if a == b] for b in range(len(bases))]
@@ -230,20 +217,20 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
 
     miyamoto_matrix = None
     if graded:  # L tau = sum over t of (+-column t of B)(L / q_t)(right half of row t), L the lcm of the q_t
-        scale = math.lcm(*(row[t] for t, row in enumerate(span.rows)))
+        scale = math.lcm(*(rows[t][t] for t in range(n)))
         tau = [[0] * n for _ in range(n)]
-        for t, row in enumerate(span.rows):
-            f = scale // row[t] if plus[owner[t]] else -scale // row[t]
-            half = [(j, f * c) for j, c in enumerate(row[n:]) if c]
-            for i, b in vectors[t]:
+        for t in range(n):
+            f = scale // rows[t][t] if plus[owner[t]] else -scale // rows[t][t]
+            half = [(j - n, f * c) for j, c in rows[t].items() if j >= n]
+            for i, b in vectors[t].items():
                 for j, c in half:
                     tau[i][j] += b * c
         tau = [[c % p for c in row] for row in tau] if p else tau
-        sparse = [[(j, c) for j, c in enumerate(row) if c] for row in tau]
-        for i, row in enumerate(sparse):  # (L tau)^2 = L^2 I, row by row
+        pairs = [[(j, c) for j, c in enumerate(row) if c] for row in tau]
+        for i, row in enumerate(pairs):  # (L tau)^2 = L^2 I, row by row
             square = [-scale * scale if j == i else 0 for j in range(n)]
             for k, a in row:
-                for j, c in sparse[k]:
+                for j, c in pairs[k]:
                     square[j] += a * c
             check(not any(c % p if p else c for c in square), "the grading involution must square to the identity",
                   witness=(scale, tau))

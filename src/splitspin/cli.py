@@ -32,7 +32,7 @@ from .idempotents import (
     expected_count,
     family_axis,
 )
-from .two_gen import TwoGenConfig, axet, build_two_gen, yabe_data
+from .two_gen import TwoGenConfig, axet, build_two_gen, default_two_gen_alpha, yabe_data
 
 COMMANDS = (
     "build",
@@ -355,58 +355,32 @@ def _cmd_yabe(args, cfg: RunConfig):
     return serialize.yabe_to_json(data), True
 
 
-def _axet_payload(cfg: RunConfig, mu) -> dict:
-    return {
-        "field": cfg.field.to_json(),
-        "mu": mu.to_json(),
-        "alpha": None if cfg.alpha is None else cfg.alpha.to_json(),
-        "variant": cfg.variant,
-        "cap": cfg.budgets.axet_cap,
-    }
-
-
-def _axet_worker(payload: dict) -> dict:
-    from .fields import Field
-    from .two_gen import default_two_gen_alpha
-
-    field = Field.from_json(payload["field"])
-    alpha = payload["alpha"]
+def _axet_entry(cfg: RunConfig, mu) -> dict:
+    """The sweep entry of one mu, or its error; cfg and mu reach a pool worker pickled."""
     try:
-        if alpha is not None:
-            alpha_s = field.scalar(alpha)
-        elif payload["variant"] == "split_spin":
-            alpha_s = default_two_gen_alpha(field)  # axet size is alpha-independent
-        else:
-            alpha_s = None
-        two = TwoGenConfig(
-            field,
-            mu=field.scalar(payload["mu"]),
-            alpha=alpha_s,
-            variant=payload["variant"],
-        )
-        algebra, x, y = build_two_gen(two)
-        result = axet(algebra, x, y, cap=payload["cap"])
+        alpha = cfg.alpha
+        if alpha is None and cfg.variant == "split_spin":
+            alpha = default_two_gen_alpha(cfg.field)  # axet size is alpha-independent
+        algebra, x, y = build_two_gen(TwoGenConfig(cfg.field, mu=mu, alpha=alpha, variant=cfg.variant))
+        result = axet(algebra, x, y, cap=cfg.budgets.axet_cap)
     except ConfigError:
         raise  # the whole sweep is misconfigured, not this entry
     except (SplitSpinError, ValueError) as exc:
-        return {
-            "mu": payload["mu"],
-            "error": {"code": type(exc).__name__, "message": str(exc)},
-        }
-    return {"mu": payload["mu"], **serialize.axet_to_json(result)}
+        return {"mu": mu.to_json(), "error": {"code": type(exc).__name__, "message": str(exc)}}
+    return {"mu": mu.to_json(), **serialize.axet_to_json(result)}
 
 
 def _cmd_axet(args, cfg: RunConfig):
     if not cfg.mu_values:
         raise ConfigError('"two_gen_mu" is required for the axet command')
-    payloads = [_axet_payload(cfg, mu) for mu in cfg.mu_values]
-    workers = min(args.workers, len(payloads), os.cpu_count() or 1)
+    sweep_entry = functools.partial(_axet_entry, cfg)
+    workers = min(args.workers, len(cfg.mu_values), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a sweep on several cores pays for the import
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_axet_worker, payloads))
+            entries = list(pool.map(sweep_entry, cfg.mu_values))
     else:
-        entries = [_axet_worker(p) for p in payloads]
+        entries = list(map(sweep_entry, cfg.mu_values))
     ok = all("error" not in entry for entry in entries)
     if len(entries) == 1:
         return entries[0], ok

@@ -25,7 +25,7 @@ from .errors import (
     WrongAlgebraKind,
     check,
 )
-from .linalg import _reduced, cleared, zero_one
+from .linalg import _reduced, cleared, sparse, zero_one
 
 FAMILY_A = "a"
 FAMILY_B = "b"
@@ -103,10 +103,11 @@ def eigenbasis(algebra: Algebra, x: Element, values: Sequence) -> list[list[list
         units = [[g[i] * a - g[j] * b for a, b in zip(unit, units[i])] for j, unit in enumerate(units) if j != i]
     blocks = [[xi], *([cleared([s * a for a in e or [0] * space.dim] + [a1, a2])[1]]
                       for s, a1, a2 in filter(None, vectors)), units]
-    scale = algebra.denominator * dx
+    scale, xi = algebra.denominator * dx, sparse(xi)
     for (a, q), block in zip((value.as_integer_ratio() for value in values), blocks):
-        for v in block:  # q D dx (x v) = a D dx v, v the outer factor: e-perp's have two nonzero entries
-            if any(_reduced(p, (q * c - a * scale * w for c, w in zip(algebra._mul_coords(v, xi), v)))):
+        for v in map(sparse, block):  # q D dx (x v) = a D dx v; an e-perp v has two nonzero entries
+            xv = algebra._mul_coords(xi, v)
+            if any(_reduced(p, (q * xv.get(j, 0) - a * scale * v.get(j, 0) for j in xv.keys() | v.keys()))):
                 return None
     return blocks
 

@@ -11,18 +11,20 @@ pivots and builds no combination columns, so kernels and inverses are
 deterministic: `kernel` and `kernel_raw` bases come out in echelon order
 with a unit entry at each free column, and an inverse is the right half of
 the reduced [M | I].  Over Q, elimination and products run on integers, with
-one Fraction built per returned entry; the integer views `Echelon.kernel`
-and `Echelon.rows` are positive multiples of those.  `Echelon` clears a raw
-row once, where it comes in (`add`, `contains`, the `Matrix` methods), and
-takes int rows as they are (the algebra's identity, eigenspaces and
-closure hand it ints).  A kernel over Q runs the integer `Echelon` only
-when the rank mod the fixed prime 2^61 - 1 falls short of full column
-rank.  Vectors are tuples of Scalars at the API edge.
+one Fraction built per returned entry; the integer view `Echelon.kernel` is
+a positive multiple of those.  `Echelon` holds its rows, and takes and
+gives its reduced vectors, as sparse int vectors {column: int} without
+zero entries (`sparse` builds one from a dense vector); dense rows come out
+only of `unit_rows` and `kernel`.  It clears a dense raw vector once, where
+it comes in (`add`, `contains`, the `Matrix` methods), and takes sparse int
+vectors as they are (the algebra's identity, eigenspaces and closure hand
+it those).  A kernel over Q runs the integer `Echelon` only when the rank
+mod the fixed prime 2^61 - 1 falls short of full column rank.  Vectors are
+tuples of Scalars at the API edge.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from fractions import Fraction
@@ -228,7 +230,7 @@ class Matrix:
         """Reduced row echelon form and the tuple of pivot columns."""
         span = Echelon(self.field, self.raw)
         zero = [zero_one(self.field)[0]] * self.cols
-        rows = span.unit_rows() + [zero] * (self.rows - span.rank)
+        rows = span.unit_rows(self.cols) + [zero] * (self.rows - span.rank)
         return Matrix._from_raw(self.field, rows), tuple(span.pivots)
 
     def rank(self) -> int:
@@ -250,12 +252,11 @@ class Matrix:
         rows = self.raw if p else [cleared(row)[1] for row in self.raw]
         if not p and _full_rank_mod(rows, self.cols):
             return []
-        span = Echelon._from_ints(self.field, rows)
+        span = Echelon._from_ints(self.field, map(sparse, rows))
         basis = span.kernel(self.cols)
         if p:
             return basis
-        pivots = set(span.pivots)
-        free = [c for c in range(self.cols) if c not in pivots]
+        free = [c for c in range(self.cols) if c not in span._rows]
         return [[Fraction(a, v[f]) for a in v] for f, v in zip(free, basis)]
 
     def inverse(self) -> Matrix | None:
@@ -264,51 +265,51 @@ class Matrix:
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
         scales, rows = (None, self.raw) if self.field.p else zip(*map(cleared, self.raw))
-        span = Echelon.inverting(self.field, rows, scales)
-        return None if span is None else Matrix._from_raw(self.field, (row[self.rows:] for row in span.unit_rows()))
+        span = Echelon.inverting(self.field, [sparse(row) for row in rows], scales)
+        n = self.rows
+        return None if span is None else Matrix._from_raw(self.field, (row[n:] for row in span.unit_rows(2 * n)))
 
 
 class Echelon:
     """An incrementally built reduced echelon basis of a subspace of F^n.
 
-    Rows vanish at every other row's pivot and are kept sorted by pivot, so
-    `unit_rows`, which scales them to unit pivots, is the subspace's reduced
-    row echelon form.  Over F_p rows are residues with unit pivots.  Over Q
-    they are primitive integers (content 1, positive pivot entry): a raw
-    vector is cleared of denominators once, on the way in (`add`,
-    `contains`), an int one is taken as it is (`_insert`,
-    `_from_ints`, `inverting`), and each step v <- q v - v[c] row divides
-    out its content.  Every vector must have the length of the first one.
+    Each row is a sparse int vector {column: int}, held in a dict keyed by
+    its pivot (its first column), and vanishes at every other row's pivot,
+    so `unit_rows`, the rows scaled to unit pivots in pivot order, is the
+    subspace's reduced row echelon form.  Over F_p rows are residues with
+    unit pivots.  Over Q they are primitive integers (content 1, positive
+    pivot entry): a dense raw vector is cleared of denominators once, on
+    the way in (`add`, `contains`), a sparse int one is taken as it is
+    (`_insert`, `_from_ints`, `inverting`), and each step v <- q v - v[c]
+    row divides out its content.  Dense vectors share one length.
     """
 
     __slots__ = ("field", "_rows", "_width")
 
     def __init__(self, field: Field, vectors: Iterable[Sequence] = ()):
         self.field = field
-        self._rows: list[tuple[int, list]] = []  # (pivot, row)
+        self._rows: dict[int, dict[int, int]] = {}  # pivot -> row
         self._width: int | None = None
         for vec in vectors:
             self.add(vec)
 
     @classmethod
-    def _from_ints(cls, field: Field, rows: Iterable[Sequence]) -> Echelon:
-        """The basis of int rows of one length (residues in [0, p) over
-        F_p), taken as they are."""
+    def _from_ints(cls, field: Field, rows: Iterable[dict]) -> Echelon:
+        """The basis of sparse int rows, taken as they are."""
         span = cls(field)
         for row in rows:
             span._insert(row)
         return span
 
     @classmethod
-    def inverting(cls, field: Field, rows: Sequence[Sequence], scales: Sequence[int] | None = None) -> Echelon | None:
-        """The basis of [M | S] for the n x n int rows M (residues over F_p)
-        and the diagonal S of the scales (I by default), or None when M is
+    def inverting(cls, field: Field, rows: Sequence[dict], scales: Sequence[int] | None = None) -> Echelon | None:
+        """The basis of [M | S] for the n sparse int rows of M and the
+        diagonal S of the scales (I by default), or None when M is
         singular.  Row t's right half is row t of M^-1 S times the row's
         pivot entry q_t (1 over F_p)."""
         n = len(rows)
-        span = cls._from_ints(field, (list(row) + [s if j == i else 0 for j in range(n)]
-                                      for i, (row, s) in enumerate(zip(rows, scales or [1] * n))))
-        return None if span.pivots[-1] >= n else span
+        span = cls._from_ints(field, ({**row, n + i: s} for i, (row, s) in enumerate(zip(rows, scales or [1] * n))))
+        return None if max(span._rows) >= n else span
 
     @property
     def rank(self) -> int:
@@ -316,28 +317,26 @@ class Echelon:
 
     @property
     def pivots(self) -> list[int]:
-        return [pivot for pivot, _ in self._rows]
+        return sorted(self._rows)
 
-    @property
-    def rows(self) -> list[list]:
-        """The rows as held, raw, in pivot order: unit-pivot residues over
-        F_p, primitive ints with a positive pivot entry over Q."""
-        return [row for _, row in self._rows]
-
-    def unit_rows(self) -> list[list]:
-        """The rows scaled to unit pivots, raw, in pivot order."""
-        zero, p = zero_one(self.field)[0], self.field.p
-        return [row if p else [Fraction(a, row[c]) if a else zero for a in row] for c, row in self._rows]
+    def unit_rows(self, width: int) -> list[list]:
+        """The rows scaled to unit pivots, as dense raw rows of the width, in pivot order."""
+        zero, p, rows = zero_one(self.field)[0], self.field.p, self._rows
+        out = [[zero] * width for _ in rows]
+        for dense, c in zip(out, self.pivots):
+            for j, a in rows[c].items():
+                dense[j] = a if p else Fraction(a, rows[c][c])
+        return out
 
     def kernel(self, width: int) -> list[list[int]]:
-        """An int vector of the rows' null space for each free column f < width,
-        in column order: over F_p the unit entry 1 at f and -row[f] at each
-        row's pivot; over Q m times that vector, m the lcm of the pivot entries
-        row[c] of the rows with row[f] != 0, so m at f and -row[f] (m // row[c]) at c."""
-        p, pivots = self.field.p, set(self.pivots)
-        basis = []
-        for f in (c for c in range(width) if c not in pivots):
-            rows = [(c, row) for c, row in self._rows if row[f]]
+        """A dense int vector of the rows' null space for each free column
+        f < width, in column order: over F_p the unit entry 1 at f and
+        -row[f] at the pivot c of each row with row[f] != 0; over Q m times
+        that vector, m the lcm of those rows' pivot entries row[c], so m at
+        f and -row[f] (m // row[c]) at c."""
+        p, basis = self.field.p, []
+        for f in (c for c in range(width) if c not in self._rows):
+            rows = [(c, row) for c, row in self._rows.items() if f in row]
             m = 1 if p else math.lcm(*(row[c] for c, row in rows))
             v = [0] * width
             v[f] = m
@@ -346,61 +345,75 @@ class Echelon:
             basis.append(v)
         return basis
 
-    def _raw(self, vec: Sequence) -> list:
+    def _raw(self, vec: Sequence) -> dict:
         v = raw_values(self.field, vec)
         if self._width is None:
             self._width = len(v)
         elif len(v) != self._width:
             raise DimensionMismatch("vector length does not match the echelon basis")
-        return v if self.field.p else cleared(v)[1]
+        return sparse(v if self.field.p else cleared(v)[1])
 
-    def _reduce(self, v: Sequence) -> list:
-        """The int vector v minus its part in the span, times a nonzero
-        integer over Q.  Each F_p step adds < p^2, so mod p comes at the end."""
-        p = self.field.p
-        for pivot, row in self._rows:
-            f = v[pivot] % p if p else v[pivot]  # rows vanish at each other's pivots
-            if f:
-                v = _eliminate(p, v, f, row[pivot], row)
-        return [a % p for a in v] if p else v
+    def _reduce(self, v: dict) -> dict:
+        """The sparse int vector v minus its part in the span, times a
+        nonzero integer over Q, as a new sparse vector (zero entries, and
+        entries = 0 mod p, dropped).  A step changes v only at its row's
+        pivot and at free columns, so one pass over v's own pivot columns
+        clears them all."""
+        p, rows = self.field.p, self._rows
+        v = pruned(p, v)
+        for c in [c for c in v if c in rows]:
+            v = _eliminate(p, v, c, rows[c])
+        return v
 
     def add(self, vec: Sequence) -> bool:
-        """Insert vec; False (and no change) when it is already in the span."""
+        """Insert the dense vec; False (and no change) when it is already in the span."""
         return self._insert(self._raw(vec))
 
-    def _insert(self, v: Sequence) -> bool:
-        """`add` on an int vector (residues over F_p); no coercion."""
+    def _insert(self, v: dict) -> bool:
+        """`add` on a sparse int vector; no coercion."""
         r = self._reduce(v)
-        pivot = next((c for c, a in enumerate(r) if a), None)
-        if pivot is None:
+        if not r:
             return False
-        p = self.field.p
+        pivot, p, rows = min(r), self.field.p, self._rows
         # the one field-specific step: a unit pivot over F_p, content 1 and a positive pivot over Q
-        s = pow(r[pivot], -1, p) if p else math.gcd(*r) * (1 if r[pivot] > 0 else -1)
-        row = [a * s % p for a in r] if p else [a // s for a in r]
-        rows = self._rows
-        for k, (c, other) in enumerate(rows):
-            f = other[pivot]
-            if f:
-                rows[k] = (c, _reduced(p, _eliminate(p, other, f, row[pivot], row)))
-        bisect.insort(rows, (pivot, row))
+        s = pow(r[pivot], -1, p) if p else math.gcd(*r.values()) * (1 if r[pivot] > 0 else -1)
+        row = {j: a * s % p for j, a in r.items()} if p else {j: a // s for j, a in r.items()}
+        for c, other in rows.items():
+            if pivot in other:
+                rows[c] = _eliminate(p, other, pivot, row)
+        rows[pivot] = row
         return True
 
     def contains(self, vec: Sequence) -> bool:
-        return not any(self._reduce(self._raw(vec)))
+        return not self._reduce(self._raw(vec))
 
 
-def _eliminate(p: int | None, v: list, f: int, q: int, row: list) -> list:
-    """q v - f row, for the pivot entry q of row and the entry f of v there:
-    left unreduced over F_p (where q is 1), divided by its content over Q."""
-    if q == 1:
-        v = [a - f * b if b else a for a, b in zip(v, row)]
-    else:
-        g = math.gcd(q, f)
-        q, f = q // g, f // g
-        v = [q * a - f * b if b else q * a for a, b in zip(v, row)]
-    g = 1 if p else math.gcd(*v)
-    return [a // g for a in v] if g > 1 else v
+def sparse(values: Iterable) -> dict:
+    """The nonzero entries of a dense vector as {column: value}."""
+    return {j: a for j, a in enumerate(values) if a}
+
+
+def pruned(p: int | None, v: dict) -> dict:
+    """A new sparse vector of v's entries, reduced mod p over F_p, without the zeros."""
+    return {j: r for j, a in v.items() if (r := a % p)} if p else {j: a for j, a in v.items() if a}
+
+
+def _eliminate(p: int | None, v: dict, c: int, row: dict) -> dict:
+    """v cleared at row's pivot c, in place where it can be: v - v[c] row mod
+    p over F_p, where row[c] is 1; q v - f row over Q for (q, f) = (row[c],
+    v[c]) over their gcd, divided by its content."""
+    g = math.gcd(row[c], v[c])  # 1 over F_p
+    q, f = row[c] // g, v[c] // g
+    if q != 1:
+        v = {j: q * a for j, a in v.items()}
+    for j, b in row.items():
+        a = (v.get(j, 0) - f * b) % p if p else v.get(j, 0) - f * b
+        if a:
+            v[j] = a
+        else:
+            del v[j]
+    g = 1 if p else math.gcd(*v.values())
+    return {j: a // g for j, a in v.items()} if g > 1 else v
 
 
 CERTIFICATE_PRIME = 2**61 - 1

@@ -206,3 +206,17 @@ def test_criterion_6_checks_the_s3_invariance(monkeypatch):
         splitspin.acceptance.criterion_6()
     assert info.value.witness == Field.prime(7)
     assert seen == [(Field.rationals(), 1, (1,)), (Field.prime(7), 1, (1,))]
+
+
+def test_criterion_7_fails_when_the_radical_of_b_comes_out_empty(monkeypatch):
+    """Criterion 7 solves the kernel of b itself: with `QuadraticSpace.radical`
+    returning no vectors, the lifted radical and the Frobenius radical of the
+    degenerate Gram fall short of it, and the criterion fails."""
+    import splitspin.acceptance
+    from splitspin.errors import VerificationFailed
+    from splitspin.quadratic import QuadraticSpace
+
+    monkeypatch.setattr(QuadraticSpace, "radical", lambda self: ())
+    with pytest.raises(VerificationFailed) as info:
+        splitspin.acceptance.criterion_7()
+    assert info.value.witness == (3, [[1, 1], [1, 1]])

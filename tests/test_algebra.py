@@ -25,7 +25,7 @@ from splitspin.errors import (
     NotAnIdeal,
 )
 from splitspin.idempotents import FAMILY_A, family_axis
-from splitspin.linalg import Echelon, boxed, raw_values
+from splitspin.linalg import Echelon, boxed, raw_values, sparse
 from test_linalg import _reference_kernel, diagonal, positive_multiple, reference_solve
 
 QQ = Field.rationals()
@@ -305,7 +305,8 @@ def subalgebra_reference(algebra, generators):
     field, basis = algebra.field, []
 
     def product(u, v):
-        return boxed(field, algebra._from_cells(algebra._mul_coords(raw_values(field, u), raw_values(field, v))))
+        return boxed(field, algebra._from_cells(algebra._mul_coords(sparse(raw_values(field, u)),
+                                                                    sparse(raw_values(field, v)))))
 
     def try_add(vec):
         if not any(vec) or (basis and reference_solve(field, basis, vec) is not None):

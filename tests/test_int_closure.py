@@ -24,7 +24,7 @@ from splitspin import Field, Matrix, QuadraticSpace, exceptional_cover, matsuo_3
 from splitspin.algebra import DERIVED, Algebra, AlgebraMeta, QuotientResult, SubalgebraResult
 from splitspin.errors import NotAnIdeal, VerificationFailed, check
 from splitspin.idempotents import FAMILY_A, family_axis
-from splitspin.linalg import Echelon
+from splitspin.linalg import Echelon, sparse
 from test_linalg import diagonal
 
 QQ = Field.rationals()
@@ -37,7 +37,7 @@ HALF = Fraction(1, 2)
 
 def raw_product(algebra, u, v):
     """u v in raw values, for raw coordinate vectors u and v."""
-    return algebra._from_cells(algebra._mul_coords(u, v))
+    return algebra._from_cells(algebra._mul_coords(sparse(u), sparse(v)))
 
 
 def reference_subalgebra(algebra, generators):
@@ -92,7 +92,7 @@ def reference_quotient(algebra, ideal):
     if witness is not None:
         raise NotAnIdeal(f"span not closed under multiplication by basis vector {algebra.labels[witness[1]]}")
     span = Echelon(algebra.field, raws)
-    ideal_rows, pivots = span.unit_rows(), span.pivots
+    ideal_rows, pivots = span.unit_rows(algebra.dim), span.pivots
     free = [c for c in range(algebra.dim) if c not in set(pivots)]
     if not free:
         raise ValueError("quotient by the whole algebra is empty")

@@ -238,13 +238,13 @@ def _in_span(field, accepted, v):
 def _check_primitive(field, span):
     """Over Q every stored row is integers with content 1 and a positive
     pivot entry; over F_p residues with a unit pivot."""
-    for pivot, row in span._rows:
-        assert all(type(a) is int for a in row)
-        assert not any(row[:pivot]) and all(not other[pivot] for c, other in span._rows if c != pivot)
+    for pivot, row in span._rows.items():
+        assert all(type(a) is int and a for a in row.values())
+        assert min(row) == pivot and all(pivot not in other for c, other in span._rows.items() if c != pivot)
         if field.p:
-            assert row[pivot] == 1 and all(0 <= a < field.p for a in row)
+            assert row[pivot] == 1 and all(0 < a < field.p for a in row.values())
         else:
-            assert row[pivot] > 0 and math.gcd(*row) == 1
+            assert row[pivot] > 0 and math.gcd(*row.values()) == 1
 
 
 def _check_echelon(field, vecs, query):
@@ -257,7 +257,7 @@ def _check_echelon(field, vecs, query):
     reduced, pivots = reference_rref(field, vecs)
     assert span.rank == len(accepted) == len(pivots)
     assert span.pivots == list(pivots)
-    assert span.unit_rows() == [[a.value for a in row] for row in reduced[: len(pivots)]]
+    assert span.unit_rows(len(query)) == [[a.value for a in row] for row in reduced[: len(pivots)]]
     _check_primitive(field, span)
     if vecs:
         assert Matrix(field, vecs).rank() == len(pivots)
@@ -449,9 +449,9 @@ def test_integer_echelon_against_fraction_reference(field):
                 assert span.contains(query) == reference.contains(query)
             assert span.rank == reference.rank
             assert span.pivots == [c for c, _ in reference._rows]
-            assert span.unit_rows() == [row for _, row in reference._rows]
+            assert span.unit_rows(len(grid[0])) == [row for _, row in reference._rows]
             _check_primitive(field, span)
-        assert all(_raws_over_q_are_fractions(field, row) for row in span.unit_rows())
+        assert all(_raws_over_q_are_fractions(field, row) for row in span.unit_rows(len(grid[0])))
 
         m = Matrix(field, grid)
         reduced, pivots = m.rref()
@@ -476,10 +476,122 @@ def test_integer_echelon_against_fraction_reference(field):
 
 def test_rational_echelon_keeps_primitive_rows_with_positive_pivots():
     span = Echelon(QQ, [(Fraction(-2, 3), Fraction(4, 9), 0), (0, -6, Fraction(3, 5))])
-    assert span._rows == [(0, [15, 0, -1]), (1, [0, 10, -1])]
-    assert span.unit_rows() == [[1, 0, Fraction(-1, 15)], [0, 1, Fraction(-1, 10)]]
+    assert span._rows == {0: {0: 15, 2: -1}, 1: {1: 10, 2: -1}}
+    assert span.unit_rows(3) == [[1, 0, Fraction(-1, 15)], [0, 1, Fraction(-1, 10)]]
     assert span.contains((Fraction(15, 7), Fraction(10, 7), Fraction(-2, 7)))
     assert not span.contains((0, 0, 1))
+
+
+# -- sparse rows fed to Echelon directly, against the reference elimination ---------
+
+
+@st.composite
+def _sparse_vectors(draw, field, square=False):
+    """Int vectors of one width as {column: int} dicts, as the algebra hands
+    them to `Echelon`: dicts with exact zeros and, over F_p, entries = 0 mod p
+    or outside [0, p), the empty dict, and combinations of earlier vectors,
+    which meet several pivots.  As many vectors as the width when square."""
+    width, p = draw(st.integers(1, 6)), field.p
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**6, 10**6),
+                      *([st.sampled_from([p, -p, 2 * p]), st.integers(-3 * p, 3 * p)] if p else []))
+    vectors = []
+    for _ in range(width if square else draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["entries", "empty", "combine", "combine"]))
+        if kind == "empty":
+            vectors.append({})
+        elif kind == "combine" and vectors:
+            (a, u), (b, v) = [(draw(entry), draw(st.sampled_from(vectors))) for _ in range(2)]
+            vectors.append({j: a * u.get(j, 0) + b * v.get(j, 0) for j in range(width)})  # zeros kept
+        else:
+            vectors.append({j: draw(entry) for j in draw(st.sets(st.integers(0, width - 1)))})
+    return width, vectors
+
+
+def _dense(width, v):
+    return [v.get(j, 0) for j in range(width)]
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F10007], ids=["QQ", "F7", "F10007"])
+def test_sparse_insert_against_the_reference(field):
+    @given(_sparse_vectors(field))
+    def check(case):
+        width, vectors = case
+        span, reference = Echelon(field), ReferenceEchelon(field)
+        for v in vectors:
+            given_v = dict(v)
+            contained = reference.contains(_dense(width, v))
+            assert (not span._reduce(v)) == contained
+            assert span._insert(v) == reference.add(_dense(width, v)) == (not contained)
+            assert v == given_v  # the caller's dict is left as it was
+            assert span.pivots == [c for c, _ in reference._rows]
+            assert span.unit_rows(width) == [row for _, row in reference._rows]
+            _check_primitive(field, span)
+        assert Echelon._from_ints(field, vectors)._rows == span._rows
+
+    check()
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F10007], ids=["QQ", "F7", "F10007"])
+def test_sparse_inverting_against_the_reference(field):
+    """`inverting` on n sparse rows, singular ones included: None exactly when
+    the reference finds no inverse, else the right half of row t over its
+    pivot entry q_t is row t of the inverse."""
+    @given(_sparse_vectors(field, square=True))
+    def check(case):
+        n, rows = case
+        span = Echelon.inverting(field, rows)
+        expected = ReferenceEchelon.inverse(field, [raw_values(field, _dense(n, row)) for row in rows])
+        assert (span is None) == (expected is None)
+        if span is not None:
+            assert [row[n:] for row in span.unit_rows(2 * n)] == expected
+
+    check()
+
+
+def test_sparse_inverting_of_a_singular_matrix_is_none():
+    assert Echelon.inverting(QQ, [{0: 2, 1: 4}, {0: -1, 1: -2}]) is None
+    assert Echelon.inverting(F7, [{0: 3, 1: 0}, {0: 10, 1: 7}]) is None  # second row = 1 * first mod 7
+    assert Echelon.inverting(F7, [{}, {1: 1}]) is None
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F10007], ids=["QQ", "F7", "F10007"])
+def test_identity_against_a_reference_solve(field):
+    """`Algebra.identity` reduces its sparse equations into one `Echelon`; the
+    identity, or None, must be the reference's solution of the dense system
+    sum_j u_j (b_k-coefficient of b_j b_i) = [k == i]."""
+    from splitspin.algebra import DERIVED, Algebra, AlgebraMeta
+
+    entry = st.integers(-3, 3) if not field.p else st.integers(0, field.p - 1)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n - 1), entry), max_size=12))))
+    def check(case):
+        n, cells = case
+        table = {}
+        for i, j, k, c in cells:
+            table[min(i, j), max(i, j), k] = c
+        algebra = Algebra(field, [f"b{i}" for i in range(n)], [(*key, c) for key, c in table.items()],
+                          AlgebraMeta(DERIVED))
+        columns = [[raw_values(field, [table.get((min(i, j), max(i, j), k), 0)])[0] for i in range(n) for k in range(n)]
+                   for j in range(n)]
+        rhs = raw_values(field, [int(k == i) for i in range(n) for k in range(n)])
+        expected = reference_solve(field, columns, rhs)
+        found = algebra.identity()
+        assert (found is None) == (expected is None)
+        assert found is None or found.coords == expected
+
+    check()
+
+
+def test_identity_of_an_inconsistent_system_is_none():
+    """b1 b1 = b2 and b2 b2 = b2: every basis vector has a nonzero product,
+    so the equations are reduced, and u b1 = u1 b2 never equals b1."""
+    from splitspin.algebra import DERIVED, Algebra, AlgebraMeta
+
+    for field in (QQ, F7, F10007):
+        algebra = Algebra(field, ["b1", "b2"], [(0, 0, 1, 1), (1, 1, 1, 1)], AlgebraMeta(DERIVED))
+        assert all(algebra.cell(i, i) for i in range(2))
+        assert algebra.identity() is None
 
 
 # -- raw Matrix against the boxed Scalar implementation it replaced ----------------
@@ -773,10 +885,10 @@ def test_integer_kernel_against_reference(field):
 def test_integer_kernel_of_a_rational_matrix_by_hand():
     # rows (3, 0, 2, 1) and (0, 2, 1, 0): free columns 2 and 3
     span = Echelon(QQ, [(Fraction(3, 5), 0, Fraction(2, 5), Fraction(1, 5)), (0, 4, 2, 0)])
-    assert span.rows == [[3, 0, 2, 1], [0, 2, 1, 0]]
+    assert span._rows == {0: {0: 3, 2: 2, 3: 1}, 1: {1: 2, 2: 1}}
     # column 2: m = lcm(3, 2) = 6, so (-2 * 2, -1 * 3, 6, 0); column 3: m = 3, so (-1, 0, 0, 3)
     assert span.kernel(4) == [[-4, -3, 6, 0], [-1, 0, 0, 3]]
-    assert Matrix(QQ, span.rows).kernel_raw() == [
+    assert Matrix(QQ, [[3, 0, 2, 1], [0, 2, 1, 0]]).kernel_raw() == [
         [Fraction(-2, 3), Fraction(-1, 2), 1, 0], [Fraction(-1, 3), 0, 0, 1]]
     assert Echelon(QQ).kernel(2) == [[1, 0], [0, 1]]  # the empty span
 
