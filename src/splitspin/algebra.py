@@ -280,13 +280,14 @@ class Algebra:
 
     # -- eigenstructure ------------------------------------------------------
 
-    def eigenspaces_raw(self, u: Sequence, values: Sequence) -> list[list[list[int]]]:
-        """Bases of the kernels of ad_u - lambda, one per raw lambda = a / q
-        in values (q = 1 over F_p), for the raw coordinates u, cleared once
-        to the ints du u: the `Echelon.kernel` of the int rows q D du ad_u -
-        a D du I, each a positive multiple of the vector with a unit entry at
-        its free column over Q.  Column j of D du ad_u is the product of
-        du u and b_j.  One path over Q and F_p, where du = 1."""
+    def eigenspaces_raw(self, u: Sequence, values: Sequence) -> list[list[dict]]:
+        """Bases of the kernels of ad_u - lambda as sparse int vectors, one
+        per raw lambda = a / q in values (q = 1 over F_p), for the raw
+        coordinates u, cleared once to the ints du u: the `Echelon.kernel` of
+        the int rows q D du ad_u - a D du I, each a positive multiple of the
+        vector with a unit entry at its free column over Q.  Column j of
+        D du ad_u is the product of du u and b_j.  One path over Q and F_p,
+        where du = 1."""
         if len(set(values)) != len(values):
             raise DuplicateCandidates("candidate eigenvalues must be pairwise distinct")
         (du, u), n = cleared(u), self.dim
@@ -298,7 +299,7 @@ class Algebra:
             for j, column in enumerate(columns):
                 for k, x in column.items():
                     shifted[k][j] = shifted[k].get(j, 0) + q * x
-            bases.append(Echelon._from_ints(self.field, shifted).kernel(n))
+            bases.append(list(map(sparse, Echelon._from_ints(self.field, shifted).kernel(n))))
         return bases
 
     def identity(self) -> Element | None:

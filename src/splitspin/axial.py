@@ -36,18 +36,8 @@ from .errors import (
     check,
 )
 from .fields import Field, Scalar
-from .idempotents import (
-    FAMILY_A,
-    TAG_FAMILY_A,
-    TAG_FAMILY_B,
-    TAG_FAMILY_EXC,
-    TAG_Z1,
-    TAG_Z2,
-    classes,
-    eigenbasis,
-    family_axis,
-)
-from .linalg import Echelon, Matrix, Vector, raw_values, sparse, zero_one
+from .idempotents import FAMILY_A, TAG_FAMILY_A, TAG_FAMILY_B, classes, eigenbasis, family_axis
+from .linalg import Echelon, Matrix, Vector, raw_values, zero_one
 from .quadratic import NormOneSearch
 
 JORDAN = "jordan"
@@ -109,18 +99,27 @@ def monster_law(field: Field, alpha, beta) -> FusionLaw:
 
 
 def axis_law(algebra: Algebra, tag: str) -> FusionLaw:
-    """The fusion law of the axes in one idempotent class: z1 and z2 are of
-    Jordan type alpha and 1 - alpha, family (a) and the cover's family of
-    Monster type (alpha, 1/2), family (b) of Monster type (1 - alpha, 1/2);
-    alpha = -1 on the cover."""
-    field, alpha = algebra.field, algebra.meta.alpha
-    eta = {TAG_Z1: alpha, TAG_Z2: 1 - alpha,
-           TAG_FAMILY_A: alpha, TAG_FAMILY_EXC: alpha, TAG_FAMILY_B: 1 - alpha}
-    if tag not in classes(algebra) or tag not in eta:
+    """The fusion law of the axes in one idempotent class, on the eta that
+    `classes` gives it: a point class (z1, z2) is of Jordan type eta, a
+    family of Monster type (eta, 1/2)."""
+    family, _, eta, _ = classes(algebra).get(tag, (None, None, None, None))
+    if eta is None:
         raise ValueError(f"no axes of class {tag!r} on the {algebra.meta.kind} algebra")
-    if tag in (TAG_Z1, TAG_Z2):
-        return jordan_law(field, eta[tag])
-    return monster_law(field, eta[tag], field.half())
+    field = algebra.field
+    return jordan_law(field, eta) if family is None else monster_law(field, eta, field.half())
+
+
+def class_axes(algebra: Algebra, witnesses: Sequence) -> list[tuple[str, Element, FusionLaw]]:
+    """(tag, axis, law) for every class axis in `classes` order: the point
+    classes with a law (z1 and z2, z1 alone on the cover), then every family
+    member of each norm-one witness e in turn.  Every law is built, and may
+    raise EigenvalueCollision, before any axis is."""
+    table = classes(algebra)
+    laws = {tag: axis_law(algebra, tag) for tag, (_, _, eta, _) in table.items() if eta is not None}
+    axes = [(tag, algebra.basis_by_label(tag), law) for tag, law in laws.items() if table[tag][0] is None]
+    for e in witnesses:
+        axes += [(tag, family_axis(algebra, e, table[tag][0]), law) for tag, law in laws.items() if table[tag][0]]
+    return axes
 
 
 @dataclass
@@ -144,10 +143,10 @@ class AxisReport:
 def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     """Full axis verification of the idempotent x against the law.
 
-    The eigenbasis B is the paper's (`idempotents.eigenbasis`, each vector
-    checked by one product x v = lambda v) for a class idempotent under its
-    class's eigenvalues, else the kernels of ad_x - lambda from
-    `eigenspaces_raw`.  `Echelon.inverting` proves B a basis, so dims,
+    The eigenbasis B, as sparse int vectors, is the paper's
+    (`idempotents.eigenbasis`, each vector checked by one product
+    x v = lambda v) for a class idempotent under its class's eigenvalues,
+    else the kernels of ad_x - lambda from `eigenspaces_raw`.  `Echelon.inverting` proves B a basis, so dims,
     primitivity and tau do not depend on which it is, and each template
     vector is a nonzero multiple of the solved kernel vector in its place,
     so the supports, and with them the violations and their order, agree.
@@ -177,7 +176,7 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     bases = eigenbasis(algebra, x, values)
     if bases is None:
         bases = algebra.eigenspaces_raw(x.raw, values)
-        if x.is_zero or not Echelon._from_ints(field, map(sparse, bases[0])).contains(x.raw):  # x in ker(ad_x - 1)
+        if x.is_zero or not Echelon._from_ints(field, bases[0]).contains(x.raw):  # x in ker(ad_x - 1)
             raise NotIdempotent("axis candidates must be nonzero idempotents")
     dims = {lam: len(basis) for lam, basis in zip(eigenvalues, bases)}
     if sum(dims.values()) != n:
@@ -185,7 +184,7 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
                                       f"{sum(dims.values())} < {n}: an eigenvalue lies outside the law", dims=dims)
 
     # [B | I] for the concatenated eigenbasis B: row t's right half is row t of B^-1 times a positive int
-    vectors = [sparse(v) for basis in bases for v in basis]
+    vectors = [v for basis in bases for v in basis]
     span = Echelon.inverting(field, [{t: v[i] for t, v in enumerate(vectors) if i in v} for i in range(n)])
     check(span is not None, "a complete eigenbasis must be a basis", witness=bases)
     rows, owner = span._rows, [a for a, basis in enumerate(bases) for _ in basis]

@@ -19,13 +19,11 @@ from json.encoder import encode_basestring_ascii
 
 from . import serialize
 from .algebra import exceptional_cover, split_spin
-from .axial import algebra_radical, axis_law, check_axis, frobenius, is_simple
+from .axial import algebra_radical, check_axis, class_axes, frobenius, is_simple
 from .config import RunConfig, apply_overrides, parse_config
 from .cover import MAX_WITNESSES, verify_cover
 from .errors import BaricCase, ConfigError, SplitSpinError
 from .idempotents import (
-    TAG_Z1,
-    TAG_Z2,
     classes,
     classify_idempotents,
     enumerate_idempotents_bruteforce,
@@ -33,19 +31,6 @@ from .idempotents import (
     family_axis,
 )
 from .two_gen import TwoGenConfig, axet, build_two_gen, default_two_gen_alpha, yabe_data
-
-COMMANDS = (
-    "build",
-    "idempotents",
-    "axis-check",
-    "frobenius",
-    "radical",
-    "simple",
-    "yabe",
-    "axet",
-    "cover",
-    "selftest",
-)
 
 
 def main(argv=None) -> int:
@@ -58,7 +43,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        report, ok = _dispatch(args, cfg)
+        report, ok = COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -77,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact computations in split spin factor algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in (*COMMANDS, "selftest"):
         cmd = sub.add_parser(name)
         cmd.add_argument("-c", "--config", help="path to a JSON config file")
         cmd.add_argument("--p", type=int, help="use the prime field F_p")
@@ -124,21 +109,6 @@ def _load_config(args) -> RunConfig:
         output=args.output,
     )
     return parse_config(raw)
-
-
-def _dispatch(args, cfg: RunConfig):
-    handler = {
-        "build": _cmd_build,
-        "idempotents": _cmd_idempotents,
-        "axis-check": _cmd_axis_check,
-        "frobenius": _cmd_frobenius,
-        "radical": _cmd_radical,
-        "simple": _cmd_simple,
-        "yabe": _cmd_yabe,
-        "axet": _cmd_axet,
-        "cover": _cmd_cover,
-    }[args.command]
-    return handler(args, cfg)
 
 
 def _emit(report, output: str):
@@ -219,19 +189,13 @@ def _require_space(cfg: RunConfig):
     raise ConfigError('a "gram" matrix or "two_gen_mu" is required')
 
 
-def _require_alpha(cfg: RunConfig):
-    if cfg.variant == "cover":
-        return -cfg.field.one()
-    if cfg.alpha is None:
-        raise ConfigError('"alpha" is required for the split spin variant')
-    return cfg.alpha
-
-
 def _build_algebra(cfg: RunConfig):
     space = _require_space(cfg)
     if cfg.variant == "cover":
         return exceptional_cover(space)
-    return split_spin(space, _require_alpha(cfg))
+    if cfg.alpha is None:
+        raise ConfigError('"alpha" is required for the split spin variant')
+    return split_spin(space, cfg.alpha)
 
 
 # -- commands --------------------------------------------------------------------
@@ -279,7 +243,7 @@ def _cmd_idempotents(args, cfg: RunConfig):
             "idempotents": classified,
         }
     else:
-        families = [family for family, _ in classes(algebra).values() if family]
+        families = [family for family, *_ in classes(algebra).values() if family]
         members = []
         for e in search.vectors:
             for fam in families:
@@ -298,18 +262,9 @@ def _cmd_idempotents(args, cfg: RunConfig):
 
 def _cmd_axis_check(args, cfg: RunConfig):
     algebra = _build_algebra(cfg)
-    table = classes(algebra)
-    reports = []
-    for tag in (TAG_Z1, TAG_Z2):
-        if tag in table:
-            rep = check_axis(algebra, algebra.basis_by_label(tag), axis_law(algebra, tag))
-            reports.append({"axis_name": tag, **serialize.axis_report_to_json(rep)})
-    laws = {tag: (family, axis_law(algebra, tag)) for tag, (family, _) in table.items() if family}
     search = algebra.meta.space.find_norm_one(budget=cfg.budgets.norm_one, seed=cfg.seed)
-    for e in search.vectors[:MAX_WITNESSES]:
-        for tag, (family, law) in laws.items():
-            rep = check_axis(algebra, family_axis(algebra, e, family), law)
-            reports.append({"axis_name": tag, **serialize.axis_report_to_json(rep)})
+    reports = [{"axis_name": tag, **serialize.axis_report_to_json(check_axis(algebra, x, law))}
+               for tag, x, law in class_axes(algebra, search.vectors[:MAX_WITNESSES])]
     ok = all(r["ok"] for r in reports)
     return {"axes": reports, "norm_one": serialize.norm_one_to_json(search)}, ok
 
@@ -401,6 +356,19 @@ def _cmd_selftest(args) -> int:
         print(f"config error: no criterion {only}", file=sys.stderr)
         return 2
     return 0 if run_all(only=only) else 1
+
+
+COMMANDS = {  # the parser adds "selftest", which takes no config
+    "build": _cmd_build,
+    "idempotents": _cmd_idempotents,
+    "axis-check": _cmd_axis_check,
+    "frobenius": _cmd_frobenius,
+    "radical": _cmd_radical,
+    "simple": _cmd_simple,
+    "yabe": _cmd_yabe,
+    "axet": _cmd_axet,
+    "cover": _cmd_cover,
+}
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@
 verify_cover runs the whole pipeline on one quadratic space: the nil ideal
 <n>, absence of an identity, the explicit quotient isomorphism onto the
 subalgebra E + F z1 of the split spin algebra at alpha = -1, the fusion
-checks (z1 of Jordan type -1, the family of Monster type (-1, 1/2)), the
-3C(-1) subalgebra, the Frobenius form and the radical E-perp + <n>, checked
-to be an ideal that the form's gram annihilates.  Every flag in the report
-is computed, never assumed.
+checks on the cover's `class_axes` (z1 of Jordan type -1, the family of
+Monster type (-1, 1/2)), the 3C(-1) subalgebra, the Frobenius form and the
+radical E-perp + <n>, checked to be an ideal that the form's gram
+annihilates.  Every flag in the report is computed, never assumed.
 """
 
 from __future__ import annotations
@@ -14,15 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, Element, exceptional_cover, matsuo_3c, split_spin
-from .axial import (
-    AxisReport,
-    algebra_radical,
-    axis_law,
-    check_axis,
-    frobenius,
-)
+from .axial import AxisReport, algebra_radical, check_axis, class_axes, frobenius
 from .errors import BadCharacteristic, VerificationFailed
-from .idempotents import FAMILY_EXC, TAG_FAMILY_EXC, TAG_Z1, family_axis
+from .idempotents import FAMILY_EXC, family_axis
 from .linalg import Matrix, Vector
 from .quadratic import QuadraticSpace
 
@@ -91,14 +85,11 @@ def verify_cover(
         and quot.algebra.check_isomorphism(sub.algebra, ident)[0]
     )
 
-    z1 = algebra.basis_by_label("z1")
-    z1_report = check_axis(algebra, z1, axis_law(algebra, TAG_Z1))
-
     search = space.find_norm_one(budget=norm_one_budget, seed=seed)
     witnesses = search.vectors[:MAX_WITNESSES]
-    law = axis_law(algebra, TAG_FAMILY_EXC)
-    axis_reports = [check_axis(algebra, family_axis(algebra, e, FAMILY_EXC), law)
-                    for e in witnesses]
+    (_, z1, law), *family_axes = class_axes(algebra, witnesses)
+    z1_report = check_axis(algebra, z1, law)
+    axis_reports = [check_axis(algebra, x, law) for _, x, law in family_axes]
 
     three_c_ok = None
     if witnesses:

@@ -25,7 +25,7 @@ from .errors import (
     WrongAlgebraKind,
     check,
 )
-from .linalg import _reduced, cleared, sparse, zero_one
+from .linalg import _reduced, cleared, pruned, sparse, zero_one
 
 FAMILY_A = "a"
 FAMILY_B = "b"
@@ -52,60 +52,67 @@ class IdempotentClass:
     witness: Element | None = None
 
 
-def classes(algebra: Algebra) -> dict[str, tuple[str | None, tuple]]:
-    """The classes of nonzero idempotents, in report order: tag ->
-    (family, (gamma, delta)), the z-part raw.  A point class (family None)
-    is gamma z1 + delta z2 (z2 is n on the cover); a family member is
-    e/2 plus its z-part, one for each e with b(e, e) = 1.  The families need
-    1/2, so characteristic 2 has none."""
+def classes(algebra: Algebra) -> dict[str, tuple]:
+    """The paper's classification of the nonzero idempotents, in report
+    order: tag -> (family, (gamma, delta), eta, templates), all raw.  A point
+    class (family None) is gamma z1 + delta z2 (z2 is n on the cover); a
+    family member is e/2 plus its z-part, one for each e with b(e, e) = 1.
+    An axis class is of Jordan type eta (z1, z2) or of Monster type
+    (eta, 1/2) (a family), and its templates are its 0- and eta-eigenvectors
+    as (e, z1, z2)-coefficients, None for the eta-space E of z1 and z2; the
+    identity has neither.  The families need 1/2, so characteristic 2 has
+    none."""
     kind, field = algebra.meta.kind, algebra.field
-    zero, one = zero_one(field)
-    if kind == COVER:
-        table = {TAG_Z1: (None, (one, zero))}
-    elif kind == SPLIT_SPIN:
-        table = {TAG_ONE: (None, (one, one)), TAG_Z1: (None, (one, zero)),
-                 TAG_Z2: (None, (zero, one))}
-    else:
+    if kind not in (SPLIT_SPIN, COVER):
         raise WrongAlgebraKind(f"no idempotent classes on a {kind} algebra")
+    (zero, one), alpha, co_alpha = zero_one(field), algebra.meta.alpha.value, (1 - algebra.meta.alpha).value
+    if kind == COVER:  # alpha = -1
+        table = {TAG_Z1: (None, (one, zero), alpha, ((0, 0, 1), None))}
+    else:
+        table = {TAG_ONE: (None, (one, one), None, None), TAG_Z1: (None, (one, zero), alpha, ((0, 0, 1), None)),
+                 TAG_Z2: (None, (zero, one), co_alpha, ((0, 1, 0), None))}
     if field.characteristic == 2:
         return table
-    half, alpha = field.half().value, algebra.meta.alpha.value
+    half, p = field.half().value, field.p
     if kind == COVER:
-        table[TAG_FAMILY_EXC] = (FAMILY_EXC, (-half, half))
+        table[TAG_FAMILY_EXC] = (FAMILY_EXC, (-half, half), alpha, ((0, 0, 1), (1, 3, -1)))
     else:
-        table[TAG_FAMILY_A] = (FAMILY_A, (half * alpha, half * (alpha + 1)))
-        table[TAG_FAMILY_B] = (FAMILY_B, (half * (2 - alpha), half * (1 - alpha)))
-    return {tag: (family, tuple(_reduced(field.p, z))) for tag, (family, z) in table.items()}
+        table[TAG_FAMILY_A] = (FAMILY_A, (half * alpha, half * (alpha + 1)), alpha,
+                               ((1, alpha - 2, alpha - 1), (1, 2 - alpha, -alpha - 1)))
+        table[TAG_FAMILY_B] = (FAMILY_B, (half * (2 - alpha), half * (1 - alpha)), co_alpha,
+                               ((-1, alpha, alpha + 1), (-1, 2 - alpha, -alpha - 1)))
+    return {tag: (family, tuple(_reduced(p, z)), *rest) for tag, (family, z, *rest) in table.items()}
 
 
-def eigenbasis(algebra: Algebra, x: Element, values: Sequence) -> list[list[list[int]]] | None:
-    """The paper's eigenvectors of the class idempotent x as int rows, one
-    block per raw eigenvalue in values (the table below; e-perp is spanned by
-    the g_i e_j - g_j e_i, j != i, for g = s G e and g_i its first nonzero
-    entry), each checked by one sparse product x v = lambda v against its
-    block's value, which `axial.axis_law` writes: 1, 0, eta and, for a
-    family, 1/2.  None when x is in no class, values does not hold one value
-    per block, or a check fails."""
-    if algebra.meta.kind not in (SPLIT_SPIN, COVER) or (verdict := _matcher(algebra)(x.raw)) is None:
+def eigenbasis(algebra: Algebra, x: Element, values: Sequence) -> list[list[dict]] | None:
+    """The paper's eigenvectors of the class idempotent x as sparse int
+    vectors, one block per raw eigenvalue in values: x, then the templates
+    of x's class in `classes`, then E's unit vectors for a point class or,
+    for a family member, the e-perp vectors g_i e_j - g_j e_i, j != i, for
+    g = s G e and g_i its first nonzero entry.  Each vector is checked by one
+    sparse product x v = lambda v against its block's value: 1, 0, eta and,
+    for a family, 1/2, as `axial.axis_law` reads them off the table.  None
+    when x is in no axis class, values does not hold one value per block,
+    or a check fails."""
+    if algebra.meta.kind not in (SPLIT_SPIN, COVER):
         return None
-    alpha, p, space, e = algebra.meta.alpha.value, algebra.field.p, algebra.meta.space, verdict.raw_e
-    vectors = {  # tag -> the 0- and eta-eigenvectors as (e, z1, z2)-coefficients, None for E
-        TAG_Z1: ((0, 0, 1), None), TAG_Z2: ((0, 1, 0), None),
-        TAG_FAMILY_A: ((1, alpha - 2, alpha - 1), (1, 2 - alpha, -alpha - 1)),
-        TAG_FAMILY_B: ((-1, alpha, alpha + 1), (-1, 2 - alpha, -alpha - 1)),
-        TAG_FAMILY_EXC: ((0, 0, 1), (1, 3, -1))}.get(verdict.tag)
-    if vectors is None or len(values) != 3 + bool(e):
+    table = classes(algebra)
+    if (verdict := _matcher(algebra, table)(x.raw)) is None:
         return None
-    (dx, xi), units = cleared(x.raw), [[int(i == j) for j in range(algebra.dim)] for i in range(space.dim)]
+    templates, e = table[verdict.tag][3], verdict.raw_e
+    if templates is None or len(values) != 3 + bool(e):
+        return None
+    p, space = algebra.field.p, algebra.meta.space
+    (dx, xi), units = cleared(x.raw), [{j: 1} for j in range(space.dim)]
     if e:
         g = _reduced(p, space._image(cleared(e)[1]))
         i = next(i for i, c in enumerate(g) if c)
-        units = [[g[i] * a - g[j] * b for a, b in zip(unit, units[i])] for j, unit in enumerate(units) if j != i]
-    blocks = [[xi], *([cleared([s * a for a in e or [0] * space.dim] + [a1, a2])[1]]
-                      for s, a1, a2 in filter(None, vectors)), units]
-    scale, xi = algebra.denominator * dx, sparse(xi)
+        units = [pruned(None, {j: g[i], i: -g[j]}) for j in range(space.dim) if j != i]
+    blocks = [[sparse(xi)], *([sparse(cleared([s * a for a in e or [0] * space.dim] + [a1, a2])[1])]
+                              for s, a1, a2 in filter(None, templates)), units]
+    scale, xi = algebra.denominator * dx, blocks[0][0]
     for (a, q), block in zip((value.as_integer_ratio() for value in values), blocks):
-        for v in map(sparse, block):  # q D dx (x v) = a D dx v; an e-perp v has two nonzero entries
+        for v in block:  # q D dx (x v) = a D dx v
             xv = algebra._mul_coords(xi, v)
             if any(_reduced(p, (q * xv.get(j, 0) - a * scale * v.get(j, 0) for j in xv.keys() | v.keys()))):
                 return None
@@ -117,7 +124,7 @@ def expected_count(algebra: Algebra, norm_one: int) -> int:
     vectors, when alpha is not Jordan-special: one per point class, and one
     per family and norm-one vector."""
     table = classes(algebra)
-    families = sum(family is not None for family, _ in table.values())
+    families = sum(family is not None for family, *_ in table.values())
     return len(table) - families + families * norm_one
 
 
@@ -135,7 +142,7 @@ def family_axis(algebra: Algebra, e, family: str) -> Element:
     e = space._raw(e)
     if not space.is_norm_one_raw(e):
         raise NotNormOne("family idempotents require b(e, e) = 1")
-    z_parts = {fam: z for fam, z in table.values() if fam}
+    z_parts = {fam: z for fam, z, *_ in table.values() if fam}
     if family not in z_parts:
         if family in (FAMILY_A, FAMILY_B, FAMILY_EXC):
             raise WrongAlgebraKind(f"no family {family!r} on the {algebra.meta.kind} algebra")
@@ -157,7 +164,7 @@ def classify_idempotents(algebra: Algebra, xs: Sequence[Element]) -> list[Idempo
     order; a zero or non-idempotent x raises NotIdempotent.  Tag "other" is
     only ever produced when an idempotent matches nothing, which would
     contradict the classification under its hypotheses."""
-    match, out = _matcher(algebra), []
+    match, out = _matcher(algebra, classes(algebra)), []
     for x in xs:
         if x.is_zero or not is_idempotent(x):
             raise NotIdempotent("classification requires a nonzero idempotent")
@@ -165,12 +172,12 @@ def classify_idempotents(algebra: Algebra, xs: Sequence[Element]) -> list[Idempo
     return out
 
 
-def _matcher(algebra: Algebra):
-    """Raw coordinates -> their class among the `classes`, or None: a point
+def _matcher(algebra: Algebra, table: dict):
+    """Raw coordinates -> their class in the `classes` table, or None: a point
     class matches on the z-part, a family member also needs b(e, e) = 1, e = 2u."""
-    table, space, p = classes(algebra), algebra.meta.space, algebra.field.p
-    points = {z: tag for tag, (family, z) in table.items() if family is None}
-    families = {z: tag for tag, (family, z) in table.items() if family}
+    space, p = algebra.meta.space, algebra.field.p
+    points = {z: tag for tag, (family, z, *_) in table.items() if family is None}
+    families = {z: tag for tag, (family, z, *_) in table.items() if family}
     def match(raw: tuple) -> IdempotentClass | None:
         u, z = raw[:space.dim], raw[space.dim:]
         if not any(u):

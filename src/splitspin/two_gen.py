@@ -60,18 +60,6 @@ class OrbitSize:
     kind: str
     order: int | None = None
 
-    @classmethod
-    def finite(cls, n: int) -> OrbitSize:
-        return cls(FINITE, n)
-
-    @classmethod
-    def infinite(cls) -> OrbitSize:
-        return cls(INFINITE)
-
-    @classmethod
-    def exceeds_cap(cls) -> OrbitSize:
-        return cls(EXCEEDS_CAP)
-
     @property
     def is_finite(self) -> bool:
         return self.kind == FINITE
@@ -273,12 +261,12 @@ def rho_order(field: Field, mu, cap: int | None = None) -> OrbitSize:
     if field.p is None:
         order = {-1: 3, 0: 4, 1: 6}.get((2 * mu).value)  # by the trace
         if order is None:
-            return OrbitSize.infinite()
+            return OrbitSize(INFINITE)
     else:
         order = _prime_field_order(field, mu)
     if cap is not None and order > cap:
-        return OrbitSize.exceeds_cap()
-    return OrbitSize.finite(order)
+        return OrbitSize(EXCEEDS_CAP)
+    return OrbitSize(FINITE, order)
 
 
 @dataclass
@@ -348,7 +336,7 @@ def axet(algebra: Algebra, x: Element, y: Element, cap: int | None = None) -> Ax
     mu = space.bform(e, f)
     order = rho_order(field, mu)
     if order.kind == INFINITE:
-        return AxetResult(OrbitSize.infinite(), None, TWO_HALVES, 2)
+        return AxetResult(order, None, TWO_HALVES, 2)
     if cap is not None and order.order > cap:
         raise CapExceeded(f"axet enumeration needs {order.order} elements, beyond cap {cap}")
 

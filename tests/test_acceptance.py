@@ -135,10 +135,10 @@ def test_criterion_10_fails_under_optimize_when_rho_has_a_wrong_order():
         import sys
         from splitspin import acceptance
         from splitspin.cli import main
-        from splitspin.two_gen import OrbitSize
+        from splitspin.two_gen import FINITE, OrbitSize
 
         assert False, "assert statements run: not optimised"
-        acceptance.rho_order = lambda field, mu, cap=None: OrbitSize.finite(5)
+        acceptance.rho_order = lambda field, mu, cap=None: OrbitSize(FINITE, 5)
         sys.exit(main(["selftest", "--only", "10"]))
         """
     )

@@ -43,7 +43,7 @@ from splitspin.errors import (
 )
 from splitspin.idempotents import FAMILY_A, FAMILY_B, FAMILY_EXC
 from splitspin.linalg import same_span
-from test_algebra import add_to_constants, adjoint, dense_table
+from test_algebra import add_to_constants, adjoint, dense, dense_table
 from test_linalg import diagonal
 
 QQ = Field.rationals()
@@ -482,7 +482,8 @@ def check_axis_reference(algebra, x, law):
     is_automorphism on standard basis pairs."""
     bases = algebra.eigenspaces_raw(x.raw, [lam.value for lam in law.eigenvalues])
     assert sum(map(len, bases)) == algebra.dim
-    spaces = {lam: [algebra.element(v) for v in basis] for lam, basis in zip(law.eigenvalues, bases)}
+    spaces = {lam: [algebra.element(dense(v, algebra.dim)) for v in basis]
+              for lam, basis in zip(law.eigenvalues, bases)}
     dims = {lam: len(basis) for lam, basis in spaces.items()}
     columns = [v.coords for lam in law.eigenvalues for v in spaces[lam]]
     basis_change = Matrix.from_columns(algebra.field, columns)

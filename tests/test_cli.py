@@ -381,7 +381,7 @@ def test_a_library_value_error_is_an_error_report(capsys, monkeypatch):
     def fail(args, cfg):
         raise ValueError("quotient by the whole algebra is empty")
 
-    monkeypatch.setattr(cli, "_dispatch", fail)
+    monkeypatch.setitem(cli.COMMANDS, "build", fail)
     code, doc = run_json(capsys, "build", "--alpha", "3", "--gram", "[[1]]")
     assert code == 1
     assert doc == {"error": {"code": "ValueError", "message": "quotient by the whole algebra is empty"}}

@@ -17,7 +17,8 @@ singular modulo 2^61 - 1 but regular over Q.  Every "gram" config error
 has its entry; Fraction Gram entries and a Fraction alpha run over F_7 and
 F_11 through `build`, `axis-check`, `frobenius` and `cover`; and `build`
 runs at alpha 1, 2 and -1 over Q and F_7, where whole columns of cells
-vanish.  Over Q every Gram matrix has a norm-one basis vector, so the
+vanish.  Three `axis-check` runs that raise EigenvalueCollision pin which
+class law fails first.  Over Q every Gram matrix has a norm-one basis vector, so the
 sampled norm-one search ends quickly.
 
 Regenerate the expected outputs (only when a report is meant to change):
@@ -198,6 +199,11 @@ COMMANDS = [
     ["build", "--p", "7", "--alpha", "1", "--gram", F7_FORM],
     ["build", "--p", "7", "--alpha", "2", "--gram", F7_FORM],
     ["build", "--p", "7", "--alpha=-1", "--gram", F7_FORM],
+    # the error order of axis-check: a family law collides where no rational norm-one witness exists, z1's law
+    # collides, and the cover's family law collides at p = 3
+    ["axis-check", "--alpha", "1/2", "--gram", '[["3"]]'],
+    ["axis-check", "--alpha", "0", "--gram", '[["1"]]'],
+    ["axis-check", "--p", "3", "--variant", "cover", "--gram", '[["1"]]'],
 ]
 
 

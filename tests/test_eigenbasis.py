@@ -9,9 +9,11 @@ the cover: each block spans the solved eigenspace of its eigenvalue,
 `check_axis` gives the report of a run forced onto the solved path (also
 on algebras perturbed so that the fusion law fails on the template path),
 and a mutated template vector is rejected unless it is still an
-eigenvector, with the report unchanged either way.  The CLI's
-`axis-check` and `cover` solve no eigenspace, and a law foreign to the
-class still takes the solved path."""
+eigenvector, with the report unchanged either way.  `axial.class_axes`
+reads each class's law off the `classes` table, takes the paper's path for
+every axis it gives, and gives the reports of an explicit loop over the
+classes.  The CLI's `axis-check` and `cover` solve no eigenspace, and a law
+foreign to the class still takes the solved path."""
 
 import json
 from fractions import Fraction
@@ -26,9 +28,19 @@ from splitspin.algebra import Algebra
 from splitspin.axial import axis_law, jordan_law, monster_law
 from splitspin.cli import main
 from splitspin.errors import IncompleteDecomposition
-from splitspin.idempotents import FAMILY_A, FAMILY_B, FAMILY_EXC, TAG_FAMILY_A, TAG_FAMILY_B, TAG_FAMILY_EXC
+from splitspin.idempotents import (
+    FAMILY_A,
+    FAMILY_B,
+    FAMILY_EXC,
+    TAG_FAMILY_A,
+    TAG_FAMILY_B,
+    TAG_FAMILY_EXC,
+    TAG_Z1,
+    TAG_Z2,
+    classes,
+)
 from splitspin.linalg import cleared, raw_values, same_span
-from test_algebra import add_to_constants
+from test_algebra import add_to_constants, dense
 
 QQ, F7, F10007 = Field.rationals(), Field.prime(7), Field.prime(10007)
 FIELDS = pytest.mark.parametrize("field", [QQ, F7, F10007], ids=["QQ", "F7", "F10007"])
@@ -116,8 +128,9 @@ def test_each_block_spans_the_solved_eigenspace(field):
         assert blocks is not None
         solved = algebra.eigenspaces_raw(x.raw, values)
         assert [len(block) for block in blocks] == [len(basis) for basis in solved]
+        assert all(isinstance(c, int) and c for block in blocks for v in block for c in v.values())
+        blocks, solved = ([[dense(v, algebra.dim) for v in basis] for basis in bases] for bases in (blocks, solved))
         for block, basis in zip(blocks, solved):
-            assert all(isinstance(c, int) for v in block for c in v)
             assert same_span(field, block, basis)
             # vector by vector a nonzero multiple of the solved one, so every support, and with it the order
             # of the violations, is the same on both paths
@@ -198,6 +211,68 @@ def test_a_mutated_template_vector_is_rejected(field):
 
     check()
     assert outcomes == {True, False}
+
+
+@st.composite
+def class_algebras(draw, field):
+    """(algebra, witnesses) for a split spin algebra at an alpha outside
+    {0, 1, 1/2} or the cover, on a random Gram of dim E 1-3 with
+    b(e1, e1) = s^2, and the norm-one witnesses +-e1 / s."""
+    k = draw(st.integers(1, 3))
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = draw(_scalars(field))
+    s = draw(_scalars(field).filter(bool))
+    rows[0][0] = s * s
+    space = QuadraticSpace(Matrix(field, rows))
+    if draw(st.booleans()):
+        algebra = exceptional_cover(space)
+    else:
+        alpha = draw(st.one_of(st.sampled_from([-1, 2]), _scalars(field)).filter(
+            lambda a: field.scalar(a) not in (field.zero(), field.one(), field.half())))
+        algebra = split_spin(space, alpha)
+    e = [field.one() / field.scalar(s)] + [field.zero()] * (k - 1)
+    return algebra, [e, [-c for c in e]][:draw(st.integers(0, 2))]
+
+
+def _explicit_class_loop(algebra, witnesses):
+    """(tag, report) for every class axis by a loop written out class by
+    class: z1 and z2 where the table has them, then the families of each
+    witness."""
+    table, reports = classes(algebra), []
+    for tag in (TAG_Z1, TAG_Z2):
+        if tag in table:
+            reports.append((tag, check_axis(algebra, algebra.basis_by_label(tag), axis_law(algebra, tag))))
+    laws = {tag: (family, axis_law(algebra, tag)) for tag, (family, *_) in table.items() if family}
+    for e in witnesses:
+        for tag, (family, law) in laws.items():
+            reports.append((tag, check_axis(algebra, family_axis(algebra, e, family), law)))
+    return reports
+
+
+@FIELDS
+def test_class_axes_read_the_table_and_take_the_paper_path(field):
+    @settings(derandomize=True, max_examples=40)
+    @given(class_algebras(field))
+    def check(case):
+        algebra, witnesses = case
+        one, zero, half = field.one(), field.zero(), field.half()
+        for tag, (family, _, eta, _) in classes(algebra).items():
+            if eta is not None:
+                assert axis_law(algebra, tag).eigenvalues == (one, zero, field.scalar(eta)) + ((half,) if family else ())
+        calls, solve = [], Algebra.eigenspaces_raw
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Algebra, "eigenspaces_raw", lambda self, *args: calls.append(args) or solve(self, *args))
+            reports = [(tag, check_axis(algebra, x, law)) for tag, x, law in axial.class_axes(algebra, witnesses)]
+        assert calls == []
+        points, families = (1, 1) if algebra.meta.kind == "cover" else (2, 2)  # z1 (and z2); the families
+        assert len(reports) == points + families * len(witnesses)
+        expected = _explicit_class_loop(algebra, witnesses)
+        assert [(tag, r.axis, r.law, _outcome(r)) for tag, r in reports] == [
+            (tag, r.axis, r.law, _outcome(r)) for tag, r in expected]
+
+    check()
 
 
 @pytest.fixture

@@ -512,7 +512,7 @@ def table_alphas(field):
 
 @pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
 def test_class_table_matches_the_classification(field):
-    """The z-parts, fusion laws and expected count read from `classes`,
+    """The z-parts, etas, fusion laws and expected count read from `classes`,
     `axis_law` and `expected_count` agree with the paper's formulas: 1, z1,
     z2 and families (a) = e/2 + (alpha/2) z1 + ((alpha + 1)/2) z2 and
     (b) = e/2 + ((2 - alpha)/2) z1 + ((1 - alpha)/2) z2 with 3 + 2N in all
@@ -539,7 +539,9 @@ def test_class_table_matches_the_classification(field):
     for algebra, z_parts, laws, count in cases:
         table = classes(algebra)
         assert list(table) == list(z_parts)
-        assert {tag: (family, tuple(field.scalar(c) for c in z)) for tag, (family, z) in table.items()} == z_parts
+        assert {tag: (family, tuple(field.scalar(c) for c in z)) for tag, (family, z, *_) in table.items()} == z_parts
+        assert {tag: field.scalar(eta) for tag, (_, _, eta, _) in table.items() if eta is not None} == {
+            tag: law.eigenvalues[2] for tag, law in laws.items()}
         for n in (0, 1, 4, 12):
             assert expected_count(algebra, n) == count(n)
         for tag, law in laws.items():

@@ -25,6 +25,7 @@ from splitspin import (
 )
 from splitspin.errors import CapExceeded, CharTwo, MuOne, SpecialAlpha, VerificationFailed
 from splitspin.two_gen import (
+    FINITE,
     SINGLE,
     TWO_HALVES,
     OrbitSize,
@@ -274,8 +275,8 @@ def test_rho_order_matches_powering(p):
     field = Field.prime(p)
     for mu in range(p):
         expected = rho_order_by_powering(field, mu)
-        assert rho_order(field, mu) == OrbitSize.finite(expected), (p, mu)
-        assert rho_order(field, mu, cap=expected) == OrbitSize.finite(expected), (p, mu)
+        assert rho_order(field, mu) == OrbitSize(FINITE, expected), (p, mu)
+        assert rho_order(field, mu, cap=expected) == OrbitSize(FINITE, expected), (p, mu)
         assert rho_order(field, mu, cap=expected - 1).kind == "exceeds_cap", (p, mu)
 
 
@@ -371,7 +372,7 @@ def test_axet_rejects_wrong_rho_order_under_optimize():
         from splitspin.errors import VerificationFailed
 
         assert False, "assert statements run: not optimised"
-        two_gen.rho_order = lambda field, mu, cap=None: two_gen.OrbitSize.finite(5)
+        two_gen.rho_order = lambda field, mu, cap=None: two_gen.OrbitSize(two_gen.FINITE, 5)
         F = Field.prime(101)
         algebra, x, y = build_two_gen(TwoGenConfig(F, mu=F.scalar(6), alpha=F.scalar(2)))
         try:
