@@ -137,7 +137,7 @@ class Algebra:
     F_p, where c is the residue), and readers divide by D once per entry.
     """
 
-    __slots__ = ("field", "labels", "_rows", "denominator", "meta")
+    __slots__ = ("field", "labels", "_rows", "denominator", "meta", "_e_line", "_classes")
 
     def __init__(self, field: Field, labels: Sequence[str], constants: Iterable[Sequence], meta: AlgebraMeta):
         n = len(labels)
@@ -181,6 +181,7 @@ class Algebra:
         self._rows = rows
         self.denominator = d0 // g
         self.meta = meta
+        self._e_line = self._classes = None  # built on first use by `e_line` and `idempotents.classes`
 
     # -- basic structure -----------------------------------------------------
 
@@ -243,6 +244,20 @@ class Algebra:
     def cell(self, i: int, j: int) -> Sequence[tuple[int, int]]:
         """The stored nonzero (k, D c) pairs of b_i b_j, D the `denominator`."""
         return self._rows[i].get(j, ())
+
+    @property
+    def e_line(self) -> bool:
+        """Whether every product of two vectors of E lies on one line: the
+        nonzero cells b_i b_j, i <= j < dim E, are pairwise proportional.
+        Read off the cells once; False when the algebra has no E."""
+        if self._e_line is None:
+            m, p = self.meta.space.dim if self.meta.space else 0, self.field.p
+            cells = [cell for i, row in enumerate(self._rows[:m]) for j, cell in row.items() if i <= j < m]
+            first = cells[0] if cells else [(0, 0)]
+            scaled = (lambda v, f: [(k, c * f % p) for k, c in v]) if p else (lambda v, f: [(k, c * f) for k, c in v])
+            # a cell is a multiple of the first exactly when each, scaled by the other's leading entry, gives the same
+            self._e_line = bool(m) and all(scaled(cell, first[0][1]) == scaled(first, cell[0][1]) for cell in cells)
+        return self._e_line
 
     def _from_cells(self, sums: dict, scale: int = 1) -> tuple:
         """The sparse sums of products with the stored cells, over scale, as

@@ -153,11 +153,15 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
 
     Each eigenbasis product u v (each unordered pair once: the algebra is
     commutative) is written in eigenbasis coordinates once, from the
-    nonzero columns of B^-1 at its nonzero coordinates.  Components outside
-    the law give the violations (lambda, mu, nu) in order of first
-    occurrence; the Miyamoto involution tau = B D B^-1 (plus part fixed,
-    minus part negated) is multiplicative exactly when no component has a
-    grade other than grade(lambda) grade(mu), and is built only then.
+    nonzero columns of B^-1 at its nonzero coordinates, but for two sets of
+    pairs whose supports are known and would only repeat what is found: the
+    row of a primitive x (x v = lambda v), and the pairs of a block inside
+    E after its first nonzero product when `Algebra.e_line` holds.
+    Components outside the law give the violations (lambda, mu, nu) in
+    order of first occurrence; the Miyamoto involution tau = B D B^-1 (plus
+    part fixed, minus part negated) is multiplicative exactly when no
+    component has a grade other than grade(lambda) grade(mu), and is built
+    only then.
 
     The loop runs on ints: eigenvalues as indices into the law, the stored
     cells (D times the constants), the eigenvectors and the right halves
@@ -199,19 +203,25 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
         return {owner[t] for t, c in coords.items() if (c % p if p else c)}
 
     blocks = [[t for t, a in enumerate(owner) if a == b] for b in range(len(bases))]
+    # block 0 a multiple of x alone: x v = lambda_b v gives row 0 the supports {b}, or {} at lambda_b = 0,
+    # which add nothing when the law allows each in its grade
+    first = int(len(blocks[0]) == 1
+                and all(not lam or plus[0] and b in law.table[0][b] for b, lam in enumerate(values)))
+    # E's products on one line are multiples of one vector: a block inside E has one support or none
+    m = algebra.e_dim if algebra.e_line else 0
     found, graded = [], True  # violations as (lambda, mu, nu) indices; whether tau is multiplicative
-    for a, allowed_with in enumerate(law.table):
+    for a, allowed_with in enumerate(law.table[first:], first):
+        in_e = all(max(vectors[s]) < m for s in blocks[a])
         for b, allowed in enumerate(allowed_with[a:], a):
             grade = plus[a] == plus[b]
-            for s in blocks[a]:
-                for t in blocks[b]:
-                    if a == b and t < s:
-                        continue
-                    nus = support(vectors[s], vectors[t])
-                    for nu in sorted(nus - allowed):
-                        if (a, b, nu) not in found:
-                            found.append((a, b, nu))
-                    graded = graded and all(plus[nu] == grade for nu in nus)
+            for s, t in ((s, t) for s in blocks[a] for t in blocks[b] if a < b or s <= t):
+                nus = support(vectors[s], vectors[t])
+                for nu in sorted(nus - allowed):
+                    if (a, b, nu) not in found:
+                        found.append((a, b, nu))
+                graded = graded and all(plus[nu] == grade for nu in nus)
+                if nus and a == b and in_e:
+                    break  # every later pair repeats this support or has none
     violations = tuple((eigenvalues[a], eigenvalues[b], eigenvalues[nu]) for a, b, nu in found)
 
     miyamoto_matrix = None

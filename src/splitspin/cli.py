@@ -57,10 +57,7 @@ def main(argv=None) -> int:
 
 @functools.cache  # built on the first call, not at import, and reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="splitspin",
-        description="Exact computations in split spin factor algebras.",
-    )
+    parser = argparse.ArgumentParser(prog="splitspin", description="Exact computations in split spin factor algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in (*COMMANDS, "selftest"):
         cmd = sub.add_parser(name)
@@ -97,17 +94,8 @@ def _load_config(args) -> RunConfig:
             gram = json.loads(args.gram)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--gram is not valid JSON: {exc}") from exc
-    raw = apply_overrides(
-        raw,
-        p=args.p,
-        alpha=args.alpha,
-        mu=args.mu,
-        gram=gram,
-        variant=args.variant,
-        cap=args.cap,
-        seed=args.seed,
-        output=args.output,
-    )
+    raw = apply_overrides(raw, p=args.p, alpha=args.alpha, mu=args.mu, gram=gram, variant=args.variant,
+                          cap=args.cap, seed=args.seed, output=args.output)
     return parse_config(raw)
 
 
@@ -183,9 +171,7 @@ def _require_space(cfg: RunConfig):
     if cfg.mu_values:
         if len(cfg.mu_values) > 1:
             raise ConfigError("this command takes a single mu, not a sweep")
-        return TwoGenConfig(
-            cfg.field, mu=cfg.mu_values[0], alpha=cfg.alpha, variant=cfg.variant
-        ).space()
+        return TwoGenConfig(cfg.field, mu=cfg.mu_values[0], alpha=cfg.alpha, variant=cfg.variant).space()
     raise ConfigError('a "gram" matrix or "two_gen_mu" is required')
 
 
@@ -215,10 +201,7 @@ def _cmd_idempotents(args, cfg: RunConfig):
         "norm_one": serialize.norm_one_to_json(search),
     }
     ok = True
-    feasible = (
-        algebra.field.is_finite
-        and algebra.field.p ** algebra.dim <= cfg.budgets.idempotent_scan
-    )
+    feasible = algebra.field.is_finite and algebra.field.p ** algebra.dim <= cfg.budgets.idempotent_scan
     if feasible:
         found = enumerate_idempotents_bruteforce(algebra, cfg.budgets.idempotent_scan)
         counts: dict[str, int] = {}
@@ -248,13 +231,8 @@ def _cmd_idempotents(args, cfg: RunConfig):
         for e in search.vectors:
             for fam in families:
                 x = family_axis(algebra, e, fam)
-                members.append(
-                    {
-                        "family": fam,
-                        "e": serialize.vector_to_json(e),
-                        "coords": serialize.element_to_json(x),
-                    }
-                )
+                members.append({"family": fam, "e": serialize.vector_to_json(e),
+                                "coords": serialize.element_to_json(x)})
         report["enumeration"] = {"feasible": False}
         report["family_members"] = members
     return report, ok
@@ -289,14 +267,7 @@ def _cmd_simple(args, cfg: RunConfig):
     space = algebra.meta.space
     evidence = space.find_norm_one(budget=cfg.budgets.norm_one, seed=cfg.seed)
     simple, reason = is_simple(algebra, evidence=evidence)
-    return (
-        {
-            "simple": simple,
-            "reason": reason,
-            "norm_one": serialize.norm_one_to_json(evidence),
-        },
-        True,
-    )
+    return {"simple": simple, "reason": reason, "norm_one": serialize.norm_one_to_json(evidence)}, True
 
 
 def _cmd_yabe(args, cfg: RunConfig):

@@ -61,7 +61,10 @@ def classes(algebra: Algebra) -> dict[str, tuple]:
     (eta, 1/2) (a family), and its templates are its 0- and eta-eigenvectors
     as (e, z1, z2)-coefficients, None for the eta-space E of z1 and z2; the
     identity has neither.  The families need 1/2, so characteristic 2 has
-    none."""
+    none.  The table is built once per algebra and kept on it; callers only
+    read it."""
+    if algebra._classes is not None:
+        return algebra._classes
     kind, field = algebra.meta.kind, algebra.field
     if kind not in (SPLIT_SPIN, COVER):
         raise WrongAlgebraKind(f"no idempotent classes on a {kind} algebra")
@@ -71,17 +74,18 @@ def classes(algebra: Algebra) -> dict[str, tuple]:
     else:
         table = {TAG_ONE: (None, (one, one), None, None), TAG_Z1: (None, (one, zero), alpha, ((0, 0, 1), None)),
                  TAG_Z2: (None, (zero, one), co_alpha, ((0, 1, 0), None))}
-    if field.characteristic == 2:
-        return table
-    half, p = field.half().value, field.p
-    if kind == COVER:
-        table[TAG_FAMILY_EXC] = (FAMILY_EXC, (-half, half), alpha, ((0, 0, 1), (1, 3, -1)))
-    else:
-        table[TAG_FAMILY_A] = (FAMILY_A, (half * alpha, half * (alpha + 1)), alpha,
-                               ((1, alpha - 2, alpha - 1), (1, 2 - alpha, -alpha - 1)))
-        table[TAG_FAMILY_B] = (FAMILY_B, (half * (2 - alpha), half * (1 - alpha)), co_alpha,
-                               ((-1, alpha, alpha + 1), (-1, 2 - alpha, -alpha - 1)))
-    return {tag: (family, tuple(_reduced(p, z)), *rest) for tag, (family, z, *rest) in table.items()}
+    if field.characteristic != 2:
+        half = field.half().value
+        if kind == COVER:
+            table[TAG_FAMILY_EXC] = (FAMILY_EXC, (-half, half), alpha, ((0, 0, 1), (1, 3, -1)))
+        else:
+            table[TAG_FAMILY_A] = (FAMILY_A, (half * alpha, half * (alpha + 1)), alpha,
+                                   ((1, alpha - 2, alpha - 1), (1, 2 - alpha, -alpha - 1)))
+            table[TAG_FAMILY_B] = (FAMILY_B, (half * (2 - alpha), half * (1 - alpha)), co_alpha,
+                                   ((-1, alpha, alpha + 1), (-1, 2 - alpha, -alpha - 1)))
+    algebra._classes = {tag: (family, tuple(_reduced(field.p, z)), *rest)
+                        for tag, (family, z, *rest) in table.items()}
+    return algebra._classes
 
 
 def eigenbasis(algebra: Algebra, x: Element, values: Sequence) -> list[list[dict]] | None:
@@ -97,15 +101,15 @@ def eigenbasis(algebra: Algebra, x: Element, values: Sequence) -> list[list[dict
     if algebra.meta.kind not in (SPLIT_SPIN, COVER):
         return None
     table = classes(algebra)
-    if (verdict := _matcher(algebra, table)(x.raw)) is None:
+    if (match := _matcher(algebra, table)(x.raw)) is None:
         return None
+    (verdict, image), p, space = match, algebra.field.p, algebra.meta.space
     templates, e = table[verdict.tag][3], verdict.raw_e
     if templates is None or len(values) != 3 + bool(e):
         return None
-    p, space = algebra.field.p, algebra.meta.space
     (dx, xi), units = cleared(x.raw), [{j: 1} for j in range(space.dim)]
     if e:
-        g = _reduced(p, space._image(cleared(e)[1]))
+        g = _reduced(p, image)  # a multiple of G e, from the matcher's norm-one test
         i = next(i for i, c in enumerate(g) if c)
         units = [pruned(None, {j: g[i], i: -g[j]}) for j in range(space.dim) if j != i]
     blocks = [[sparse(xi)], *([sparse(cleared([s * a for a in e or [0] * space.dim] + [a1, a2])[1])]
@@ -140,7 +144,7 @@ def family_axis(algebra: Algebra, e, family: str) -> Element:
         raise CharTwo("idempotent families require characteristic != 2")
     space = algebra.meta.space
     e = space._raw(e)
-    if not space.is_norm_one_raw(e):
+    if space._norm_one_image(e) is None:
         raise NotNormOne("family idempotents require b(e, e) = 1")
     z_parts = {fam: z for fam, z, *_ in table.values() if fam}
     if family not in z_parts:
@@ -168,22 +172,25 @@ def classify_idempotents(algebra: Algebra, xs: Sequence[Element]) -> list[Idempo
     for x in xs:
         if x.is_zero or not is_idempotent(x):
             raise NotIdempotent("classification requires a nonzero idempotent")
-        out.append(match(x.raw) or IdempotentClass(TAG_OTHER, witness=x))
+        verdict, _ = match(x.raw) or (IdempotentClass(TAG_OTHER, witness=x), None)
+        out.append(verdict)
     return out
 
 
 def _matcher(algebra: Algebra, table: dict):
-    """Raw coordinates -> their class in the `classes` table, or None: a point
-    class matches on the z-part, a family member also needs b(e, e) = 1, e = 2u."""
+    """Raw coordinates -> (their class in the `classes` table, and s G d e for
+    a family member, e = 2u cleared to d e), or None: a point class matches
+    on the z-part, a family member also needs b(e, e) = 1, read off s G d e."""
     space, p = algebra.meta.space, algebra.field.p
     points = {z: tag for tag, (family, z, *_) in table.items() if family is None}
     families = {z: tag for tag, (family, z, *_) in table.items() if family}
-    def match(raw: tuple) -> IdempotentClass | None:
+    def match(raw: tuple) -> tuple | None:
         u, z = raw[:space.dim], raw[space.dim:]
         if not any(u):
-            return IdempotentClass(points[z]) if z in points else None
+            return (IdempotentClass(points[z]), None) if z in points else None
         e = tuple(_reduced(p, (2 * a for a in u)))
-        return IdempotentClass(families[z], e) if z in families and space.is_norm_one_raw(e) else None
+        image = space._norm_one_image(e) if z in families else None
+        return None if image is None else (IdempotentClass(families[z], e), image)
     return match
 
 

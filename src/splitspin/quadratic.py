@@ -88,13 +88,14 @@ class QuadraticSpace:
         """s b(u, v) for integer vectors u and v, unreduced."""
         return sum(map(operator.mul, u, self._image(v)))
 
-    def is_norm_one_raw(self, e: Sequence) -> bool:
-        """b(e, e) == 1 for a raw vector e; no coercion."""
+    def _norm_one_image(self, e: Sequence) -> list | None:
+        """s G x for the raw vector e cleared to the ints x = d e (x = e over
+        F_p) if b(e, e) = 1, else None: one `_image` gives both; no coercion."""
         p = self.field.p
-        if p:
-            return self._form(e, e) % p == 1
-        d, x = cleared(e)
-        return self._form(x, x) == self._scale * d * d
+        d, x = (1, e) if p else cleared(e)
+        image = self._image(x)
+        norm = sum(map(operator.mul, x, image))
+        return image if (norm % p == 1 if p else norm == self._scale * d * d) else None
 
     def vector(self, values: Sequence) -> Vector:
         return boxed(self.field, self._raw(values))

@@ -6,8 +6,12 @@ must agree exactly, over Q (Fraction alpha and Gram entries of large
 coprime denominators), F_7 and F_10007, on split spin and the cover, on
 z1, z2 and the family axes, on non-degenerate and degenerate Grams, and on
 algebras perturbed away from the axis so that the fusion law can fail; and
-a candidate is rejected as not idempotent exactly when x x != x or x = 0."""
+a candidate is rejected as not idempotent exactly when x x != x or x = 0.
+Named cases meet the edges of `check_axis`'s two shortcuts: a non-primitive
+candidate, laws built by hand that forbid or regrade the pairs of x, zero
+and isotropic Grams, and a changed E x E cell that turns `e_line` off."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitspin import Field, Matrix, QuadraticSpace, check_axis, exceptional_cover, family_axis, split_spin
-from splitspin.axial import axis_law
+from splitspin.axial import axis_law, jordan_law
 from splitspin.errors import IncompleteDecomposition, NotIdempotent
 from splitspin.idempotents import FAMILY_A, FAMILY_B, FAMILY_EXC, TAG_FAMILY_A, TAG_FAMILY_B, TAG_FAMILY_EXC
 from test_algebra import add_to_constants, adjoint
@@ -117,7 +121,7 @@ def axis_cases(draw, field):
 
 @pytest.mark.parametrize("field", [QQ, F7, F10007], ids=["QQ", "F7", "F10007"])
 def test_check_axis_matches_the_slow_path(field):
-    outcomes = set()
+    outcomes, lines = set(), set()
 
     @settings(derandomize=True, max_examples=60)
     @given(axis_cases(field))
@@ -142,6 +146,64 @@ def test_check_axis_matches_the_slow_path(field):
         if report.miyamoto is not None and not field.p:
             assert all(type(c) is Fraction for row in report.miyamoto.raw for c in row)
         outcomes.add((report.miyamoto is not None, bool(report.violations)))
+        lines.add(algebra.e_line)
 
     check()
     assert (True, False) in outcomes and (False, True) in outcomes
+    assert lines == {True, False}  # the block inside E stops early, and it runs in full
+
+
+def _edge_cases(field):
+    """(name, algebra, axis, law) where check_axis's shortcuts meet their
+    edges: the identity under z1's law, whose 1-space is the whole algebra;
+    a non-primitive z1 and laws built by hand, where the row of x holds a
+    violation or leaves its grade; zero and isotropic Grams, where b vanishes
+    on E or on e-perp and every product within the block inside E is zero;
+    and a changed E x E cell, so that the E-products leave their line."""
+    def axes(name, space, tags, e=None):
+        algebra = split_spin(space, 3)
+        for tag in tags:
+            x = algebra.basis_by_label(tag) if e is None else family_axis(algebra, e, FAMILIES[tag])
+            yield f"{name}-{tag}", algebra, x, axis_law(algebra, tag)
+        cover = exceptional_cover(space)
+        x = cover.basis_by_label("z1") if e is None else family_axis(cover, e, FAMILY_EXC)
+        yield f"{name}-cover", cover, x, axis_law(cover, "z1" if e is None else TAG_FAMILY_EXC)
+
+    one, half = field.one(), field.half()
+    random_gram = QuadraticSpace(Matrix(field, [[1, 2, 0], [2, 3, 1], [0, 1, 5]]))
+    algebra = split_spin(random_gram, 3)
+    yield "identity", algebra, algebra.identity(), axis_law(algebra, "z1")
+    # at alpha = 1 the 1-space of z1 is E + F z1, and e1 e2 gains a z2-part: a violation in the row of x
+    wide = add_to_constants(split_spin(random_gram, 1), [(0, 1, 4, one)])
+    yield "nonprimitive-z1", wide, wide.basis_by_label("z1"), jordan_law(field, 3)
+    law = axis_law(algebra, "z1")  # laws built by hand: 1 eta = {} and 1 in the minus part
+    table = [list(row) for row in law.table]
+    table[0][2] = table[2][0] = frozenset()
+    yield "foreign-table", algebra, algebra.basis_by_label("z1"), replace(law, table=tuple(map(tuple, table)))
+    yield "foreign-grade", algebra, algebra.basis_by_label("z1"), replace(
+        law, plus=frozenset(law.eigenvalues[1:2]), minus=frozenset(law.eigenvalues[::2]))
+    yield from axes("zero", QuadraticSpace(Matrix(field, [[0] * 3] * 3)), ["z1", "z2"])
+    yield from axes("perp-zero", QuadraticSpace(diagonal(field, [1, 0, 0])), [TAG_FAMILY_A, TAG_FAMILY_B], [1, 0, 0])
+    hyperbolic = QuadraticSpace(Matrix(field, [[0, 1], [1, 0]]))
+    yield from axes("hyperbolic", hyperbolic, ["z1", "z2"])
+    yield from axes("hyperbolic", hyperbolic, [TAG_FAMILY_A, TAG_FAMILY_B], [one, half])
+    for tag in ("z1", "z2"):  # e1 e2 gains an e3-part, which the law forbids; z1 and z2 keep their adjoints
+        changed = add_to_constants(algebra, [(0, 1, 2, one)])
+        yield f"changed-{tag}", changed, changed.basis_by_label(tag), axis_law(changed, tag)
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F10007], ids=["QQ", "F7", "F10007"])
+def test_shortcut_edges_match_the_slow_path(field):
+    for name, algebra, x, law in _edge_cases(field):
+        report = check_axis(algebra, x, law)
+        expected = slow_check_axis(algebra, x, law)
+        assert (report.dims, report.primitive, list(report.violations), report.miyamoto) == expected, name
+        assert algebra.e_line is not name.startswith(("changed", "nonprimitive")), name
+        if name == "identity":
+            assert report.dims[law.eigenvalues[0]] == algebra.dim and not report.primitive
+        if name.startswith("changed"):  # found past the block's first nonzero product, e1 e1
+            assert report.violations and report.miyamoto is None
+        if name in ("nonprimitive-z1", "foreign-table"):  # found in the row of x
+            assert report.violations[0][0] == law.eigenvalues[0]
+        if name == "foreign-grade":  # x x = x leaves the grade of 1 1
+            assert not report.violations and report.miyamoto is None
