@@ -259,7 +259,7 @@ class Algebra:
             self._e_line = bool(m) and all(scaled(cell, first[0][1]) == scaled(first, cell[0][1]) for cell in cells)
         return self._e_line
 
-    def _from_cells(self, sums: dict, scale: int = 1) -> tuple:
+    def _from_cells(self, sums: dict, scale: int) -> tuple:
         """The sparse sums of products with the stored cells, over scale, as
         dense raw values: residues over F_p, Fractions over D scale over Q."""
         p, d = self.field.p, self.denominator * scale
@@ -314,7 +314,7 @@ class Algebra:
             for j, column in enumerate(columns):
                 for k, x in column.items():
                     shifted[k][j] = shifted[k].get(j, 0) + q * x
-            bases.append(list(map(sparse, Echelon._from_ints(self.field, shifted).kernel(n))))
+            bases.append(Echelon(self.field, shifted).kernel(n))
         return bases
 
     def identity(self) -> Element | None:
@@ -337,7 +337,7 @@ class Algebra:
                 for k, c in cell:
                     equations.setdefault(k, {})[j] = c
             for equation in equations.values():
-                if span._insert(equation) and n in span._rows:
+                if span.insert(equation) == n:
                     return None
         check(span.rank == n, "a consistent identity system is not of full rank", span.rank)
         return Element(self, [row[n] for row in span.unit_rows(n + 1)])
@@ -359,7 +359,7 @@ class Algebra:
         basis: list[tuple[int, dict]] = []  # (d_t, B_t): basis vector t is the sparse ints B_t over d_t
         d, flat = cleared([a for g in generators for a in g.raw])
         for t in range(0, len(flat), n):
-            if span._insert(vec := sparse(flat[t:t + n])):
+            if span.insert(vec := sparse(flat[t:t + n])) is not None:
                 basis.append((d, vec))
         if not basis:
             raise ValueError("need at least one nonzero generator")
@@ -373,26 +373,26 @@ class Algebra:
                 for j in range(i, m):
                     if (i, j) not in products:
                         products[i, j] = prod = self._mul_coords(basis[i][1], basis[j][1])
-                        if span._insert(prod):  # D B_i B_j over D d_i d_j
+                        if span.insert(prod) is not None:  # D B_i B_j over D d_i d_j
                             basis.append((self.denominator * basis[i][0] * basis[j][0], prod))
             if len(basis) == m:
                 break
             degree += 1
 
-        # a vector of the span is fixed by its entries at the pivots; row t of the reduced [P | I], P the
-        # pivot block of the B_t, holds q_t at t and q_t times row t of P^-1, read here by column
+        # a vector of the span is fixed by its entries at the pivots: Q P^-1 by column, for P the pivot
+        # block of the B_t and Q the diagonal of the pivot entries q_t
         pivots = span.pivots
         block = [{t: b[c] for t, (_, b) in enumerate(basis) if c in b} for c in pivots]  # P
-        rows = Echelon.inverting(self.field, block)._rows
-        inverse = {c: [(t, rows[t][m + r]) for t in range(m) if m + r in rows[t]] for r, c in enumerate(pivots)}
+        q, columns = Echelon.inverting(self.field, block)
+        inverse = dict(zip(pivots, columns))
         coords: dict[tuple[int, int, int], int] = {}  # b_t-coefficient of b_i b_j: d_t coords / (q_t D d_i d_j)
         for (i, j), prod in products.items():
-            check(not span._reduce(prod), "subalgebra closure misses a product", (i, j))
+            check(not span.reduce(prod), "subalgebra closure misses a product", (i, j))
             for c, x in prod.items():  # read only at the product's nonzero pivots
                 for t, a in inverse.get(c, ()):
                     coords[i, j, t] = coords.get((i, j, t), 0) + a * x
         constants = [(i, j, t, a % p if p else Fraction(basis[t][0] * a,
-                                                        rows[t][t] * self.denominator * basis[i][0] * basis[j][0]))
+                                                        q[t] * self.denominator * basis[i][0] * basis[j][0]))
                      for (i, j, t), a in coords.items()]
         columns = ([b.get(k, 0) if p else Fraction(b.get(k, 0), d) for k in range(n)] for d, b in basis)
         embedding = Matrix._from_raw(self.field, zip(*columns))
@@ -407,9 +407,9 @@ class Algebra:
         as it comes."""
         n, (_, flat) = self.dim, cleared([a for v in vectors for a in v])
         ints = [sparse(flat[i:i + n]) for i in range(0, len(flat), n)]
-        span = Echelon._from_ints(self.field, ints)
+        span = Echelon(self.field, ints)
         return next(((i, k) for i, v in enumerate(ints) for k in range(n)
-                     if span._reduce(self._mul_coords(v, {k: 1}))), None)
+                     if span.reduce(self._mul_coords(v, {k: 1}))), None)
 
     def quotient(self, ideal: Sequence[Element]) -> QuotientResult:
         """Quotient by the span of the given elements.
@@ -417,8 +417,9 @@ class Algebra:
         The span is verified to be an ideal first; the quotient basis is the
         set of standard basis vectors at the non-pivot coordinates of the
         ideal's echelon form, so quotient labels are inherited from ambient.
-        The projection maps b_f to the unit vector at a free column f and
-        b_c to minus the reduced row of pivot c at the free columns.
+        Row t of the projection is the ideal's `Echelon.kernel` vector at
+        free column f over its entry at f: 1 at b_f, and at b_c minus the
+        reduced row of pivot c at f.
         """
         if any(x.algebra is not self for x in ideal):
             raise AlgebraMismatch("ideal element from a different algebra")
@@ -427,21 +428,21 @@ class Algebra:
         witness = self.ideal_witness(ints)
         if witness is not None:
             raise NotAnIdeal(f"span not closed under multiplication by basis vector {self.labels[witness[1]]}")
-        span = Echelon._from_ints(self.field, map(sparse, ints))
-        free = [c for c in range(n) if c not in span._rows]
-        if not free:
+        basis = Echelon(self.field, map(sparse, ints)).kernel(n)
+        if not basis:
             raise ValueError("quotient by the whole algebra is empty")
-        # column k of L pi as {t: entry}, L the lcm of the pivot entries q_c (1 over F_p)
-        scale = 1 if p else math.lcm(*(row[c] for c, row in span._rows.items()))
-        images = {f: {t: scale} for t, f in enumerate(free)}
-        for c, row in span._rows.items():
-            images[c] = {t: -row[f] * (scale // row[c]) for t, f in enumerate(free) if f in row}
-        projection = ([a % p if p else Fraction(a, scale) for a in (images[k].get(t, 0) for k in range(n))]
-                      for t in range(len(free)))
+        free = [max(v) for v in basis]  # a kernel vector's last column is its free column
+        # column k of L pi as {t: entry}, L the lcm of the kernel vectors' entries at their free columns (1 over F_p)
+        scale, images = math.lcm(*(v[f] for f, v in zip(free, basis))), {}
+        for t, (f, v) in enumerate(zip(free, basis)):
+            for k, a in v.items():
+                images.setdefault(k, {})[t] = a * (scale // v[f])
+        projection = ([v.get(k, 0) if p else Fraction(v.get(k, 0), v[f]) for k in range(n)]
+                      for f, v in zip(free, basis))
         cells: dict[tuple[int, int, int], int] = {}
         for a, b in itertools.combinations_with_replacement(range(len(free)), 2):
             for k, w in self.cell(free[a], free[b]):
-                for t, x in images[k].items():
+                for t, x in images.get(k, {}).items():
                     cells[a, b, t] = cells.get((a, b, t), 0) + w * x
         quot = Algebra._from_ints(self.field, tuple(self.labels[f] for f in free),
                                   [(*k, c) for k, c in cells.items()], scale * self.denominator, AlgebraMeta(DERIVED))
@@ -464,7 +465,7 @@ class Algebra:
         if other.dim != n or mapping.rows != n or mapping.cols != n:
             raise DimensionMismatch("mapping must be square of the common dimension")
         d, flat = cleared([a for row in mapping.raw for a in row])
-        if Echelon._from_ints(self.field, (sparse(flat[i:i + n]) for i in range(0, n * n, n))).rank < n:
+        if Echelon(self.field, (sparse(flat[i:i + n]) for i in range(0, n * n, n))).rank < n:
             return False, None
         cols = [sparse(flat[j::n]) for j in range(n)]
         image_of = [{r: d * other.denominator * a for r, a in col.items()} for col in cols]  # d D' C

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .idempotents import FAMILY_A, TAG_FAMILY_A, TAG_FAMILY_B, classes, eigenbasis, family_axis
-from .linalg import Echelon, Matrix, Vector, raw_values, zero_one
+from .linalg import Echelon, Matrix, Vector, int_vector, raw_values, zero_one
 from .quadratic import NormOneSearch
 
 JORDAN = "jordan"
@@ -164,9 +164,9 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     only then.
 
     The loop runs on ints: eigenvalues as indices into the law, the stored
-    cells (D times the constants), the eigenvectors and the right halves
-    of the reduced [B | I], rows of B^-1 times their pivot entries q_t over
-    Q; no scale changes a support.  tau is built on ints too, as L tau for
+    cells (D times the constants), the eigenvectors and the columns of
+    Q B^-1 that `Echelon.inverting` hands back, Q the diagonal of the pivot
+    entries q_t (1 over F_p); no scale changes a support.  tau is built on ints too, as L tau for
     L the lcm of the q_t (1 over F_p), checked to square to L^2, and boxed
     once, entry by entry.
 
@@ -180,19 +180,18 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     bases = eigenbasis(algebra, x, values)
     if bases is None:
         bases = algebra.eigenspaces_raw(x.raw, values)
-        if x.is_zero or not Echelon._from_ints(field, bases[0]).contains(x.raw):  # x in ker(ad_x - 1)
+        if x.is_zero or Echelon(field, bases[0]).reduce(int_vector(field, x.raw)):  # x in ker(ad_x - 1)
             raise NotIdempotent("axis candidates must be nonzero idempotents")
     dims = {lam: len(basis) for lam, basis in zip(eigenvalues, bases)}
     if sum(dims.values()) != n:
         raise IncompleteDecomposition(f"eigenspace dimensions {tuple(dims.values())} sum to "
                                       f"{sum(dims.values())} < {n}: an eigenvalue lies outside the law", dims=dims)
 
-    # [B | I] for the concatenated eigenbasis B: row t's right half is row t of B^-1 times a positive int
+    # Q B^-1 by column for the concatenated eigenbasis B, Q the diagonal of positive ints q_t (1 over F_p)
     vectors = [v for basis in bases for v in basis]
-    span = Echelon.inverting(field, [{t: v[i] for t, v in enumerate(vectors) if i in v} for i in range(n)])
-    check(span is not None, "a complete eigenbasis must be a basis", witness=bases)
-    rows, owner = span._rows, [a for a, basis in enumerate(bases) for _ in basis]
-    inverse_columns = [[(t, rows[t][n + k]) for t in range(n) if n + k in rows[t]] for k in range(n)]
+    inverted = Echelon.inverting(field, [{t: v[i] for t, v in enumerate(vectors) if i in v} for i in range(n)])
+    check(inverted is not None, "a complete eigenbasis must be a basis", witness=bases)
+    (q, inverse_columns), owner = inverted, [a for a, basis in enumerate(bases) for _ in basis]
 
     def support(u, v) -> set[int]:
         """The eigenvalue indices of the nonzero eigenbasis coordinates of u v."""
@@ -225,15 +224,15 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     violations = tuple((eigenvalues[a], eigenvalues[b], eigenvalues[nu]) for a, b, nu in found)
 
     miyamoto_matrix = None
-    if graded:  # L tau = sum over t of (+-column t of B)(L / q_t)(right half of row t), L the lcm of the q_t
-        scale = math.lcm(*(rows[t][t] for t in range(n)))
+    if graded:  # L tau = sum over t of (+-column t of B)(L / q_t)(row t of Q B^-1), L the lcm of the q_t
+        scale = math.lcm(*q)
+        signed = [scale // q[t] if plus[owner[t]] else -scale // q[t] for t in range(n)]
         tau = [[0] * n for _ in range(n)]
-        for t in range(n):
-            f = scale // rows[t][t] if plus[owner[t]] else -scale // rows[t][t]
-            half = [(j - n, f * c) for j, c in rows[t].items() if j >= n]
-            for i, b in vectors[t].items():
-                for j, c in half:
-                    tau[i][j] += b * c
+        for j, column in enumerate(inverse_columns):
+            for t, c in column:
+                w = signed[t] * c
+                for i, b in vectors[t].items():
+                    tau[i][j] += b * w
         tau = [[c % p for c in row] for row in tau] if p else tau
         pairs = [[(j, c) for j, c in enumerate(row) if c] for row in tau]
         for i, row in enumerate(pairs):  # (L tau)^2 = L^2 I, row by row

@@ -21,11 +21,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError
 from .fields import Field, Scalar, raw_value
+from .idempotents import DEFAULT_SCAN_BUDGET
 from .linalg import Matrix
-from .quadratic import QuadraticSpace
-
-DEFAULT_NORM_ONE_BUDGET = 100_000
-DEFAULT_SCAN_BUDGET = 1_000_000
+from .quadratic import DEFAULT_NORM_ONE_BUDGET, QuadraticSpace
 
 _TOP_KEYS = {"field", "alpha", "gram", "variant", "budgets", "seeds", "output"}
 _FIELD_KEYS = {"kind", "p"}

@@ -18,7 +18,7 @@ from .axial import AxisReport, algebra_radical, check_axis, class_axes, frobeniu
 from .errors import BadCharacteristic, VerificationFailed
 from .idempotents import FAMILY_EXC, family_axis
 from .linalg import Matrix, Vector
-from .quadratic import QuadraticSpace
+from .quadratic import DEFAULT_NORM_ONE_BUDGET, QuadraticSpace
 
 MAX_WITNESSES = 4  # norm-one vectors whose family axes the cover and axis-check pipelines check
 
@@ -54,11 +54,7 @@ class CoverReport:
         return all(flags)
 
 
-def verify_cover(
-    space: QuadraticSpace,
-    norm_one_budget: int = 100_000,
-    seed: int = 0,
-) -> CoverReport:
+def verify_cover(space: QuadraticSpace, norm_one_budget: int = DEFAULT_NORM_ONE_BUDGET, seed: int = 0) -> CoverReport:
     """The cover pipeline on the space (see the module docstring).
     `algebra_radical` raises unless its span is an ideal, and radical_ok
     holds when the Frobenius gram annihilates each of its vectors (a failed

@@ -39,6 +39,8 @@ TAG_FAMILY_B = "family_b"
 TAG_FAMILY_EXC = "family_exc"
 TAG_OTHER = "other"
 
+DEFAULT_SCAN_BUDGET = 1_000_000  # coordinate vectors the brute-force scan may visit
+
 
 @dataclass(frozen=True)
 class IdempotentClass:
@@ -194,7 +196,7 @@ def _matcher(algebra: Algebra, table: dict):
     return match
 
 
-def enumerate_idempotents_bruteforce(algebra: Algebra, budget: int = 1_000_000) -> tuple[Element, ...]:
+def enumerate_idempotents_bruteforce(algebra: Algebra, budget: int = DEFAULT_SCAN_BUDGET) -> tuple[Element, ...]:
     """Every nonzero x with x * x = x, found by scanning all p**dim
     coordinate vectors over a finite field.  Deterministic lexicographic
     order.

@@ -10,17 +10,16 @@ Elimination runs on the incremental `Echelon` basis with first-nonzero
 pivots and builds no combination columns, so kernels and inverses are
 deterministic: `kernel` and `kernel_raw` bases come out in echelon order
 with a unit entry at each free column, and an inverse is the right half of
-the reduced [M | I].  Over Q, elimination and products run on integers, with
-one Fraction built per returned entry; the integer view `Echelon.kernel` is
-a positive multiple of those.  `Echelon` holds its rows, and takes and
-gives its reduced vectors, as sparse int vectors {column: int} without
-zero entries (`sparse` builds one from a dense vector); dense rows come out
-only of `unit_rows` and `kernel`.  It clears a dense raw vector once, where
-it comes in (`add`, `contains`, the `Matrix` methods), and takes sparse int
-vectors as they are (the algebra's identity, eigenspaces and closure hand
-it those).  A kernel over Q runs the integer `Echelon` only when the rank
-mod the fixed prime 2^61 - 1 falls short of full column rank.  Vectors are
-tuples of Scalars at the API edge.
+the reduced [M | I].  Over Q, elimination and products run on integers,
+with one Fraction built per returned entry.  `Echelon` has one input form,
+the sparse int vector {column: int}: a caller with a dense raw vector
+clears it once, at its edge, through `int_vector` (`Matrix.rref` and
+`rank`, `same_span`, the axis check's idempotent test), and the algebra
+and the norm-one searches hand it their ints as they are.  It gives sparse
+vectors back: the `kernel` vectors, and from `inverting` the pivot entries
+and the inverse's nonzero entries by column.  A kernel over Q runs the
+integer `Echelon` only when the rank mod the fixed prime 2^61 - 1 falls
+short of full column rank.  Vectors are tuples of Scalars at the API edge.
 """
 
 from __future__ import annotations
@@ -228,13 +227,13 @@ class Matrix:
 
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns."""
-        span = Echelon(self.field, self.raw)
+        span = Echelon(self.field, (int_vector(self.field, row) for row in self.raw))
         zero = [zero_one(self.field)[0]] * self.cols
         rows = span.unit_rows(self.cols) + [zero] * (self.rows - span.rank)
         return Matrix._from_raw(self.field, rows), tuple(span.pivots)
 
     def rank(self) -> int:
-        return Echelon(self.field, self.raw).rank
+        return Echelon(self.field, (int_vector(self.field, row) for row in self.raw)).rank
 
     def kernel(self) -> tuple[Vector, ...]:
         """Deterministic basis of the null space, one vector per free column;
@@ -244,20 +243,17 @@ class Matrix:
         return self._kernel
 
     def kernel_raw(self) -> list[list]:
-        """`kernel` as raw vectors: the `Echelon.kernel` vectors, each divided
-        by its entry at its free column over Q, where the cleared rows come
-        first to a certificate: full column rank mod P = 2^61 - 1 proves the
+        """`kernel` as raw vectors: the `Echelon.kernel` vectors made dense, over
+        Q each over its entry at its free column (its last), where the cleared rows
+        come first to a certificate: full column rank mod P = 2^61 - 1 proves the
         kernel empty (a minor nonzero mod P is nonzero over Z)."""
-        p = self.field.p
+        p, cols = self.field.p, self.cols
         rows = self.raw if p else [cleared(row)[1] for row in self.raw]
-        if not p and _full_rank_mod(rows, self.cols):
+        if not p and _full_rank_mod(rows, cols):
             return []
-        span = Echelon._from_ints(self.field, map(sparse, rows))
-        basis = span.kernel(self.cols)
-        if p:
-            return basis
-        free = [c for c in range(self.cols) if c not in span._rows]
-        return [[Fraction(a, v[f]) for a in v] for f, v in zip(free, basis)]
+        basis = Echelon(self.field, map(sparse, rows)).kernel(cols)
+        return [[v.get(j, 0) if p else Fraction(v.get(j, 0), m) for j in range(cols)]
+                for v in basis for m in [v[max(v)]]]
 
     def inverse(self) -> Matrix | None:
         """The exact inverse, or None if the matrix is singular: the right
@@ -265,51 +261,52 @@ class Matrix:
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
         scales, rows = (None, self.raw) if self.field.p else zip(*map(cleared, self.raw))
-        span = Echelon.inverting(self.field, [sparse(row) for row in rows], scales)
-        n = self.rows
-        return None if span is None else Matrix._from_raw(self.field, (row[n:] for row in span.unit_rows(2 * n)))
+        if (inverted := Echelon.inverting(self.field, [sparse(row) for row in rows], scales)) is None:
+            return None
+        (q, columns), p, n = inverted, self.field.p, self.rows
+        out = [[zero_one(self.field)[0]] * n for _ in range(n)]
+        for k, column in enumerate(columns):
+            for t, a in column:
+                out[t][k] = a if p else Fraction(a, q[t])
+        return Matrix._from_raw(self.field, out)
 
 
 class Echelon:
     """An incrementally built reduced echelon basis of a subspace of F^n.
 
-    Each row is a sparse int vector {column: int}, held in a dict keyed by
-    its pivot (its first column), and vanishes at every other row's pivot,
-    so `unit_rows`, the rows scaled to unit pivots in pivot order, is the
-    subspace's reduced row echelon form.  Over F_p rows are residues with
-    unit pivots.  Over Q they are primitive integers (content 1, positive
-    pivot entry): a dense raw vector is cleared of denominators once, on
-    the way in (`add`, `contains`), a sparse int one is taken as it is
-    (`_insert`, `_from_ints`, `inverting`), and each step v <- q v - v[c]
-    row divides out its content.  Dense vectors share one length.
+    Each row is a sparse int vector without zero entries, held in a dict
+    keyed by its pivot (its first column), and vanishes at every other
+    row's pivot, so `unit_rows`, the rows scaled to unit pivots in pivot
+    order and the one dense output, is the subspace's reduced row echelon
+    form.  Over F_p rows are residues with unit pivots.  Over Q they are
+    primitive integers (content 1, positive pivot entry), and each step
+    v <- q v - v[c] row divides out its content.
     """
 
-    __slots__ = ("field", "_rows", "_width")
+    __slots__ = ("field", "_rows")
 
-    def __init__(self, field: Field, vectors: Iterable[Sequence] = ()):
+    def __init__(self, field: Field, rows: Iterable[dict] = ()):
         self.field = field
         self._rows: dict[int, dict[int, int]] = {}  # pivot -> row
-        self._width: int | None = None
-        for vec in vectors:
-            self.add(vec)
-
-    @classmethod
-    def _from_ints(cls, field: Field, rows: Iterable[dict]) -> Echelon:
-        """The basis of sparse int rows, taken as they are."""
-        span = cls(field)
         for row in rows:
-            span._insert(row)
-        return span
+            self.insert(row)
 
     @classmethod
-    def inverting(cls, field: Field, rows: Sequence[dict], scales: Sequence[int] | None = None) -> Echelon | None:
-        """The basis of [M | S] for the n sparse int rows of M and the
-        diagonal S of the scales (I by default), or None when M is
-        singular.  Row t's right half is row t of M^-1 S times the row's
-        pivot entry q_t (1 over F_p)."""
+    def inverting(cls, field: Field, rows: Sequence[dict], scales: Sequence[int] | None = None) -> tuple | None:
+        """For the n sparse int rows of M and the diagonal S of the scales (I
+        by default), read in one pass over the reduced [M | S]: the pivot
+        entries q_t (1 over F_p) and each column k of Q M^-1 S, Q = diag(q_t),
+        as its nonzero (t, entry) pairs in row order; None when M is singular."""
         n = len(rows)
-        span = cls._from_ints(field, ({**row, n + i: s} for i, (row, s) in enumerate(zip(rows, scales or [1] * n))))
-        return None if max(span._rows) >= n else span
+        span = cls(field, ({**row, n + i: s} for i, (row, s) in enumerate(zip(rows, scales or [1] * n))))
+        if max(span._rows) >= n:
+            return None
+        columns: list[list[tuple]] = [[] for _ in range(n)]
+        for t in range(n):
+            for j, a in span._rows[t].items():
+                if j >= n:  # row t is q_t at t and row t of Q M^-1 S to the right
+                    columns[j - n].append((t, a))
+        return [span._rows[t][t] for t in range(n)], columns
 
     @property
     def rank(self) -> int:
@@ -328,52 +325,36 @@ class Echelon:
                 dense[j] = a if p else Fraction(a, rows[c][c])
         return out
 
-    def kernel(self, width: int) -> list[list[int]]:
-        """A dense int vector of the rows' null space for each free column
-        f < width, in column order: over F_p the unit entry 1 at f and
-        -row[f] at the pivot c of each row with row[f] != 0; over Q m times
-        that vector, m the lcm of those rows' pivot entries row[c], so m at
-        f and -row[f] (m // row[c]) at c."""
-        p, basis = self.field.p, []
-        for f in (c for c in range(width) if c not in self._rows):
-            rows = [(c, row) for c, row in self._rows.items() if f in row]
-            m = 1 if p else math.lcm(*(row[c] for c, row in rows))
-            v = [0] * width
-            v[f] = m
-            for c, row in rows:
-                v[c] = -row[f] % p if p else -row[f] * (m // row[c])
-            basis.append(v)
+    def kernel(self, width: int) -> list[dict]:
+        """A sparse int vector of the rows' null space for each free column f < width,
+        in column order, its keys ascending to f: over F_p the unit entry 1 at f and
+        -row[f] at the pivot c of each row with row[f] != 0; over Q m times that vector,
+        m the lcm of those rows' pivot entries row[c], so m at f and -row[f] (m // row[c]) at c."""
+        p, rows, pivots, basis = self.field.p, self._rows, self.pivots, []
+        for f in (c for c in range(width) if c not in rows):
+            hits = [(c, rows[c]) for c in pivots if f in rows[c]]
+            m = 1 if p else math.lcm(*(row[c] for c, row in hits))
+            basis.append({c: -row[f] % p if p else -row[f] * (m // row[c]) for c, row in hits} | {f: m})
         return basis
 
-    def _raw(self, vec: Sequence) -> dict:
-        v = raw_values(self.field, vec)
-        if self._width is None:
-            self._width = len(v)
-        elif len(v) != self._width:
-            raise DimensionMismatch("vector length does not match the echelon basis")
-        return sparse(v if self.field.p else cleared(v)[1])
-
-    def _reduce(self, v: dict) -> dict:
+    def reduce(self, v: dict) -> dict:
         """The sparse int vector v minus its part in the span, times a
         nonzero integer over Q, as a new sparse vector (zero entries, and
-        entries = 0 mod p, dropped).  A step changes v only at its row's
-        pivot and at free columns, so one pass over v's own pivot columns
-        clears them all."""
+        entries = 0 mod p, dropped): empty exactly when v lies in the span.
+        A step changes v only at its row's pivot and at free columns, so one
+        pass over v's own pivot columns clears them all."""
         p, rows = self.field.p, self._rows
         v = pruned(p, v)
         for c in [c for c in v if c in rows]:
             v = _eliminate(p, v, c, rows[c])
         return v
 
-    def add(self, vec: Sequence) -> bool:
-        """Insert the dense vec; False (and no change) when it is already in the span."""
-        return self._insert(self._raw(vec))
-
-    def _insert(self, v: dict) -> bool:
-        """`add` on a sparse int vector; no coercion."""
-        r = self._reduce(v)
+    def insert(self, v: dict) -> int | None:
+        """Add the sparse int vector v to the basis: the pivot of its new
+        row, or None (and no change) when v already lies in the span."""
+        r = self.reduce(v)
         if not r:
-            return False
+            return None
         pivot, p, rows = min(r), self.field.p, self._rows
         # the one field-specific step: a unit pivot over F_p, content 1 and a positive pivot over Q
         s = pow(r[pivot], -1, p) if p else math.gcd(*r.values()) * (1 if r[pivot] > 0 else -1)
@@ -382,10 +363,14 @@ class Echelon:
             if pivot in other:
                 rows[c] = _eliminate(p, other, pivot, row)
         rows[pivot] = row
-        return True
+        return pivot
 
-    def contains(self, vec: Sequence) -> bool:
-        return not self._reduce(self._raw(vec))
+
+def int_vector(field: Field, values: Sequence) -> dict:
+    """The raw (or Scalar) values as a sparse int vector for `Echelon`:
+    coerced by `raw_values`, and cleared of denominators over Q."""
+    v = raw_values(field, values)
+    return sparse(v if field.p else cleared(v)[1])
 
 
 def sparse(values: Iterable) -> dict:
@@ -435,6 +420,8 @@ def _full_rank_mod(rows: Iterable[Sequence[int]], width: int) -> bool:
 
 
 def same_span(field: Field, first: Sequence[Vector], second: Sequence[Vector]) -> bool:
-    """Whether two vector lists span the same subspace."""
-    span = Echelon(field, first)
-    return span.rank == Echelon(field, second).rank and all(map(span.contains, second))
+    """Whether two lists of vectors of one length span the same subspace."""
+    if len({len(v) for v in (*first, *second)}) > 1:
+        raise DimensionMismatch("vectors of different lengths")
+    span, other = (Echelon(field, (int_vector(field, v) for v in vs)) for vs in (first, second))
+    return span.rank == other.rank and not any(span.reduce(row) for row in other._rows.values())

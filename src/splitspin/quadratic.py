@@ -19,12 +19,13 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, IsotropicVector
 from .fields import Field, Scalar, sqrt_mod
-from .linalg import Echelon, Matrix, Vector, boxed, cleared, raw_values
+from .linalg import Echelon, Matrix, Vector, boxed, cleared, raw_values, sparse
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
 UNKNOWN = "unknown"
 MAX_SAMPLED = 16  # the sampled norm-one search stops after this many vectors
+DEFAULT_NORM_ONE_BUDGET = 100_000  # candidates a norm-one search may try
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ class QuadraticSpace:
 
     # -- norm-one search -----------------------------------------------------
 
-    def find_norm_one(self, budget: int = 100_000, seed: int = 0) -> NormOneSearch:
+    def find_norm_one(self, budget: int = DEFAULT_NORM_ONE_BUDGET, seed: int = 0) -> NormOneSearch:
         """Vectors e with b(e, e) = 1.
 
         Over F_p with p**dim <= budget the list is exhaustive.  Otherwise up
@@ -163,7 +164,7 @@ class QuadraticSpace:
         n, p = self.dim, self.field.p
         found = [e for e in itertools.product(range(p), repeat=n) if self._form(e, e) % p == 1]
         span = Echelon(self.field)  # fed until it spans E
-        spans = any(span.add(e) and span.rank == n for e in found)
+        spans = any(span.insert(sparse(e)) is not None and span.rank == n for e in found)
         return NormOneSearch(EXHAUSTIVE, tuple(boxed(self.field, e) for e in found), spans)
 
     def _norm_one_sampled(self, budget: int, seed: int) -> NormOneSearch:
@@ -196,7 +197,7 @@ class QuadraticSpace:
                 seen.add(scaled)
                 found.append(boxed(self.field, scaled))
                 if span.rank < n:
-                    span.add(scaled)
+                    span.insert(sparse(w))  # w spans the line of scaled
 
         def candidates():
             for i in range(n):

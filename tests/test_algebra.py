@@ -25,8 +25,8 @@ from splitspin.errors import (
     NotAnIdeal,
 )
 from splitspin.idempotents import FAMILY_A, family_axis
-from splitspin.linalg import Echelon, boxed, raw_values, sparse
-from test_linalg import _reference_kernel, diagonal, positive_multiple, reference_solve
+from splitspin.linalg import boxed, raw_values, sparse
+from test_linalg import DenseEchelon, _reference_kernel, diagonal, positive_multiple, reference_solve
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -119,7 +119,7 @@ def test_eigendecompose_family_axis(A3):
     assert eigenspace_dims(A3, x, [1, 0, 3, Fraction(1, 2)]) == [1, 1, 1, 1]
     # the 1-eigenspace is the line through x
     (line,) = A3.eigenspaces_raw(x.raw, [Fraction(1)])
-    assert Echelon(QQ, [dense(v, A3.dim) for v in line]).contains(x.raw)
+    assert DenseEchelon(QQ, [dense(v, A3.dim) for v in line]).contains(x.raw)
 
 
 def test_eigendecompose_z1(A3):
@@ -311,7 +311,7 @@ def subalgebra_reference(algebra, generators):
 
     def product(u, v):
         return boxed(field, algebra._from_cells(algebra._mul_coords(sparse(raw_values(field, u)),
-                                                                    sparse(raw_values(field, v)))))
+                                                                    sparse(raw_values(field, v))), 1))
 
     def try_add(vec):
         if not any(vec) or (basis and reference_solve(field, basis, vec) is not None):

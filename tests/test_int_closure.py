@@ -4,9 +4,10 @@ replaced.
 `Algebra.subalgebra`, `ideal_witness`, `quotient` and `check_isomorphism`
 hold their vectors as ints over a denominator and solve in the integer
 `Echelon`.  The references below are those four methods as they ran on
-Fraction coordinates: membership through `Echelon.add` and `contains`, the
-sub-constants through `Matrix.inverse`, the projection as rows of the
-inverse of the change of basis, and products written out in raw values.
+Fraction coordinates: membership through the dense `add` and `contains`
+(of the test-side `DenseEchelon`), the sub-constants through
+`Matrix.inverse`, the projection as rows of the inverse of the change of
+basis, and products written out in raw values.
 Only the sparse map of a cell, `Matrix.apply_sparse`, is replaced by
 `apply_raw` on the product's raw coordinates, which gives the same values.
 Every result must agree entry for entry, and so must every error text and
@@ -24,8 +25,8 @@ from splitspin import Field, Matrix, QuadraticSpace, exceptional_cover, matsuo_3
 from splitspin.algebra import DERIVED, Algebra, AlgebraMeta, QuotientResult, SubalgebraResult
 from splitspin.errors import NotAnIdeal, VerificationFailed, check
 from splitspin.idempotents import FAMILY_A, family_axis
-from splitspin.linalg import Echelon, sparse
-from test_linalg import diagonal
+from splitspin.linalg import sparse
+from test_linalg import DenseEchelon, diagonal
 
 QQ = Field.rationals()
 F7 = Field.prime(7)
@@ -37,11 +38,11 @@ HALF = Fraction(1, 2)
 
 def raw_product(algebra, u, v):
     """u v in raw values, for raw coordinate vectors u and v."""
-    return algebra._from_cells(algebra._mul_coords(sparse(u), sparse(v)))
+    return algebra._from_cells(algebra._mul_coords(sparse(u), sparse(v)), 1)
 
 
 def reference_subalgebra(algebra, generators):
-    span = Echelon(algebra.field)
+    span = DenseEchelon(algebra.field)
     basis = []
 
     def try_add(vec):
@@ -80,7 +81,7 @@ def reference_subalgebra(algebra, generators):
 
 
 def reference_ideal_witness(algebra, vectors):
-    span = Echelon(algebra.field, vectors)
+    span = DenseEchelon(algebra.field, vectors)
     units = [algebra.basis(k).raw for k in range(algebra.dim)]
     return next(((i, k) for i, v in enumerate(vectors) for k, unit in enumerate(units)
                  if not span.contains(raw_product(algebra, v, unit))), None)
@@ -91,7 +92,7 @@ def reference_quotient(algebra, ideal):
     witness = reference_ideal_witness(algebra, raws)
     if witness is not None:
         raise NotAnIdeal(f"span not closed under multiplication by basis vector {algebra.labels[witness[1]]}")
-    span = Echelon(algebra.field, raws)
+    span = DenseEchelon(algebra.field, raws)
     ideal_rows, pivots = span.unit_rows(algebra.dim), span.pivots
     free = [c for c in range(algebra.dim) if c not in set(pivots)]
     if not free:
@@ -195,6 +196,17 @@ def test_fraction_generators_on_cells_over_a_denominator(field):
     assert (full.algebra.dim, full.closure_degree) == (algebra.dim, 1)
     assert full.algebra.denominator != algebra.denominator or field.p
     assert assert_same_isomorphism(full.algebra, algebra, full.embedding) == (True, None)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_quotient_by_kernel_vectors_of_unequal_scale(field):
+    """The radical of the rank-one form v v^T, v = (1, 2, 3), reduces to the
+    rows (3, 0, -1) and (0, 3, -2) over Q: the kernel vector at e3 has 3 at
+    its free column and those at z1 and z2 have 1, so the projection's rows
+    come over different multiples."""
+    space = QuadraticSpace(Matrix(field, [[a * b for b in (1, 2, 3)] for a in (1, 2, 3)]))
+    for ambient in (split_spin(space, Fraction(5, 3)), exceptional_cover(space)):
+        assert_same_quotient(ambient, [ambient.element(list(v) + [0, 0]) for v in space.radical()])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

@@ -97,8 +97,8 @@ def test_echelon_takes_int_rows_as_they_are(monkeypatch):
     x = family_axis(algebra, (1, 0, 0), FAMILY_A)
     expected = check_axis(algebra, x, axis_law(algebra, TAG_FAMILY_A))
     monkeypatch.setattr(linalg, "cleared", recording)
-    assert Echelon._from_ints(field, [{0: 2, 1: 4, 2: 6}, {1: 3, 2: 9}])._rows == {0: {0: 1, 2: -3}, 1: {1: 1, 2: 3}}
-    assert Echelon.inverting(field, [{0: 2}, {1: 3}])._rows == {0: {0: 2, 2: 1}, 1: {1: 3, 3: 1}}
+    assert Echelon(field, [{0: 2, 1: 4, 2: 6}, {1: 3, 2: 9}])._rows == {0: {0: 1, 2: -3}, 1: {1: 1, 2: 3}}
+    assert Echelon.inverting(field, [{0: 2}, {1: 3}]) == ([2, 3], [[(0, 1)], [(1, 1)]])
     assert algebra.identity() == algebra.basis_by_label("z1") + algebra.basis_by_label("z2")
     assert seen == []
     report = check_axis(algebra, x, axis_law(algebra, TAG_FAMILY_A))

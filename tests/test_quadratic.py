@@ -178,8 +178,8 @@ def scalar_root(x):
 def reference_norm_one_sampled(q, budget, seed):
     """The sampled search as it scored candidates before the integer form:
     each candidate boxed, its norm a Scalar, rescaled by its Scalar root."""
-    from splitspin.linalg import Echelon
     from splitspin.quadratic import NormOneSearch
+    from test_linalg import DenseEchelon
 
     rng = random.Random(seed)
     n = q.dim
@@ -224,7 +224,7 @@ def reference_norm_one_sampled(q, budget, seed):
         if len(found) != before:
             stagnant = 0
             if not spans_now:
-                spans_now = Echelon(q.field, found).rank == n
+                spans_now = DenseEchelon(q.field, found).rank == n
         else:
             stagnant += 1
         if len(found) >= MAX_SAMPLED:
@@ -232,7 +232,7 @@ def reference_norm_one_sampled(q, budget, seed):
         if spans_now and stagnant >= 200:
             break
     if found:
-        return NormOneSearch("sampled", tuple(found), Echelon(q.field, found).rank == n)
+        return NormOneSearch("sampled", tuple(found), DenseEchelon(q.field, found).rank == n)
     return NormOneSearch("unknown", (), False)
 
 
