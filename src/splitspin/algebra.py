@@ -249,15 +249,16 @@ class Algebra:
     def e_line(self) -> bool:
         """Whether every product of two vectors of E lies on one line: the
         nonzero cells b_i b_j, i <= j < dim E, are pairwise proportional.
-        Read off the cells once; False when the algebra has no E."""
+        Read off the cells once, with whether there are none; False without E."""
         if self._e_line is None:
             m, p = self.meta.space.dim if self.meta.space else 0, self.field.p
             cells = [cell for i, row in enumerate(self._rows[:m]) for j, cell in row.items() if i <= j < m]
             first = cells[0] if cells else [(0, 0)]
             scaled = (lambda v, f: [(k, c * f % p) for k, c in v]) if p else (lambda v, f: [(k, c * f) for k, c in v])
             # a cell is a multiple of the first exactly when each, scaled by the other's leading entry, gives the same
-            self._e_line = bool(m) and all(scaled(cell, first[0][1]) == scaled(first, cell[0][1]) for cell in cells)
-        return self._e_line
+            self._e_line = (bool(m) and all(scaled(cell, first[0][1]) == scaled(first, cell[0][1]) for cell in cells),
+                            bool(m) and not cells)
+        return self._e_line[0]
 
     def _from_cells(self, sums: dict, scale: int) -> tuple:
         """The sparse sums of products with the stored cells, over scale, as
@@ -404,12 +405,15 @@ class Algebra:
         """The first (vector, basis) index pair (i, k) whose product v_i b_k
         leaves the span of the raw (or int) vectors, or None when the span is
         an ideal; the vectors are cleared once, and each product is reduced
-        as it comes."""
+        as it comes into the span's one `Echelon`, which `quotient` reads."""
+        return self._ideal(vectors)[1]
+
+    def _ideal(self, vectors: Sequence[Sequence]) -> tuple[Echelon, tuple[int, int] | None]:
         n, (_, flat) = self.dim, cleared([a for v in vectors for a in v])
         ints = [sparse(flat[i:i + n]) for i in range(0, len(flat), n)]
         span = Echelon(self.field, ints)
-        return next(((i, k) for i, v in enumerate(ints) for k in range(n)
-                     if span.reduce(self._mul_coords(v, {k: 1}))), None)
+        return span, next(((i, k) for i, v in enumerate(ints) for k in range(n)
+                           if span.reduce(self._mul_coords(v, {k: 1}))), None)
 
     def quotient(self, ideal: Sequence[Element]) -> QuotientResult:
         """Quotient by the span of the given elements.
@@ -423,12 +427,11 @@ class Algebra:
         """
         if any(x.algebra is not self for x in ideal):
             raise AlgebraMismatch("ideal element from a different algebra")
-        p, n, (_, flat) = self.field.p, self.dim, cleared([a for x in ideal for a in x.raw])
-        ints = [flat[i:i + n] for i in range(0, len(flat), n)]
-        witness = self.ideal_witness(ints)
+        p, n, zero = self.field.p, self.dim, zero_one(self.field)[0]
+        span, witness = self._ideal([x.raw for x in ideal])
         if witness is not None:
             raise NotAnIdeal(f"span not closed under multiplication by basis vector {self.labels[witness[1]]}")
-        basis = Echelon(self.field, map(sparse, ints)).kernel(n)
+        basis = span.kernel(n)
         if not basis:
             raise ValueError("quotient by the whole algebra is empty")
         free = [max(v) for v in basis]  # a kernel vector's last column is its free column
@@ -437,7 +440,7 @@ class Algebra:
         for t, (f, v) in enumerate(zip(free, basis)):
             for k, a in v.items():
                 images.setdefault(k, {})[t] = a * (scale // v[f])
-        projection = ([v.get(k, 0) if p else Fraction(v.get(k, 0), v[f]) for k in range(n)]
+        projection = ([(v[k] if p else Fraction(v[k], v[f])) if k in v else zero for k in range(n)]
                       for f, v in zip(free, basis))
         cells: dict[tuple[int, int, int], int] = {}
         for a, b in itertools.combinations_with_replacement(range(len(free)), 2):

@@ -11,6 +11,7 @@ fusion violations carry the offending eigenvalue as a witness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -64,6 +65,10 @@ class FusionLaw:
     def __repr__(self):
         vals = ", ".join(str(v) for v in self.eigenvalues)
         return f"FusionLaw({self.kind}: {vals})"
+
+    @functools.cached_property
+    def grades(self) -> list[bool]:  # whether each eigenvalue lies in the plus part, read once per law
+        return [lam in self.plus for lam in self.eigenvalues]
 
 
 def _law(field: Field, kind: str, named: list[tuple[str, object]]) -> FusionLaw:
@@ -124,20 +129,27 @@ def class_axes(algebra: Algebra, witnesses: Sequence) -> list[tuple[str, Element
 
 @dataclass
 class AxisReport:
-    """Per-axis verdict: eigenspace dimensions, primitivity, fusion
-    violations (lambda, mu, offending eigenvalue) and the Miyamoto matrix
-    (None when the grading fails to give an automorphism)."""
+    """Per-axis verdict: eigenspace dimensions, primitivity, fusion violations (lambda, mu, offending
+    eigenvalue) and the Miyamoto involution as (L, the int rows of L tau), residues over F_p, where L = 1
+    (None when the grading fails to give an automorphism); `miyamoto`, its Matrix, is built on first read."""
 
     axis: Element
     law: FusionLaw
     dims: dict
     primitive: bool
     violations: tuple
-    miyamoto: Matrix | None
+    tau: tuple[int, list[list[int]]] | None
+
+    @functools.cached_property
+    def miyamoto(self) -> Matrix | None:
+        if self.tau is not None:  # over Q one Fraction(c, L) per nonzero entry, and the shared zero
+            (scale, rows), field, zero = self.tau, self.axis.algebra.field, zero_one(self.axis.algebra.field)[0]
+            return Matrix._from_raw(field, rows if field.p else ([Fraction(c, scale) if c else zero for c in row]
+                                                                 for row in rows))
 
     @property
     def ok(self) -> bool:
-        return self.primitive and not self.violations and self.miyamoto is not None
+        return self.primitive and not self.violations and self.tau is not None
 
 
 def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
@@ -156,27 +168,27 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     nonzero columns of B^-1 at its nonzero coordinates, but for two sets of
     pairs whose supports are known and would only repeat what is found: the
     row of a primitive x (x v = lambda v), and the pairs of a block inside
-    E after its first nonzero product when `Algebra.e_line` holds.
+    E after its first nonzero product when `Algebra.e_line` holds (every
+    pair of blocks inside E when no E x E cell is stored).
     Components outside the law give the violations (lambda, mu, nu) in
     order of first occurrence; the Miyamoto involution tau = B D B^-1 (plus
     part fixed, minus part negated) is multiplicative exactly when no
     component has a grade other than grade(lambda) grade(mu), and is built
     only then.
 
-    The loop runs on ints: eigenvalues as indices into the law, the stored
-    cells (D times the constants), the eigenvectors and the columns of
-    Q B^-1 that `Echelon.inverting` hands back, Q the diagonal of the pivot
-    entries q_t (1 over F_p); no scale changes a support.  tau is built on ints too, as L tau for
-    L the lcm of the q_t (1 over F_p), checked to square to L^2, and boxed
-    once, entry by entry.
+    The loop runs on ints: eigenvalues as indices into the law (their
+    grades read once per law), the stored cells (D times the constants), the
+    eigenvectors and the columns of Q B^-1 that `Echelon.inverting` hands
+    back, Q the diagonal of the pivot entries q_t (1 over F_p); no scale
+    changes a support.  tau is built on ints too, as L tau for L the lcm of
+    the q_t, checked to square to L^2, and reported as (L, its int rows).
 
     Raises NotIdempotent unless x is nonzero and in the kernel of ad_x - 1
     (the law's first eigenvalue), and IncompleteDecomposition when the
     adjoint eigenspaces for the law's eigenvalues do not fill the algebra.
     """
     field, n, p = algebra.field, algebra.dim, algebra.field.p
-    eigenvalues, values = law.eigenvalues, raw_values(field, law.eigenvalues)
-    plus = [lam in law.plus for lam in eigenvalues]
+    eigenvalues, values, plus = law.eigenvalues, raw_values(field, law.eigenvalues), law.grades
     bases = eigenbasis(algebra, x, values)
     if bases is None:
         bases = algebra.eigenspaces_raw(x.raw, values)
@@ -207,11 +219,13 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     first = int(len(blocks[0]) == 1
                 and all(not lam or plus[0] and b in law.table[0][b] for b, lam in enumerate(values)))
     # E's products on one line are multiples of one vector: a block inside E has one support or none
-    m = algebra.e_dim if algebra.e_line else 0
+    m, empty = (algebra.e_dim, algebra._e_line[1]) if algebra.e_line else (0, False)
+    in_e = [all(max(vectors[s]) < m for s in block) for block in blocks]
     found, graded = [], True  # violations as (lambda, mu, nu) indices; whether tau is multiplicative
     for a, allowed_with in enumerate(law.table[first:], first):
-        in_e = all(max(vectors[s]) < m for s in blocks[a])
         for b, allowed in enumerate(allowed_with[a:], a):
+            if empty and in_e[a] and in_e[b]:
+                continue  # no E x E cell: every product of two vectors of E is zero
             grade = plus[a] == plus[b]
             for s, t in ((s, t) for s in blocks[a] for t in blocks[b] if a < b or s <= t):
                 nus = support(vectors[s], vectors[t])
@@ -219,33 +233,31 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
                     if (a, b, nu) not in found:
                         found.append((a, b, nu))
                 graded = graded and all(plus[nu] == grade for nu in nus)
-                if nus and a == b and in_e:
+                if nus and a == b and in_e[a]:
                     break  # every later pair repeats this support or has none
     violations = tuple((eigenvalues[a], eigenvalues[b], eigenvalues[nu]) for a, b, nu in found)
 
-    miyamoto_matrix = None
+    tau = None
     if graded:  # L tau = sum over t of (+-column t of B)(L / q_t)(row t of Q B^-1), L the lcm of the q_t
         scale = math.lcm(*q)
         signed = [scale // q[t] if plus[owner[t]] else -scale // q[t] for t in range(n)]
-        tau = [[0] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for j, column in enumerate(inverse_columns):
             for t, c in column:
                 w = signed[t] * c
                 for i, b in vectors[t].items():
-                    tau[i][j] += b * w
-        tau = [[c % p for c in row] for row in tau] if p else tau
-        pairs = [[(j, c) for j, c in enumerate(row) if c] for row in tau]
+                    rows[i][j] += b * w
+        rows = [[c % p for c in row] for row in rows] if p else rows
+        pairs = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
         for i, row in enumerate(pairs):  # (L tau)^2 = L^2 I, row by row
             square = [-scale * scale if j == i else 0 for j in range(n)]
             for k, a in row:
                 for j, c in pairs[k]:
                     square[j] += a * c
             check(not any(c % p if p else c for c in square), "the grading involution must square to the identity",
-                  witness=(scale, tau))
-        zero = zero_one(field)[0]
-        miyamoto_matrix = Matrix._from_raw(field, tau if p else ([Fraction(c, scale) if c else zero for c in row]
-                                                                  for row in tau))
-    return AxisReport(x, law, dims, dims[eigenvalues[0]] == 1, violations, miyamoto_matrix)
+                  witness=(scale, rows))
+        tau = scale, rows
+    return AxisReport(x, law, dims, dims[eigenvalues[0]] == 1, violations, tau)
 
 
 def miyamoto(algebra: Algebra, x: Element, law: FusionLaw) -> Matrix:

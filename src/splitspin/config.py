@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError
-from .fields import Field, Scalar, raw_value
+from .fields import Field, Scalar
 from .idempotents import DEFAULT_SCAN_BUDGET
-from .linalg import Matrix
+from .linalg import Matrix, raw_values
 from .quadratic import DEFAULT_NORM_ONE_BUDGET, QuadraticSpace
 
 _TOP_KEYS = {"field", "alpha", "gram", "variant", "budgets", "seeds", "output"}
@@ -79,11 +79,13 @@ def _parse_field(obj) -> Field:
 
 
 def _parse_raw(field: Field, value, where: str):
-    """The raw value of an int or fraction string over the field."""
+    """The raw value of an int or fraction string (one without "/" read as the int) over the field."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigError(f"{where} must be an integer or a fraction string")
     try:
-        return raw_value(field, value)
+        if isinstance(value, str) and "/" not in value:
+            value = int(value.strip())
+        return raw_values(field, (value,))[0]
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad scalar for {where}: {exc}") from exc
 

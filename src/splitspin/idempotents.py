@@ -12,6 +12,7 @@ that nothing else exists.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,21 +57,22 @@ class IdempotentClass:
 
 def classes(algebra: Algebra) -> dict[str, tuple]:
     """The paper's classification of the nonzero idempotents, in report
-    order: tag -> (family, (gamma, delta), eta, templates), all raw.  A point
-    class (family None) is gamma z1 + delta z2 (z2 is n on the cover); a
-    family member is e/2 plus its z-part, one for each e with b(e, e) = 1.
-    An axis class is of Jordan type eta (z1, z2) or of Monster type
-    (eta, 1/2) (a family), and its templates are its 0- and eta-eigenvectors
-    as (e, z1, z2)-coefficients, None for the eta-space E of z1 and z2; the
-    identity has neither.  The families need 1/2, so characteristic 2 has
-    none.  The table is built once per algebra and kept on it; callers only
-    read it."""
+    order: tag -> (family, (gamma, delta), eta, templates), z and eta raw.
+    A point class (family None) is gamma z1 + delta z2 (z2 is n on the
+    cover); a family member is e/2 plus its z-part, one for each e with
+    b(e, e) = 1.  An axis class is of Jordan type eta (z1, z2) or of Monster
+    type (eta, 1/2) (a family), and its templates are its 0- and
+    eta-eigenvectors as (e, z1, z2)-coefficients, ints (times q for
+    alpha = r / q), None for the eta-space E of z1 and z2; the identity has
+    neither.  The families need 1/2, so characteristic 2 has none.  The
+    table is built once per algebra and kept on it; callers only read it."""
     if algebra._classes is not None:
         return algebra._classes
     kind, field = algebra.meta.kind, algebra.field
     if kind not in (SPLIT_SPIN, COVER):
         raise WrongAlgebraKind(f"no idempotent classes on a {kind} algebra")
     (zero, one), alpha, co_alpha = zero_one(field), algebra.meta.alpha.value, (1 - algebra.meta.alpha).value
+    r, q = alpha.as_integer_ratio()  # the templates on ints: alpha = r / q (q = 1 over F_p)
     if kind == COVER:  # alpha = -1
         table = {TAG_Z1: (None, (one, zero), alpha, ((0, 0, 1), None))}
     else:
@@ -82,9 +84,9 @@ def classes(algebra: Algebra) -> dict[str, tuple]:
             table[TAG_FAMILY_EXC] = (FAMILY_EXC, (-half, half), alpha, ((0, 0, 1), (1, 3, -1)))
         else:
             table[TAG_FAMILY_A] = (FAMILY_A, (half * alpha, half * (alpha + 1)), alpha,
-                                   ((1, alpha - 2, alpha - 1), (1, 2 - alpha, -alpha - 1)))
+                                   ((q, r - 2 * q, r - q), (q, 2 * q - r, -r - q)))
             table[TAG_FAMILY_B] = (FAMILY_B, (half * (2 - alpha), half * (1 - alpha)), co_alpha,
-                                   ((-1, alpha, alpha + 1), (-1, 2 - alpha, -alpha - 1)))
+                                   ((-q, r, r + q), (-q, 2 * q - r, -r - q)))
     algebra._classes = {tag: (family, tuple(_reduced(field.p, z)), *rest)
                         for tag, (family, z, *rest) in table.items()}
     return algebra._classes
@@ -95,26 +97,26 @@ def eigenbasis(algebra: Algebra, x: Element, values: Sequence) -> list[list[dict
     vectors, one block per raw eigenvalue in values: x, then the templates
     of x's class in `classes`, then E's unit vectors for a point class or,
     for a family member, the e-perp vectors g_i e_j - g_j e_i, j != i, for
-    g = s G e and g_i its first nonzero entry.  Each vector is checked by one
-    sparse product x v = lambda v against its block's value: 1, 0, eta and,
-    for a family, 1/2, as `axial.axis_law` reads them off the table.  None
-    when x is in no axis class, values does not hold one value per block,
-    or a check fails."""
+    g = s G e and g_i its first nonzero entry, all on the cleared ints dx x: a
+    template (s, a1, a2) is dx (s e + a1 z1 + a2 z2), e = 2u.  Each vector is
+    checked by one sparse product x v = lambda v against its block's value:
+    1, 0, eta and, for a family, 1/2, as `axial.axis_law` reads them off the
+    table.  None when x is in no axis class, values does not hold one value
+    per block, or a check fails."""
     if algebra.meta.kind not in (SPLIT_SPIN, COVER):
         return None
-    table = classes(algebra)
-    if (match := _matcher(algebra, table)(x.raw)) is None:
+    table, (dx, xi) = classes(algebra), cleared(x.raw)
+    if (match := _matcher(algebra, table)(dx, xi)) is None:
         return None
-    (verdict, image), p, space = match, algebra.field.p, algebra.meta.space
-    templates, e = table[verdict.tag][3], verdict.raw_e
-    if templates is None or len(values) != 3 + bool(e):
+    (tag, image), p, k = match, algebra.field.p, algebra.meta.space.dim
+    templates, units = table[tag][3], [{j: 1} for j in range(k)]
+    if templates is None or len(values) != 3 + bool(image):
         return None
-    (dx, xi), units = cleared(x.raw), [{j: 1} for j in range(space.dim)]
-    if e:
+    if image:
         g = _reduced(p, image)  # a multiple of G e, from the matcher's norm-one test
         i = next(i for i, c in enumerate(g) if c)
-        units = [pruned(None, {j: g[i], i: -g[j]}) for j in range(space.dim) if j != i]
-    blocks = [[sparse(xi)], *([sparse(cleared([s * a for a in e or [0] * space.dim] + [a1, a2])[1])]
+        units = [pruned(None, {j: g[i], i: -g[j]}) for j in range(k) if j != i]
+    blocks = [[sparse(xi)], *([sparse([2 * s * c for c in xi[:k]] + [a1 * dx, a2 * dx])]
                               for s, a1, a2 in filter(None, templates)), units]
     scale, xi = algebra.denominator * dx, blocks[0][0]
     for (a, q), block in zip((value.as_integer_ratio() for value in values), blocks):
@@ -135,7 +137,10 @@ def expected_count(algebra: Algebra, norm_one: int) -> int:
 
 
 def is_idempotent(x: Element) -> bool:
-    return x * x == x
+    """Whether x x = x, on the cleared ints v = d x (the residues over F_p, where D = d = 1): D v v = D d v."""
+    algebra = x.algebra
+    (d, xi), s = (1, x.raw) if algebra.field.p else cleared(x.raw), algebra.denominator
+    return algebra._mul_coords(v := sparse(xi), v) == (v if s * d == 1 else {j: s * d * c for j, c in v.items()})
 
 
 def family_axis(algebra: Algebra, e, family: str) -> Element:
@@ -146,7 +151,7 @@ def family_axis(algebra: Algebra, e, family: str) -> Element:
         raise CharTwo("idempotent families require characteristic != 2")
     space = algebra.meta.space
     e = space._raw(e)
-    if space._norm_one_image(e) is None:
+    if space._norm_one_image(*cleared(e)) is None:
         raise NotNormOne("family idempotents require b(e, e) = 1")
     z_parts = {fam: z for fam, z, *_ in table.values() if fam}
     if family not in z_parts:
@@ -170,29 +175,29 @@ def classify_idempotents(algebra: Algebra, xs: Sequence[Element]) -> list[Idempo
     order; a zero or non-idempotent x raises NotIdempotent.  Tag "other" is
     only ever produced when an idempotent matches nothing, which would
     contradict the classification under its hypotheses."""
-    match, out = _matcher(algebra, classes(algebra)), []
+    match, out, p, k = _matcher(algebra, classes(algebra)), [], algebra.field.p, algebra.e_dim
     for x in xs:
         if x.is_zero or not is_idempotent(x):
             raise NotIdempotent("classification requires a nonzero idempotent")
-        verdict, _ = match(x.raw) or (IdempotentClass(TAG_OTHER, witness=x), None)
-        out.append(verdict)
+        tag, image = match(*((1, x.raw) if p else cleared(x.raw))) or (TAG_OTHER, None)
+        raw_e = image and tuple(_reduced(p, (2 * a for a in x.raw[:k])))  # a family member's e = 2u
+        out.append(IdempotentClass(tag, raw_e, x if tag == TAG_OTHER else None))
     return out
 
 
 def _matcher(algebra: Algebra, table: dict):
-    """Raw coordinates -> (their class in the `classes` table, and s G d e for
-    a family member, e = 2u cleared to d e), or None: a point class matches
-    on the z-part, a family member also needs b(e, e) = 1, read off s G d e."""
-    space, p = algebra.meta.space, algebra.field.p
-    points = {z: tag for tag, (family, z, *_) in table.items() if family is None}
-    families = {z: tag for tag, (family, z, *_) in table.items() if family}
-    def match(raw: tuple) -> tuple | None:
-        u, z = raw[:space.dim], raw[space.dim:]
-        if not any(u):
-            return (IdempotentClass(points[z]), None) if z in points else None
-        e = tuple(_reduced(p, (2 * a for a in u)))
-        image = space._norm_one_image(e) if z in families else None
-        return None if image is None else (IdempotentClass(families[z], e), image)
+    """Cleared coordinates (d, d x) -> (the tag of x's class in the `classes`
+    table, keyed by the z-part's ints over their least denominator, and for
+    a family member s G y, y = d e for e = 2u), or None: a point class
+    matches on the z-part, a family member also needs b(e, e) = 1."""
+    space, k = algebra.meta.space, algebra.meta.space.dim
+    keys = {(family is not None, d, *ints): tag for tag, (family, z, *_) in table.items() for d, ints in [cleared(z)]}
+    def match(d: int, x: Sequence[int]) -> tuple | None:
+        g, family = math.gcd(d, *x[k:]), any(x[:k])
+        if (tag := keys.get((family, d // g, x[k] // g, x[k + 1] // g))) is None or not family:
+            return tag and (tag, None)
+        image = space._norm_one_image(d, [2 * c for c in x[:k]])  # unreduced: the norm is tested mod p
+        return image and (tag, image)
     return match
 
 

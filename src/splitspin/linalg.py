@@ -247,12 +247,12 @@ class Matrix:
         Q each over its entry at its free column (its last), where the cleared rows
         come first to a certificate: full column rank mod P = 2^61 - 1 proves the
         kernel empty (a minor nonzero mod P is nonzero over Z)."""
-        p, cols = self.field.p, self.cols
+        p, cols, zero = self.field.p, self.cols, zero_one(self.field)[0]
         rows = self.raw if p else [cleared(row)[1] for row in self.raw]
         if not p and _full_rank_mod(rows, cols):
             return []
         basis = Echelon(self.field, map(sparse, rows)).kernel(cols)
-        return [[v.get(j, 0) if p else Fraction(v.get(j, 0), m) for j in range(cols)]
+        return [[(v[j] if p else Fraction(v[j], m)) if j in v else zero for j in range(cols)]
                 for v in basis for m in [v[max(v)]]]
 
     def inverse(self) -> Matrix | None:

@@ -89,11 +89,10 @@ class QuadraticSpace:
         """s b(u, v) for integer vectors u and v, unreduced."""
         return sum(map(operator.mul, u, self._image(v)))
 
-    def _norm_one_image(self, e: Sequence) -> list | None:
-        """s G x for the raw vector e cleared to the ints x = d e (x = e over
-        F_p) if b(e, e) = 1, else None: one `_image` gives both; no coercion."""
+    def _norm_one_image(self, d: int, x: Sequence[int]) -> list | None:
+        """s G x for the ints x = d e (d = 1 over F_p) if b(e, e) = 1, else
+        None: one `_image` gives both; no coercion."""
         p = self.field.p
-        d, x = (1, e) if p else cleared(e)
         image = self._image(x)
         norm = sum(map(operator.mul, x, image))
         return image if (norm % p == 1 if p else norm == self._scale * d * d) else None
@@ -168,62 +167,56 @@ class QuadraticSpace:
         return NormOneSearch(EXHAUSTIVE, tuple(boxed(self.field, e) for e in found), spans)
 
     def _norm_one_sampled(self, budget: int, seed: int) -> NormOneSearch:
-        rng = random.Random(seed)
-        n = self.dim
-        p = self.field.p
-        scale = self._scale
+        rng, n, p, scale = random.Random(seed), self.dim, self.field.p, self._scale
         found: list[Vector] = []
-        seen = set()
+        seen, form = set(), {(i, j): c for i, j, c in self._terms}  # form: s G_ij, i <= j
         span = Echelon(self.field)  # of the vectors found, fed until it spans E
 
-        def consider(w: list[int]) -> None:
-            """Keep w / sqrt(b(w, w)) when b(w, w) is a nonzero square; w is a
-            candidate times a positive integer over Q, its residues over F_p."""
-            norm = self._form(w, w)  # s b(w, w)
+        def consider(w: list[int], norm: int) -> None:
+            """Keep w / sqrt(b(w, w)) when b(w, w) = norm / s is a nonzero square; w is a candidate times a
+            positive integer over Q, its residues over F_p.  Over Q it is keyed by reduced ints, boxed when new."""
             if p:
-                root = sqrt_mod(norm, p) if norm % p else None
-                if root is None:
+                if not norm % p or (root := sqrt_mod(norm, p)) is None:
                     return
                 inv = pow(root, -1, p)
-                scaled = tuple(a * inv % p for a in w)
+                key = tuple(a * inv % p for a in w)
             else:
                 # b(w, w) = norm / scale is a rational square iff norm * scale is a square
                 square = norm * scale
                 root = math.isqrt(square) if square > 0 else 0
                 if not root or root * root != square:
                     return
-                scaled = tuple(Fraction(a * scale, root) for a in w)
-            if scaled not in seen:
-                seen.add(scaled)
-                found.append(boxed(self.field, scaled))
+                g = math.gcd(root, scale * math.gcd(*w))  # w scale / root = key[1:] / key[0]
+                key = (root // g, *(a * scale // g for a in w))
+            if key not in seen:
+                seen.add(key)
+                found.append(boxed(self.field, key if p else (Fraction(c, key[0]) for c in key[1:])))
                 if span.rank < n:
-                    span.insert(sparse(w))  # w spans the line of scaled
+                    span.insert(sparse(w))  # w spans the line of the kept vector
 
         def candidates():
+            """(w, s b(w, w)): the units and the pairs e_i +- e_j, their norms read off the terms, then random w."""
             for i in range(n):
-                base = [0] * n
-                base[i] = 1
-                yield base
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for si, sj in ((1, 1), (1, -1)):
-                        base = [0] * n
-                        base[i], base[j] = si, sj
-                        yield base
+                yield [int(t == i) for t in range(n)], form.get((i, i), 0)
+            for i, j in itertools.combinations(range(n), 2):
+                for sj in (1, -1):
+                    norm = form.get((i, i), 0) + form.get((j, j), 0) + 2 * sj * form.get((i, j), 0)
+                    yield [1 if t == i else sj if t == j else 0 for t in range(n)], norm
             while True:
                 if p is None:
                     pairs = [(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
                     d = math.lcm(*(den for _, den in pairs))
-                    yield [num * (d // den) for num, den in pairs]
+                    w = [num * (d // den) for num, den in pairs]
                 else:
-                    yield [rng.randrange(p) for _ in range(n)]
+                    w = [rng.randrange(p) for _ in range(n)]
+                yield w, self._form(w, w)
 
         stagnant = 0
-        for tried, w in enumerate(candidates()):
+        for tried, (w, norm) in enumerate(candidates()):
             if tried >= budget:
                 break
             before = len(found)
-            consider(w)
+            consider(w, norm)
             stagnant = 0 if len(found) != before else stagnant + 1
             if len(found) >= MAX_SAMPLED:
                 break

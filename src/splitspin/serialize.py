@@ -8,6 +8,8 @@ row-major arrays, and algebras with a sparse structure-constant list of
 
 from __future__ import annotations
 
+import math
+
 from .algebra import Algebra, Element
 from .axial import AxisReport, FrobeniusForm
 from .errors import DimensionMismatch
@@ -30,6 +32,13 @@ def vector_to_json(v: Vector):
 def matrix_to_json(m: Matrix):
     p = m.field.p
     return [[raw_to_json(p, a) for a in row] for row in m.raw]
+
+
+def scaled_to_json(p: int | None, scale: int, rows):
+    """The int rows over scale (residues over F_p, where scale = 1) as `matrix_to_json` writes their matrix:
+    each distinct int encoded once, with one gcd, and equal entries sharing one string."""
+    codes = {} if p else {c: f"{c // g}/{scale // g}" for c in set().union(*rows) for g in [math.gcd(c, scale)]}
+    return [list(row) if p else list(map(codes.__getitem__, row)) for row in rows]
 
 
 def element_to_json(x: Element):
@@ -99,7 +108,7 @@ def axis_report_to_json(report: AxisReport):
             [a.to_json(), b.to_json(), c.to_json()]
             for a, b, c in report.violations
         ],
-        "miyamoto": None if report.miyamoto is None else matrix_to_json(report.miyamoto),
+        "miyamoto": None if report.tau is None else scaled_to_json(report.axis.algebra.field.p, *report.tau),
         "ok": report.ok,
     }
 

@@ -7,9 +7,11 @@ coprime denominators), F_7 and F_10007, on split spin and the cover, on
 z1, z2 and the family axes, on non-degenerate and degenerate Grams, and on
 algebras perturbed away from the axis so that the fusion law can fail; and
 a candidate is rejected as not idempotent exactly when x x != x or x = 0.
-Named cases meet the edges of `check_axis`'s two shortcuts: a non-primitive
+Named cases meet the edges of `check_axis`'s shortcuts: a non-primitive
 candidate, laws built by hand that forbid or regrade the pairs of x, zero
-and isotropic Grams, and a changed E x E cell that turns `e_line` off."""
+and isotropic Grams, and a changed E x E cell that turns `e_line` off; on
+the zero Gram no E x E cell is stored, and a block inside E is skipped
+whole, which is also counted at dim E = 200."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitspin import Field, Matrix, QuadraticSpace, check_axis, exceptional_cover, family_axis, split_spin
+from splitspin.algebra import Algebra
 from splitspin.axial import axis_law, jordan_law
 from splitspin.errors import IncompleteDecomposition, NotIdempotent
 from splitspin.idempotents import FAMILY_A, FAMILY_B, FAMILY_EXC, TAG_FAMILY_A, TAG_FAMILY_B, TAG_FAMILY_EXC
@@ -207,3 +210,34 @@ def test_shortcut_edges_match_the_slow_path(field):
             assert report.violations[0][0] == law.eigenvalues[0]
         if name == "foreign-grade":  # x x = x leaves the grade of 1 1
             assert not report.violations and report.miyamoto is None
+
+
+@pytest.mark.parametrize("field", [QQ, F10007], ids=["QQ", "F10007"])
+def test_the_zero_gram_costs_o_n_products(field, monkeypatch):
+    """On the zero Gram at dim E = 200 every product of two vectors of E is
+    zero and no E x E cell is stored: z1, z2 and the cover's z1 take under
+    2n products, the eigenbasis checks included, against n (n + 1) / 2 =
+    20,503 with the block inside E multiplied in full, and report the same
+    as that full loop (run with `e_line` turned off)."""
+    k = 200
+    space = QuadraticSpace(Matrix(field, [[0] * k for _ in range(k)]))
+    counted, product = [], Algebra._mul_coords
+
+    def counting(algebra, u, v):
+        counted.append(1)
+        return product(algebra, u, v)
+
+    for build, tags in ((lambda: split_spin(space, 3), ["z1", "z2"]), (lambda: exceptional_cover(space), ["z1"])):
+        for tag in tags:
+            algebra = build()
+            x, law = algebra.basis_by_label(tag), axis_law(algebra, tag)
+            counted.clear()
+            monkeypatch.setattr(Algebra, "_mul_coords", counting)
+            report = check_axis(algebra, x, law)
+            monkeypatch.undo()
+            assert len(counted) < 2 * algebra.dim and report.ok, (tag, len(counted))
+            full = build()
+            full._e_line = (False, False)  # the pair loop in full
+            expected = check_axis(full, full.basis_by_label(tag), law)
+            assert (report.dims, report.primitive, report.violations, report.miyamoto) == (
+                expected.dims, expected.primitive, expected.violations, expected.miyamoto)

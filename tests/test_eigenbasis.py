@@ -39,7 +39,7 @@ from splitspin.idempotents import (
     TAG_Z2,
     classes,
 )
-from splitspin.linalg import cleared, raw_values, same_span
+from splitspin.linalg import cleared, raw_values, same_span, sparse
 from test_algebra import add_to_constants, dense
 
 QQ, F7, F10007 = Field.rationals(), Field.prime(7), Field.prime(10007)
@@ -166,45 +166,47 @@ def test_check_axis_matches_a_forced_solved_run(field):
 
 @FIELDS
 def test_a_mutated_template_vector_is_rejected(field):
-    """One coefficient of the 0- or eta-eigenvector (the template vectors
-    built through `cleared`) is moved; the builder rejects the template
-    exactly when the moved vector is no longer a lambda-eigenvector, and
-    check_axis reports the same either way."""
+    """One coefficient of the 0- or eta-eigenvector (the template vectors,
+    whose dense ints `eigenbasis` hands to `sparse`) is moved; `eigenbasis`
+    rejects the template exactly when the moved vector is no longer a
+    lambda-eigenvector, and check_axis reports the same either way."""
     outcomes = set()
 
     @settings(derandomize=True, max_examples=60)
     @given(class_axes(field), st.integers(0, 1), st.data())
     def check(case, target, data):
         algebra, x, law = case
-        values, n = _values(algebra, law), algebra.dim
+        values, n, xi = _values(algebra, law), algebra.dim, cleared(x.raw)[1]
         expected = _outcome(check_axis(algebra, x, law))
-        coordinate, delta = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, 6))
         built = []
 
         def recording(vector):
-            d, ints = cleared(vector)
-            if len(ints) == n and list(vector) != list(x.raw):
-                built.append(ints)
-            return d, ints
+            if list(vector) != xi:
+                built.append(list(vector))
+            return sparse(vector)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(idempotents, "cleared", recording)
+            patch.setattr(idempotents, "sparse", recording)
             idempotents.eigenbasis(algebra, x, values)
-        if len(built) <= target:  # a point class builds only its 0-eigenvector this way
+        if len(built) <= target:  # a point class builds only its 0-eigenvector as a template
             return
+        assert all(len(vector) == n for vector in built)
+        # any coordinate, or one in the template's support, where a moved coefficient may keep an eigenvector
+        support = [i for i, c in enumerate(built[target]) if c]
+        coordinate = data.draw(st.one_of(st.integers(0, n - 1), st.sampled_from(support)))
+        delta = data.draw(st.integers(1, 6))
         moved = [c + delta if i == coordinate else c for i, c in enumerate(built[target])]
+        vector = algebra.element(moved)
+        if vector.is_zero:  # a multiple of p over F_p: no eigenvector to keep or lose
+            return
 
         def mutating(vector):
-            d, ints = cleared(vector)
-            return d, moved if ints == built[target] and list(vector) != list(x.raw) else ints
+            return sparse(moved if list(vector) == built[target] else vector)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(idempotents, "cleared", mutating)
+            patch.setattr(idempotents, "sparse", mutating)
             blocks = idempotents.eigenbasis(algebra, x, values)
             report = _outcome(check_axis(algebra, x, law))
-        vector = algebra.element(moved)
-        if vector.is_zero:
-            return
         assert (blocks is None) == (x * vector != vector * law.eigenvalues[target + 1])
         assert report == expected
         outcomes.add(blocks is None)

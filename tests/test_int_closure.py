@@ -315,3 +315,28 @@ def test_isomorphism_check_matches_the_fraction_body(algebra, data):
     assume(not all(g.is_zero for g in gens))
     sub = algebra.subalgebra(gens).algebra
     assert_same_isomorphism(sub, sub, Matrix.identity(algebra.field, sub.dim))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_quotient_eliminates_the_ideal_once(field, monkeypatch):
+    """The one `Echelon` that tests the ideal also gives the quotient's kernel, and the projection's zeros
+    are the one raw zero of the field."""
+    import splitspin.algebra as algebra_module
+
+    built = []
+
+    class Counting(algebra_module.Echelon):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    algebra = fraction_algebra(field)
+    ideal = [algebra.element([0, 0, Fraction(2, 5), 0, 0])]
+    monkeypatch.setattr(algebra_module, "Echelon", Counting)
+    result = algebra.quotient(ideal)
+    assert len(built) == 1
+    zero = Fraction(0) if field.p is None else 0
+    zeros = [c for row in result.projection.raw for c in row if not c]
+    assert zeros and all(c is zeros[0] and c == zero for c in zeros)
+    monkeypatch.undo()
+    assert_same_quotient(algebra, ideal)

@@ -2,7 +2,7 @@
 of denominators to `linalg.Echelon`, `Algebra.eigenspaces_raw` hands
 D (ad_u - lambda) to `Echelon` without building a `Matrix` and on one path
 for Q and F_p, and `check_axis` builds tau on ints rather than from
-`Matrix` products.  The closure (`subalgebra`, `ideal_witness`, `quotient`,
+`Matrix` products.  The closure (`subalgebra`, `ideal_witness` and its `_ideal`, `quotient`,
 `check_isomorphism` and `two_gen.yabe_data`) runs on ints too: it clears
 each input once and solves in the int `Echelon`.  These are pinned here
 with `ast`, in the style of test_no_assert.py; that `Echelon` takes int
@@ -121,8 +121,8 @@ def test_the_eigenbasis_builder_solves_nothing():
 
 
 CLOSURE = [("algebra.py", "Algebra", "subalgebra"), ("algebra.py", "Algebra", "ideal_witness"),
-           ("algebra.py", "Algebra", "quotient"), ("algebra.py", "Algebra", "check_isomorphism"),
-           ("two_gen.py", None, "yabe_data")]
+           ("algebra.py", "Algebra", "_ideal"), ("algebra.py", "Algebra", "quotient"),
+           ("algebra.py", "Algebra", "check_isomorphism"), ("two_gen.py", None, "yabe_data")]
 # membership, solves and products on raw Fraction coordinates
 FRACTION_PATH = ("add", "contains", "inverse", "raw_values", "apply", "apply_raw", "apply_sparse")
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

@@ -1021,3 +1021,12 @@ def test_certified_full_rank_skips_the_integer_elimination(monkeypatch):
     assert Matrix(QQ, rows).kernel_raw() == []
     with pytest.raises(TypeError):  # a wide matrix has a kernel: the certificate declines it
         Matrix(QQ, rows[:5]).kernel_raw()
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "F7"])
+def test_dense_kernel_vectors_share_the_raw_zero(field):
+    """`kernel_raw` makes the sparse kernel vectors dense with the field's one raw zero, not one
+    `Fraction(0, m)` per zero entry."""
+    kernel = Matrix(field, [[1, 2, 0, 0], [2, 4, 0, 0]]).kernel_raw()
+    zeros = [c for v in kernel for c in v if not c]
+    assert len(kernel) == 3 and zeros and all(c is zeros[0] and c == 0 for c in zeros)

@@ -6,7 +6,7 @@ import pathlib
 
 import splitspin
 
-LINE_BUDGET = 4469
+LINE_BUDGET = 4493
 
 
 def test_the_package_stays_within_its_line_budget():

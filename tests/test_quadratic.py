@@ -254,6 +254,12 @@ NORM_ONE_CASES = [
     (Field.prime(10007), [[1, 2, 3], [2, 5, 7], [3, 7, 0]], 400, "sampled"),
     (Field.prime(10007), [[0, 1], [1, 0]], 400, "sampled"),
     (Field.prime(11), [[2, 0, 0], [0, 0, 0], [0, 0, 6]], 300, "sampled"),
+    # every candidate scales to +-e1 / 2, so later candidates give vectors already found
+    (QQ, [[4]], 500, "sampled"),
+    (Field.prime(10007), [[4]], 400, "sampled"),
+    # degenerate, with random candidates that repeat a vector already found before the sixteenth
+    (QQ, [[4, 0, 0], [0, 4, 0], [0, 0, 0]], 3000, "sampled"),
+    (Field.prime(5), [[1, 0, 0], [0, 0, 0], [0, 0, 0]], 100, "sampled"),
 ]
 
 

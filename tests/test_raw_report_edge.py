@@ -4,10 +4,13 @@
 from the form's integer terms, the scale s and alpha = r / q; they are
 compared here with a reference that builds the Fraction constants and hands
 them to `Algebra(...)`.  The JSON writers for matrices and elements write
-raw values and are compared with `Scalar.to_json`.  `ast` guards, in the
-style of test_integer_axis_path.py, pin that `parse_config` leaves the one
-symmetry check to `QuadraticSpace`, that the constructors box nothing and
-that the writers read `.raw`.
+raw values and are compared with `Scalar.to_json`; the Miyamoto writer,
+which reads (L, int rows of L tau), with `matrix_to_json` of the report's
+`Matrix`; and `parse_config`'s int strings with `raw_value`, error texts
+included.  `ast` guards, in the style of test_integer_axis_path.py, pin
+that `parse_config` leaves the one symmetry check to `QuadraticSpace`, that
+the constructors box nothing, that the writers read `.raw`, and that a
+class axis runs from x to the report without naming `Fraction` or `Scalar`.
 """
 
 import ast
@@ -15,13 +18,17 @@ import pathlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitspin
-from splitspin import Algebra, Field, Matrix, QuadraticSpace, exceptional_cover, split_spin
+from splitspin import Algebra, Field, Matrix, QuadraticSpace, check_axis, exceptional_cover, split_spin
 from splitspin.algebra import COVER, SPLIT_SPIN, AlgebraMeta
-from splitspin.serialize import algebra_to_json, element_to_json, matrix_to_json
+from splitspin.config import _parse_raw
+from splitspin.errors import ConfigError
+from splitspin.fields import raw_value
+from splitspin.serialize import algebra_to_json, axis_report_to_json, element_to_json, matrix_to_json, scaled_to_json
+from test_eigenbasis import class_axes
 
 PACKAGE = pathlib.Path(splitspin.__file__).parent
 FIELDS = [Field.rationals(), Field.prime(7), Field.prime(10007)]
@@ -143,6 +150,63 @@ def test_raw_json_writers_match_scalar_to_json(field, data):
                                                                for i, j, k, c in algebra.constants]
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_the_miyamoto_writer_matches_matrix_to_json(field):
+    """The report's (L, int rows) written as `matrix_to_json` writes the
+    Miyamoto `Matrix`, on class axes of random algebras (Fraction alpha over
+    Q) and on drawn rows whose entries repeat and are negative; equal
+    entries share one string."""
+    @settings(derandomize=True, max_examples=40)
+    @given(class_axes(field))
+    def axes(case):
+        report = check_axis(*case)
+        written = axis_report_to_json(report)["miyamoto"]
+        assert written == (None if report.miyamoto is None else matrix_to_json(report.miyamoto))
+
+    @given(st.data())
+    def rows(data):
+        p = field.p
+        scale = 1 if p else data.draw(st.sampled_from(BIG_DENOMINATORS)) * data.draw(st.integers(1, 12))
+        values = st.integers(0, p - 1) if p else st.integers(-3 * scale, 3 * scale)
+        pool = data.draw(st.lists(values, min_size=1, max_size=4))
+        n = data.draw(st.integers(1, 5))
+        ints = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=n, max_size=n), min_size=n, max_size=n))
+        written = scaled_to_json(p, scale, ints)
+        assert written == matrix_to_json(Matrix(field, [[Fraction(c, scale) for c in row] for row in ints]))
+        strings = {}
+        assert all(strings.setdefault(c, w) is w for row, out in zip(ints, written) for c, w in zip(row, out))
+
+    axes()
+    rows()
+
+
+def reference_parse_raw(field, value, where):
+    """`config._parse_raw` as it read every string through `raw_value`."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ConfigError(f"{where} must be an integer or a fraction string")
+    try:
+        return raw_value(field, value)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"bad scalar for {where}: {exc}") from exc
+
+
+CONFIG_VALUES = ["-0", "007", "+3", " 3 ", "٣", "1_000", "3/1", "-12/8", " 7 / 14 ", "1/7", "3/0", "",
+                 "  ", "abc", "1.5", "- 3", "1__0", "_1", "0x10", "٣/١", 5, -7, 0, 10**30, True, 1.5, None]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("value", CONFIG_VALUES, ids=repr)
+def test_config_int_strings_parse_as_raw_value_parses_them(field, value):
+    def outcome(parse):
+        try:
+            result = parse(field, value, '"gram" entry')
+        except ConfigError as exc:
+            return ConfigError, str(exc)
+        return type(result), result
+
+    assert outcome(_parse_raw) == outcome(reference_parse_raw)
+
+
 # -- ast guards ------------------------------------------------------------------
 
 
@@ -176,3 +240,13 @@ def test_json_writers_read_raw_values(name):
     lines = sorted((line, n) for line, n in names if n in ("entries", "coords", "constants"))
     assert not lines, f"{name} reads a Scalar view at {lines}"
     assert any(n in ("raw", "raw_constants") for _, n in names)
+
+
+CLASS_AXIS_PATH = [("axial.py", "check_axis"), ("idempotents.py", "eigenbasis"), ("idempotents.py", "_matcher"),
+                   ("idempotents.py", "is_idempotent"), ("serialize.py", "scaled_to_json")]
+
+
+@pytest.mark.parametrize("module, name", CLASS_AXIS_PATH, ids=[name for _, name in CLASS_AXIS_PATH])
+def test_the_class_axis_path_names_no_fraction_or_scalar(module, name):
+    lines = sorted((line, n) for line, n in _names(_function(module, name)) if n in ("Fraction", "Scalar"))
+    assert not lines, f"{name} names {lines}"
