@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Algebra, exceptional_cover, is_jordan_special, matsuo_3c, split_spin
+from .algebra import COVER, SPLIT_SPIN, Algebra, exceptional_cover, is_jordan_special, matsuo_3c, split_spin
 from .axial import (
     algebra_radical,
     axes_with_involution,
@@ -174,7 +174,7 @@ def criterion_2():
 
 def _expected_idempotents(algebra: Algebra, norm_one):
     coords = set()
-    if algebra.meta.kind == "cover":
+    if algebra.meta.kind == COVER:
         coords.add(algebra.basis_by_label("z1").coords)
         for e in norm_one:
             coords.add(family_axis(algebra, e, FAMILY_EXC).coords)
@@ -534,7 +534,7 @@ def criterion_9():
         for m in (0, 2, -1, 3)
     ] + [(F7, a, m) for a in (2, 3) for m in (0, 2, 3)]
     for field, alpha, mu in split_cases:
-        cfg = TwoGenConfig(field, mu=field.scalar(mu), alpha=field.scalar(alpha), variant="split_spin")
+        cfg = TwoGenConfig(field, mu=field.scalar(mu), alpha=field.scalar(alpha))
         algebra, x, y = build_two_gen(cfg)
         data = yabe_data(algebra, x, y)
         alpha_s, mu_s = field.scalar(alpha), field.scalar(mu)
@@ -550,7 +550,7 @@ def criterion_9():
         check(data.a_minus1 == expected, "a_minus1 is off its closed form", witness=(case, data.a_minus1))
     cover_cases = [(QQ, m) for m in (0, 2, -1)] + [(F5, m) for m in (0, 3)]
     for field, mu in cover_cases:
-        cfg = TwoGenConfig(field, mu=field.scalar(mu), variant="cover")
+        cfg = TwoGenConfig(field, mu=field.scalar(mu), variant=COVER)
         algebra, x, y = build_two_gen(cfg)
         data = yabe_data(algebra, x, y)
         mu_s = field.scalar(mu)
@@ -564,7 +564,7 @@ def criterion_9():
         check(data.a_minus1 == expected, "a_minus1 is off its closed form on the cover",
               witness=(case, data.a_minus1))
     # mu = 1 degeneration, both variants
-    for variant, alpha in (("split_spin", 3), ("cover", None)):
+    for variant, alpha in ((SPLIT_SPIN, 3), (COVER, None)):
         cfg = TwoGenConfig(QQ, mu=QQ.one(), alpha=None if alpha is None else QQ.scalar(alpha), variant=variant)
         algebra, x, y = build_two_gen(cfg)
         check(x * y == QQ.half() * (x + y), "at mu = 1, x y is not (x + y)/2", witness=variant)
@@ -576,7 +576,7 @@ def criterion_9():
             check(False, "expected MuOne", witness=variant)
         except MuOne:
             pass
-    cfg = TwoGenConfig(QQ, mu=QQ.scalar(2), alpha=QQ.scalar(-1), variant="split_spin")
+    cfg = TwoGenConfig(QQ, mu=QQ.scalar(2), alpha=QQ.scalar(-1))
     algebra, x, y = build_two_gen(cfg)
     try:
         yabe_data(algebra, x, y)

@@ -32,7 +32,7 @@ from .errors import (
     check,
 )
 from .fields import Field, Scalar
-from .linalg import Echelon, Matrix, Vector, _reduced, boxed, cleared, pruned, raw_values, sparse, zero_one
+from .linalg import Echelon, Matrix, Vector, _reduced, boxed, cleared, combine, pruned, raw_values, sparse, zero_one
 from .quadratic import QuadraticSpace
 
 SPLIT_SPIN = "split_spin"
@@ -352,11 +352,13 @@ class Algebra:
         order), then products as they appear.  The closure degree records how
         many rounds of products were needed (1 means the generators already
         span a subalgebra).  The closure needs no cap: its basis is
-        independent in the algebra, so it never outgrows dim.
+        independent in the algebra, so it never outgrows dim.  Each product
+        goes into the sub-basis through `combine` with the columns of Q P^-1,
+        for P the basis's pivot block, as int cells for `_from_ints`.
         """
         if any(g.algebra is not self for g in generators):
             raise AlgebraMismatch("generator from a different algebra")
-        p, n, span = self.field.p, self.dim, Echelon(self.field)
+        p, n, span, zero = self.field.p, self.dim, Echelon(self.field), zero_one(self.field)[0]
         basis: list[tuple[int, dict]] = []  # (d_t, B_t): basis vector t is the sparse ints B_t over d_t
         d, flat = cleared([a for g in generators for a in g.raw])
         for t in range(0, len(flat), n):
@@ -380,25 +382,23 @@ class Algebra:
                 break
             degree += 1
 
-        # a vector of the span is fixed by its entries at the pivots: Q P^-1 by column, for P the pivot
-        # block of the B_t and Q the diagonal of the pivot entries q_t
-        pivots = span.pivots
+        # a vector of the span is fixed by its entries at the pivots; Q is the diagonal of the pivot entries q_t
+        pivots, inverse = span.pivots, [()] * n
         block = [{t: b[c] for t, (_, b) in enumerate(basis) if c in b} for c in pivots]  # P
         q, columns = Echelon.inverting(self.field, block)
-        inverse = dict(zip(pivots, columns))
-        coords: dict[tuple[int, int, int], int] = {}  # b_t-coefficient of b_i b_j: d_t coords / (q_t D d_i d_j)
+        for c, column in zip(pivots, columns):
+            inverse[c] = column
+        # b_t in b_i b_j is d_t a / (q_t D d_i d_j), a entry t of Q P^-1 (D B_i B_j): ints over D lcm(q) lcm(d)^2
+        lq, ld = math.lcm(*q), math.lcm(*(d for d, _ in basis))
+        scales, cells = [d * (lq // q[t]) for t, (d, _) in enumerate(basis)], []
         for (i, j), prod in products.items():
             check(not span.reduce(prod), "subalgebra closure misses a product", (i, j))
-            for c, x in prod.items():  # read only at the product's nonzero pivots
-                for t, a in inverse.get(c, ()):
-                    coords[i, j, t] = coords.get((i, j, t), 0) + a * x
-        constants = [(i, j, t, a % p if p else Fraction(basis[t][0] * a,
-                                                        q[t] * self.denominator * basis[i][0] * basis[j][0]))
-                     for (i, j, t), a in coords.items()]
-        columns = ([b.get(k, 0) if p else Fraction(b.get(k, 0), d) for k in range(n)] for d, b in basis)
+            f = (ld // basis[i][0]) * (ld // basis[j][0])
+            cells += [(i, j, t, scales[t] * f * a) for t, a in combine(inverse, prod.items()).items()]
+        columns = ([(b[k] if p else Fraction(b[k], d)) if k in b else zero for k in range(n)] for d, b in basis)
         embedding = Matrix._from_raw(self.field, zip(*columns))
         labels = tuple(f"s{i + 1}" for i in range(m))
-        sub = Algebra(self.field, labels, constants, AlgebraMeta(DERIVED))
+        sub = Algebra._from_ints(self.field, labels, cells, self.denominator * lq * ld * ld, AlgebraMeta(DERIVED))
         return SubalgebraResult(sub, embedding, degree)
 
     def ideal_witness(self, vectors: Sequence[Sequence]) -> tuple[int, int] | None:
@@ -436,19 +436,16 @@ class Algebra:
             raise ValueError("quotient by the whole algebra is empty")
         free = [max(v) for v in basis]  # a kernel vector's last column is its free column
         # column k of L pi as {t: entry}, L the lcm of the kernel vectors' entries at their free columns (1 over F_p)
-        scale, images = math.lcm(*(v[f] for f, v in zip(free, basis))), {}
+        scale, images = math.lcm(*(v[f] for f, v in zip(free, basis))), [[] for _ in range(n)]
         for t, (f, v) in enumerate(zip(free, basis)):
             for k, a in v.items():
-                images.setdefault(k, {})[t] = a * (scale // v[f])
+                images[k].append((t, a * (scale // v[f])))
         projection = ([(v[k] if p else Fraction(v[k], v[f])) if k in v else zero for k in range(n)]
                       for f, v in zip(free, basis))
-        cells: dict[tuple[int, int, int], int] = {}
-        for a, b in itertools.combinations_with_replacement(range(len(free)), 2):
-            for k, w in self.cell(free[a], free[b]):
-                for t, x in images.get(k, {}).items():
-                    cells[a, b, t] = cells.get((a, b, t), 0) + w * x
-        quot = Algebra._from_ints(self.field, tuple(self.labels[f] for f in free),
-                                  [(*k, c) for k, c in cells.items()], scale * self.denominator, AlgebraMeta(DERIVED))
+        cells = [(a, b, t, c) for a, b in itertools.combinations_with_replacement(range(len(free)), 2)
+                 for t, c in combine(images, self.cell(free[a], free[b])).items()]
+        quot = Algebra._from_ints(self.field, tuple(self.labels[f] for f in free), cells,
+                                  scale * self.denominator, AlgebraMeta(DERIVED))
         return QuotientResult(quot, Matrix._from_raw(self.field, projection))
 
     # -- isomorphism checking --------------------------------------------------
@@ -458,8 +455,9 @@ class Algebra:
         algebra) is an algebra isomorphism.  Returns the first failing basis
         pair as a witness, or None when the map is singular or correct.
         On sparse ints, for C = d M and the other algebra's denominator D',
-        the test is d D' C (D b_i b_j) == D (D' (C b_i)(C b_j)), both
-        products through `_mul_coords` (D = D' = d = 1 over F_p)."""
+        the test is d D' C (D b_i b_j) == D (D' (C b_i)(C b_j)): the stored
+        cell of b_i b_j through `combine` with the columns of d D' C, the
+        right side through `_mul_coords` (D = D' = d = 1 over F_p)."""
         if self.field != other.field:
             raise FieldMismatch("algebras over different fields")
         if mapping.field != self.field:
@@ -471,13 +469,10 @@ class Algebra:
         if Echelon(self.field, (sparse(flat[i:i + n]) for i in range(0, n * n, n))).rank < n:
             return False, None
         cols = [sparse(flat[j::n]) for j in range(n)]
-        image_of = [{r: d * other.denominator * a for r, a in col.items()} for col in cols]  # d D' C
+        image_of = [[(r, d * other.denominator * a) for r, a in col.items()] for col in cols]  # d D' C
         for i, j in itertools.combinations_with_replacement(range(n), 2):
-            image: dict[int, int] = {}
-            for k, c in self._mul_coords({i: 1}, {j: 1}).items():
-                for r, a in image_of[k].items():
-                    image[r] = image.get(r, 0) + c * a
-            if pruned(p, image) != {r: self.denominator * a for r, a in other._mul_coords(cols[i], cols[j]).items()}:
+            image = pruned(p, combine(image_of, self.cell(i, j)))
+            if image != {r: self.denominator * a for r, a in other._mul_coords(cols[i], cols[j]).items()}:
                 return False, (i, j)
         return True, None
 

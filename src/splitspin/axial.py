@@ -38,7 +38,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .idempotents import FAMILY_A, TAG_FAMILY_A, TAG_FAMILY_B, classes, eigenbasis, family_axis
-from .linalg import Echelon, Matrix, Vector, int_vector, raw_values, zero_one
+from .linalg import Echelon, Matrix, Vector, combine, int_vector, raw_values, zero_one
 from .quadratic import NormOneSearch
 
 JORDAN = "jordan"
@@ -164,8 +164,8 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     so the supports, and with them the violations and their order, agree.
 
     Each eigenbasis product u v (each unordered pair once: the algebra is
-    commutative) is written in eigenbasis coordinates once, from the
-    nonzero columns of B^-1 at its nonzero coordinates, but for two sets of
+    commutative) is written in eigenbasis coordinates once, by `combine` on
+    the columns of Q B^-1 at its nonzero coordinates, but for two sets of
     pairs whose supports are known and would only repeat what is found: the
     row of a primitive x (x v = lambda v), and the pairs of a block inside
     E after its first nonzero product when `Algebra.e_line` holds (every
@@ -181,7 +181,8 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
     eigenvectors and the columns of Q B^-1 that `Echelon.inverting` hands
     back, Q the diagonal of the pivot entries q_t (1 over F_p); no scale
     changes a support.  tau is built on ints too, as L tau for L the lcm of
-    the q_t, checked to square to L^2, and reported as (L, its int rows).
+    the q_t, checked row by row through `combine` to square to L^2, and
+    reported as (L, its int rows).
 
     Raises NotIdempotent unless x is nonzero and in the kernel of ad_x - 1
     (the law's first eigenvalue), and IncompleteDecomposition when the
@@ -207,10 +208,7 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
 
     def support(u, v) -> set[int]:
         """The eigenvalue indices of the nonzero eigenbasis coordinates of u v."""
-        coords: dict[int, int] = {}
-        for k, w in algebra._mul_coords(u, v).items():
-            for t, b in inverse_columns[k]:
-                coords[t] = coords.get(t, 0) + w * b
+        coords = combine(inverse_columns, algebra._mul_coords(u, v).items())
         return {owner[t] for t, c in coords.items() if (c % p if p else c)}
 
     blocks = [[t for t, a in enumerate(owner) if a == b] for b in range(len(bases))]
@@ -250,12 +248,10 @@ def check_axis(algebra: Algebra, x: Element, law: FusionLaw) -> AxisReport:
         rows = [[c % p for c in row] for row in rows] if p else rows
         pairs = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
         for i, row in enumerate(pairs):  # (L tau)^2 = L^2 I, row by row
-            square = [-scale * scale if j == i else 0 for j in range(n)]
-            for k, a in row:
-                for j, c in pairs[k]:
-                    square[j] += a * c
-            check(not any(c % p if p else c for c in square), "the grading involution must square to the identity",
-                  witness=(scale, rows))
+            square = combine(pairs, row)
+            square[i] = square.get(i, 0) - scale * scale
+            check(not any(c % p if p else c for c in square.values()),
+                  "the grading involution must square to the identity", witness=(scale, rows))
         tau = scale, rows
     return AxisReport(x, law, dims, dims[eigenvalues[0]] == 1, violations, tau)
 
@@ -328,12 +324,12 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
 
     Associativity is checked on ints, with S F (S = s q^2 for the form's
     scale s and alpha = r / q) read off the form's int terms: the nonzero
-    T[i, j, t] = S D (b_i, b_j b_t), j <= t, are built from the stored cells,
-    and the form associates exactly when T is symmetric.  Each stored entry
-    is compared with its permutations (a missing key reads 0), which meets
-    any two differing entries from the nonzero side.  Only if that fails,
-    the first (i, j, t) in lexicographic order with (b_i, b_j b_t) !=
-    (b_i b_j, b_t) is raised as witness.
+    T[i, j, t] = S D (b_i, b_j b_t), j <= t, are each cell b_j b_t through
+    `combine` with S F, and the form associates exactly when T is symmetric.
+    Each stored entry is compared with its permutations (a missing key reads
+    0), which meets any two differing entries from the nonzero side.  Only
+    if that fails, the first (i, j, t) in lexicographic order with
+    (b_i, b_j b_t) != (b_i b_j, b_t) is raised as witness.
     The radical is read off F's blocks: the lift of the radical of b (all of
     E when the E-block's scale vanishes) and each z basis vector of length 0.
     """
@@ -360,11 +356,7 @@ def frobenius(algebra: Algebra) -> FrobeniusForm:
         raise BadCharacteristic("the Frobenius form vanishes identically here")
     tensor: dict[tuple[int, int, int], int] = {}
     for j, t in itertools.combinations_with_replacement(range(n), 2):
-        out: dict[int, int] = {}
-        for c, d in algebra.cell(j, t):
-            for i, a in columns[c]:
-                out[i] = out.get(i, 0) + a * d
-        for i, x in out.items():
+        for i, x in combine(columns, algebra.cell(j, t)).items():
             if p:
                 x %= p
             if x:

@@ -18,7 +18,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import serialize
-from .algebra import exceptional_cover, split_spin
+from .algebra import COVER, SPLIT_SPIN, exceptional_cover, split_spin
 from .axial import algebra_radical, check_axis, class_axes, frobenius, is_simple
 from .config import RunConfig, apply_overrides, parse_config
 from .cover import MAX_WITNESSES, verify_cover
@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--alpha", help="alpha as an integer or fraction string")
         cmd.add_argument("--mu", help="two-generated mu, or a comma-separated sweep")
         cmd.add_argument("--gram", help="Gram matrix as a JSON array string")
-        cmd.add_argument("--variant", choices=["split_spin", "cover"])
+        cmd.add_argument("--variant", choices=[SPLIT_SPIN, COVER])
         cmd.add_argument("--cap", type=int, help="axet enumeration cap")
         cmd.add_argument("--seed", type=int, help="seed for sampling")
         cmd.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
@@ -177,7 +177,7 @@ def _require_space(cfg: RunConfig):
 
 def _build_algebra(cfg: RunConfig):
     space = _require_space(cfg)
-    if cfg.variant == "cover":
+    if cfg.variant == COVER:
         return exceptional_cover(space)
     if cfg.alpha is None:
         raise ConfigError('"alpha" is required for the split spin variant')
@@ -285,7 +285,7 @@ def _axet_entry(cfg: RunConfig, mu) -> dict:
     """The sweep entry of one mu, or its error; cfg and mu reach a pool worker pickled."""
     try:
         alpha = cfg.alpha
-        if alpha is None and cfg.variant == "split_spin":
+        if alpha is None and cfg.variant == SPLIT_SPIN:
             alpha = default_two_gen_alpha(cfg.field)  # axet size is alpha-independent
         algebra, x, y = build_two_gen(TwoGenConfig(cfg.field, mu=mu, alpha=alpha, variant=cfg.variant))
         result = axet(algebra, x, y, cap=cfg.budgets.axet_cap)

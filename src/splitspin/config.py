@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .algebra import COVER, SPLIT_SPIN
 from .errors import ConfigError
 from .fields import Field, Scalar
 from .idempotents import DEFAULT_SCAN_BUDGET
@@ -29,7 +30,6 @@ _TOP_KEYS = {"field", "alpha", "gram", "variant", "budgets", "seeds", "output"}
 _FIELD_KEYS = {"kind", "p"}
 _BUDGET_KEYS = {"norm_one", "idempotent_scan", "axet_cap"}
 _SEED_KEYS = {"default"}
-_VARIANTS = {"split_spin", "cover"}
 _OUTPUTS = {"json", "text"}
 
 
@@ -122,8 +122,8 @@ def parse_config(raw: dict) -> RunConfig:
     elif gram is not None:
         raise ConfigError('"gram" must be an array or a {"two_gen_mu": ...} object')
 
-    variant = raw.get("variant", "split_spin")
-    if variant not in _VARIANTS:
+    variant = raw.get("variant", SPLIT_SPIN)
+    if variant not in (SPLIT_SPIN, COVER):
         raise ConfigError(f'unknown variant {variant!r}')
 
     budgets = Budgets()

@@ -89,9 +89,8 @@ def verify_cover(space: QuadraticSpace, norm_one_budget: int = DEFAULT_NORM_ONE_
 
     three_c_ok = None
     if witnesses:
-        e = witnesses[0]
-        x = family_axis(algebra, e, FAMILY_EXC)
-        x_minus = family_axis(algebra, tuple(-c for c in e), FAMILY_EXC)
+        x = family_axes[0][1]  # the axis of witnesses[0]
+        x_minus = family_axis(algebra, tuple(-c for c in witnesses[0]), FAMILY_EXC)
         b_x = algebra.subalgebra([x, x_minus, z1])
         model = matsuo_3c(field, -field.one())
         three_c_ok = (

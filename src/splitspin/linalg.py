@@ -17,8 +17,8 @@ clears it once, at its edge, through `int_vector` (`Matrix.rref` and
 `rank`, `same_span`, the axis check's idempotent test), and the algebra
 and the norm-one searches hand it their ints as they are.  It gives sparse
 vectors back: the `kernel` vectors, and from `inverting` the pivot entries
-and the inverse's nonzero entries by column.  A kernel over Q runs the
-integer `Echelon` only when the rank mod the fixed prime 2^61 - 1 falls
+and the inverse's columns, which `combine` applies.  A kernel over Q runs
+the integer `Echelon` only when the rank mod the fixed prime 2^61 - 1 falls
 short of full column rank.  Vectors are tuples of Scalars at the API edge.
 """
 
@@ -260,14 +260,14 @@ class Matrix:
         half of the reduced form of [M | I]."""
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
-        scales, rows = (None, self.raw) if self.field.p else zip(*map(cleared, self.raw))
-        if (inverted := Echelon.inverting(self.field, [sparse(row) for row in rows], scales)) is None:
+        scales, rows = ((1,) * self.rows, self.raw) if self.field.p else zip(*map(cleared, self.raw))
+        if (inverted := Echelon.inverting(self.field, [sparse(row) for row in rows])) is None:
             return None
-        (q, columns), p, n = inverted, self.field.p, self.rows
+        (q, columns), p, n = inverted, self.field.p, self.rows  # M = S^-1 R for the cleared rows R: M^-1 = R^-1 S
         out = [[zero_one(self.field)[0]] * n for _ in range(n)]
         for k, column in enumerate(columns):
             for t, a in column:
-                out[t][k] = a if p else Fraction(a, q[t])
+                out[t][k] = a if p else Fraction(a * scales[k], q[t])
         return Matrix._from_raw(self.field, out)
 
 
@@ -292,19 +292,19 @@ class Echelon:
             self.insert(row)
 
     @classmethod
-    def inverting(cls, field: Field, rows: Sequence[dict], scales: Sequence[int] | None = None) -> tuple | None:
-        """For the n sparse int rows of M and the diagonal S of the scales (I
-        by default), read in one pass over the reduced [M | S]: the pivot
-        entries q_t (1 over F_p) and each column k of Q M^-1 S, Q = diag(q_t),
-        as its nonzero (t, entry) pairs in row order; None when M is singular."""
+    def inverting(cls, field: Field, rows: Sequence[dict]) -> tuple | None:
+        """For the n sparse int rows of M, read in one pass over the reduced
+        [M | I]: the pivot entries q_t (1 over F_p) and each column k of
+        Q M^-1, Q = diag(q_t), as its nonzero (t, entry) pairs in row order,
+        the columns that `combine` takes; None when M is singular."""
         n = len(rows)
-        span = cls(field, ({**row, n + i: s} for i, (row, s) in enumerate(zip(rows, scales or [1] * n))))
+        span = cls(field, ({**row, n + i: 1} for i, row in enumerate(rows)))
         if max(span._rows) >= n:
             return None
         columns: list[list[tuple]] = [[] for _ in range(n)]
         for t in range(n):
             for j, a in span._rows[t].items():
-                if j >= n:  # row t is q_t at t and row t of Q M^-1 S to the right
+                if j >= n:  # row t is q_t at t and row t of Q M^-1 to the right
                     columns[j - n].append((t, a))
         return [span._rows[t][t] for t in range(n)], columns
 
@@ -376,6 +376,16 @@ def int_vector(field: Field, values: Sequence) -> dict:
 def sparse(values: Iterable) -> dict:
     """The nonzero entries of a dense vector as {column: value}."""
     return {j: a for j, a in enumerate(values) if a}
+
+
+def combine(columns: Sequence[Sequence[tuple]], pairs: Iterable[tuple]) -> dict:
+    """The matrix held by column, column k its sparse (t, a) pairs, times the sparse
+    vector of the (k, w) pairs, as the unreduced ints {t: sum of a w}: one change of basis."""
+    out: dict[int, int] = {}
+    for k, w in pairs:
+        for t, a in columns[k]:
+            out[t] = out.get(t, 0) + a * w
+    return out
 
 
 def pruned(p: int | None, v: dict) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import Algebra, Element
+from .algebra import SPLIT_SPIN, Algebra, Element
 from .axial import AxisReport, FrobeniusForm
 from .errors import DimensionMismatch
 from .fields import Field
@@ -60,7 +60,7 @@ def algebra_to_json(algebra: Algebra):
         doc["alpha"] = meta.alpha.to_json()
     if meta.space is not None:
         doc["gram"] = matrix_to_json(meta.space.gram)
-    if meta.kind == "split_spin":
+    if meta.kind == SPLIT_SPIN:
         doc["jordan_special"] = meta.jordan_special
     if meta.warnings:
         doc["warnings"] = list(meta.warnings)

@@ -39,12 +39,9 @@ from .errors import (
     check,
 )
 from .fields import Field, Scalar
-from .idempotents import FAMILY_A, FAMILY_EXC, classify_idempotent, family_axis
+from .idempotents import FAMILY_A, FAMILY_EXC, classify_idempotent, family_axis, is_idempotent
 from .linalg import Matrix, Vector, _reduced, boxed
 from .quadratic import QuadraticSpace
-
-VARIANT_SPLIT = "split_spin"
-VARIANT_COVER = "cover"
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -73,13 +70,13 @@ class TwoGenConfig:
     field: Field
     mu: Scalar
     alpha: Scalar | None = None
-    variant: str = VARIANT_SPLIT
+    variant: str = SPLIT_SPIN
 
     def __post_init__(self):
         object.__setattr__(self, "mu", self.field.scalar(self.mu))
-        if self.variant not in (VARIANT_SPLIT, VARIANT_COVER):
+        if self.variant not in (SPLIT_SPIN, COVER):
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.variant == VARIANT_COVER:
+        if self.variant == COVER:
             minus_one = -self.field.one()
             if self.alpha is not None and self.field.scalar(self.alpha) != minus_one:
                 raise ConfigError("the cover variant has alpha = -1")
@@ -115,7 +112,7 @@ def build_two_gen(cfg: TwoGenConfig) -> tuple[Algebra, Element, Element]:
     if field.characteristic == 2:
         raise CharTwo("two-generated axes require characteristic != 2")
     space = cfg.space()
-    if cfg.variant == VARIANT_COVER:
+    if cfg.variant == COVER:
         if field.characteristic == 3:
             raise BadCharacteristic("the cover requires characteristic != 3")
         algebra = exceptional_cover(space)
@@ -157,9 +154,8 @@ def yabe_data(algebra: Algebra, x: Element, y: Element) -> YabeData:
     space = algebra.meta.space
     if space.dim != 2:
         raise ValueError("the Yabe basis lives in the two-generated case (dim E = 2)")
-    for axis in (x, y):
-        if (axis * axis).raw != axis.raw:
-            raise ValueError("generators must be idempotent axes")
+    if not (is_idempotent(x) and is_idempotent(y)):
+        raise ValueError("generators must be idempotent axes")
     e, f = (tuple(2 * c for c in algebra.e_part(axis)) for axis in (x, y))
     mu = space.bform(e, f)
     if mu.is_one:

@@ -25,7 +25,7 @@ from splitspin import Field, Matrix, QuadraticSpace, exceptional_cover, matsuo_3
 from splitspin.algebra import DERIVED, Algebra, AlgebraMeta, QuotientResult, SubalgebraResult
 from splitspin.errors import NotAnIdeal, VerificationFailed, check
 from splitspin.idempotents import FAMILY_A, family_axis
-from splitspin.linalg import sparse
+from splitspin.linalg import sparse, zero_one
 from test_linalg import DenseEchelon, diagonal
 
 QQ = Field.rationals()
@@ -340,3 +340,36 @@ def test_quotient_eliminates_the_ideal_once(field, monkeypatch):
     assert zeros and all(c is zeros[0] and c == zero for c in zeros)
     monkeypatch.undo()
     assert_same_quotient(algebra, ideal)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "F7"])
+def test_closure_hands_int_cells_to_from_ints(field, monkeypatch):
+    """`subalgebra` and `quotient` write their cells as ints over one
+    denominator for `Algebra._from_ints`, and never coerce constants through
+    `Algebra.__init__`; `_store`'s gcd brings them to the constants and D of
+    the Fraction references.  Over Q the generators clear over 6 and 5, the
+    closure takes two rounds and the pivot entries q_t differ."""
+    algebra = fraction_algebra(field)
+    gens = [algebra.element([HALF, 0, Fraction(2, 3), 0, 1]), algebra.element([0, Fraction(-3, 5), 0, 1, 0])]
+    ideal = [algebra.element([0, 0, Fraction(2, 5), 0, 0])]
+    expected = reference_subalgebra(algebra, gens), reference_quotient(algebra, ideal)
+
+    def refuse(*args):
+        raise AssertionError("a closure built its constants through Algebra.__init__")
+
+    monkeypatch.setattr(Algebra, "__init__", refuse)
+    results = algebra.subalgebra(gens), algebra.quotient(ideal)
+    assert results[0].closure_degree >= 2 and (field.p or results[0].algebra.denominator > 1)
+    for result, reference in zip(results, expected):
+        assert result.algebra.raw_constants() == reference.algebra.raw_constants()
+        assert result.algebra.denominator == reference.algebra.denominator
+
+
+def test_subalgebra_embedding_zeros_are_the_shared_raw_zero():
+    """Over Q every zero of the embedding is the one raw zero of the field,
+    not a Fraction built per entry."""
+    algebra = fraction_algebra(QQ)
+    gens = [algebra.element([HALF, 0, Fraction(2, 3), 0, 1]), algebra.element([0, Fraction(-3, 5), 0, 1, 0])]
+    for sub in (algebra.subalgebra(gens), algebra.subalgebra([algebra.basis(0), algebra.basis_by_label("z1")])):
+        zeros = [c for row in sub.embedding.raw for c in row if not c]
+        assert zeros and all(c is zero_one(QQ)[0] for c in zeros)

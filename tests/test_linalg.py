@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from splitspin import Field, Matrix, linalg
 from splitspin.errors import DimensionMismatch, FieldMismatch
-from splitspin.linalg import (CERTIFICATE_PRIME, Echelon, _full_rank_mod, boxed, cleared, int_vector, product,
-                              raw_values, same_span)
+from splitspin.linalg import (CERTIFICATE_PRIME, Echelon, _full_rank_mod, boxed, cleared, combine, int_vector,
+                              product, pruned, raw_values, same_span)
 
 QQ = Field.rationals()
 F3 = Field.prime(3)
@@ -627,6 +627,57 @@ def test_sparse_kernel_against_the_reference(field):
                 assert v[f] > 0 and [Fraction(v.get(j, 0), v[f]) for j in range(width)] == u
 
     check()
+
+
+def test_inverse_of_rows_with_distinct_denominators():
+    """`inverse` clears each row by its own denominator, R = S M, and scales
+    column k of R^-1 by s_k: [[1/2, 1/3], [1/5, 1]] clears to (3, 2) over 6
+    and (1, 5) over 5, and its inverse is [[30, -10], [-6, 15]] / 13."""
+    for rows in ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]],
+                 [[Fraction(1, 2), 0, Fraction(1, 3)], [0, Fraction(2, 7), 1], [Fraction(-1, 5), Fraction(1, 9), 0]]):
+        m = Matrix(QQ, rows)
+        inverse = m.inverse()
+        assert [list(row) for row in inverse.raw] == ReferenceEchelon.inverse(QQ, m.raw)
+        assert m @ inverse == Matrix.identity(QQ, m.rows) and _exact(QQ, _flat(inverse))
+    assert Matrix(QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]]).inverse() == Matrix(
+        QQ, [[Fraction(30, 13), Fraction(-10, 13)], [Fraction(-6, 13), Fraction(15, 13)]])
+
+
+@st.composite
+def _combine_cases(draw):
+    """A rows x cols int matrix held by column as (t, a) pairs, empty columns
+    and repeated rows among them, and a vector as (k, w) pairs: none at all,
+    repeated columns, and a weight followed by its negative, which cancel."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12))
+    columns = [draw(st.lists(st.tuples(st.integers(0, rows - 1), entry), max_size=4)) for _ in range(cols)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, cols - 1), entry), max_size=5))
+    if pairs and draw(st.booleans()):
+        k, w = draw(st.sampled_from(pairs))
+        pairs.append((k, -w))
+    return rows, columns, pairs
+
+
+@given(_combine_cases())
+def test_combine_against_a_dense_product(case):
+    """`combine` is the dense matrix times the dense vector, read at the rows
+    it touches: unreduced ints, zero where weights cancel, and the same mod 7
+    and mod 10007 once pruned."""
+    rows, columns, pairs = case
+    matrix, vector = [[0] * len(columns) for _ in range(rows)], [0] * len(columns)
+    for k, column in enumerate(columns):
+        for t, a in column:
+            matrix[t][k] += a
+    for k, w in pairs:
+        vector[k] += w
+    dense = [sum(a * w for a, w in zip(row, vector)) for row in matrix]
+    out = combine(columns, pairs)
+    assert set(out) == {t for k, _ in pairs for t, _ in columns[k]}
+    assert all(type(c) is int for c in out.values())
+    assert [out.get(t, 0) for t in range(rows)] == dense
+    for p in (7, 10007):
+        assert pruned(p, out) == {t: c % p for t, c in enumerate(dense) if c % p}
+    assert combine(columns, iter(pairs)) == out and combine(columns, []) == {}
 
 
 def test_sparse_inverting_of_a_singular_matrix_is_none():
