@@ -451,22 +451,23 @@ class Algebra:
     # -- isomorphism checking --------------------------------------------------
 
     def check_isomorphism(self, other: Algebra, mapping: Matrix) -> tuple[bool, tuple[int, int] | None]:
-        """Whether the matrix (columns = images of this basis in the other
-        algebra) is an algebra isomorphism.  Returns the first failing basis
-        pair as a witness, or None when the map is singular or correct.
-        On sparse ints, for C = d M and the other algebra's denominator D',
-        the test is d D' C (D b_i b_j) == D (D' (C b_i)(C b_j)): the stored
-        cell of b_i b_j through `combine` with the columns of d D' C, the
-        right side through `_mul_coords` (D = D' = d = 1 over F_p)."""
+        """Whether the other.dim x dim matrix (columns = images of this basis
+        in the other algebra) is an injective homomorphism, an isomorphism
+        onto a subalgebra, with the first failing basis pair as the witness
+        (None when the map has rank < dim or is correct).  On sparse ints,
+        for C = d M and the other algebra's denominator D', the test is
+        d D' C (D b_i b_j) == D (D' (C b_i)(C b_j)): the stored cell of
+        b_i b_j through `combine` with the columns of d D' C, the right
+        side through `_mul_coords` (D = D' = d = 1 over F_p)."""
         if self.field != other.field:
             raise FieldMismatch("algebras over different fields")
         if mapping.field != self.field:
             raise FieldMismatch(f"mapping over {mapping.field!r} for algebras over {self.field!r}")
         n, p = self.dim, self.field.p
-        if other.dim != n or mapping.rows != n or mapping.cols != n:
-            raise DimensionMismatch("mapping must be square of the common dimension")
+        if mapping.rows != other.dim or mapping.cols != n:
+            raise DimensionMismatch(f"mapping must be {other.dim} x {n}, the other dimension by this one")
         d, flat = cleared([a for row in mapping.raw for a in row])
-        if Echelon(self.field, (sparse(flat[i:i + n]) for i in range(0, n * n, n))).rank < n:
+        if Echelon(self.field, (sparse(flat[i:i + n]) for i in range(0, len(flat), n))).rank < n:
             return False, None
         cols = [sparse(flat[j::n]) for j in range(n)]
         image_of = [[(r, d * other.denominator * a) for r, a in col.items()] for col in cols]  # d D' C

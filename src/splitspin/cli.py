@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--variant", choices=[SPLIT_SPIN, COVER])
         cmd.add_argument("--cap", type=int, help="axet enumeration cap")
         cmd.add_argument("--seed", type=int, help="seed for sampling")
-        cmd.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
         cmd.add_argument("--format", dest="output", choices=["json", "text"])
         if name == "selftest":
             cmd.add_argument("--only", type=int, help="run a single criterion by number")
@@ -77,8 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    if args.workers < 1:
-        raise ConfigError("--workers must be at least 1")
     raw = {}
     if args.config:
         try:
@@ -282,7 +279,7 @@ def _cmd_yabe(args, cfg: RunConfig):
 
 
 def _axet_entry(cfg: RunConfig, mu) -> dict:
-    """The sweep entry of one mu, or its error; cfg and mu reach a pool worker pickled."""
+    """The sweep entry of one mu, or its error."""
     try:
         alpha = cfg.alpha
         if alpha is None and cfg.variant == SPLIT_SPIN:
@@ -299,14 +296,7 @@ def _axet_entry(cfg: RunConfig, mu) -> dict:
 def _cmd_axet(args, cfg: RunConfig):
     if not cfg.mu_values:
         raise ConfigError('"two_gen_mu" is required for the axet command')
-    sweep_entry = functools.partial(_axet_entry, cfg)
-    workers = min(args.workers, len(cfg.mu_values), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a sweep on several cores pays for the import
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(sweep_entry, cfg.mu_values))
-    else:
-        entries = list(map(sweep_entry, cfg.mu_values))
+    entries = [_axet_entry(cfg, mu) for mu in cfg.mu_values]
     ok = all("error" not in entry for entry in entries)
     if len(entries) == 1:
         return entries[0], ok

@@ -4,8 +4,8 @@ Below the API every number is raw: an int residue in [0, p) over F_p, a
 Fraction over Q (never an int, so that every quotient stays exact).
 `raw_values` coerces at the API edge, through `fields.raw_value`; Scalars
 come back only from the methods that hand results to callers.  Matrices
-are immutable raw rows; each row's nonzero (index, value) pairs, the
-Scalar view `entries` and the `kernel` are built on first use.
+are immutable raw rows; the Scalar view `entries` and the `kernel` are
+built on first use.
 Elimination runs on the incremental `Echelon` basis with first-nonzero
 pivots and builds no combination columns, so kernels and inverses are
 deterministic: `kernel` and `kernel_raw` bases come out in echelon order
@@ -101,7 +101,7 @@ def product(p: int | None, left: Sequence[Sequence], right: Sequence[Sequence]) 
 class Matrix:
     """An exact rows x cols matrix over a single field, stored raw."""
 
-    __slots__ = ("field", "raw", "_nonzeros", "_entries", "_kernel")
+    __slots__ = ("field", "raw", "_entries", "_kernel")
 
     def __init__(self, field: Field, entries: Sequence[Sequence]):
         rows = [raw_values(field, row) for row in entries]
@@ -121,7 +121,6 @@ class Matrix:
     def _store(self, field: Field, rows: Iterable[Sequence]) -> None:
         self.field = field
         self.raw = tuple(map(tuple, rows))
-        self._nonzeros = None
         self._entries = None
         self._kernel = None
 
@@ -149,13 +148,6 @@ class Matrix:
         if self._entries is None:
             self._entries = tuple(boxed(self.field, row) for row in self.raw)
         return self._entries
-
-    @property
-    def _sparse(self) -> tuple[list, ...]:
-        """Each row's nonzero (column, raw value) pairs, built once."""
-        if self._nonzeros is None:
-            self._nonzeros = tuple([(j, a) for j, a in enumerate(row) if a] for row in self.raw)
-        return self._nonzeros
 
     @property
     def rows(self) -> int:
@@ -211,17 +203,12 @@ class Matrix:
         return boxed(self.field, self.apply_raw(v))
 
     def apply_raw(self, v: Sequence) -> tuple:
-        """`apply` on a reduced raw vector, giving a raw tuple; no coercion."""
+        """`apply` on a reduced raw vector, giving a raw tuple; no coercion.
+        Each row is read only at v's nonzero entries."""
         zero, p = zero_one(self.field)[0], self.field.p
-        out = []
-        for nonzeros in self._sparse:
-            acc = zero
-            for j, a in nonzeros:
-                x = v[j]
-                if x:
-                    acc += a * x
-            out.append(acc % p if p else acc)
-        return tuple(out)
+        nonzeros = list(sparse(v).items())
+        sums = (sum((a * x for j, x in nonzeros if (a := row[j])), zero) for row in self.raw)
+        return tuple(a % p for a in sums) if p else tuple(sums)
 
     # -- elimination ---------------------------------------------------------
 

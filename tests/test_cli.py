@@ -40,12 +40,6 @@ def test_axet_sweep_preserves_order(capsys):
     assert sizes == ["infinite", 3, 4, 6, "infinite"]
 
 
-def test_axet_sweep_parallel_matches_serial(capsys):
-    _, serial = run_json(capsys, "axet", "--mu", "0,1/2", "--alpha", "3")
-    _, parallel = run_json(capsys, "axet", "--mu", "0,1/2", "--alpha", "3", "--workers", "2")
-    assert serial == parallel
-
-
 def test_simple_baric_example(capsys):
     code, doc = run_json(
         capsys, "simple", "--gram", '[["1","0"],["0","1"]]', "--alpha", "-1"
@@ -255,49 +249,11 @@ def test_axet_empty_mu_list_is_config_error(capsys):
     assert captured.err.startswith("config error:") and captured.out == ""
 
 
-def test_workers_below_one_is_config_error(capsys):
-    code = main(["axet", "--mu", "0,1/2", "--workers", "0"])
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    created = []
-
-    def __init__(self, max_workers):
-        RecordingPool.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_axet_workers_are_clamped(capsys, monkeypatch):
-    import concurrent.futures
-
-    import splitspin.cli as cli
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(RecordingPool, "created", [])
-    # clamped to the sweep length
-    code, doc = run_json(capsys, "axet", "--mu", "0,1/2,-1/2", "--alpha", "3", "--workers", "64")
-    assert code == 0 and [entry["size"] for entry in doc["sweep"]] == [4, 6, 3]
-    # clamped to the core count
-    run_json(capsys, "axet", "--mu", "0,1/2,-1/2,1,-1", "--alpha", "3", "--workers", "64")
-    assert RecordingPool.created == [3, 4]
-    # a single mu, or a single core, needs no pool
-    run_json(capsys, "axet", "--mu", "0", "--alpha", "3", "--workers", "8")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    run_json(capsys, "axet", "--mu", "0,1/2", "--alpha", "3", "--workers", "8")
-    assert RecordingPool.created == [3, 4]
+def test_workers_is_no_longer_an_option(capsys):
+    # a sweep runs in one process; the removed --workers flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["axet", "--mu", "0,1/2", "--alpha", "3", "--workers", "2"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 def test_closed_stdout_gives_no_traceback():
@@ -369,9 +325,9 @@ def test_parameters_outside_the_domain_are_config_errors(capsys, argv):
     assert captured.err.startswith("config error:") and captured.out == ""
 
 
-def test_config_error_leaves_a_parallel_axet_sweep(capsys, monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    code = main(["axet", "--mu", "0,2", "--p", "3", "--workers", "2"])
+def test_config_error_leaves_a_parallel_axet_sweep(capsys):
+    # the sweep runs serially; the config error of its first value ends it
+    code = main(["axet", "--mu", "0,2", "--p", "3"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("config error: no valid alpha exists over GF(3)") and captured.out == ""
@@ -418,7 +374,6 @@ def _fuzzed_argv(draw, command):
         ("--variant", 3, _mostly(["split_spin", "cover"], ["spin"])),
         ("--cap", 2, _mostly(["3", "1000"], ["0", "-1", "x"])),
         ("--seed", 2, _mostly(["0", "7"], ["-1", "x"])),
-        ("--workers", 1, st.sampled_from(["1", "0", "-2"])),  # never more than one process
         ("--format", 2, _mostly(["json", "text"], ["yaml"])),
         ("--config", 1, st.just("no-such-config.json")),
     ]

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from splitspin import Field, Matrix, QuadraticSpace, exceptional_cover, matsuo_3c, split_spin
 from splitspin.algebra import DERIVED, Algebra, AlgebraMeta, QuotientResult, SubalgebraResult
-from splitspin.errors import NotAnIdeal, VerificationFailed, check
+from splitspin.errors import DimensionMismatch, NotAnIdeal, VerificationFailed, check
 from splitspin.idempotents import FAMILY_A, family_axis
 from splitspin.linalg import sparse, zero_one
 from test_linalg import DenseEchelon, diagonal
@@ -258,12 +258,12 @@ ENTRIES = st.one_of(st.integers(-2, 2), st.sampled_from([HALF, Fraction(-2, 3), 
 
 
 @st.composite
-def algebras(draw):
-    """A split spin, cover or 3C algebra over Q, F_7 or F_10007, on a Gram
+def algebras(draw, fields=FIELDS):
+    """A split spin, cover or 3C algebra over one of the fields, on a Gram
     and alpha that may hold Fractions, so that D > 1 over Q.  A zero last
     row and column, or a rank-one Gram c v v^T, make the form degenerate, so
     that its radical spans a proper ideal."""
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(fields))
     kind = draw(st.sampled_from(["split_spin", "cover", "matsuo_3c"]))
     if kind == "matsuo_3c":
         return matsuo_3c(field, draw(ENTRIES))
@@ -315,6 +315,30 @@ def test_isomorphism_check_matches_the_fraction_body(algebra, data):
     assume(not all(g.is_zero for g in gens))
     sub = algebra.subalgebra(gens).algebra
     assert_same_isomorphism(sub, sub, Matrix.identity(algebra.field, sub.dim))
+
+
+@given(algebras([QQ, F7]), st.data())
+def test_rectangular_maps_match_the_fraction_body(algebra, data):
+    """A dim x sub.dim map from a subalgebra is tested as an injective
+    homomorphism: the embedding passes, a doubled one or a random map of the
+    same shape is decided as the reference decides it, a repeated column
+    makes it singular, and any other shape raises."""
+    gens = elements(algebra, data.draw, data.draw(st.integers(1, 2)))
+    assume(not all(g.is_zero for g in gens))
+    result, field, m = algebra.subalgebra(gens), algebra.field, algebra.dim
+    sub, n = result.algebra, result.algebra.dim
+    assert assert_same_isomorphism(sub, algebra, result.embedding) == (True, None)
+    assert_same_isomorphism(sub, algebra, Matrix(field, [[2 * a for a in row] for row in result.embedding.raw]))
+    entries = st.one_of(st.just(0), ENTRIES)
+    random = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    assert_same_isomorphism(sub, algebra, Matrix(field, random))
+    columns = list(zip(*result.embedding.raw))
+    if n > 1:
+        repeated = Matrix.from_columns(field, columns[:-1] + columns[:1])
+        assert assert_same_isomorphism(sub, algebra, repeated) == (False, None)
+    for rows, cols in ((m + 1, n), (m, n + 1), (n, m) if n != m else (n + 1, n + 1)):
+        with pytest.raises(DimensionMismatch):
+            sub.check_isomorphism(algebra, Matrix(field, [[0] * cols for _ in range(rows)]))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

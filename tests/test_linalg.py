@@ -851,6 +851,24 @@ def test_apply_matmul_against_boxed_reference(field, entries):
     check()
 
 
+@pytest.mark.parametrize("field, entries", [(QQ, small_rationals), (F7, st.integers(0, 6))], ids=["QQ", "F7"])
+def test_apply_raw_on_zero_unit_and_dense_vectors(field, entries):
+    """`apply_raw` reads each row at the vector's nonzero entries only: it
+    agrees with the dense Scalar product on the zero vector, every unit
+    vector and a vector without zeros, and its entries stay raw."""
+    @given(st.data())
+    def check(data):
+        r, c = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        a = Matrix(field, data.draw(_sparse_rows(entries, r, c)))
+        dense = data.draw(st.lists(entries.filter(bool), min_size=c, max_size=c))
+        for v in ([0] * c, *([int(j == i) for j in range(c)] for i in range(c)), dense):
+            image = a.apply_raw(tuple(raw_values(field, v)))
+            assert image == tuple(x.value for x in reference_apply(field, a.entries, v))
+            assert _exact(field, boxed(field, image))
+
+    check()
+
+
 @pytest.mark.parametrize("field, entries", [(QQ, small_rationals), (F7, st.integers(0, 6)),
                                            (F10007, st.integers(0, 10006))], ids=["QQ", "F7", "F10007"])
 def test_raw_product_against_boxed_reference(field, entries):
